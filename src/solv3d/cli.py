@@ -161,6 +161,36 @@ def load_spec(path: str) -> tuple[SystemSpec, dict, dict]:
     return spec, numerics, raw
 
 
+def _override_numerics(numerics: dict, *, seed=None, budget=None, horizon=None,
+                       grid_res=None, grid_box=None) -> None:
+    """Merge command-line overrides into ``numerics`` and validate the result.
+
+    Runs before any sampling, so a bad value exits 1 with a one-line error
+    whether it came from the spec file or from a flag.
+    """
+    for key, val in (("seed", seed), ("budget", budget), ("horizon", horizon)):
+        if val is not None:
+            numerics[key] = val
+    if grid_res is not None:
+        numerics["grid"]["resolution"] = grid_res
+    if grid_box is not None:
+        try:
+            x0, x1, y0, y1 = (float(p) for p in grid_box.split(","))
+        except ValueError:
+            raise InputError(f"--grid-box must be 'x0,x1,y0,y1', got {grid_box!r}")
+        numerics["grid"]["box"] = [[x0, x1], [y0, y1]]
+    try:
+        jsonschema.validate(numerics, SPEC_SCHEMA["properties"]["numerics"])
+    except jsonschema.ValidationError as exc:
+        raise InputError(f"numerics: at {exc.json_path}: {exc.message}")
+    box = numerics["grid"]["box"]
+    (x0, x1), (y0, y1) = box
+    if not np.all(np.isfinite([numerics["horizon"], x0, x1, y0, y1])):
+        raise InputError("numerics: the horizon and the grid box must be finite")
+    if not (x0 < x1 and y0 < y1):
+        raise InputError(f"grid box must satisfy x0 < x1 and y0 < y1, got {box}")
+
+
 def dump_json(obj: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -256,12 +286,7 @@ def common_options(fn):
 def cmd_classify(spec_path, out_dir, seed, budget, horizon, verify):
     """Classify the control-set taxonomy of a system and write report.json."""
     sys_spec, numerics, raw = load_spec(spec_path)
-    if seed is not None:
-        numerics["seed"] = seed
-    if budget is not None:
-        numerics["budget"] = budget
-    if horizon is not None:
-        numerics["horizon"] = horizon
+    _override_numerics(numerics, seed=seed, budget=budget, horizon=horizon)
     try:
         report = reach_mod.classify(sys_spec)
     except ValueError as exc:
@@ -394,20 +419,8 @@ def cmd_reach(spec_path, out_dir, seed, budget, horizon, grid_res, grid_box):
             "reach needs an invertible drift matrix and the rank condition "
             "(the planar reduction is undefined otherwise)"
         )
-    if seed is not None:
-        numerics["seed"] = seed
-    if budget is not None:
-        numerics["budget"] = budget
-    if horizon is not None:
-        numerics["horizon"] = horizon
-    if grid_res is not None:
-        numerics["grid"]["resolution"] = grid_res
-    if grid_box is not None:
-        try:
-            x0, x1, y0, y1 = (float(p) for p in grid_box.split(","))
-        except ValueError:
-            raise InputError(f"--grid-box must be 'x0,x1,y0,y1', got {grid_box!r}")
-        numerics["grid"]["box"] = [[x0, x1], [y0, y1]]
+    _override_numerics(numerics, seed=seed, budget=budget, horizon=horizon,
+                       grid_res=grid_res, grid_box=grid_box)
 
     spec = conjugate_to_planar(sys_spec).planar
     box = tuple(map(tuple, numerics["grid"]["box"]))

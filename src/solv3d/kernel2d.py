@@ -2,13 +2,14 @@
 
 Vectors are numpy arrays of shape (2,), matrices of shape (2, 2).  The
 structure matrix of the group law comes in three families (shear, diagonal,
-rotation-plus-scaling); all closed forms below are exact for matrices that
-commute with one of those families, with a scaling-and-squaring series as
-the generic fallback.
+rotation-plus-scaling).  One kernel, ``arc``, gives both e^{sM} and
+int_0^s e^{rM} dr for any 2x2 matrix M, for single matrices and batches
+alike; ``expm`` and ``lambda_op`` are views of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ __all__ = [
     "mat2",
     "check_finite",
     "theta_matrix",
+    "arc",
+    "arc_matrices",
     "expm",
     "expm_series",
     "lambda_op",
@@ -110,44 +113,72 @@ def rot90(v: np.ndarray) -> np.ndarray:
     return np.array([-v[1], v[0]])
 
 
-# -- matrix exponential ------------------------------------------------------
+# -- the affine-arc kernel ---------------------------------------------------
+
+# X = (s / 2^k) M is scaled to infinity norm <= _ARC_NORM, where the degree
+# _ARC_DEGREE Taylor sum of phi1(X) is exact to well below rounding.
+_ARC_NORM = 0.125
+_ARC_DEGREE = 10
 
 
-def _is_diagonal(B: np.ndarray) -> bool:
-    return B[0, 1] == 0.0 and B[1, 0] == 0.0
+def _mul(a, b):
+    """Product of two 2x2 matrices given as row-major entry 4-tuples."""
+    return (
+        a[0] * b[0] + a[1] * b[2],
+        a[0] * b[1] + a[1] * b[3],
+        a[2] * b[0] + a[3] * b[2],
+        a[2] * b[1] + a[3] * b[3],
+    )
 
 
-def _is_shear(B: np.ndarray) -> bool:
-    # scaled identity plus strictly (upper or lower) triangular nilpotent
-    return B[0, 0] == B[1, 1] and (B[0, 1] == 0.0 or B[1, 0] == 0.0)
+def arc(m00, m01, m10, m11, s):
+    """Entries of E = e^{sM} and W = int_0^s e^{rM} dr for M = [[m00, m01], [m10, m11]].
+
+    Every constant-control arc is the affine map x -> E x + W b.  Both
+    matrices come from Van Loan's pair exponential by scaling and squaring:
+    with X = (s/2^k) M of infinity norm at most 1/8, P = phi1(X) is summed
+    by Horner, E = I + X P and W = (s/2^k) P, and then k doublings
+    W <- W + E W, E <- E E.  Only + * / touch the entries, so the same code
+    takes floats or equal-shape (broadcastable) numpy arrays; a batch uses
+    the largest k any of its members needs.  No inverse is formed, so the
+    result stays accurate at and near det M = 0.
+    """
+    norm = float(np.max(abs(s) * np.maximum(abs(m00) + abs(m01), abs(m10) + abs(m11))))
+    k = max(0, math.ceil(math.log2(norm / _ARC_NORM))) if norm > 0.0 else 0
+    h = s / 2**k
+    x = (h * m00, h * m01, h * m10, h * m11)
+    p = (1.0, 0.0, 0.0, 1.0)
+    for j in range(_ARC_DEGREE + 1, 1, -1):
+        xp = _mul(x, p)
+        p = (1.0 + xp[0] / j, xp[1] / j, xp[2] / j, 1.0 + xp[3] / j)
+    xp = _mul(x, p)
+    e = (1.0 + xp[0], xp[1], xp[2], 1.0 + xp[3])
+    w = (h * p[0], h * p[1], h * p[2], h * p[3])
+    for _ in range(k):
+        ew = _mul(e, w)
+        w = (w[0] + ew[0], w[1] + ew[1], w[2] + ew[2], w[3] + ew[3])
+        e = _mul(e, e)
+    return e, w
 
 
-def _is_spiral_like(B: np.ndarray) -> bool:
-    # g*I + b*R
-    return B[0, 0] == B[1, 1] and B[0, 1] == -B[1, 0]
+def arc_matrices(B: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{tB}, int_0^t e^{sB} ds) as 2x2 arrays, from one ``arc`` call."""
+    e, w = arc(*np.asarray(B, dtype=float).ravel().tolist(), float(t))
+    return np.array(e).reshape(2, 2), np.array(w).reshape(2, 2)
 
 
 def expm(B: np.ndarray, t: float) -> np.ndarray:
-    """e^{tB} by exact closed forms where the structure allows it.
+    """e^{tB}."""
+    return arc_matrices(B, t)[0]
 
-    Closed forms cover diagonal matrices, scaled-identity-plus-nilpotent
-    (both triangles) and g*I + b*R; everything else goes through a
-    scaling-and-squaring series.
-    """
-    B = np.asarray(B, dtype=float)
-    if _is_diagonal(B):
-        return np.diag([np.exp(t * B[0, 0]), np.exp(t * B[1, 1])])
-    if _is_shear(B):
-        N = B - B[0, 0] * np.eye(2)
-        return np.exp(t * B[0, 0]) * (np.eye(2) + t * N)
-    if _is_spiral_like(B):
-        g, b = B[0, 0], B[1, 0]
-        return np.exp(g * t) * (np.cos(b * t) * np.eye(2) + np.sin(b * t) * ROT90)
-    return expm_series(t * B)
+
+def lambda_op(B: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
+    """The integral operator int_0^t e^{sB} v ds."""
+    return arc_matrices(B, t)[1] @ np.asarray(v, dtype=float)
 
 
 def expm_series(M: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Taylor series for e^M (generic fallback)."""
+    """Scaling-and-squaring Taylor series for e^M (test reference)."""
     M = np.asarray(M, dtype=float)
     norm = np.max(np.abs(M))
     n = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0 else 0
@@ -160,33 +191,3 @@ def expm_series(M: np.ndarray) -> np.ndarray:
     for _ in range(n):
         out = out @ out
     return out
-
-
-# -- the Lambda operator -----------------------------------------------------
-
-
-def _phi1_singular(B: np.ndarray, t: float) -> np.ndarray:
-    """int_0^t e^{sB} ds for det B = 0, via Cayley-Hamilton (B^2 = tr(B) B)."""
-    m = B[0, 0] + B[1, 1]
-    if m == 0.0:
-        c = 0.5 * t * t
-    else:
-        c = (np.expm1(t * m) - t * m) / (m * m)
-    return t * np.eye(2) + c * B
-
-
-def lambda_op(B: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
-    """The integral operator int_0^t e^{sB} v ds.
-
-    Invertible B uses (e^{tB} - I) B^{-1} v; singular B uses the exact
-    Cayley-Hamilton reduction of the power series.  The split is decided by
-    an exact determinant test backed by a relative tolerance for inputs that
-    are singular only up to rounding.
-    """
-    B = np.asarray(B, dtype=float)
-    v = np.asarray(v, dtype=float)
-    det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-    scale = max(1.0, float(np.max(np.abs(B))) ** 2)
-    if abs(det) <= 1e-12 * scale:
-        return _phi1_singular(B, t) @ v
-    return (expm(B, t) - np.eye(2)) @ np.linalg.solve(B, v)

@@ -3,8 +3,10 @@
 This is the system induced on the plane quotient of the group by the drift
 singularity subgroup, with the control range already rescaled by the input
 rate alpha.  ``det A != 0`` and ``[A, theta] = 0`` are required, which makes
-all the constant-control matrices A(u) commute with each other and keeps
-every solution in closed form.
+all the constant-control matrices A(u) commute with each other.  Every
+constant-control arc is the affine map v -> E v + W u eta with the pair
+(E, W) = (e^{sA(u)}, int_0^s e^{rA(u)} dr) from ``kernel2d.arc``, so arcs
+stay exact at the roots of det A(u), where rest points do not exist.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel2d import ROT90, ThetaFamily, check_finite, expm, lambda_op
+from .kernel2d import ROT90, ThetaFamily, arc_matrices, check_finite, expm
 
 __all__ = [
     "ControlRange",
@@ -245,18 +247,12 @@ def omega_hat(spec: PlanarSpec) -> OmegaHat:
 
 
 def planar_solution(spec: PlanarSpec, s: float, v0: np.ndarray, u: float) -> np.ndarray:
-    """Exact constant-control solution at time s from v0.
+    """Exact constant-control solution e^{sA(u)} v0 + (int_0^s e^{rA(u)} dr) u eta at time s.
 
-    Uses e^{sA(u)}(v0 - v(u)) + v(u) away from determinant roots and
-    variation of constants through the Lambda operator at them.
+    Needs no rest point, so it holds unchanged at and near determinant roots.
     """
-    v0 = np.asarray(v0, dtype=float)
-    Au = a_of_u(spec, u)
-    det = np.linalg.det(Au)
-    if abs(det) > ROOT_BAND:
-        vu = -u * np.linalg.solve(Au, spec.eta)
-        return expm(Au, s) @ (v0 - vu) + vu
-    return expm(Au, s) @ v0 + expm(Au, s) @ lambda_op(-Au, s, u * spec.eta)
+    E, W = arc_matrices(a_of_u(spec, u), s)
+    return E @ np.asarray(v0, dtype=float) + W @ (u * spec.eta)
 
 
 def concat_solution(
@@ -270,8 +266,9 @@ def concat_solution(
     v = np.asarray(v0, dtype=float)
     M = np.eye(2)
     for s, u in ctrl.pairs():
-        v = planar_solution(spec, s, v, u)
-        M = expm(a_of_u(spec, u), s) @ M
+        E, W = arc_matrices(a_of_u(spec, u), s)
+        v = E @ v + W @ (u * spec.eta)
+        M = E @ M
     return v, M
 
 

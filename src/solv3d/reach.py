@@ -1,8 +1,9 @@
 """Reachable-set sampling, control-set estimation and classification.
 
 The planar reachable sets are estimated on a fixed grid by integrating
-batches of random piecewise-constant controls in closed form (all the
-constant-control matrices commute, so every arc is an explicit affine map).
+batches of random piecewise-constant controls exactly: every arc is the
+affine map v -> E v + W u eta, and the evenly spaced samples along an arc
+are repeated applications of one such map from ``kernel2d.arc``.
 Forward and backward occupancies combine into a control-set estimate, and
 ``classify`` implements the taxonomy decision tree over the drift rank and
 the group variant, with ``verify_classification`` cross-examining each
@@ -15,10 +16,9 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .group import GroupVariant
-from .kernel2d import SPIRAL, rot90
+from .kernel2d import SPIRAL, arc, arc_matrices, rot90
 from .planar import (
     DetSignError,
     PlanarSpec,
@@ -102,32 +102,10 @@ class ControlSetEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _batch_expm(M: np.ndarray) -> np.ndarray:
-    """e^M for a batch of real 2x2 matrices, via the trace-split closed form."""
-    m = 0.5 * (M[:, 0, 0] + M[:, 1, 1])
-    C = M - m[:, None, None] * np.eye(2)[None]
-    detC = C[:, 0, 0] * C[:, 1, 1] - C[:, 0, 1] * C[:, 1, 0]
-    d = np.sqrt((-detC).astype(complex))
-    cosh = np.cosh(d)
-    small = np.abs(d) < 1e-8
-    sinhc = np.where(small, 1.0 + d * d / 6.0, np.sinh(np.where(small, 1.0, d)) / np.where(small, 1.0, d))
-    out = cosh[:, None, None] * np.eye(2)[None] + sinhc[:, None, None] * C
-    return np.exp(m)[:, None, None] * out.real + 0.0 * out.imag
-
-
-def _batch_equilibrium(M: np.ndarray, u: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Batch solve M v = -u eta (M is each trajectory's constant-control matrix)."""
-    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-    rhs = -u[:, None] * eta[None, :]
-    vx = (M[:, 1, 1] * rhs[:, 0] - M[:, 0, 1] * rhs[:, 1]) / det
-    vy = (-M[:, 1, 0] * rhs[:, 0] + M[:, 0, 0] * rhs[:, 1]) / det
-    return np.stack([vx, vy], axis=1)
-
-
-def _mark(bitmap: np.ndarray, pts: np.ndarray, box, res: int) -> None:
+def _mark(bitmap: np.ndarray, x: np.ndarray, y: np.ndarray, box, res: int) -> None:
     (x0, x1), (y0, y1) = box
-    ix = np.floor((pts[:, 0] - x0) / (x1 - x0) * res).astype(np.int64)
-    iy = np.floor((pts[:, 1] - y0) / (y1 - y0) * res).astype(np.int64)
+    ix = np.floor((x - x0) / (x1 - x0) * res).astype(np.int64)
+    iy = np.floor((y - y0) / (y1 - y0) * res).astype(np.int64)
     ok = (ix >= 0) & (ix < res) & (iy >= 0) & (iy < res)
     bitmap[ix[ok], iy[ok]] = True
 
@@ -161,28 +139,25 @@ def _sample_direction(
     monotonically with T under the same seed.
     """
     A, th, eta = spec.A, spec.theta_matrix, spec.eta
-    v = np.tile(np.asarray(v0, dtype=float), (n_traj, 1))
-    _mark(bitmap, v, box, res)
+    x = np.full(n_traj, float(v0[0]))
+    y = np.full(n_traj, float(v0[1]))
+    _mark(bitmap, x, y, box, res)
     n_arcs = int(np.ceil(T / arc_duration))
-    fracs = (np.arange(samples_per_arc) + 1.0) / samples_per_arc
     elapsed = 0.0
     for _ in range(n_arcs):
         u = _draw_controls(rng, n_traj, spec.omega)
         s = min(arc_duration, T - elapsed)
-        M = A[None] - u[:, None, None] * th[None]
-        det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-        # nudge controls off determinant roots (rest points undefined there)
-        bad = np.abs(det) < 1e-9
-        if np.any(bad):
-            u = np.where(bad, u + 1e-6, u)
-            M = A[None] - u[:, None, None] * th[None]
-        veq = _batch_equilibrium(M, u, eta)
-        dv = v - veq
-        for f in fracs:
-            E = _batch_expm((sign * f * s) * M)
-            pts = np.einsum("nij,nj->ni", E, dv) + veq
-            _mark(bitmap, pts, box, res)
-        v = pts
+        # one propagator per arc: the samples are its powers applied to v
+        (e00, e01, e10, e11), (w00, w01, w10, w11) = arc(
+            A[0, 0] - u * th[0, 0], A[0, 1] - u * th[0, 1],
+            A[1, 0] - u * th[1, 0], A[1, 1] - u * th[1, 1],
+            sign * s / samples_per_arc,
+        )
+        cx = u * (w00 * eta[0] + w01 * eta[1])
+        cy = u * (w10 * eta[0] + w11 * eta[1])
+        for _ in range(samples_per_arc):
+            x, y = e00 * x + e01 * y + cx, e10 * x + e11 * y + cy
+            _mark(bitmap, x, y, box, res)
         elapsed += s
 
 
@@ -240,10 +215,20 @@ def reach_sets(
     return ReachGrid(box, res, fwd, bwd, float(T), int(budget), int(seed), v0)
 
 
+def _dilate3x3(bitmap: np.ndarray) -> np.ndarray:
+    """Binary dilation by the full 3x3 square, with False beyond the border."""
+    n, m = bitmap.shape
+    padded = np.pad(bitmap, 1)
+    out = np.zeros_like(bitmap)
+    for i in range(3):
+        for j in range(3):
+            out |= padded[i:i + n, j:j + m]
+    return out
+
+
 def control_set_estimate(grid: ReachGrid) -> ControlSetEstimate:
     """closure(forward) ∩ backward, with closure as a one-cell dilation."""
-    closure = ndimage.binary_dilation(grid.forward, structure=np.ones((3, 3), bool))
-    cells = closure & grid.backward
+    cells = _dilate3x3(grid.forward) & grid.backward
     diag = {
         "forward_cells": int(np.sum(grid.forward)),
         "backward_cells": int(np.sum(grid.backward)),
@@ -505,7 +490,7 @@ def verify_classification(
                 threshold=fill_threshold)
         add("estimate-nonempty", est.diagnostics["estimate_cells"] > 0,
             **est.diagnostics)
-    elif report.taxonomy == TAX_CONTROLLABLE and report.nilrank == 0:
+    elif report.rule == "nilrank0/spiral-staircase":
         err = _identity_return_error(sys, seed)
         add("identity-return", err <= 1e-5, endpoint_error=err)
     elif report.taxonomy == TAX_INFINITE and report.rule == "nilrank0/plane-family":
@@ -584,8 +569,6 @@ def _pairing_monotone(sys: SystemSpec, cert, seed: int) -> bool:
     With a rank-zero drift the v-rate is Lambda_t^theta xi + u rho_t eta, so
     the pairing rate only depends on (t, u); sampling covers both densely.
     """
-    from .kernel2d import expm, lambda_op
-
     rng = np.random.default_rng(seed)
     th = sys.theta_matrix
     xh = cert.xi_hat.vector
@@ -593,7 +576,8 @@ def _pairing_monotone(sys: SystemSpec, cert, seed: int) -> bool:
     for _ in range(10_000):
         t = rng.uniform(-8.0, 8.0)
         u = rng.uniform(sys.omega.u_min, sys.omega.u_max)
-        rate = float((lambda_op(th, t, sys.xi) + u * (expm(th, t) @ sys.eta)) @ xh)
+        rho, lam = arc_matrices(th, t)
+        rate = float((lam @ sys.xi + u * (rho @ sys.eta)) @ xh)
         worst = min(worst, rate)
     # eta contributes a bounded oscillation; the certificate concerns xi only
     if np.max(np.abs(sys.eta)) == 0.0:

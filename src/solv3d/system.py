@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .group import GroupElement, GroupVariant, SIMPLY_CONNECTED
-from .kernel2d import ROT90, ThetaFamily, check_finite, expm, lambda_op
+from .kernel2d import ROT90, ThetaFamily, arc_matrices, check_finite, lambda_op
 from .planar import ControlRange, PiecewiseControl, PlanarSpec, Trajectory, planar_solution
 
 __all__ = [
@@ -133,20 +133,16 @@ def derivation_matrix(sys: SystemSpec) -> np.ndarray:
 
 def drift_flow(s: float, g: GroupElement, sys: SystemSpec) -> GroupElement:
     """Exact drift flow (t, v) -> (t, e^{sA} v + Lambda_t^theta Lambda_s^A xi)."""
-    w = lambda_op(sys.A, s, sys.xi)
-    return GroupElement(g.t, expm(sys.A, s) @ g.v + lambda_op(sys.theta_matrix, g.t, w))
+    E, W = arc_matrices(sys.A, s)
+    return GroupElement(g.t, E @ g.v + lambda_op(sys.theta_matrix, g.t, W @ sys.xi))
 
 
 def field_values(g: GroupElement, u: float, sys: SystemSpec) -> tuple[float, np.ndarray]:
     """Right-hand side (t', v') of the controlled ODE at g."""
     if not sys.omega.contains(u):
         raise ValueError(f"control {u:g} outside range [{sys.omega.u_min}, {sys.omega.u_max}]")
-    vdot = (
-        sys.A @ g.v
-        + lambda_op(sys.theta_matrix, g.t, sys.xi)
-        + u * (expm(sys.theta_matrix, g.t) @ sys.eta)
-    )
-    return u * sys.alpha, vdot
+    rho, lam = arc_matrices(sys.theta_matrix, g.t)
+    return u * sys.alpha, sys.A @ g.v + lam @ sys.xi + u * (rho @ sys.eta)
 
 
 def larc(sys: SystemSpec) -> RankCertificate:
@@ -272,12 +268,13 @@ class PlanarReduction:
     sys: SystemSpec
 
     def to_planar(self, g: GroupElement) -> tuple[float, np.ndarray]:
-        shift = lambda_op(self.sys.theta_matrix, g.t, np.linalg.solve(self.sys.A, self.sys.xi))
-        return g.t, expm(self.sys.theta_matrix, -g.t) @ (g.v + shift)
+        # rho_{-t} Lambda_t^theta = -Lambda_{-t}^theta: one pair at -t gives both terms
+        rho, lam = arc_matrices(self.sys.theta_matrix, -g.t)
+        return g.t, rho @ g.v - lam @ np.linalg.solve(self.sys.A, self.sys.xi)
 
     def from_planar(self, t: float, v: np.ndarray) -> GroupElement:
-        shift = lambda_op(self.sys.theta_matrix, t, np.linalg.solve(self.sys.A, self.sys.xi))
-        return GroupElement(t, expm(self.sys.theta_matrix, t) @ v - shift)
+        rho, lam = arc_matrices(self.sys.theta_matrix, t)
+        return GroupElement(t, rho @ v - lam @ np.linalg.solve(self.sys.A, self.sys.xi))
 
 
 def conjugate_to_planar(sys: SystemSpec) -> PlanarReduction:

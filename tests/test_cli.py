@@ -36,6 +36,16 @@ SPIRAL_CTRL_SPEC = {
     "omega": [-1.0, 1.0],
 }
 
+AFF_CIRCLE_ZERO_TRACE_SPEC = {
+    "theta": {"family": "diagonal", "gamma": 0.0},
+    "A": [[0.0, 0.0], [0.0, 0.0]],
+    "xi": [1.0, 0.5],
+    "alpha": 1.0,
+    "eta": [0.0, 0.0],
+    "omega": [-1.0, 1.0],
+    "variant": {"type": "aff_circle"},
+}
+
 SE2_SPEC = {
     "theta": {"family": "spiral", "gamma": 0.0},
     "A": [[-1.0, 0.0], [0.0, -1.0]],
@@ -115,6 +125,15 @@ class TestClassify:
         out = runner.invoke(main, ["classify", spec, "--out-dir", str(tmp_path)])
         assert out.exit_code == 1
         assert "descend" in out.output
+
+    def test_verified_trace_zero_quotient(self, runner, tmp_path):
+        spec = write_spec(tmp_path, AFF_CIRCLE_ZERO_TRACE_SPEC)
+        out = runner.invoke(main, ["classify", spec, "--out-dir", str(tmp_path)],
+                            catch_exceptions=False)
+        assert out.exit_code == 0, out.output
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["classification"]["rule"] == "affcircle/trace-zero"
+        assert report["verification"]["ok"] is True
 
     def test_malformed_json(self, runner, tmp_path):
         path = tmp_path / "bad.json"
@@ -228,6 +247,31 @@ class TestReach:
         out = runner.invoke(main, ["reach", spec])
         assert out.exit_code == 1
         assert "rank" in out.output
+
+
+class TestNumericsOverrides:
+    BAD = [
+        ("reach", ["--budget", "0"]),
+        ("reach", ["--horizon", "-1"]),
+        ("reach", ["--horizon", "inf"]),
+        ("reach", ["--grid-res", "4"]),
+        ("reach", ["--grid-box", "1,1,0,1"]),
+        ("reach", ["--grid-box", "0,1,1,0"]),
+        ("classify", ["--budget", "0"]),
+        ("classify", ["--horizon", "-1"]),
+    ]
+
+    @pytest.mark.parametrize("command, flags", BAD,
+                             ids=[" ".join([c] + f) for c, f in BAD])
+    def test_bad_numerics_are_one_line_errors(self, runner, tmp_path, command, flags):
+        spec = write_spec(tmp_path, WHOLE_SPEC)
+        out = runner.invoke(main, [command, spec, "--out-dir", str(tmp_path)] + flags,
+                            catch_exceptions=False)
+        assert out.exit_code == 1
+        lines = out.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error:"), out.output
+        assert "Traceback" not in out.output
+        assert not (tmp_path / "reach_report.json").exists()
 
 
 class TestPlan:

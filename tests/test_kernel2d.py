@@ -1,5 +1,6 @@
 """Tests for the exact 2x2 kernel: family matrices, expm, the Lambda operator."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,6 +9,7 @@ from scipy.linalg import expm as scipy_expm
 from solv3d.kernel2d import (
     ROT90,
     ThetaFamily,
+    arc,
     expm,
     expm_series,
     lambda_op,
@@ -16,6 +18,7 @@ from solv3d.kernel2d import (
     theta_matrix,
     vec2,
 )
+from solv3d.planar import ControlRange, PlanarSpec, planar_solution
 
 FAMILIES = [
     ThetaFamily.jordan(),
@@ -175,3 +178,72 @@ class TestLambdaOp:
         v = np.array([1.0, 1.0])
         out = lambda_op(B, 1.0, v)
         assert np.max(np.abs(out - lambda_quadrature(B, 1.0, v))) < 1e-9
+
+
+def mp_arc_oracle(M, s, v0, b):
+    """e^{sM} v0 + (int_0^s e^{rM} dr) b to 40 digits, via the block [[M, b], [0, 0]]."""
+    with mpmath.workdps(40):
+        aug = mpmath.matrix(3, 3)
+        for i in range(2):
+            for j in range(2):
+                aug[i, j] = mpmath.mpf(float(M[i][j]))
+            aug[i, 2] = mpmath.mpf(float(b[i]))
+        F = mpmath.expm(mpmath.mpf(float(s)) * aug)
+        return [
+            F[i, 0] * mpmath.mpf(float(v0[0])) + F[i, 1] * mpmath.mpf(float(v0[1])) + F[i, 2]
+            for i in range(2)
+        ]
+
+
+# (A, theta, determinant root u*) of the two near-root specs
+NEAR_ROOT_SPECS = [
+    (np.array([[2.0, 1.0], [0.0, 2.0]]), ThetaFamily.jordan(), 2.0),
+    (np.diag([0.3, 1.0]), ThetaFamily.diagonal(0.5), 0.3),
+]
+ROOT_OFFSETS = [0.0] + [sg * d for d in np.logspace(-14, -2, 13) for sg in (1.0, -1.0)]
+
+
+class TestArc:
+    @pytest.mark.parametrize("A, family, root", NEAR_ROOT_SPECS, ids=["jordan", "diagonal"])
+    @pytest.mark.parametrize("s", [0.3, 1.5, 4.0])
+    def test_planar_solution_near_root(self, A, family, root, s):
+        spec = PlanarSpec(A, family, np.array([1.0, 0.5]), ControlRange(-3.0, 3.0))
+        v0 = np.array([0.7, -0.4])
+        th = family.matrix()
+        worst = 0.0
+        for d in ROOT_OFFSETS:
+            u = root + d
+            # the oracle takes the double-precision A(u) the code sees
+            ref = mp_arc_oracle(A - u * th, s, v0, u * spec.eta)
+            got = planar_solution(spec, s, v0, u)
+            err = mpmath.sqrt(sum((mpmath.mpf(float(g)) - r) ** 2 for g, r in zip(got, ref)))
+            worst = max(worst, float(err / mpmath.sqrt(sum(r * r for r in ref))))
+        assert worst <= 1e-13
+
+    def test_lambda_op_near_singular(self):
+        B = [[1.0, 1.0], [1.0, 1.0 + 1e-9]]
+        ref = mp_arc_oracle(B, 1.0, [0.0, 0.0], [1.0, -1.0])
+        out = lambda_op(B, 1.0, [1.0, -1.0])
+        assert max(abs(float(o - r)) for o, r in zip(out, ref)) <= 1e-13
+        # v is nearly in the kernel of B, so the integral is nearly t v
+        assert np.max(np.abs(out - [1.0, -1.0])) < 1e-8
+
+    @pytest.mark.parametrize("t", [10.0, -10.0])
+    def test_wide_spread_diagonal(self, t):
+        E = expm(np.diag([1.0, -0.7]), t)
+        exact = [mpmath.exp(t), mpmath.exp(-0.7 * t)]
+        for i in range(2):
+            assert abs(float(mpmath.mpf(float(E[i, i])) / exact[i] - 1)) <= 1e-14
+        assert E[0, 1] == 0.0 and E[1, 0] == 0.0
+
+    def test_float_and_array_inputs_agree(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            m = rng.normal(size=4).tolist()
+            s = float(rng.uniform(-4.0, 4.0))
+            scalar = arc(*m, s)
+            batch = arc(*(np.full(3, x) for x in m), s)
+            for sc, ba in zip(scalar, batch):
+                for x, col in zip(sc, ba):
+                    assert isinstance(x, float)
+                    assert np.array_equal(col, np.full(3, x))

@@ -94,6 +94,21 @@ class TestEstimate:
                       1.0, 10, 0, np.zeros(2))
         assert control_set_estimate(g).diagnostics["estimate_cells"] == 0
 
+    @pytest.mark.parametrize("density", [0.02, 0.2, 0.6])
+    def test_closure_matches_ndimage_dilation(self, density):
+        from scipy import ndimage
+
+        rng = np.random.default_rng(19)
+        res = 16
+        for _ in range(20):
+            fwd = rng.random((res, res)) < density
+            # set edge and corner cells so the border handling is exercised
+            fwd[0, rng.integers(res)] = fwd[rng.integers(res), -1] = fwd[-1, 0] = True
+            bwd = rng.random((res, res)) < 0.5
+            g = ReachGrid(((-1, 1), (-1, 1)), res, fwd, bwd, 1.0, 10, 0, np.zeros(2))
+            closure = ndimage.binary_dilation(fwd, structure=np.ones((3, 3), bool))
+            assert np.array_equal(control_set_estimate(g).cells, closure & bwd)
+
     def test_window_fill_full(self):
         g = reach_sets(closed_planar(), np.zeros(2), 2.0, 100, resolution=8)
         assert window_fill(g, np.ones((8, 8), bool), ((-5, 5), (-5, 5))) == 1.0
