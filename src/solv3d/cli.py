@@ -9,13 +9,15 @@ input errors, 2 when classification ends Unclassified.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys as _sys
 from importlib import metadata, resources
 
 import click
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import covering, plan as plan_mod, reach as reach_mod
 from .group import GroupElement, GroupVariant, SIMPLY_CONNECTED
@@ -106,8 +108,21 @@ DEFAULT_NUMERICS = {
 }
 
 
+# Built once: jsonschema.validate re-checks the schema against its
+# meta-schema on every call, which costs more than the validation itself.
+_SPEC_VALIDATOR = validator_for(SPEC_SCHEMA)(SPEC_SCHEMA)
+_NUMERICS_VALIDATOR = _SPEC_VALIDATOR.evolve(schema=SPEC_SCHEMA["properties"]["numerics"])
+
+
 class InputError(click.ClickException):
     exit_code = 1
+
+
+def _validate(validator, instance, where: str) -> None:
+    """Raise the error ``jsonschema.validate`` would, as a one-line InputError."""
+    error = best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise InputError(f"{where}: at {error.json_path}: {error.message}")
 
 
 def _tool_version() -> str:
@@ -126,10 +141,7 @@ def load_spec(path: str) -> tuple[SystemSpec, dict, dict]:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    try:
-        jsonschema.validate(raw, SPEC_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise InputError(f"{path}: at {exc.json_path}: {exc.message}")
+    _validate(_SPEC_VALIDATOR, raw, path)
 
     th = raw["theta"]
     try:
@@ -162,13 +174,14 @@ def load_spec(path: str) -> tuple[SystemSpec, dict, dict]:
 
 
 def _override_numerics(numerics: dict, *, seed=None, budget=None, horizon=None,
-                       grid_res=None, grid_box=None) -> None:
+                       step=None, grid_res=None, grid_box=None) -> None:
     """Merge command-line overrides into ``numerics`` and validate the result.
 
     Runs before any sampling, so a bad value exits 1 with a one-line error
     whether it came from the spec file or from a flag.
     """
-    for key, val in (("seed", seed), ("budget", budget), ("horizon", horizon)):
+    for key, val in (("seed", seed), ("budget", budget), ("horizon", horizon),
+                     ("step", step)):
         if val is not None:
             numerics[key] = val
     if grid_res is not None:
@@ -179,14 +192,11 @@ def _override_numerics(numerics: dict, *, seed=None, budget=None, horizon=None,
         except ValueError:
             raise InputError(f"--grid-box must be 'x0,x1,y0,y1', got {grid_box!r}")
         numerics["grid"]["box"] = [[x0, x1], [y0, y1]]
-    try:
-        jsonschema.validate(numerics, SPEC_SCHEMA["properties"]["numerics"])
-    except jsonschema.ValidationError as exc:
-        raise InputError(f"numerics: at {exc.json_path}: {exc.message}")
+    _validate(_NUMERICS_VALIDATOR, numerics, "numerics")
     box = numerics["grid"]["box"]
     (x0, x1), (y0, y1) = box
-    if not np.all(np.isfinite([numerics["horizon"], x0, x1, y0, y1])):
-        raise InputError("numerics: the horizon and the grid box must be finite")
+    if not np.all(np.isfinite([numerics["horizon"], numerics["step"], x0, x1, y0, y1])):
+        raise InputError("numerics: the horizon, the step and the grid box must be finite")
     if not (x0 < x1 and y0 < y1):
         raise InputError(f"grid box must satisfy x0 < x1 and y0 < y1, got {box}")
 
@@ -324,7 +334,13 @@ def _read_control_csv(path: str) -> PiecewiseControl:
                 parts = line.split(",")
                 if len(parts) != 2:
                     raise InputError(f"{path}:{i + 1}: expected 'duration,value'")
-                pairs.append((float(parts[0]), float(parts[1])))
+                s, u = float(parts[0]), float(parts[1])
+                if not (math.isfinite(s) and s > 0.0 and math.isfinite(u)):
+                    raise InputError(
+                        f"{path}:{i + 1}: expected a finite positive duration "
+                        "and a finite value"
+                    )
+                pairs.append((s, u))
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read control schedule {path}: {exc}")
     if not pairs:
@@ -353,7 +369,12 @@ def _write_control_csv(path: str, ctrl: PiecewiseControl) -> None:
 def cmd_simulate(spec_path, control_path, start, step, svg, out_dir, seed):
     """Integrate a piecewise-constant control and write trajectory.csv."""
     sys_spec, numerics, _ = load_spec(spec_path)
+    _override_numerics(numerics, step=step)
     ctrl = _read_control_csv(control_path)
+    if not all(math.isfinite(s / numerics["step"]) for s in ctrl.durations.tolist()):
+        raise InputError(
+            f"{control_path}: a duration is too long for step {numerics['step']!r}"
+        )
     for u in ctrl.values:
         if not sys_spec.omega.contains(float(u)):
             raise InputError(f"control value {u:g} outside the admissible range")
@@ -362,7 +383,7 @@ def cmd_simulate(spec_path, control_path, start, step, svg, out_dir, seed):
     except ValueError:
         raise InputError(f"--start must be 't,v1,v2', got {start!r}")
     g0 = GroupElement(t0, np.array([v1, v2]))
-    traj = simulate(g0, ctrl, sys_spec, step=step or numerics["step"])
+    traj = simulate(g0, ctrl, sys_spec, step=numerics["step"])
 
     quotient = sys_spec.variant.tag != GroupVariant.SIMPLY_CONNECTED
     os.makedirs(out_dir, exist_ok=True)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .kernel2d import (
     DIAGONAL,
@@ -305,6 +304,8 @@ def _connect_planar(
     spec: PlanarSpec, va: np.ndarray, vb: np.ndarray, controls: tuple[float, ...]
 ) -> list[tuple[float, float]] | None:
     """Durations making the multi-arc endpoint map hit vb, or None."""
+    # scipy.optimize takes about 0.5 s to import and only this planner uses it
+    from scipy import optimize
 
     def residual(s: np.ndarray) -> np.ndarray:
         v = va

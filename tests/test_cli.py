@@ -2,12 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from jsonschema.validators import validator_for
 
-from solv3d.cli import main, report_schema
+import solv3d
+from solv3d.cli import SPEC_SCHEMA, main, report_schema
 
 OPEN_SPEC = {
     "theta": {"family": "spiral", "gamma": 0.0},
@@ -214,6 +218,20 @@ class TestSimulate:
         out = runner.invoke(main, ["simulate", spec, "--control", str(path)])
         assert out.exit_code == 1
 
+    @pytest.mark.parametrize("row", ["nan,0.1", "inf,0.1", "1e308,0.1",
+                                     "0,0.1", "-1,0.1", "0.5,nan"])
+    def test_bad_schedule_row_is_one_line_error(self, runner, tmp_path, row):
+        spec = write_spec(tmp_path, OPEN_SPEC)
+        path = tmp_path / "bad.csv"
+        path.write_text(f"duration,value\n0.5,0.1\n{row}\n")
+        out = runner.invoke(main, ["simulate", spec, "--control", str(path),
+                                   "--out-dir", str(tmp_path)], catch_exceptions=False)
+        assert out.exit_code == 1
+        lines = out.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error:"), out.output
+        assert "Traceback" not in out.output
+        assert not (tmp_path / "trajectory.csv").exists()
+
 
 class TestReach:
     def test_artifacts(self, runner, tmp_path):
@@ -259,12 +277,17 @@ class TestNumericsOverrides:
         ("reach", ["--grid-box", "0,1,1,0"]),
         ("classify", ["--budget", "0"]),
         ("classify", ["--horizon", "-1"]),
+        ("simulate", ["--step", "0"]),
+        ("simulate", ["--step", "-1"]),
+        ("simulate", ["--step", "nan"]),
     ]
 
     @pytest.mark.parametrize("command, flags", BAD,
                              ids=[" ".join([c] + f) for c, f in BAD])
     def test_bad_numerics_are_one_line_errors(self, runner, tmp_path, command, flags):
         spec = write_spec(tmp_path, WHOLE_SPEC)
+        if command == "simulate":
+            flags = ["--control", write_ctrl(tmp_path, [(1.0, 0.25)])] + flags
         out = runner.invoke(main, [command, spec, "--out-dir", str(tmp_path)] + flags,
                             catch_exceptions=False)
         assert out.exit_code == 1
@@ -272,6 +295,42 @@ class TestNumericsOverrides:
         assert len(lines) == 1 and lines[0].startswith("Error:"), out.output
         assert "Traceback" not in out.output
         assert not (tmp_path / "reach_report.json").exists()
+        assert not (tmp_path / "trajectory.csv").exists()
+
+
+class TestStartup:
+    def test_import_does_not_load_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(solv3d.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, solv3d.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_spec_schema_is_valid_for_its_validator(self):
+        cls = validator_for(SPEC_SCHEMA)
+        cls.check_schema(SPEC_SCHEMA)
+        cls.check_schema(SPEC_SCHEMA["properties"]["numerics"])
+
+    MALFORMED = {
+        "short-omega": dict(OPEN_SPEC, omega=[-0.5]),
+        "two-faults": dict(OPEN_SPEC, theta={"family": "bogus"}, alpha="one"),
+        "bad-numerics": dict(OPEN_SPEC, numerics={"budget": 0, "grid": {"resolution": 4}}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_spec_error_matches_jsonschema_validate(self, runner, tmp_path, name):
+        raw = self.MALFORMED[name]
+        spec = write_spec(tmp_path, raw)
+        with pytest.raises(jsonschema.ValidationError) as exc:
+            jsonschema.validate(raw, SPEC_SCHEMA)
+        out = runner.invoke(main, ["classify", spec, "--no-verify",
+                                   "--out-dir", str(tmp_path)])
+        assert out.exit_code == 1
+        assert out.output.strip() == (
+            f"Error: {spec}: at {exc.value.json_path}: {exc.value.message}"
+        )
 
 
 class TestPlan:
