@@ -91,13 +91,16 @@ SPEC_SCHEMA = {
                                 "items": {"type": "number"},
                             },
                         },
-                        "resolution": {"type": "integer", "minimum": 8},
+                        "resolution": {"type": "integer", "minimum": 8, "maximum": 4096},
                     },
                 },
             },
         },
     },
 }
+
+# the most samples one simulate call may record
+MAX_SAMPLES = 10**7
 
 DEFAULT_NUMERICS = {
     "step": 1e-3,
@@ -369,21 +372,26 @@ def _write_control_csv(path: str, ctrl: PiecewiseControl) -> None:
 def cmd_simulate(spec_path, control_path, start, step, svg, out_dir, seed):
     """Integrate a piecewise-constant control and write trajectory.csv."""
     sys_spec, numerics, _ = load_spec(spec_path)
-    _override_numerics(numerics, step=step)
+    _override_numerics(numerics, seed=seed, step=step)
     ctrl = _read_control_csv(control_path)
-    if not all(math.isfinite(s / numerics["step"]) for s in ctrl.durations.tolist()):
+    # one sample per step: an overflowing (inf) or huge count would never finish
+    if not sum(s / numerics["step"] for s in ctrl.durations.tolist()) <= MAX_SAMPLES:
         raise InputError(
-            f"{control_path}: a duration is too long for step {numerics['step']!r}"
+            f"{control_path}: step {numerics['step']!r} asks for more than "
+            f"{MAX_SAMPLES} samples"
         )
     for u in ctrl.values:
         if not sys_spec.omega.contains(float(u)):
             raise InputError(f"control value {u:g} outside the admissible range")
     try:
         t0, v1, v2 = (float(p) for p in start.split(","))
+        g0 = GroupElement(t0, np.array([v1, v2]))
     except ValueError:
-        raise InputError(f"--start must be 't,v1,v2', got {start!r}")
-    g0 = GroupElement(t0, np.array([v1, v2]))
-    traj = simulate(g0, ctrl, sys_spec, step=numerics["step"])
+        raise InputError(f"--start must be three finite numbers 't,v1,v2', got {start!r}")
+    try:
+        traj = simulate(g0, ctrl, sys_spec, step=numerics["step"])
+    except ValueError as exc:
+        raise InputError(f"simulate: {exc}")
 
     quotient = sys_spec.variant.tag != GroupVariant.SIMPLY_CONNECTED
     os.makedirs(out_dir, exist_ok=True)
@@ -469,22 +477,13 @@ def cmd_reach(spec_path, out_dir, seed, budget, horizon, grid_res, grid_box):
     }
     dump_json(out, os.path.join(out_dir, "reach_report.json"))
 
-    xs, ys = grid.cell_centers()
-    cells = [
-        (float(xs[i]), float(ys[j]))
-        for i in range(grid.resolution) for j in range(grid.resolution)
-        if est.cells[i, j]
+    n = grid.resolution
+    cell = 480 / n
+    elements = [
+        f'<rect x="{i * cell:.2f}" y="{(n - 1 - j) * cell:.2f}" '
+        f'width="{cell:.2f}" height="{cell:.2f}" fill="#88aadd" stroke="none"/>'
+        for i, j in np.argwhere(est.cells)
     ]
-    elements = []
-    w = (box[0][1] - box[0][0]) / grid.resolution
-    for cx, cy in cells:
-        a = _svg_xy((cx - w / 2, cy + w / 2), box)
-        elements.append(
-            f'<rect x="{a.split(",")[0]}" y="{a.split(",")[1]}" '
-            f'width="{480 * w / (box[0][1] - box[0][0]):.2f}" '
-            f'height="{480 * w / (box[1][1] - box[1][0]):.2f}" '
-            f'fill="#88aadd" stroke="none"/>'
-        )
     elements.append(_equilibrium_overlay(spec, box))
     write_svg(os.path.join(out_dir, "reach.svg"), elements, box)
     click.echo(

@@ -144,7 +144,10 @@ def arc(m00, m01, m10, m11, s):
     result stays accurate at and near det M = 0.
     """
     norm = float(np.max(abs(s) * np.maximum(abs(m00) + abs(m01), abs(m10) + abs(m11))))
-    k = max(0, math.ceil(math.log2(norm / _ARC_NORM))) if norm > 0.0 else 0
+    scaled = norm / _ARC_NORM
+    if not math.isfinite(scaled):
+        raise ValueError(f"arc needs a finite s*M well inside the float range, got {norm}")
+    k = max(0, math.ceil(math.log2(scaled))) if norm > 0.0 else 0
     h = s / 2**k
     x = (h * m00, h * m01, h * m10, h * m11)
     p = (1.0, 0.0, 0.0, 1.0)

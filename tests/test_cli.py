@@ -2,10 +2,12 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from jsonschema.validators import validator_for
@@ -258,6 +260,57 @@ class TestReach:
         report = json.loads((tmp_path / "reach_report.json").read_text())
         assert report["reach"]["box"] == [[-3.0, 3.0], [-3.0, 3.0]]
 
+    def test_report_counts_points_outside_the_box(self, runner, tmp_path):
+        spec = write_spec(tmp_path, OPEN_SPEC)
+        out = runner.invoke(main, [
+            "reach", spec, "--out-dir", str(tmp_path), "--budget", "500",
+            "--horizon", "6", "--grid-res", "8", "--grid-box=-0.01,0.01,-0.01,0.01",
+        ])
+        assert out.exit_code == 0, out.output
+        diag = json.loads((tmp_path / "reach_report.json").read_text())["reach"]["diagnostics"]
+        assert diag["points"] == 2 * 500 * (1 + 3 * 8)
+        assert diag["points_outside"] > diag["points"] // 2
+
+    @staticmethod
+    def cell_rects(svg: str) -> list[str]:
+        return [line for line in svg.splitlines() if 'fill="#88aadd"' in line]
+
+    def test_svg_cells_are_square_on_a_flat_box(self, runner, tmp_path):
+        spec = write_spec(tmp_path, WHOLE_SPEC)
+        out = runner.invoke(main, [
+            "reach", spec, "--out-dir", str(tmp_path), "--budget", "2000",
+            "--horizon", "8", "--grid-res", "8", "--grid-box=-4,4,-0.5,0.5",
+        ])
+        assert out.exit_code == 0, out.output
+        rects = self.cell_rects((tmp_path / "reach.svg").read_text())
+        assert rects
+        for line in rects:
+            attrs = dict(re.findall(r'(x|y|width|height)="([^"]*)"', line))
+            assert (attrs["width"], attrs["height"]) == ("60.00", "60.00"), line
+            assert float(attrs["x"]) % 60 == 0 and float(attrs["y"]) % 60 == 0, line
+
+    def test_svg_cells_on_the_default_box(self, runner, tmp_path):
+        """Each cell's corner, mapped through the data box (reference)."""
+        spec = write_spec(tmp_path, WHOLE_SPEC)
+        out = runner.invoke(main, ["reach", spec, "--out-dir", str(tmp_path),
+                                   "--budget", "2000", "--horizon", "8"])
+        assert out.exit_code == 0, out.output
+        rows = (tmp_path / "occupancy.csv").read_text().splitlines()[1:]
+        estimate = [row.split(",")[4] == "1" for row in rows]
+        res, (x0, x1), (y0, y1) = 64, (-10.0, 10.0), (-10.0, 10.0)
+        xs = x0 + (np.arange(res) + 0.5) * (x1 - x0) / res
+        ys = y0 + (np.arange(res) + 0.5) * (y1 - y0) / res
+        w = (x1 - x0) / res
+        expected = [
+            f'<rect x="{(xs[i] - w / 2 - x0) / (x1 - x0) * 480:.2f}" '
+            f'y="{480 - (ys[j] + w / 2 - y0) / (y1 - y0) * 480:.2f}" '
+            f'width="{480 * w / (x1 - x0):.2f}" height="{480 * w / (y1 - y0):.2f}" '
+            f'fill="#88aadd" stroke="none"/>'
+            for i in range(res) for j in range(res) if estimate[i * res + j]
+        ]
+        assert expected
+        assert self.cell_rects((tmp_path / "reach.svg").read_text()) == expected
+
     def test_rejects_low_rank_drift(self, runner, tmp_path):
         low = dict(OPEN_SPEC, A=[[1.0, 0.0], [0.0, 0.0]],
                    theta={"family": "diagonal", "gamma": 0.5}, xi=[1.0, 1.0])
@@ -280,6 +333,10 @@ class TestNumericsOverrides:
         ("simulate", ["--step", "0"]),
         ("simulate", ["--step", "-1"]),
         ("simulate", ["--step", "nan"]),
+        ("simulate", ["--step", "1e-300"]),
+        ("simulate", ["--start", "nan,0,0"]),
+        ("simulate", ["--start", "1e308,0,0"]),
+        ("reach", ["--grid-res", "100000"]),
     ]
 
     @pytest.mark.parametrize("command, flags", BAD,
@@ -296,6 +353,55 @@ class TestNumericsOverrides:
         assert "Traceback" not in out.output
         assert not (tmp_path / "reach_report.json").exists()
         assert not (tmp_path / "trajectory.csv").exists()
+
+
+# numeric flag -> (commands taking it, numbers it holds, click's type or None)
+FUZZ_FLAGS = {
+    "--seed": (("classify", "reach", "simulate"), 1, int),
+    "--budget": (("classify", "reach"), 1, int),
+    "--horizon": (("classify", "reach"), 1, float),
+    "--grid-res": (("reach",), 1, int),
+    "--grid-box": (("reach",), 4, None),
+    "--step": (("simulate",), 1, float),
+    "--start": (("simulate",), 3, None),
+}
+FUZZ_VALUES = ["nan", "inf", "-1", "0", "1e400", "abc"]
+# probes that are valid inputs for the flag, so there is nothing to reject
+FUZZ_VALID = {("--seed", "0"), ("--start", "-1"), ("--start", "0")}
+
+
+def _fuzz_cases():
+    cases = []
+    for flag, (commands, arity, kind) in FUZZ_FLAGS.items():
+        probes = [(v, ",".join([v] * arity)) for v in FUZZ_VALUES
+                  if (flag, v) not in FUZZ_VALID]
+        probes.append(("arity", ",".join(["1"] * (2 if arity == 1 else arity - 1))))
+        for command in commands:
+            for label, value in probes:
+                try:
+                    parses = kind is None or kind(value) is not None
+                except ValueError:
+                    parses = False
+                # click's own type errors exit 2, the program's input errors 1
+                cases.append(pytest.param(command, flag, value, 1 if parses else 2,
+                                          id=f"{command} {flag} {label}"))
+    return cases
+
+
+class TestFlagFuzz:
+    @pytest.mark.parametrize("command, flag, value, code", _fuzz_cases())
+    def test_bad_flag_exits_with_one_error_line(self, runner, tmp_path, command, flag,
+                                                value, code):
+        spec = write_spec(tmp_path, WHOLE_SPEC)
+        args = [command, spec, "--out-dir", str(tmp_path / "out"), flag, value]
+        if command == "simulate":
+            args += ["--control", write_ctrl(tmp_path, [(1.0, 0.25)])]
+        out = runner.invoke(main, args)
+        assert isinstance(out.exception, SystemExit), out.exc_info
+        assert out.exit_code == code, out.output
+        assert out.stderr.strip().splitlines()[-1].startswith("Error:"), out.stderr
+        assert "Traceback" not in out.output
+        assert not (tmp_path / "out").exists()
 
 
 class TestStartup:

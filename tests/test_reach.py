@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from solv3d.group import GroupVariant
-from solv3d.kernel2d import ThetaFamily, arc_matrices
+from solv3d.kernel2d import ThetaFamily, arc, arc_matrices
 from solv3d.planar import ControlRange, PlanarSpec
 from solv3d.reach import (
+    N_CHUNKS,
+    _BATCH,
+    _batches,
+    _draw_controls,
+    _mark,
     ClassificationReport,
     _pairing_monotone,
     _pairing_rates,
@@ -330,3 +335,104 @@ class TestPairingSweep:
                            for _ in range(10_000)])
         assert np.array_equal(-8.0 + 16.0 * block[:, 0], scalar[:, 0])
         assert np.array_equal(lo + (hi - lo) * block[:, 1], scalar[:, 1])
+
+
+def _chunk_direction(spec, v0, T, n_traj, rng, bitmap, box, res, sign,
+                     arc_duration, samples_per_arc):
+    """One chunk of one time direction on its own, as a separate array."""
+    A, th, eta = spec.A, spec.theta_matrix, spec.eta
+    x = np.full(n_traj, float(v0[0]))
+    y = np.full(n_traj, float(v0[1]))
+    _mark(bitmap, x, y, box, res)
+    elapsed = 0.0
+    for _ in range(int(np.ceil(T / arc_duration))):
+        u = _draw_controls(rng, n_traj, spec.omega)
+        s = min(arc_duration, T - elapsed)
+        (e00, e01, e10, e11), (w00, w01, w10, w11) = arc(
+            A[0, 0] - u * th[0, 0], A[0, 1] - u * th[0, 1],
+            A[1, 0] - u * th[1, 0], A[1, 1] - u * th[1, 1],
+            sign * s / samples_per_arc,
+        )
+        cx = u * (w00 * eta[0] + w01 * eta[1])
+        cy = u * (w10 * eta[0] + w11 * eta[1])
+        for _ in range(samples_per_arc):
+            x, y = e00 * x + e01 * y + cx, e10 * x + e11 * y + cy
+            _mark(bitmap, x, y, box, res)
+        elapsed += s
+
+
+def _per_chunk_reach(spec, v0, T, budget, seed=0, box=((-10.0, 10.0), (-10.0, 10.0)),
+                     res=64, arc_duration=2.0, samples_per_arc=8):
+    """The sampler one chunk and direction at a time, merged by union (oracle)."""
+    seeds = np.random.SeedSequence(seed).spawn(2 * N_CHUNKS)
+    sizes = [budget // N_CHUNKS] * N_CHUNKS
+    sizes[-1] += budget - sum(sizes)
+    fwd = np.zeros((res, res), dtype=bool)
+    bwd = np.zeros((res, res), dtype=bool)
+    for i, n in enumerate(sizes):
+        if n == 0:
+            continue
+        for sign, merged in ((+1.0, fwd), (-1.0, bwd)):
+            bitmap = np.zeros((res, res), dtype=bool)
+            rng = np.random.default_rng(seeds[2 * i + (0 if sign > 0 else 1)])
+            _chunk_direction(spec, np.asarray(v0, float), T, n, rng, bitmap, box, res,
+                             sign, arc_duration, samples_per_arc)
+            merged |= bitmap
+    return fwd, bwd
+
+
+class TestBatchedSampling:
+    BUDGETS = (1, 7, 9, 100, 1001, 10_000, 40_000)
+    RUNS = [(7.0, (0.3, -0.2)), (12.0, (0.0, 0.0))]
+
+    @pytest.mark.parametrize("system", [OPEN_SYS, CLOSED_SYS, WHOLE_SYS],
+                             ids=["open", "closed", "whole"])
+    @pytest.mark.parametrize("T, v0", RUNS, ids=["T7", "T12"])
+    def test_bitmaps_equal_per_chunk_oracle_at_any_thread_count(
+        self, monkeypatch, system, T, v0
+    ):
+        spec = conjugate_to_planar(system).planar
+        for budget in self.BUDGETS:
+            fwd, bwd = _per_chunk_reach(spec, v0, T, budget)
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("SOLV3D_THREADS", threads)
+                g = reach_sets(spec, v0, T, budget)
+                assert g.forward.tobytes() == fwd.tobytes(), (budget, threads)
+                assert g.backward.tobytes() == bwd.tobytes(), (budget, threads)
+
+    def test_batches_hold_whole_chunks(self):
+        assert _batches([1250] * 8) == [list(range(8))]
+        assert _batches([5000] * 8) == [[0, 1, 2], [3, 4, 5], [6, 7]]
+        assert _batches([12_500] * 8) == [[i] for i in range(8)]
+        assert _batches([0] * 7 + [7]) == [[7]]
+        assert _batches([_BATCH // 2] * 3) == [[0, 1], [2]]
+
+
+class TestGridExitCounters:
+    @pytest.mark.parametrize("T, spa", [(7.0, 8), (12.0, 3)])
+    def test_points_count_every_sample(self, T, spa):
+        budget = 1001
+        g = reach_sets(closed_planar(), np.zeros(2), T, budget, samples_per_arc=spa)
+        n_arcs = int(np.ceil(T / 2.0))
+        assert g.points == 2 * budget * (1 + n_arcs * spa)
+        assert 0 <= g.points_outside < g.points
+
+    def test_small_box_sends_most_points_outside(self):
+        spec = conjugate_to_planar(OPEN_SYS).planar
+        box = ((-0.01, 0.01), (-0.01, 0.01))
+        g = reach_sets(spec, np.zeros(2), 12.0, 2000, box=box, resolution=8)
+        assert g.points_outside > g.points // 2
+        diag = control_set_estimate(g).diagnostics
+        assert (diag["points"], diag["points_outside"]) == (g.points, g.points_outside)
+
+    def test_estimate_check_reports_points(self):
+        log = verify_classification(classify(CLOSED_SYS), CLOSED_SYS, budget=800,
+                                    horizon=6.0)
+        check = next(c for c in log["checks"] if c["name"] == "estimate-nonempty")
+        assert check["points"] == 2 * 800 * (1 + 3 * 8)
+        assert 0 <= check["points_outside"] < check["points"]
+
+    def test_positional_construction_defaults_to_zero(self):
+        g = ReachGrid(((-1, 1), (-1, 1)), 8, np.zeros((8, 8), bool),
+                      np.zeros((8, 8), bool), 1.0, 10, 0, np.zeros(2))
+        assert (g.points, g.points_outside) == (0, 0)
