@@ -79,7 +79,7 @@ SPEC_SCHEMA = {
                 "step": {"type": "number", "exclusiveMinimum": 0},
                 "seed": {"type": "integer", "minimum": 0},
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
-                "budget": {"type": "integer", "minimum": 1},
+                "budget": {"type": "integer", "minimum": 1, "maximum": 10**7},
                 "grid": {
                     "type": "object",
                     "additionalProperties": False,
@@ -101,6 +101,8 @@ SPEC_SCHEMA = {
 
 # the most samples one simulate call may record
 MAX_SAMPLES = 10**7
+# the most points one reach_sets call (classify verification, reach) may sample
+MAX_REACH_POINTS = 10**9
 
 DEFAULT_NUMERICS = {
     "step": 1e-3,
@@ -202,6 +204,12 @@ def _override_numerics(numerics: dict, *, seed=None, budget=None, horizon=None,
         raise InputError("numerics: the horizon, the step and the grid box must be finite")
     if not (x0 < x1 and y0 < y1):
         raise InputError(f"grid box must satisfy x0 < x1 and y0 < y1, got {box}")
+    points = reach_mod.reach_points(numerics["horizon"], numerics["budget"])
+    if points > MAX_REACH_POINTS:
+        raise InputError(
+            f"numerics: budget {numerics['budget']} at horizon {numerics['horizon']:g} "
+            f"would sample {points:.3g} points, more than {MAX_REACH_POINTS:.0e}"
+        )
 
 
 def dump_json(obj: dict, path: str) -> None:

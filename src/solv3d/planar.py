@@ -195,6 +195,37 @@ def det_a_of_u(spec: PlanarSpec, u: float) -> float:
     return c2 * u * u + c1 * u + c0
 
 
+def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
+    """Real roots of c2 u^2 + c1 u + c0 in closed form, sorted; a double root once."""
+    if c2 == 0.0:
+        return [-c0 / c1] if c1 != 0.0 else []
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    if disc == 0.0:
+        return [-c1 / (2.0 * c2)]
+    q = -(c1 + np.sign(c1 or 1.0) * np.sqrt(disc)) / 2.0
+    return sorted({q / c2, c0 / q} if q != 0.0 else {0.0, -c1 / c2})
+
+
+def _quadratic_factored(c2: float, c1: float, c0: float, u: float) -> float:
+    """c2 u^2 + c1 u + c0 evaluated from its roots.
+
+    Next to a root the expanded sum cancels: at a double root r it reads
+    exactly 0.0 at r + 1e-8, where the value is about 1e-16.  The factors
+    u - r keep the sign.
+    """
+    roots = _quadratic_roots(c2, c1, c0)
+    if c2 == 0.0:
+        return c1 * (u - roots[0]) if roots else c0
+    if len(roots) == 2:
+        return c2 * (u - roots[0]) * (u - roots[1])
+    if roots:
+        return c2 * (u - roots[0]) ** 2
+    # no real root: the vertex form, whose two terms share the sign of c2
+    return c2 * (u + c1 / (2.0 * c2)) ** 2 - (c1 * c1 - 4.0 * c2 * c0) / (4.0 * c2)
+
+
 def equilibrium(spec: PlanarSpec, u: float) -> np.ndarray:
     """The rest point v(u) = -u * A(u)^{-1} eta of the constant-control field."""
     Au = a_of_u(spec, u)
@@ -221,17 +252,7 @@ def omega_hat(spec: PlanarSpec) -> OmegaHat:
     together with a guard band of width ROOT_BAND on each side.
     """
     lo, hi = spec.omega.u_min, spec.omega.u_max
-    c2, c1, c0 = _det_a_of_u_coeffs(spec)
-    roots: list[float] = []
-    if c2 != 0.0:
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc == 0.0:
-            roots = [-c1 / (2.0 * c2)]
-        elif disc > 0.0:
-            q = -(c1 + np.sign(c1 or 1.0) * np.sqrt(disc)) / 2.0
-            roots = sorted({q / c2, c0 / q} if q != 0.0 else {0.0, -c1 / c2})
-    elif c1 != 0.0:
-        roots = [-c0 / c1]
+    roots = _quadratic_roots(*_det_a_of_u_coeffs(spec))
     roots_in = [r for r in roots if lo < r < hi]
     cuts = [lo] + sorted(roots_in) + [hi]
     intervals = []
@@ -325,7 +346,7 @@ def classify_planar(
     lo, hi = interval
     c2, c1, c0 = _det_a_of_u_coeffs(spec)
 
-    # minimum of the det quadratic over [lo, hi], evaluated exactly
+    # minimum of the det quadratic over [lo, hi], from its factored form
     candidates = [lo, hi]
     if c2 > 0.0:
         vertex = -c1 / (2.0 * c2)
@@ -334,7 +355,7 @@ def classify_planar(
     elif c2 < 0.0:
         pass  # concave: minimum at an endpoint
     for u in candidates:
-        det = c2 * u * u + c1 * u + c0
+        det = _quadratic_factored(c2, c1, c0, u)
         if det <= 0.0:
             raise DetSignError(float(u), float(det))
 

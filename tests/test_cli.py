@@ -337,6 +337,10 @@ class TestNumericsOverrides:
         ("simulate", ["--start", "nan,0,0"]),
         ("simulate", ["--start", "1e308,0,0"]),
         ("reach", ["--grid-res", "100000"]),
+        ("reach", ["--budget", "10000000000000"]),
+        ("reach", ["--horizon", "1e12", "--budget", "8"]),
+        ("classify", ["--budget", "10000000000000"]),
+        ("classify", ["--horizon", "1e12", "--budget", "8"]),
     ]
 
     @pytest.mark.parametrize("command, flags", BAD,
@@ -353,6 +357,45 @@ class TestNumericsOverrides:
         assert "Traceback" not in out.output
         assert not (tmp_path / "reach_report.json").exists()
         assert not (tmp_path / "trajectory.csv").exists()
+
+
+class TestReachWorkCaps:
+    """Budget and budget-times-horizon caps, from flags and spec files alike."""
+
+    CASES = [
+        ("flag budget", ["--budget", "10000000000000"], {}),
+        ("flag points", ["--horizon", "1e12", "--budget", "8"], {}),
+        ("spec budget", [], {"budget": 10**7 + 1}),
+        ("spec points", [], {"budget": 10**7, "horizon": 30.0}),
+        ("spec horizon", [], {"horizon": 1e12, "budget": 8}),
+        ("spec points, flag budget", ["--budget", "5000000"], {"horizon": 200.0}),
+    ]
+
+    @pytest.mark.parametrize("command", ["classify", "reach"])
+    @pytest.mark.parametrize("label, flags, numerics", CASES, ids=[c[0] for c in CASES])
+    def test_oversized_work_is_one_line_error(self, runner, tmp_path, command, label,
+                                              flags, numerics):
+        spec = write_spec(tmp_path, dict(WHOLE_SPEC, numerics=numerics))
+        out_dir = tmp_path / "out"
+        out = runner.invoke(main, [command, spec, "--out-dir", str(out_dir)] + flags,
+                            catch_exceptions=False)
+        assert out.exit_code == 1, out.output
+        lines = out.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error:"), out.output
+        assert not out_dir.exists()
+
+    def test_caps_admit_the_largest_use(self, runner, tmp_path):
+        # budget 100 000 at horizon 30 samples about 2.4e7 points
+        from solv3d.cli import MAX_REACH_POINTS
+        from solv3d.reach import reach_points
+
+        assert reach_points(30.0, 100_000) == 24_200_000 < MAX_REACH_POINTS
+        assert reach_points(12.0, 10**7) <= MAX_REACH_POINTS
+        spec = write_spec(tmp_path, dict(WHOLE_SPEC, numerics={"budget": 10**7,
+                                                               "horizon": 12.0}))
+        out = runner.invoke(main, ["classify", spec, "--no-verify",
+                                   "--out-dir", str(tmp_path / "out")])
+        assert out.exit_code == 0, out.output
 
 
 # numeric flag -> (commands taking it, numbers it holds, click's type or None)

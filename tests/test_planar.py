@@ -21,6 +21,7 @@ from solv3d.planar import (
     openness_certificate,
     planar_solution,
 )
+from solv3d.planar import _quadratic_factored, _quadratic_roots
 
 
 def spec_spiral(A=None, eta=(1.0, 0.0), omega=(-1.0, 1.0)):
@@ -262,3 +263,31 @@ class TestClassify:
         with pytest.raises(DetSignError) as err:
             classify_planar(sp)
         assert err.value.det <= 0.0
+
+
+class TestFactoredDeterminant:
+    def test_keeps_the_sign_next_to_a_double_root(self):
+        # det A(u) = (u + 1.25)^2; the expanded sum reads 0.0 at r + 1e-8
+        c2, c1, c0 = 1.0, 2.5, 1.5625
+        u = -1.25 + 1e-8
+        assert c2 * u * u + c1 * u + c0 == 0.0
+        assert _quadratic_roots(c2, c1, c0) == [-1.25]
+        assert 0.0 < _quadratic_factored(c2, c1, c0, u) <= 1.1e-16
+
+    @pytest.mark.parametrize("coeffs", [
+        (1.0, 2.5, 1.5625),     # double root
+        (2.0, -1.0, -3.0),      # two roots
+        (-0.5, 0.25, 1.0),      # concave, two roots
+        (1.0, 0.0, 2.0),        # no real root
+        (-3.0, 1.0, -1.0),      # no real root, negative
+        (0.0, 2.0, -1.0),       # linear
+        (0.0, 0.0, 4.0),        # constant
+    ])
+    def test_equals_the_expanded_quadratic_away_from_roots(self, coeffs):
+        c2, c1, c0 = coeffs
+        for u in np.linspace(-3.0, 3.0, 61):
+            want = c2 * u * u + c1 * u + c0
+            got = _quadratic_factored(c2, c1, c0, u)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(c2) * u * u + abs(c1 * u) + abs(c0))
+            if abs(want) > 1e-9:
+                assert np.sign(got) == np.sign(want)

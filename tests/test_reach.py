@@ -1,5 +1,7 @@
 """Tests for reachable-set sampling, estimation and the taxonomy classifier."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from solv3d.reach import (
     N_CHUNKS,
     _BATCH,
     _batches,
+    _control_draws,
+    _distinct_controls,
     _draw_controls,
+    _entry_index,
     _mark,
     ClassificationReport,
     _pairing_monotone,
@@ -22,6 +27,7 @@ from solv3d.reach import (
     grid_to_csv,
     grid_to_pgm,
     reach_sets,
+    reach_points,
     verify_classification,
     window_fill,
 )
@@ -436,3 +442,171 @@ class TestGridExitCounters:
         g = ReachGrid(((-1, 1), (-1, 1)), 8, np.zeros((8, 8), bool),
                       np.zeros((8, 8), bool), 1.0, 10, 0, np.zeros(2))
         assert (g.points, g.points_outside) == (0, 0)
+
+
+def _mark_reference(bitmap, x, y, box, res):
+    """The marker as two int casts and a 2-D scatter (oracle for finite points)."""
+    (x0, x1), (y0, y1) = box
+    ix = np.floor((x - x0) / (x1 - x0) * res).astype(np.int64)
+    iy = np.floor((y - y0) / (y1 - y0) * res).astype(np.int64)
+    ok = (ix >= 0) & (ix < res) & (iy >= 0) & (iy < res)
+    bitmap[ix[ok], iy[ok]] = True
+    return int(np.count_nonzero(ok))
+
+
+def _choose_controls(rng, n, omega):
+    """The control draws written with ``np.choose`` (oracle)."""
+    bang = rng.random(n) < 0.5
+    pick = rng.integers(0, 3, size=n)
+    bang_vals = np.choose(pick, [omega.u_min, 0.0, omega.u_max])
+    uni = rng.uniform(omega.u_min, omega.u_max, size=n)
+    return np.where(bang, bang_vals, uni)
+
+
+class TestMarker:
+    BOX = ((-10.0, 10.0), (-10.0, 10.0))
+
+    def test_non_finite_and_edge_points(self):
+        inf, nan = np.inf, np.nan
+        pts = [
+            (-10.0, -10.0),              # x0, y0: cell (0, 0)
+            (0.0, 0.0),                  # cell (32, 32)
+            (9.99, -9.99),               # cell (63, 0)
+            (10.0, 0.0), (0.0, 10.0),    # x1 or y1: outside
+            (10.0, 10.0), (-10.0, 10.0), (10.0, -10.0),
+            (inf, 0.0), (-inf, 0.0), (0.0, inf), (0.0, -inf),
+            (inf, -inf), (-inf, inf), (inf, inf),
+            (nan, 0.0), (0.0, nan), (nan, nan), (nan, inf),
+            (1e300, 0.0), (-1e300, 0.0), (0.0, 1e300), (1e300, -1e300),
+        ]
+        x, y = (np.array(c) for c in zip(*pts))
+        bitmap = np.zeros((64, 64), dtype=bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside = _mark(bitmap, x, y, self.BOX, 64)
+        assert inside == 3
+        assert sorted(map(tuple, np.argwhere(bitmap).tolist())) == [(0, 0), (32, 32), (63, 0)]
+
+    @pytest.mark.parametrize("res", [8, 64, 4096])
+    def test_equals_two_dimensional_scatter(self, res):
+        rng = np.random.default_rng(res)
+        box = ((-3.0, 5.0), (-1.0, 0.5))
+        for scale in (1.0, 4.0, 100.0):
+            x = rng.normal(1.0, scale, 5000)
+            y = rng.normal(-0.25, scale / 4.0, 5000)
+            # points on every cell edge, including the box's own edges
+            edges = np.linspace(box[0][0], box[0][1], res + 1)
+            x[:res + 1] = edges
+            y[:res + 1] = np.linspace(box[1][0], box[1][1], res + 1)
+            got = np.zeros((res, res), dtype=bool)
+            want = np.zeros((res, res), dtype=bool)
+            assert _mark(got, x, y, box, res) == _mark_reference(want, x, y, box, res)
+            assert got.tobytes() == want.tobytes()
+
+    def test_rejects_non_contiguous_bitmap(self):
+        bitmap = np.zeros((8, 8), dtype=bool).T[::1, ::2]
+        with pytest.raises(ValueError):
+            _mark(bitmap, np.zeros(1), np.zeros(1), self.BOX, 8)
+
+
+class TestControlDraws:
+    RANGES = [OMEGA, ControlRange(-1.0, 2.0), ControlRange(-1e-3, 7.5),
+              ControlRange(-3.0, 0.25)]
+
+    @pytest.mark.parametrize("omega", RANGES, ids=["sym", "wide", "skew", "neg"])
+    def test_table_equals_choose(self, omega):
+        for seed, n in ((0, 1), (1, 7), (2, 1250), (3, 10_000)):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _draw_controls(a, n, omega).tobytes() == _choose_controls(b, n, omega).tobytes()
+            # both consumed the generator alike
+            assert a.random() == b.random()
+
+    @pytest.mark.parametrize("omega", RANGES, ids=["sym", "wide", "skew", "neg"])
+    def test_distinct_values_gather_to_the_draws(self, omega):
+        for seed, n in ((0, 1), (1, 2), (2, 3), (3, 9), (4, 10_000)):
+            u = _draw_controls(np.random.default_rng(seed), n, omega)
+            values, index = _distinct_controls(
+                *_control_draws(np.random.default_rng(seed), n, omega), omega)
+            assert values[index].tobytes() == u.tobytes()
+            # the same set of values, so arc's batch norm is the same
+            assert set(values.tolist()) == set(u.tolist())
+            assert len(values) <= n
+
+    def test_distinct_values_shrink_the_batch(self):
+        values, index = _distinct_controls(
+            *_control_draws(np.random.default_rng(5), 10_000, OMEGA), OMEGA)
+        assert len(values) < 5_300 and index.shape == (10_000,)
+
+
+class TestReachGridShape:
+    """The benchmark's reach_grid call: T = 30, budget 10 000, box +-10, res 64."""
+
+    @pytest.mark.parametrize("system", [OPEN_SYS, CLOSED_SYS, WHOLE_SYS],
+                             ids=["open", "closed", "whole"])
+    def test_bitmaps_equal_per_chunk_oracle(self, monkeypatch, system):
+        monkeypatch.setenv("SOLV3D_THREADS", "1")
+        spec = conjugate_to_planar(system).planar
+        fwd, bwd = _per_chunk_reach(spec, (0.0, 0.0), 30.0, 10_000, seed=7)
+        g = reach_sets(spec, np.zeros(2), 30.0, 10_000, seed=7)
+        assert g.forward.tobytes() == fwd.tobytes()
+        assert g.backward.tobytes() == bwd.tobytes()
+        assert g.points == reach_points(30.0, 10_000) == 2 * 10_000 * (1 + 15 * 8)
+
+
+def _scalar_entry_index(spec, v, est, grid):
+    """The far-start flow sampled one planar_solution at a time (oracle)."""
+    from solv3d.planar import planar_solution
+
+    for i, s in enumerate(np.linspace(0.0, 30.0, 600)):
+        c = grid.cell_of(planar_solution(spec, float(s), v, 0.0))
+        if c is not None and est.cells[c]:
+            return i
+    return None
+
+
+class TestFarStarts:
+    @pytest.mark.parametrize("system", [
+        CLOSED_SYS,
+        SystemSpec(ROTATION, LinearField(-np.eye(2), [1.0, 0.0]),
+                   InvariantField(1.0, [0.0, 0.0]), OMEGA,
+                   GroupVariant(GroupVariant.SE2N, 1)),
+    ], ids=["closed", "se2n"])
+    def test_batched_entry_equals_scalar_loop(self, system):
+        spec = conjugate_to_planar(system).planar
+        g = reach_sets(spec, np.zeros(2), 15.0, 5_000)
+        est = control_set_estimate(g)
+        starts = [10.0 * np.array([np.cos(a), np.sin(a)])
+                  for a in 2.0 * np.pi * np.arange(10) / 10.0]
+        # a start inside the estimate enters at once; one far outside never does
+        starts += [np.zeros(2), np.array([1e20, -1e20])]
+        indices = []
+        for v in starts:
+            want = _scalar_entry_index(spec, v, est, g)
+            assert _entry_index(spec, v, est, g) == want
+            indices.append(want)
+        assert indices[-2] == 0 and indices[-1] is None
+        assert all(i is not None and i > 0 for i in indices[:10])
+
+
+def _double_root_system(a, omega=(-1.5, 1.5)):
+    """jordan, A = a I + 0.5 N: det A(u) = (u - a)^2 has a double root at a."""
+    return SystemSpec(ThetaFamily.jordan(),
+                      LinearField([[a, 0.5], [0.0, a]], [1.0, 0.0]),
+                      InvariantField(1.0, [0.0, 1.0]), ControlRange(*omega))
+
+
+class TestDoubleRoot:
+    def test_reproducer_is_closed(self):
+        # tr A(u) = -2.5 - 2u < 0 on the component of zero, (-1.25, 1.5)
+        rep = classify(_double_root_system(-1.25))
+        assert rep.taxonomy == "UniqueControlSetClosed", rep.details
+
+    def test_double_root_anywhere_in_omega_gives_a_verdict(self):
+        for a in np.linspace(-1.4, 1.4, 20):
+            rep = classify(_double_root_system(float(a)))
+            assert rep.taxonomy != "Unclassified", (a, rep.details)
+            if rep.details["interval"] != (-1.5, 1.5):
+                # the component of zero ends at the root, where tr A(u) = 0,
+                # so the trace keeps the sign of a on it
+                want = "UniqueControlSetOpen" if a > 0 else "UniqueControlSetClosed"
+                assert rep.taxonomy == want, (a, rep.details)
