@@ -256,8 +256,12 @@ def _svg_polyline(points, box, color, width=1.2, size=480) -> str:
 
 def _equilibrium_overlay(spec, box) -> str:
     lo, hi = omega_hat(spec).component_of_zero
-    us = np.linspace(lo + 1e-6, hi - 1e-6, 200)
-    pts = [equilibrium(spec, float(u)) for u in us]
+    pts = []
+    for u in np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 200):
+        try:
+            pts.append(equilibrium(spec, float(u)))
+        except ValueError:
+            continue  # no well-conditioned rest point this close to a double root
     return _svg_polyline(pts, box, "#cc3333", width=2.0)
 
 
@@ -429,12 +433,7 @@ def cmd_simulate(spec_path, control_path, start, step, svg, out_dir, seed):
         )
         elements = [_svg_polyline(pts, box, "#225599")]
         if nilrank(sys_spec) == 2 and larc(sys_spec).holds:
-            try:
-                elements.append(
-                    _equilibrium_overlay(conjugate_to_planar(sys_spec).planar, box)
-                )
-            except ValueError:
-                pass
+            elements.append(_equilibrium_overlay(conjugate_to_planar(sys_spec).planar, box))
         svg_path = os.path.join(out_dir, "trajectory.svg")
         write_svg(svg_path, elements, box)
         click.echo(f"wrote {svg_path}")

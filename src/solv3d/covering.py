@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .group import GroupVariant
+from .kernel2d import ZERO_TOL
 from .planar import Trajectory
 from .system import SystemSpec
 
@@ -59,7 +60,7 @@ def descend_check(sys: SystemSpec) -> tuple[bool, str]:
     if sys.variant.tag == GroupVariant.SE2N:
         return True, "deck transformations are drift fixed points"
     col = sys.A @ np.array([0.0, 1.0])
-    if np.max(np.abs(col)) <= 1e-12:
+    if np.max(np.abs(col)) <= ZERO_TOL * np.max(np.abs(sys.A)):
         return True, "A annihilates the circle direction"
     return False, (
         "A does not annihilate the circle direction; the projected field "
@@ -91,39 +92,37 @@ def lift_trajectory(sys: SystemSpec, traj: Trajectory) -> Trajectory:
 
 
 def lift_control_set(report, sys: SystemSpec) -> dict:
-    """Symbolic relation between the quotient control set and its lift."""
+    """Symbolic relation between the quotient control set and its lift, read off the report."""
     cm = CoveringMap(sys.variant)
-    tr_a = float(np.trace(sys.A))
     out = {
         "variant": sys.variant.tag,
         "period": cm.period,
         "taxonomy": report.taxonomy,
     }
-    if sys.variant.tag == GroupVariant.AFF_CIRCLE:
-        if abs(tr_a) > 1e-12:
-            out["relation"] = (
-                "the quotient control set is the product of the affine-line "
-                "control set with the full circle; its preimage upstairs is "
-                "the unique control set of the lifted system"
-            )
-            out["topology"] = "open" if tr_a > 0.0 else "closed"
-        else:
-            out["relation"] = (
-                "the quotient system is controllable while the lifted system "
-                "admits an infinite family of control sets with empty "
-                "interior, one per separating plane"
-            )
-            out["topology"] = "whole group downstairs, plane family upstairs"
+    if report.rule == "rank-condition-failed":
+        out["relation"] = "none: the rank condition fails"
+    elif report.rule == "affcircle/trace-sign":
+        out["relation"] = (
+            "the quotient control set is the product of the affine-line "
+            "control set with the full circle; its preimage upstairs is "
+            "the unique control set of the lifted system"
+        )
+        out["topology"] = "open" if report.taxonomy == "UniqueControlSetOpen" else "closed"
+    elif report.rule == "affcircle/trace-zero":
+        out["relation"] = (
+            "the quotient system is controllable while the lifted system "
+            "admits an infinite family of control sets with empty "
+            "interior, one per separating plane"
+        )
+        out["topology"] = "whole group downstairs, plane family upstairs"
+    elif report.nilrank == 2:
+        out["relation"] = (
+            "the preimage of the quotient control set under the covering "
+            "projection is the unique control set upstairs"
+        )
     else:
-        det_a = float(np.linalg.det(sys.A))
-        if abs(det_a) > 1e-10:
-            out["relation"] = (
-                "the preimage of the quotient control set under the covering "
-                "projection is the unique control set upstairs"
-            )
-        else:
-            out["relation"] = (
-                "infinite family of control sets with empty interior on the "
-                "cylinders C_r = {([t], v): <v, xi_hat> = r}"
-            )
+        out["relation"] = (
+            "infinite family of control sets with empty interior on the "
+            "cylinders C_r = {([t], v): <v, xi_hat> = r}"
+        )
     return out

@@ -4,7 +4,9 @@ Vectors are numpy arrays of shape (2,), matrices of shape (2, 2).  The
 structure matrix of the group law comes in three families (shear, diagonal,
 rotation-plus-scaling).  One kernel, ``arc``, gives both e^{sM} and
 int_0^s e^{rM} dr for any 2x2 matrix M, for single matrices and batches
-alike; ``expm`` and ``lambda_op`` are views of it.
+alike; ``expm`` and ``lambda_op`` are views of it.  Rank, commutation, the
+rank-condition products and the trace sign are decided here, each against
+the size of the matrices and vectors it reads.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ __all__ = [
     "vec2",
     "mat2",
     "check_finite",
+    "matrix_rank",
+    "commutes",
+    "rank_product",
+    "trace_sign",
     "theta_matrix",
     "arc",
     "arc_matrices",
@@ -39,6 +45,11 @@ SPIRAL = "spiral"
 # counter-clockwise rotation by pi/2
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
+# a singular value below RANK_TOL times the largest one counts as zero
+RANK_TOL = 1e-10
+# a commutator, trace or product counts as zero below ZERO_TOL times its factors' size
+ZERO_TOL = 1e-12
+
 
 def check_finite(a, name: str = "value") -> np.ndarray:
     """Return ``a`` as a float array, rejecting NaN and infinities."""
@@ -46,6 +57,35 @@ def check_finite(a, name: str = "value") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must have finite entries, got {arr!r}")
     return arr
+
+
+def _size(M) -> float:
+    """Largest entry of M in absolute value."""
+    return float(np.max(np.abs(M)))
+
+
+def matrix_rank(M: np.ndarray) -> int:
+    """Numerical rank: the singular values above RANK_TOL times the largest."""
+    sv = np.linalg.svd(M, compute_uv=False)
+    return int(np.sum(sv > RANK_TOL * sv[0]))
+
+
+def commutes(A: np.ndarray, B: np.ndarray) -> bool:
+    """Whether AB - BA vanishes against the size of A and B."""
+    return _size(A @ B - B @ A) <= ZERO_TOL * _size(A) * _size(B)
+
+
+def rank_product(M: np.ndarray, w: np.ndarray) -> tuple[float, bool]:
+    """<M w, R w>, and whether it is nonzero against |M| |w|^2 (w is then
+    not an eigenvector of M): the products of the rank condition."""
+    p = float((M @ w) @ (ROT90 @ w))
+    return p, abs(p) > ZERO_TOL * _size(M) * float(w @ w)
+
+
+def trace_sign(M: np.ndarray) -> int:
+    """Sign of tr M (1, -1, or 0 when it vanishes against the size of M)."""
+    tr = float(np.trace(M))
+    return 0 if abs(tr) <= ZERO_TOL * _size(M) else (1 if tr > 0.0 else -1)
 
 
 def vec2(x: float, y: float) -> np.ndarray:

@@ -25,6 +25,7 @@ from .kernel2d import (
     ThetaFamily,
     check_finite,
     lambda_op,
+    rank_product,
     rot90,
 )
 from .planar import (
@@ -98,9 +99,7 @@ def xi_hat(theta: ThetaFamily, xi: np.ndarray) -> XiHat:
     nonzero scaling part (where no such direction exists).
     """
     xi = check_finite(xi, "xi").reshape(2)
-    th = theta.matrix()
-    pairing = float((th @ xi) @ rot90(xi))
-    if abs(pairing) <= 1e-12 * max(1.0, float(xi @ xi)):
+    if not rank_product(theta.matrix(), xi)[1]:
         raise ValueError("xi_hat needs <theta xi, R xi> != 0")
     if theta.tag == SPIRAL and theta.gamma != 0.0:
         raise ValueError("xi_hat is not defined for the spiral family with gamma != 0")

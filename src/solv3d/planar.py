@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel2d import ROT90, ThetaFamily, arc_matrices, check_finite, expm
+from .kernel2d import (ROT90, ZERO_TOL, ThetaFamily, arc_matrices, check_finite, commutes,
+                       expm, matrix_rank, trace_sign)
 
 __all__ = [
     "ControlRange",
@@ -36,8 +37,12 @@ __all__ = [
     "classify_planar",
 ]
 
-# equilibria are ill-conditioned this close to a root of det A(u)
+# equilibria are ill-conditioned this close to a root r of det A(u), so
+# omega_hat cuts ROOT_BAND |r| on each side of r
 ROOT_BAND = 1e-8
+# a discriminant within DISC_TOL c1^2 below zero is a double root that rounding
+# pushed under: a few ulps of c1^2, the error of c1^2 - 4 c2 c0 at a double root
+DISC_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -135,12 +140,9 @@ class PlanarSpec:
         eta = check_finite(self.eta, "eta").reshape(2)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "eta", eta)
-        th = self.theta.matrix()
-        comm = A @ th - th @ A
-        scale = max(1.0, float(np.max(np.abs(A))) * float(np.max(np.abs(th))))
-        if np.max(np.abs(comm)) > 1e-12 * scale:
+        if not commutes(A, self.theta.matrix()):
             raise ValueError("A must commute with the structure matrix")
-        if abs(np.linalg.det(A)) <= 1e-10 * max(1.0, float(np.max(np.abs(A))) ** 2):
+        if matrix_rank(A) < 2:
             raise ValueError("planar system requires det A != 0")
 
     @property
@@ -179,11 +181,16 @@ def a_of_u(spec: PlanarSpec, u: float) -> np.ndarray:
     return spec.A - u * spec.theta_matrix
 
 
+def _det2(M: np.ndarray) -> float:
+    """M00 M11 - M01 M10, which keeps a jordan double root's discriminant at 0."""
+    return float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
+
+
 def _det_a_of_u_coeffs(spec: PlanarSpec) -> tuple[float, float, float]:
     """Coefficients (c2, c1, c0) of det(A - u*theta) as a polynomial in u."""
     A, th = spec.A, spec.theta_matrix
-    c0 = float(np.linalg.det(A))
-    c2 = float(np.linalg.det(th))
+    c0 = _det2(A)
+    c2 = _det2(th)
     # mixed term: tr(adj(A) theta)
     adjA = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]])
     c1 = -float(np.trace(adjA @ th))
@@ -201,9 +208,9 @@ def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
         return [-c0 / c1] if c1 != 0.0 else []
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc < 0.0:
-        return []
-    if disc == 0.0:
-        return [-c1 / (2.0 * c2)]
+        # rounding may push a double root's discriminant a hair below zero; a
+        # positive one stays two roots, which omega_hat cuts one by one
+        return [-c1 / (2.0 * c2)] if disc >= -DISC_TOL * c1 * c1 else []
     q = -(c1 + np.sign(c1 or 1.0) * np.sqrt(disc)) / 2.0
     return sorted({q / c2, c0 / q} if q != 0.0 else {0.0, -c1 / c2})
 
@@ -211,9 +218,9 @@ def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
 def _quadratic_factored(c2: float, c1: float, c0: float, u: float) -> float:
     """c2 u^2 + c1 u + c0 evaluated from its roots.
 
-    Next to a root the expanded sum cancels: at a double root r it reads
-    exactly 0.0 at r + 1e-8, where the value is about 1e-16.  The factors
-    u - r keep the sign.
+    Next to a root the expanded sum cancels: at a double root r = 1 it
+    reads exactly 0.0 at the band edge r + 1e-8, where the value is about
+    1e-16.  The factors u - r keep the sign.
     """
     roots = _quadratic_roots(c2, c1, c0)
     if c2 == 0.0:
@@ -226,22 +233,23 @@ def _quadratic_factored(c2: float, c1: float, c0: float, u: float) -> float:
     return c2 * (u + c1 / (2.0 * c2)) ** 2 - (c1 * c1 - 4.0 * c2 * c0) / (4.0 * c2)
 
 
+def _regular_a_of_u(spec: PlanarSpec, u: float) -> np.ndarray:
+    """A(u), or ValueError where ``matrix_rank`` finds it singular."""
+    Au = a_of_u(spec, u)
+    if matrix_rank(Au) < 2:
+        raise ValueError(f"A(u) is singular at u = {u:g} (det = {_det2(Au):g})")
+    return Au
+
+
 def equilibrium(spec: PlanarSpec, u: float) -> np.ndarray:
     """The rest point v(u) = -u * A(u)^{-1} eta of the constant-control field."""
-    Au = a_of_u(spec, u)
-    det = np.linalg.det(Au)
-    if abs(det) <= ROOT_BAND:
-        raise ValueError(f"A(u) is singular at u = {u:g} (det = {det:g})")
-    return -u * np.linalg.solve(Au, spec.eta)
+    return -u * np.linalg.solve(_regular_a_of_u(spec, u), spec.eta)
 
 
 def equilibrium_derivative(spec: PlanarSpec, u: float) -> np.ndarray:
     """v'(u) = -A(u)^{-1} (eta - theta v(u)); nonzero whenever eta != 0."""
-    Au = a_of_u(spec, u)
-    det = np.linalg.det(Au)
-    if abs(det) <= ROOT_BAND:
-        raise ValueError(f"A(u) is singular at u = {u:g} (det = {det:g})")
-    vu = equilibrium(spec, u)
+    Au = _regular_a_of_u(spec, u)
+    vu = -u * np.linalg.solve(Au, spec.eta)
     return -np.linalg.solve(Au, spec.eta - spec.theta_matrix @ vu)
 
 
@@ -249,7 +257,7 @@ def omega_hat(spec: PlanarSpec) -> OmegaHat:
     """Open subintervals of the control range where det A(u) != 0.
 
     Roots of the determinant quadratic are found in closed form and removed
-    together with a guard band of width ROOT_BAND on each side.
+    together with a guard band of ROOT_BAND |r| on each side of a root r.
     """
     lo, hi = spec.omega.u_min, spec.omega.u_max
     roots = _quadratic_roots(*_det_a_of_u_coeffs(spec))
@@ -257,8 +265,8 @@ def omega_hat(spec: PlanarSpec) -> OmegaHat:
     cuts = [lo] + sorted(roots_in) + [hi]
     intervals = []
     for a, b in zip(cuts[:-1], cuts[1:]):
-        aa = a + (ROOT_BAND if a in roots_in else 0.0)
-        bb = b - (ROOT_BAND if b in roots_in else 0.0)
+        aa = a + (ROOT_BAND * abs(a) if a in roots_in else 0.0)
+        bb = b - (ROOT_BAND * abs(b) if b in roots_in else 0.0)
         if aa < bb:
             intervals.append((aa, bb))
     i0 = next((iv for iv in intervals if iv[0] < 0.0 < iv[1]), None)
@@ -300,11 +308,8 @@ def openness_certificate(spec: PlanarSpec, u: float, s: float) -> tuple[float, b
     equilibrium v(u) is a submersion, i.e. that the orbits through v(u) are
     open.
     """
-    Au = a_of_u(spec, u)
-    if abs(np.linalg.det(Au)) <= ROOT_BAND:
-        raise ValueError(f"A(u) is singular at u = {u:g}")
-    E = expm(Au, s)
-    vp = equilibrium_derivative(spec, u)
+    vp = equilibrium_derivative(spec, u)  # raises where A(u) is singular
+    E = expm(a_of_u(spec, u), s)
     value = float(np.linalg.det(np.eye(2) - E) * ((E @ vp) @ (ROT90 @ vp)))
     return value, value != 0.0
 
@@ -352,8 +357,6 @@ def classify_planar(
         vertex = -c1 / (2.0 * c2)
         if lo < vertex < hi:
             candidates.append(vertex)
-    elif c2 < 0.0:
-        pass  # concave: minimum at an endpoint
     for u in candidates:
         det = _quadratic_factored(c2, c1, c0, u)
         if det <= 0.0:
@@ -368,16 +371,16 @@ def classify_planar(
         "trace_at_endpoints": (tr_lo, tr_hi),
         "interior_trace_zero": None,
     }
-    tol = 1e-12 * max(1.0, abs(tr_a) + abs(tr_th))
-    if abs(tr_th) > 0.0:
+    if tr_th != 0.0:
+        # where tr A(u) vanishes, in units of the interval
         u_zero = tr_a / tr_th
-        if lo - tol <= u_zero <= hi + tol:
+        slack = ZERO_TOL * (hi - lo)
+        if lo - slack <= u_zero <= hi + slack:
             cert["interior_trace_zero"] = float(u_zero)
             return PlanarVerdict.WHOLE_PLANE, cert
-    else:
-        if abs(tr_a) <= tol:
-            cert["interior_trace_zero"] = float(lo)
-            return PlanarVerdict.WHOLE_PLANE, cert
+    elif trace_sign(spec.A) == 0:
+        cert["interior_trace_zero"] = float(lo)
+        return PlanarVerdict.WHOLE_PLANE, cert
     if tr_lo > 0.0 and tr_hi > 0.0:
         return PlanarVerdict.OPEN, cert
     return PlanarVerdict.CLOSED, cert

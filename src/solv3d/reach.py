@@ -16,13 +16,12 @@ verdict numerically.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .group import GroupVariant
-from .kernel2d import SPIRAL, arc, rot90
+from .kernel2d import SPIRAL, arc, rot90, trace_sign
 from .planar import (
     DetSignError,
     PlanarSpec,
@@ -62,7 +61,7 @@ TAX_INFINITE = "InfiniteEmptyInterior"
 TAX_CONTROLLABLE = "Controllable"
 TAX_UNCLASSIFIED = "Unclassified"
 
-# chunk structure is fixed so the merged bitmap never depends on thread count
+# the budget is split over this many independently seeded chunks
 N_CHUNKS = 8
 # whole chunks are sampled together up to this many trajectories: enough to
 # amortise numpy's per-call overhead, few enough that an arc's arrays stay
@@ -267,9 +266,8 @@ def reach_sets(
 
     The sample budget is split over a fixed number of independently seeded
     chunks whose partial bitmaps merge by union.  Whole chunks are sampled
-    together in batches fixed by the budget alone, and ``SOLV3D_THREADS``
-    only sets how many batches run at once, so the result depends only on
-    (spec, v0, T, budget, seed) and the grid.
+    together in batches fixed by the budget alone, so the result depends
+    only on (spec, v0, T, budget, seed) and the grid.
     """
     if T <= 0.0 or budget <= 0:
         raise ValueError("horizon and budget must be positive")
@@ -279,35 +277,14 @@ def reach_sets(
     sizes = [budget // N_CHUNKS] * N_CHUNKS
     sizes[-1] += budget - sum(sizes)
 
-    def run(job):
-        chunks, sign = job
-        bitmap = np.zeros((res, res), dtype=bool)
-        rngs = [np.random.default_rng(seeds[2 * i + (0 if sign > 0 else 1)]) for i in chunks]
-        inside = _sample_direction(
-            spec, v0, T, rngs, [sizes[i] for i in chunks], bitmap, box, res, sign,
-            arc_duration, samples_per_arc,
-        )
-        return sign, bitmap, inside
-
-    jobs = [(chunks, sign) for chunks in _batches(sizes) for sign in (+1.0, -1.0)]
-    threads = int(os.environ.get("SOLV3D_THREADS", "1") or "1")
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
-
     fwd = np.zeros((res, res), dtype=bool)
     bwd = np.zeros((res, res), dtype=bool)
     inside = 0
-    for sign, bitmap, k in results:
-        if sign > 0:
-            fwd |= bitmap
-        else:
-            bwd |= bitmap
-        inside += k
+    for chunks in _batches(sizes):
+        for d, (sign, bitmap) in enumerate(((+1.0, fwd), (-1.0, bwd))):
+            rngs = [np.random.default_rng(seeds[2 * i + d]) for i in chunks]
+            inside += _sample_direction(spec, v0, T, rngs, [sizes[i] for i in chunks], bitmap,
+                                        box, res, sign, arc_duration, samples_per_arc)
     points = reach_points(T, budget, arc_duration, samples_per_arc)
     return ReachGrid(box, res, fwd, bwd, float(T), int(budget), int(seed), v0,
                      points, points - inside)
@@ -420,6 +397,9 @@ def _jsonable(x):
     return x
 
 
+# the verdict of a positive or negative trace on the nilrank-1 and circle branches
+_TRACE_TAX = {1: TAX_OPEN, -1: TAX_CLOSED}
+
 _PLANAR_TAX = {
     PlanarVerdict.OPEN: TAX_OPEN,
     PlanarVerdict.CLOSED: TAX_CLOSED,
@@ -445,7 +425,7 @@ def classify(sys: SystemSpec) -> ClassificationReport:
         )
 
     tr_a = float(np.trace(sys.A))
-    det_a = float(np.linalg.det(sys.A))
+    sign = trace_sign(sys.A)
 
     if sys.variant.tag == GroupVariant.SE2N:
         if nr == 2:
@@ -461,7 +441,7 @@ def classify(sys: SystemSpec) -> ClassificationReport:
             TAX_INFINITE,
             "cylinder family C_r = {([t], v): <v, xi_hat> = r}",
             "se2n/flat-cylinders",
-            det_a=det_a,
+            det_a=float(np.linalg.det(sys.A)),
         )
 
     if sys.variant.tag == GroupVariant.AFF_CIRCLE:
@@ -470,10 +450,9 @@ def classify(sys: SystemSpec) -> ClassificationReport:
         ok, reason = descend_check(sys)
         if not ok:
             raise ValueError(f"the drift does not descend to the quotient: {reason}")
-        if abs(tr_a) > 1e-12 * max(1.0, float(np.max(np.abs(sys.A)))):
-            tax = TAX_OPEN if tr_a > 0.0 else TAX_CLOSED
+        if sign:
             return report(
-                tax,
+                _TRACE_TAX[sign],
                 "product of the affine-line control set with the circle",
                 "affcircle/trace-sign",
                 trace=tr_a,
@@ -490,12 +469,8 @@ def classify(sys: SystemSpec) -> ClassificationReport:
         return report(tax, geom, "nilrank2/planar-cylinder", **extra)
 
     if nr == 1:
-        if abs(tr_a) > 1e-12 * max(1.0, float(np.max(np.abs(sys.A)))):
-            tax = TAX_OPEN if tr_a > 0.0 else TAX_CLOSED
-        else:
-            tax = TAX_WHOLE
         return report(
-            tax,
+            _TRACE_TAX.get(sign, TAX_WHOLE),
             "product of a line control set with ker A",
             "nilrank1/trace-sign",
             trace=tr_a,

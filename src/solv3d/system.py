@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .group import GroupElement, GroupVariant, SIMPLY_CONNECTED
-from .kernel2d import ROT90, ThetaFamily, arc_matrices, check_finite, lambda_op
+from .kernel2d import (RANK_TOL, ThetaFamily, arc_matrices, check_finite, commutes, lambda_op,
+                       matrix_rank, rank_product)
 from .planar import ControlRange, PiecewiseControl, PlanarSpec, Trajectory, planar_solution
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
     "conjugate_to_planar",
 ]
 
-RANK_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class LinearField:
@@ -57,10 +56,7 @@ class LinearField:
         object.__setattr__(self, "xi", check_finite(self.xi, "xi").reshape(2))
 
     def check_commutes(self, family: ThetaFamily) -> None:
-        th = family.matrix()
-        comm = self.A @ th - th @ self.A
-        scale = max(1.0, float(np.max(np.abs(self.A))) * float(np.max(np.abs(th))))
-        if np.max(np.abs(comm)) > 1e-12 * scale:
+        if not commutes(self.A, family.matrix()):
             raise ValueError("drift matrix must commute with the structure matrix")
 
 
@@ -149,36 +145,21 @@ def larc(sys: SystemSpec) -> RankCertificate:
     """Rank condition: alpha != 0 and alpha*xi + A*eta is not a common
     eigenvector of A and the structure matrix."""
     w = sys.alpha * sys.xi + sys.A @ sys.eta
-    Rw = ROT90 @ w
-    ap = float((sys.A @ w) @ Rw)
-    tp = float((sys.theta_matrix @ w) @ Rw)
-    scale = _product_scale(sys, w)
-    holds = sys.alpha != 0.0 and (abs(ap) > scale or abs(tp) > scale)
-    return RankCertificate(holds, sys.alpha, w, ap, tp)
+    (ap, a_sep), (tp, t_sep) = rank_product(sys.A, w), rank_product(sys.theta_matrix, w)
+    return RankCertificate(sys.alpha != 0.0 and (a_sep or t_sep), sys.alpha, w, ap, tp)
 
 
 def adrank(sys: SystemSpec) -> RankCertificate:
     """Stronger rank condition: alpha != 0 and the direction is not an
     eigenvector of A alone."""
     w = sys.alpha * sys.xi + sys.A @ sys.eta
-    Rw = ROT90 @ w
-    ap = float((sys.A @ w) @ Rw)
-    tp = float((sys.theta_matrix @ w) @ Rw)
-    scale = _product_scale(sys, w)
-    holds = sys.alpha != 0.0 and abs(ap) > scale
-    return RankCertificate(holds, sys.alpha, w, ap, tp)
-
-
-def _product_scale(sys: SystemSpec, w: np.ndarray) -> float:
-    m = max(float(np.max(np.abs(sys.A))), float(np.max(np.abs(sys.theta_matrix))), 1.0)
-    return 1e-12 * m * max(1.0, float(w @ w))
+    (ap, a_sep), (tp, _) = rank_product(sys.A, w), rank_product(sys.theta_matrix, w)
+    return RankCertificate(sys.alpha != 0.0 and a_sep, sys.alpha, w, ap, tp)
 
 
 def nilrank(sys: SystemSpec) -> int:
     """Rank of the drift matrix A (0, 1 or 2)."""
-    sv = np.linalg.svd(sys.A, compute_uv=False)
-    tol = RANK_TOL * max(1.0, sv[0] if sv.size else 1.0)
-    return int(np.sum(sv > tol))
+    return matrix_rank(sys.A)
 
 
 @dataclass(frozen=True)
@@ -193,7 +174,7 @@ class SpectrumReport:
 
 def derivation_spectrum(sys: SystemSpec) -> SpectrumReport:
     eigs = [0.0 + 0.0j] + [complex(z) for z in np.linalg.eigvals(sys.A)]
-    tol = RANK_TOL * max(1.0, float(np.max(np.abs(sys.A))))
+    tol = RANK_TOL * float(np.max(np.abs(sys.A)))
     plus = sum(1 for z in eigs if z.real > tol)
     minus = sum(1 for z in eigs if z.real < -tol)
     return SpectrumReport(tuple(eigs), plus, 3 - plus - minus, minus)
@@ -241,8 +222,7 @@ def normalize_xi(sys: SystemSpec) -> tuple[SystemSpec, Automorphism]:
 
     Requires an invertible drift matrix.
     """
-    det = float(np.linalg.det(sys.A))
-    if abs(det) <= 1e-10 * max(1.0, float(np.max(np.abs(sys.A))) ** 2):
+    if matrix_rank(sys.A) < 2:
         raise ValueError("normalize_xi needs det A != 0")
     Ainv_xi = np.linalg.solve(sys.A, sys.xi)
     psi = Automorphism(sys.theta, np.eye(2), Ainv_xi)

@@ -1,5 +1,14 @@
 """Shared pytest hooks: per-criterion pass/fail lines for the acceptance suite."""
 
+import os
+import tempfile
+
+# hypothesis caches the constants it reads from local source files under its
+# storage directory even without an example database; keep that cache out of
+# the checkout
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "solv3d-hypothesis"))
+
 CRITERIA = {
     "test_criterion_1_kernel_exactness": (1, "kernel closed forms vs oracles"),
     "test_criterion_2_group_flow_laws": (2, "group axioms and flow laws"),

@@ -151,3 +151,16 @@ class TestLiftControlSet:
                           InvariantField(1.0, [0.0, 0.0]), OMEGA, SE2)
         out = lift_control_set(classify(flat), flat)
         assert "empty interior" in out["relation"]
+
+    @pytest.mark.parametrize("sys", [
+        SystemSpec(DIAG0, LinearField(np.diag([1.0, 0.0]), [1.0, 1.0]),
+                   InvariantField(0.0, [0.0, 0.0]), OMEGA, AFF),
+        SystemSpec(ROTATION, LinearField(-np.eye(2), [1.0, 0.0]),
+                   InvariantField(0.0, [0.0, 0.0]), OMEGA, SE2),
+    ], ids=["aff", "se2n"])
+    def test_no_relation_without_the_rank_condition(self, sys):
+        # alpha = 0: the report is Unclassified, so no covering claim is made
+        rep = classify(sys)
+        assert rep.rule == "rank-condition-failed"
+        out = lift_control_set(rep, sys)
+        assert out["relation"] == "none: the rank condition fails" and "topology" not in out

@@ -394,17 +394,13 @@ class TestBatchedSampling:
     @pytest.mark.parametrize("system", [OPEN_SYS, CLOSED_SYS, WHOLE_SYS],
                              ids=["open", "closed", "whole"])
     @pytest.mark.parametrize("T, v0", RUNS, ids=["T7", "T12"])
-    def test_bitmaps_equal_per_chunk_oracle_at_any_thread_count(
-        self, monkeypatch, system, T, v0
-    ):
+    def test_bitmaps_equal_per_chunk_oracle_at_any_thread_count(self, system, T, v0):
         spec = conjugate_to_planar(system).planar
         for budget in self.BUDGETS:
             fwd, bwd = _per_chunk_reach(spec, v0, T, budget)
-            for threads in ("1", "2", "3"):
-                monkeypatch.setenv("SOLV3D_THREADS", threads)
-                g = reach_sets(spec, v0, T, budget)
-                assert g.forward.tobytes() == fwd.tobytes(), (budget, threads)
-                assert g.backward.tobytes() == bwd.tobytes(), (budget, threads)
+            g = reach_sets(spec, v0, T, budget)
+            assert g.forward.tobytes() == fwd.tobytes(), budget
+            assert g.backward.tobytes() == bwd.tobytes(), budget
 
     def test_batches_hold_whole_chunks(self):
         assert _batches([1250] * 8) == [list(range(8))]
@@ -543,8 +539,7 @@ class TestReachGridShape:
 
     @pytest.mark.parametrize("system", [OPEN_SYS, CLOSED_SYS, WHOLE_SYS],
                              ids=["open", "closed", "whole"])
-    def test_bitmaps_equal_per_chunk_oracle(self, monkeypatch, system):
-        monkeypatch.setenv("SOLV3D_THREADS", "1")
+    def test_bitmaps_equal_per_chunk_oracle(self, system):
         spec = conjugate_to_planar(system).planar
         fwd, bwd = _per_chunk_reach(spec, (0.0, 0.0), 30.0, 10_000, seed=7)
         g = reach_sets(spec, np.zeros(2), 30.0, 10_000, seed=7)
@@ -610,3 +605,71 @@ class TestDoubleRoot:
                 # so the trace keeps the sign of a on it
                 want = "UniqueControlSetOpen" if a > 0 else "UniqueControlSetClosed"
                 assert rep.taxonomy == want, (a, rep.details)
+
+    def test_sweep_cuts_the_component_of_zero_at_the_root(self):
+        # c0 = a^2 exactly, so the discriminant is exactly zero and omega_hat
+        # cuts the double root wherever it sits
+        for a in np.linspace(-1.4, 1.4, 20):
+            rep = classify(_double_root_system(float(a)))
+            lo, hi = rep.details["interval"]
+            end = hi if a > 0 else lo
+            assert end != a and abs(end - a) <= 2e-8 * abs(a), (a, rep.details)
+            assert lo < 0.0 < hi
+            want = "UniqueControlSetOpen" if a > 0 else "UniqueControlSetClosed"
+            assert rep.taxonomy == want, (a, rep.details)
+
+    def test_two_close_roots_are_both_cut(self):
+        # det A(u) = (1 - u)(0.5000005 - 0.5 u) has the distinct roots 1 and
+        # 1.000001 and is negative between them, where tr A(u) = 0 at about
+        # 1.00000033; the component of zero must end below the first root
+        sys = SystemSpec(ThetaFamily.diagonal(0.5),
+                         LinearField(np.diag([1.0, 0.5000005]), [1.0, 1.0]),
+                         InvariantField(1.0, [0.0, 1.0]), ControlRange(-1.5, 1.5))
+        rep = classify(sys)
+        lo, hi = rep.details["interval"]
+        assert lo == -1.5 and 1.0 - 2e-8 <= hi < 1.0, rep.details
+        assert rep.taxonomy == "UniqueControlSetOpen", rep.details
+
+    @pytest.mark.parametrize("theta", [ThetaFamily.diagonal(0.35), ThetaFamily.diagonal(0.8),
+                                       ThetaFamily.spiral(0.5), ThetaFamily.spiral(-0.3)],
+                             ids=["diag0.35", "diag0.8", "spiral0.5", "spiral-0.3"])
+    def test_drift_proportional_to_theta_is_cut_at_its_double_root(self, theta):
+        # A = b theta: det A(u) = (b - u)^2 det theta with det theta > 0, and
+        # the rounded discriminant lands on either side of zero.  A few ulps
+        # above zero it splits the root into two about sqrt(eps) |b| apart,
+        # and omega_hat cuts the nearer one.
+        tr_theta = float(np.trace(theta.matrix()))
+        for b in np.linspace(-1.4, 1.4, 20):
+            sys = SystemSpec(theta, LinearField(b * theta.matrix(), [1.0, 0.0]),
+                             InvariantField(1.0, [0.0, 1.0]), ControlRange(-1.5, 1.5))
+            rep = classify(sys)
+            lo, hi = rep.details["interval"]
+            end = hi if b > 0 else lo
+            assert end != b and abs(end - b) <= 5e-8 * abs(b), (b, rep.details)
+            want = "UniqueControlSetOpen" if b * tr_theta > 0 else "UniqueControlSetClosed"
+            assert rep.taxonomy == want, (b, rep.details)
+
+
+class TestAnisotropicDrift:
+    """A = diag(1, 1e-9) on diagonal(0.5): the root 2e-9 sits next to zero and
+    A(u) has singular values 1 and about 4e-10 where the rest-point check looks."""
+
+    SYS = SystemSpec(ThetaFamily.diagonal(0.5), LinearField(np.diag([1.0, 1e-9]), [1.0, 1.0]),
+                     InvariantField(1.0, [0.0, 1.0]), ControlRange(-0.5, 0.5))
+
+    def test_rest_points_exist_wherever_a_of_u_has_full_rank(self):
+        from solv3d.planar import a_of_u, equilibrium
+
+        spec = conjugate_to_planar(self.SYS).planar
+        rep = classify(self.SYS)
+        assert rep.taxonomy == "UniqueControlSetOpen", rep.details
+        hi = rep.details["interval"][1]
+        for u in (0.6 * hi, 0.9 * hi):
+            v = equilibrium(spec, u)
+            res = a_of_u(spec, u) @ v + u * spec.eta
+            assert np.max(np.abs(res)) <= 1e-12 * np.max(np.abs(v)), u
+
+    def test_verification_runs_its_rest_point_check(self):
+        rep = classify(self.SYS)
+        log = verify_classification(rep, self.SYS, budget=2000, horizon=6.0, seed=3)
+        assert "rest-points-inside-estimate" in [c["name"] for c in log["checks"]]
