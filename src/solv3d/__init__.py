@@ -7,6 +7,9 @@ control sets, runs constructive trajectory planners, and estimates
 reachable sets numerically.
 """
 
+# the release in pyproject.toml; reports and ``solv3d --version`` read it here
+__version__ = "0.1.0"
+
 from .group import GroupElement, GroupVariant, SIMPLY_CONNECTED, identity
 from .kernel2d import ThetaFamily, expm, lambda_op
 from .planar import ControlRange, PiecewiseControl, PlanarSpec, Trajectory

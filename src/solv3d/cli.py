@@ -1,9 +1,10 @@
 """Command-line front end: classify, simulate, reach and plan.
 
-Specs are JSON files validated against an embedded schema; outputs are JSON
-reports (schema-versioned, sorted keys), CSV series, PGM occupancy bitmaps
-and timestamp-free SVG phase portraits.  Exit codes: 0 on success, 1 on
-input errors, 2 when classification ends Unclassified.
+Specs are JSON files validated against an embedded schema (jsonschema is
+loaded only to word a rejection); outputs are JSON reports (schema-versioned,
+sorted keys), CSV series, PGM occupancy bitmaps and timestamp-free SVG phase
+portraits.  Exit codes: 0 on success, 1 on input errors, 2 when
+classification ends Unclassified.
 """
 
 from __future__ import annotations
@@ -12,14 +13,11 @@ import json
 import math
 import os
 import sys as _sys
-from importlib import metadata, resources
 
 import click
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
-from . import covering, plan as plan_mod, reach as reach_mod
+from . import __version__, reach as reach_mod
 from .group import GroupElement, GroupVariant, SIMPLY_CONNECTED
 from .kernel2d import ThetaFamily
 from .planar import ControlRange, PiecewiseControl, equilibrium, omega_hat
@@ -113,28 +111,71 @@ DEFAULT_NUMERICS = {
 }
 
 
-# Built once: jsonschema.validate re-checks the schema against its
-# meta-schema on every call, which costs more than the validation itself.
-_SPEC_VALIDATOR = validator_for(SPEC_SCHEMA)(SPEC_SCHEMA)
-_NUMERICS_VALIDATOR = _SPEC_VALIDATOR.evolve(schema=SPEC_SCHEMA["properties"]["numerics"])
-
-
 class InputError(click.ClickException):
     exit_code = 1
 
 
-def _validate(validator, instance, where: str) -> None:
-    """Raise the error ``jsonschema.validate`` would, as a one-line InputError."""
-    error = best_match(validator.iter_errors(instance))
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# Draft 7's types as jsonschema reads them: a bool is no number, 3.0 is an integer
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "number": _is_number,
+    "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
+}
+
+# The keywords SPEC_SCHEMA uses, each a test of (instance, argument, schema).
+# Past `type` and `enum` a keyword judges only instances of its own type, and
+# a bound fails only on a true comparison, so NaN passes as in jsonschema.
+_KEYWORDS = {
+    "type": lambda x, name, s: _TYPES[name](x),
+    "enum": lambda x, values, s: x in values,
+    "required": lambda x, keys, s: not isinstance(x, dict) or all(k in x for k in keys),
+    "properties": lambda x, props, s: not isinstance(x, dict) or all(
+        _schema_ok(props[k], v) for k, v in x.items() if k in props),
+    "additionalProperties": lambda x, _, s: not isinstance(x, dict) or all(
+        k in s.get("properties", {}) for k in x),
+    "items": lambda x, sub, s: not isinstance(x, list) or all(_schema_ok(sub, v) for v in x),
+    "minItems": lambda x, n, s: not isinstance(x, list) or len(x) >= n,
+    "maxItems": lambda x, n, s: not isinstance(x, list) or len(x) <= n,
+    "minimum": lambda x, b, s: not _is_number(x) or not x < b,
+    "maximum": lambda x, b, s: not _is_number(x) or not x > b,
+    "exclusiveMinimum": lambda x, b, s: not _is_number(x) or not x <= b,
+}
+
+
+def _schema_ok(schema: dict, instance) -> bool:
+    """Whether ``instance`` is valid against ``schema``, as Draft 7 judges it.
+
+    Knows only the keywords in ``_KEYWORDS`` (``additionalProperties`` only
+    as ``false``) and raises on any other, so a schema edit cannot pass
+    unchecked.
+    """
+    for key, arg in schema.items():
+        if key not in _KEYWORDS or (key == "additionalProperties" and arg is not False):
+            raise ValueError(f"spec checker does not know schema keyword {key!r}: {arg!r}")
+        if not _KEYWORDS[key](instance, arg, schema):
+            return False
+    return True
+
+
+def _validate(schema: dict, instance, where: str) -> None:
+    """Raise the error ``jsonschema.validate`` would, as a one-line InputError.
+
+    ``_schema_ok`` accepts a valid instance; jsonschema is imported only to
+    word a rejection.
+    """
+    if _schema_ok(schema, instance):
+        return
+    from jsonschema.exceptions import best_match
+    from jsonschema.validators import validator_for
+
+    error = best_match(validator_for(schema)(schema).iter_errors(instance))
     if error is not None:
         raise InputError(f"{where}: at {error.json_path}: {error.message}")
-
-
-def _tool_version() -> str:
-    try:
-        return metadata.version("solv3d")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def load_spec(path: str) -> tuple[SystemSpec, dict, dict]:
@@ -146,7 +187,7 @@ def load_spec(path: str) -> tuple[SystemSpec, dict, dict]:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    _validate(_SPEC_VALIDATOR, raw, path)
+    _validate(SPEC_SCHEMA, raw, path)
 
     th = raw["theta"]
     try:
@@ -197,7 +238,7 @@ def _override_numerics(numerics: dict, *, seed=None, budget=None, horizon=None,
         except ValueError:
             raise InputError(f"--grid-box must be 'x0,x1,y0,y1', got {grid_box!r}")
         numerics["grid"]["box"] = [[x0, x1], [y0, y1]]
-    _validate(_NUMERICS_VALIDATOR, numerics, "numerics")
+    _validate(SPEC_SCHEMA["properties"]["numerics"], numerics, "numerics")
     box = numerics["grid"]["box"]
     (x0, x1), (y0, y1) = box
     if not np.all(np.isfinite([numerics["horizon"], numerics["step"], x0, x1, y0, y1])):
@@ -221,7 +262,7 @@ def dump_json(obj: dict, path: str) -> None:
 def _base_report(raw_spec: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "solv3d", "version": _tool_version()},
+        "tool": {"name": "solv3d", "version": __version__},
         "input": raw_spec,
     }
 
@@ -275,7 +316,7 @@ def write_svg(path: str, elements: list[str], box) -> None:
 
 
 @click.group()
-@click.version_option(version=_tool_version(), prog_name="solv3d")
+@click.version_option(version=__version__, prog_name="solv3d")
 def main():
     """Linear control systems on the 3D solvable nonnilpotent Lie groups.
 
@@ -319,18 +360,23 @@ def cmd_classify(spec_path, out_dir, seed, budget, horizon, verify):
     out = _base_report(raw)
     out["classification"] = report.to_dict()
     if verify:
-        out["verification"] = reach_mod.verify_classification(
-            report, sys_spec,
-            budget=numerics["budget"],
-            horizon=numerics["horizon"],
-            resolution=numerics["grid"]["resolution"],
-            seed=numerics["seed"],
-            box=tuple(map(tuple, numerics["grid"]["box"])),
-        )
+        try:
+            out["verification"] = reach_mod.verify_classification(
+                report, sys_spec,
+                budget=numerics["budget"],
+                horizon=numerics["horizon"],
+                resolution=numerics["grid"]["resolution"],
+                seed=numerics["seed"],
+                box=tuple(map(tuple, numerics["grid"]["box"])),
+            )
+        except ValueError as exc:
+            raise InputError(str(exc))
     else:
         out["verification"] = {"ok": True, "checks": []}
     if sys_spec.variant.tag != GroupVariant.SIMPLY_CONNECTED:
-        out["covering"] = covering.lift_control_set(report, sys_spec)
+        from .covering import lift_control_set
+
+        out["covering"] = lift_control_set(report, sys_spec)
     os.makedirs(out_dir, exist_ok=True)
     dump_json(out, os.path.join(out_dir, "report.json"))
     click.echo(f"taxonomy: {report.taxonomy} ({report.rule})")
@@ -415,7 +461,9 @@ def cmd_simulate(spec_path, control_path, start, step, svg, out_dir, seed):
         fh.write(header + "\n")
         wrapped = None
         if quotient:
-            wrapped = covering.project_trajectory(sys_spec, traj).states
+            from .covering import project_trajectory
+
+            wrapped = project_trajectory(sys_spec, traj).states
         for i, (tm, st) in enumerate(zip(traj.times, traj.states)):
             row = ",".join(repr(float(x)) for x in (tm, st[0], st[1], st[2]))
             if quotient:
@@ -516,6 +564,8 @@ def cmd_reach(spec_path, out_dir, seed, budget, horizon, grid_res, grid_box):
               help="staircase intermediate coordinate.")
 def cmd_plan(planner, spec_path, out_dir, seed, v0, u0, p1, p2, u_pair, x_val, y_val):
     """Run a constructive planner and write control.csv + plan_report.json."""
+    from . import plan as plan_mod
+
     sys_spec, numerics, raw = load_spec(spec_path)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -580,6 +630,8 @@ def cmd_plan(planner, spec_path, out_dir, seed, v0, u0, p1, p2, u_pair, x_val, y
 
 def report_schema() -> dict:
     """The shipped JSON schema for report files."""
+    from importlib import resources
+
     with resources.files("solv3d").joinpath("report_schema.json").open(
         "r", encoding="utf-8"
     ) as fh:

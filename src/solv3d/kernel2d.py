@@ -55,7 +55,8 @@ def check_finite(a, name: str = "value") -> np.ndarray:
     """Return ``a`` as a float array, rejecting NaN and infinities."""
     arr = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must have finite entries, got {arr!r}")
+        shown = " ".join(line.strip() for line in repr(arr).splitlines())
+        raise ValueError(f"{name} must have finite entries, got {shown}")
     return arr
 
 

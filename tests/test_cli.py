@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 from jsonschema.validators import validator_for
 
 import solv3d
+from solv3d import reach
 from solv3d.cli import SPEC_SCHEMA, main, report_schema
 
 OPEN_SPEC = {
@@ -161,6 +163,20 @@ class TestClassify:
         spec = write_spec(tmp_path, bad)
         out = runner.invoke(main, ["classify", spec])
         assert out.exit_code == 1
+
+    def test_verification_value_error_is_one_line_error(self, runner, tmp_path,
+                                                         monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("xi_hat needs <theta xi, R xi> != 0")
+
+        monkeypatch.setattr(reach, "verify_classification", fail)
+        spec = write_spec(tmp_path, OPEN_SPEC)
+        out_dir = tmp_path / "out"
+        out = runner.invoke(main, ["classify", spec, "--out-dir", str(out_dir)],
+                            catch_exceptions=False)
+        assert out.exit_code == 1
+        assert out.output.strip() == "Error: xi_hat needs <theta xi, R xi> != 0"
+        assert not out_dir.exists()
 
 
 class TestSimulate:
@@ -447,15 +463,144 @@ class TestFlagFuzz:
         assert not (tmp_path / "out").exists()
 
 
+NAN, INF = math.nan, math.inf
+
+# malformed spec files: each fails in load_spec, before any command runs
+BAD_SPECS = {
+    "alpha string": dict(WHOLE_SPEC, alpha="one"),
+    "alpha true": dict(WHOLE_SPEC, alpha=True),
+    "A entry true": dict(WHOLE_SPEC, A=[[0.0, -0.6], [0.6, True]]),
+    "A flat": dict(WHOLE_SPEC, A=[0.0, -0.6, 0.6, 0.0]),
+    "xi number": dict(WHOLE_SPEC, xi=1.0),
+    "omega string": dict(WHOLE_SPEC, omega="wide"),
+    "family number": dict(WHOLE_SPEC, theta={"family": 3, "gamma": 0.0}),
+    "gamma true": dict(WHOLE_SPEC, theta={"family": "spiral", "gamma": True}),
+    "n fraction": dict(WHOLE_SPEC, variant={"type": "se2n", "n": 1.5}),
+    "budget true": dict(WHOLE_SPEC, numerics={"budget": True}),
+    "A NaN": dict(WHOLE_SPEC, A=[[NAN, -0.6], [0.6, 0.0]]),
+    "A Infinity": dict(WHOLE_SPEC, A=[[0.0, -0.6], [0.6, INF]]),
+    "A -Infinity": dict(WHOLE_SPEC, A=[[0.0, -INF], [0.6, 0.0]]),
+    "xi NaN": dict(WHOLE_SPEC, xi=[NAN, 0.0]),
+    "xi Infinity": dict(WHOLE_SPEC, xi=[1.0, INF]),
+    "eta NaN": dict(WHOLE_SPEC, eta=[1.0, NAN]),
+    "eta Infinity": dict(WHOLE_SPEC, eta=[INF, 0.0]),
+    "alpha NaN": dict(WHOLE_SPEC, alpha=NAN),
+    "alpha Infinity": dict(WHOLE_SPEC, alpha=INF),
+    "omega NaN": dict(WHOLE_SPEC, omega=[NAN, 0.5]),
+    "omega Infinity": dict(WHOLE_SPEC, omega=[-0.5, INF]),
+    "spiral without gamma": dict(WHOLE_SPEC, theta={"family": "spiral"}),
+    "jordan with gamma": dict(WHOLE_SPEC, theta={"family": "jordan", "gamma": 0.0}),
+    "omega without 0": dict(WHOLE_SPEC, omega=[0.1, 0.5]),
+    "omega reversed": dict(WHOLE_SPEC, omega=[0.5, -0.5]),
+    "variant n 0": dict(WHOLE_SPEC, variant={"type": "se2n", "n": 0}),
+    "extra key": dict(WHOLE_SPEC, beta=1.0),
+    "top-level list": [WHOLE_SPEC],
+}
+
+SPEC_COMMANDS = {
+    "classify": ["classify"],
+    "reach": ["reach"],
+    "simulate": ["simulate"],
+    "plan": ["plan", "circle-hop"],
+}
+
+
+class TestSpecFuzz:
+    @pytest.mark.parametrize("command", sorted(SPEC_COMMANDS))
+    @pytest.mark.parametrize("name", list(BAD_SPECS))
+    def test_bad_spec_exits_with_one_error_line(self, runner, tmp_path, name, command):
+        spec = write_spec(tmp_path, BAD_SPECS[name])
+        out_dir = tmp_path / "out"
+        args = SPEC_COMMANDS[command] + [spec, "--out-dir", str(out_dir)]
+        if command == "simulate":
+            args += ["--control", write_ctrl(tmp_path, [(1.0, 0.25)])]
+        out = runner.invoke(main, args, catch_exceptions=False)
+        assert out.exit_code == 1, out.output
+        lines = out.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error:"), out.output
+        assert "Traceback" not in out.output
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("name", ["A NaN", "A Infinity", "A -Infinity"])
+    def test_non_finite_drift_names_the_entries(self, runner, tmp_path, name):
+        spec = write_spec(tmp_path, BAD_SPECS[name])
+        out = runner.invoke(main, ["classify", spec, "--no-verify"])
+        assert "A must have finite entries, got array([[" in out.output
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout; return its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solv3d.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.strip()
+
+
 class TestStartup:
     def test_import_does_not_load_scipy(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(solv3d.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, solv3d.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True)
-        assert out.stdout.strip() == "[]"
+        assert run_python(code) == "[]"
+
+    # modules a valid classify --no-verify never runs
+    UNUSED = ["jsonschema", "importlib.metadata", "scipy", "solv3d.plan",
+              "solv3d.covering"]
+
+    @staticmethod
+    def run_classify(spec: str, out_dir: str) -> dict:
+        code = f"""
+import json, sys
+from solv3d.cli import main
+try:
+    main(["classify", {spec!r}, "--no-verify", "--out-dir", {out_dir!r}],
+         standalone_mode=False)
+    error = None
+except Exception as exc:
+    error = exc.format_message()
+print(json.dumps({{"error": error, "modules": sorted(sys.modules)}}))
+"""
+        # the last line; a successful command prints its verdict first
+        return json.loads(run_python(code).splitlines()[-1])
+
+    def loaded(self, modules: list[str]) -> list[str]:
+        return [name for name in self.UNUSED
+                if any(m == name or m.startswith(name + ".") for m in modules)]
+
+    def test_valid_spec_loads_only_what_classify_runs(self, tmp_path):
+        out_dir = tmp_path / "out"
+        result = self.run_classify(write_spec(tmp_path, OPEN_SPEC), str(out_dir))
+        assert result["error"] is None
+        assert (out_dir / "report.json").exists()
+        assert self.loaded(result["modules"]) == []
+
+    def test_malformed_spec_loads_jsonschema_for_its_message(self, tmp_path):
+        raw = dict(OPEN_SPEC, omega=[-0.5])
+        spec = write_spec(tmp_path, raw)
+        with pytest.raises(jsonschema.ValidationError) as exc:
+            jsonschema.validate(raw, SPEC_SCHEMA)
+        result = self.run_classify(spec, str(tmp_path / "out"))
+        assert result["error"] == f"{spec}: at {exc.value.json_path}: {exc.value.message}"
+        assert "jsonschema" in result["modules"]
+
+    def test_version_option(self, runner):
+        out = runner.invoke(main, ["--version"])
+        assert out.exit_code == 0
+        assert out.output == f"solv3d, version {solv3d.__version__}\n"
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == solv3d.__version__
+
+    def test_reports_carry_the_package_version(self, runner, tmp_path):
+        spec = write_spec(tmp_path, OPEN_SPEC)
+        out = runner.invoke(main, ["classify", spec, "--no-verify",
+                                   "--out-dir", str(tmp_path)])
+        assert out.exit_code == 0, out.output
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["tool"] == {"name": "solv3d", "version": solv3d.__version__}
 
     def test_spec_schema_is_valid_for_its_validator(self):
         cls = validator_for(SPEC_SCHEMA)
