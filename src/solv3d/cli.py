@@ -328,18 +328,13 @@ def main():
     """
 
 
-_common = [
-    click.option("--out-dir", type=click.Path(file_okay=False), default=".",
-                 show_default=True, help="Directory for output artifacts."),
-    click.option("--seed", type=int, default=None,
-                 help="Override the spec's RNG seed."),
-]
+out_dir_option = click.option("--out-dir", type=click.Path(file_okay=False), default=".",
+                              show_default=True, help="Directory for output artifacts.")
 
 
 def common_options(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+    return out_dir_option(click.option("--seed", type=int, default=None,
+                                       help="Override the spec's RNG seed.")(fn))
 
 
 @main.command("classify")
@@ -551,7 +546,7 @@ def cmd_reach(spec_path, out_dir, seed, budget, horizon, grid_res, grid_box):
 @main.command("plan")
 @click.argument("planner", type=click.Choice(["circle-hop", "fiber-sync", "staircase"]))
 @click.argument("spec_path", type=click.Path(exists=True, dir_okay=False))
-@common_options
+@out_dir_option
 @click.option("--v0", default=None, help="circle-hop start point 'x,y'.")
 @click.option("--u0", type=float, default=0.0, show_default=True,
               help="circle-hop target control.")
@@ -562,12 +557,12 @@ def cmd_reach(spec_path, out_dir, seed, budget, horizon, grid_res, grid_box):
               help="staircase start coordinate.")
 @click.option("--y", "y_val", type=float, default=1.0, show_default=True,
               help="staircase intermediate coordinate.")
-def cmd_plan(planner, spec_path, out_dir, seed, v0, u0, p1, p2, u_pair, x_val, y_val):
+def cmd_plan(planner, spec_path, out_dir, v0, u0, p1, p2, u_pair, x_val, y_val):
     """Run a constructive planner and write control.csv + plan_report.json."""
     from . import plan as plan_mod
 
     sys_spec, numerics, raw = load_spec(spec_path)
-    os.makedirs(out_dir, exist_ok=True)
+    _override_numerics(numerics)
 
     def parse_vec(text, n, name):
         try:
@@ -610,6 +605,7 @@ def cmd_plan(planner, spec_path, out_dir, seed, v0, u0, p1, p2, u_pair, x_val, y
     except (ValueError, RuntimeError) as exc:
         raise InputError(f"{planner}: {exc}")
 
+    os.makedirs(out_dir, exist_ok=True)
     _write_control_csv(os.path.join(out_dir, "control.csv"), result.control)
     out = _base_report(raw)
     out["plan"] = {

@@ -14,19 +14,22 @@ separating-plane certificate built on the positive functional xi_hat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .kernel2d import (
-    DIAGONAL,
     JORDAN,
     SPIRAL,
     ROT90,
+    ZERO_TOL,
     ThetaFamily,
     check_finite,
+    commutes,
     lambda_op,
     rank_product,
     rot90,
+    trace_sign,
 )
 from .planar import (
     ControlRange,
@@ -54,6 +57,13 @@ __all__ = [
 
 # bracket shrink for the H2 sign-change intervals, in radians
 EPSILON_BRACKET = 1e-3
+# accuracy acceptances, as fractions of the size of the data they check: the
+# closed-form g against the integral operator, and the residual at which a
+# multi-arc boundary solve stops searching (it accepts ten times that)
+G_CHECK_TOL = 1e-8
+SOLVE_TOL = 1e-10
+# least_squares's step, cost and gradient tolerances for those solves
+LSQ_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -73,20 +83,12 @@ class PlanResult:
 
 @dataclass(frozen=True)
 class XiHat:
-    """Direction xi_hat with <Lambda_t^theta xi, xi_hat> = g(t) >= 0 for all t."""
+    """Direction xi_hat with <Lambda_t^theta xi, xi_hat> = g(t) >= 0 for all t,
+    carrying the closed-form g."""
 
     vector: np.ndarray
     case: str
-
-    def g(self, t):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class _XiHatClosed(XiHat):
-    """Concrete xi_hat carrying the closed-form g."""
-
-    g_fn: "object" = None
+    g_fn: Callable
 
     def g(self, t):
         return self.g_fn(np.asarray(t, dtype=float))
@@ -107,15 +109,15 @@ def xi_hat(theta: ThetaFamily, xi: np.ndarray) -> XiHat:
     if theta.tag == SPIRAL:
         v = rot90(xi)
         n2 = float(xi @ xi)
-        return _XiHatClosed(v, "rotation", lambda t: n2 * (1.0 - np.cos(t)))
+        return XiHat(v, "rotation", lambda t: n2 * (1.0 - np.cos(t)))
     if theta.tag == JORDAN:
         # pairing nonzero forces xi2 != 0
         v = np.array([1.0 / xi[1], -xi[0] / xi[1] ** 2])
-        return _XiHatClosed(v, "shear", lambda t: t * np.exp(t) - np.expm1(t))
+        return XiHat(v, "shear", lambda t: t * np.exp(t) - np.expm1(t))
     g = theta.gamma
     if g == 0.0:
         v = np.array([1.0 / xi[0], -1.0 / xi[1]])
-        return _XiHatClosed(v, "diagonal-zero", lambda t: np.exp(t) - t - 1.0)
+        return XiHat(v, "diagonal-zero", lambda t: np.exp(t) - t - 1.0)
     # diagonal with 0 < |g| < 1; pairing nonzero forces both components nonzero
     v = np.array([g / xi[0], -g / xi[1]])
     if g < 0.0:
@@ -124,18 +126,23 @@ def xi_hat(theta: ThetaFamily, xi: np.ndarray) -> XiHat:
     def g_fn(t, gam=g, sgn=1.0 if g > 0.0 else -1.0):
         return sgn * (gam * np.expm1(t) - np.expm1(gam * t))
 
-    return _XiHatClosed(v, "diagonal", g_fn)
+    return XiHat(v, "diagonal", g_fn)
 
 
 @dataclass(frozen=True)
 class SeparatingCertificate:
     """Numerical evidence that the planes <v, xi_hat> = c are never crossed
-    downward by the flow: the sampled pairing rate stays >= -1e-12."""
+    downward by the flow: the sampled pairing g(t) stays nonnegative."""
 
     xi_hat: XiHat
     t_samples: np.ndarray
     g_values: np.ndarray
     min_g: float
+
+    @property
+    def holds(self) -> bool:
+        """No sample of g lies below -ZERO_TOL times the largest |g|."""
+        return self.min_g >= -ZERO_TOL * float(np.max(np.abs(self.g_values)))
 
 
 def monotone_certificate(
@@ -160,7 +167,7 @@ def monotone_certificate(
     th = sys.theta_matrix
     idx = np.linspace(0, n_samples - 1, 200).astype(int)
     direct = np.array([float(lambda_op(th, ts[i], sys.xi) @ xh.vector) for i in idx])
-    if np.max(np.abs(direct - closed[idx])) > 1e-8 * max(1.0, np.max(np.abs(closed))):
+    if np.max(np.abs(direct - closed[idx])) > G_CHECK_TOL * np.max(np.abs(closed)):
         raise AssertionError("closed-form g disagrees with the integral operator")
     return SeparatingCertificate(xh, ts, closed, float(np.min(closed)))
 
@@ -168,18 +175,13 @@ def monotone_certificate(
 # -- circle hopping (pure rotation planar case) ------------------------------
 
 
-def _arc_duration(delta_angle: float, omega_rot: float) -> float:
-    """Positive time to rotate by delta_angle at angular velocity omega_rot."""
-    if omega_rot > 0.0:
-        return float(np.mod(delta_angle, 2.0 * np.pi)) / omega_rot
-    return float(np.mod(-delta_angle, 2.0 * np.pi)) / (-omega_rot)
-
-
 def _arc_time(p: np.ndarray, q: np.ndarray, center: np.ndarray, omega_rot: float) -> float:
+    """Positive time to rotate p into q about center at angular velocity omega_rot."""
     a = p - center
     b = q - center
     delta = float(np.arctan2(a[0] * b[1] - a[1] * b[0], a @ b))
-    return _arc_duration(delta, omega_rot)
+    sign = 1.0 if omega_rot > 0.0 else -1.0
+    return float(np.mod(sign * delta, 2.0 * np.pi)) / abs(omega_rot)
 
 
 def circle_hop(
@@ -200,12 +202,12 @@ def circle_hop(
     returned as ``return_control``.
     """
     v0 = check_finite(v0, "v0").reshape(2)
-    A, th = spec.A, spec.theta_matrix
+    A = spec.A
     if not (spec.theta.tag == SPIRAL and spec.theta.gamma == 0.0):
         raise ValueError("circle_hop needs the pure rotation structure family")
-    mu = float(A[1, 0])
-    if np.max(np.abs(A - mu * ROT90)) > 1e-12 * max(1.0, abs(mu)):
+    if not (commutes(A, ROT90) and trace_sign(A) == 0):
         raise ValueError("circle_hop needs A = mu * R")
+    mu = float(A[1, 0])
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError("degenerate control interval")
@@ -229,22 +231,24 @@ def circle_hop(
     k1, k2 = kappa_of_u(u1), kappa_of_u(u2)
     k_lo, k_hi = min(k1, k2), max(k1, k2)
     k0 = kappa_of_u(u0)
-    target = k0 * e_unit
+    target = k0 * e_unit  # where the hops aim: v(u0) in the line parametrization
+    rest = equilibrium(spec, u0)  # what the schedule is checked against
 
     pairs: list[tuple[float, float]] = []
-    controls_used: list[float] = []
     radii: list[float] = []
 
-    if float(np.hypot(*(v0 - target))) <= 1e-14:
-        ctrl = PiecewiseControl.empty()
-        return PlanResult(ctrl, target.copy(), v0.copy(), 0.0, PiecewiseControl.empty())
+    # a distance or an offset from the line counts as zero against the
+    # size of the start and the target
+    tol = ZERO_TOL * float(np.max(np.abs([v0, rest])))
+    gap = float(np.hypot(*(v0 - rest)))
+    if gap <= tol:
+        return PlanResult(PiecewiseControl.empty(), rest, v0.copy(), gap, PiecewiseControl.empty())
 
     point = v0.copy()
-    on_line = abs(float(point @ rot90(e_unit))) <= 1e-12 * max(1.0, np.max(np.abs(point)))
+    on_line = abs(float(point @ rot90(e_unit))) <= tol
     kappa = float(point @ e_unit)
     hop_u, other_u = u2, u1
-    max_hops = 10_000
-    for _ in range(max_hops):
+    for _ in range(10_000):
         if on_line and k_lo <= kappa <= k_hi:
             break
         center = equilibrium(spec, hop_u)
@@ -254,19 +258,18 @@ def circle_hop(
         k_other = kappa_of_u(other_u)
         # two intersections of the hop circle with the line; keep the one
         # closer to the other rest point
-        cand = [kc - r / 1.0, kc + r / 1.0]
+        cand = [kc - r, kc + r]
         kappa_next = min(cand, key=lambda k: abs(k - k_other))
         nxt = kappa_next * e_unit
         s = _arc_time(point, nxt, center, mu - hop_u)
         if s > 0.0:
             pairs.append((s, hop_u))
-            controls_used.append(hop_u)
         point, kappa, on_line = nxt, kappa_next, True
         hop_u, other_u = other_u, hop_u
     else:
         raise RuntimeError("hop sequence failed to reach the rest-point segment")
 
-    if float(np.hypot(*(point - target))) > 1e-14:
+    if float(np.hypot(*(point - target))) > tol:
         # final circle through both the hop point and the target rest point:
         # its center is their midpoint on the line
         k_mid = 0.5 * (kappa + k0) / e_norm  # back to the v(u) parametrization
@@ -277,22 +280,21 @@ def circle_hop(
         s = _arc_time(point, target, center, mu - u_fin)
         if s > 0.0:
             pairs.append((s, u_fin))
-            controls_used.append(u_fin)
 
     ctrl = PiecewiseControl.from_pairs(pairs)
     achieved, _ = concat_solution(spec, v0, ctrl)
-    err = float(np.hypot(*(achieved - target)))
+    err = float(np.hypot(*(achieved - rest)))
     ret_pairs = [
         (2.0 * np.pi / abs(mu - u) - s, u) for s, u in reversed(pairs) if s < 2.0 * np.pi / abs(mu - u)
     ]
     ret = PiecewiseControl.from_pairs(ret_pairs)
     return PlanResult(
         ctrl,
-        target.copy(),
+        rest,
         achieved,
         err,
         return_control=ret,
-        diagnostics={"hops": len(pairs), "radii": radii, "controls": controls_used},
+        diagnostics={"hops": len(pairs), "radii": radii, "controls": [u for _, u in pairs]},
     )
 
 
@@ -306,13 +308,18 @@ def _connect_planar(
     # scipy.optimize takes about 0.5 s to import and only this planner uses it
     from scipy import optimize
 
+    # residuals in units of the size of the end points and of eta, so the
+    # solver's absolute gradient test and the acceptance hold at any scale
+    scale = float(np.max(np.abs([va, vb, spec.eta])))
+    if scale == 0.0:
+        return []  # every arc stays at va = vb = 0
+
     def residual(s: np.ndarray) -> np.ndarray:
         v = va
         for si, ui in zip(s, controls):
             v = planar_solution(spec, float(si), v, ui)
-        return v - vb
+        return (v - vb) / scale
 
-    scale = max(1.0, float(np.max(np.abs(va))), float(np.max(np.abs(vb))))
     best = None
     rng = np.random.default_rng(0)
     guesses = [np.full(len(controls), g) for g in (0.5, 1.5, 3.0)]
@@ -320,16 +327,18 @@ def _connect_planar(
     for g in guesses:
         sol = optimize.least_squares(
             residual, g, bounds=(np.zeros(len(controls)), np.full(len(controls), 50.0)),
-            xtol=1e-15, ftol=1e-15, gtol=1e-15,
+            xtol=LSQ_TOL, ftol=LSQ_TOL, gtol=LSQ_TOL,
         )
         r = float(np.hypot(*sol.fun))
         if best is None or r < best[0]:
             best = (r, sol.x)
-        if r <= 1e-10 * scale:
+        if r <= SOLVE_TOL:
             break
-    if best is None or best[0] > 1e-9 * scale:
+    if best is None or best[0] > 10.0 * SOLVE_TOL:
         return None
-    return [(float(s), float(u)) for s, u in zip(best[1], controls) if s > 1e-12]
+    longest = float(np.max(best[1]))
+    return [(float(s), float(u)) for s, u in zip(best[1], controls)
+            if s > ZERO_TOL * longest]
 
 
 def fiber_sync(
@@ -353,34 +362,33 @@ def fiber_sync(
     t2, v2 = float(p2[0]), check_finite(p2[1], "p2").reshape(2)
     if not (u1 < 0.0 < u2):
         raise ValueError("fiber_sync needs u1 < 0 < u2")
-    if t1 == t2 and np.allclose(v1, v2, atol=1e-14):
-        ctrl = PiecewiseControl.empty()
-        end = np.array([t2, v2[0], v2[1]])
-        return PlanResult(ctrl, end, np.array([t1, v1[0], v1[1]]), 0.0)
+
+    def same(a, b) -> bool:
+        # a difference counts as zero against the size of both points
+        return np.max(np.abs(a - b)) <= ZERO_TOL * np.max(np.abs([a, b]))
+
+    if t1 == t2 and same(v1, v2):
+        return _finish_fiber(spec, t1, v1, t2, v2, PiecewiseControl.empty(), {})
 
     r1 = equilibrium(spec, u1)
     r2 = equilibrium(spec, u2)
 
     # single-dwell shortcut when both endpoints sit on the same rest point
     for u, r in ((u1, r1), (u2, r2)):
-        if (
-            np.allclose(v1, r, atol=1e-12)
-            and np.allclose(v2, r, atol=1e-12)
-            and (t2 - t1) * u >= 0.0
-        ):
-            if t2 == t1:
-                ctrl = PiecewiseControl.empty()
-            else:
-                ctrl = PiecewiseControl.from_pairs([((t2 - t1) / u, u)])
+        if same(v1, r) and same(v2, r) and (t2 - t1) * u >= 0.0:
+            ctrl = PiecewiseControl.from_pairs([((t2 - t1) / u, u)] if t2 != t1 else [])
             return _finish_fiber(spec, t1, v1, t2, v2, ctrl, {"route": "dwell-only"})
 
-    eigs = np.linalg.eigvals(spec.A - u1 * spec.theta_matrix)
-    if np.max(eigs.real) >= -1e-9:
+    A_u1 = spec.A - u1 * spec.theta_matrix
+    eigs = np.linalg.eigvals(A_u1)
+    rate = -float(np.max(eigs.real))
+    if rate <= ZERO_TOL * float(np.max(np.abs(A_u1))):
         raise ValueError(
             "fiber_sync needs a contracting rest point at u1 "
             f"(eigenvalue real parts {eigs.real})"
         )
-    contract_T = max(40.0 / -float(np.max(eigs.real)), 40.0)
+    # forty time constants: the start is forgotten to e^-40 of its distance
+    contract_T = 40.0 / rate
     legs: list[tuple[float, float]] = [(contract_T, u1)]
     t_spent = contract_T * u1
 
@@ -479,13 +487,15 @@ def integrate_projected(
     return np.array([t, x])
 
 
-def _staircase_legs(
-    gamma: float, alpha: float, c: float, x: float, y: float, omega: ControlRange
-):
-    """Shared geometry of the staircase itinerary.
+def _staircase(gamma: float, alpha: float, c: float, stops, omega: ControlRange) -> PlanResult:
+    """Steer (0, stops[0]) through each (0, stops[i]) in turn for the projected
+    system t' = u*alpha, x' = c e^{gamma t} sin t.
 
-    Returns the two dwell levels, the three transition legs, the landing
-    x-offsets and the low rungs (z1, z2).
+    Each step runs five legs: a bang transition to the level -pi/4, a dwell
+    there down to the low rung z1, a bang transition to +pi/4, a dwell up to
+    the launch point of the next stop, and a bang transition back to t = 0.
+    The drift has a definite sign on both levels, and every step shares the
+    rung, so the dwell durations solve linear rung equations exactly.
     """
     if gamma == 0.0:
         raise ValueError("staircase needs gamma != 0")
@@ -494,25 +504,34 @@ def _staircase_legs(
     t_dn, t_up = -np.pi / 4.0, np.pi / 4.0
     u_dn = _bang_for(-1.0, alpha, omega)
     u_up = _bang_for(+1.0, alpha, omega)
-    legs = {
-        "0->1": (t_dn - 0.0, u_dn),
-        "1->2": (t_up - t_dn, u_up),
-        "2->0": (0.0 - t_up, u_dn),
-    }
-    moves = {}
-    for key, (dt, u) in legs.items():
-        s = dt / (u * alpha)
-        t_from = {"0->1": 0.0, "1->2": t_dn, "2->0": t_up}[key]
-        dx = _transition_dx(gamma, c, t_from, t_from + dt, u * alpha)
-        moves[key] = (s, u, dx)
-    dx01, dx12, dx20 = moves["0->1"][2], moves["1->2"][2], moves["2->0"][2]
-    x1, y1 = x + dx01, y + dx01  # landings at the lower level
-    x2, y2 = x - dx20, y - dx20  # required launch points at the upper level
-    z1 = min(x1, y1, min(x2, y2) - dx12) - 1.0
+    # (duration, x-displacement) of the three transitions
+    (s01, dx01), (s12, dx12), (s20, dx20) = [
+        (dt / (u * alpha), _transition_dx(gamma, c, t_from, t_from + dt, u * alpha))
+        for t_from, dt, u in ((0.0, t_dn - 0.0, u_dn), (t_dn, t_up - t_dn, u_up),
+                              (t_up, 0.0 - t_up, u_dn))
+    ]
+    landings = [p + dx01 for p in stops[:-1]]  # at the lower level
+    launches = [p - dx20 for p in stops[1:]]  # required at the upper level
+    # the rung sits this far below every landing: the x-travel at rate c while
+    # the bang control moves t by 1/2, so it scales with x and the dwells
+    # scale with the transitions
+    margin = 0.5 * c / abs(u_up * alpha)
+    z1 = min(min(landings), min(launches) - dx12) - margin
     z2 = z1 + dx12
     rate_dn = c * np.exp(gamma * t_dn) * np.sin(t_dn)  # < 0
     rate_up = c * np.exp(gamma * t_up) * np.sin(t_up)  # > 0
-    return t_dn, t_up, moves, (x1, y1, x2, y2), (z1, z2), (rate_dn, rate_up)
+    dwells = [s for a, b in zip(landings, launches)
+              for s in ((z1 - a) / rate_dn, (b - z2) / rate_up)]
+    if min(dwells) < -ZERO_TOL * max(map(abs, dwells)):
+        raise RuntimeError("negative dwell time in the staircase solve")
+    itinerary = [leg for s1, s2 in zip(dwells[::2], dwells[1::2])
+                 for leg in ((s01, u_dn), (s1, 0.0), (s12, u_up), (s2, 0.0), (s20, u_dn))]
+    ctrl = PiecewiseControl.from_pairs([(s, u) for s, u in itinerary if s > 0.0])
+    achieved = integrate_projected(gamma, alpha, c, ctrl, 0.0, stops[0])
+    predicted = np.array([0.0, stops[-1]])
+    err = float(np.max(np.abs(achieved - predicted)))
+    return PlanResult(ctrl, predicted, achieved, err, diagnostics={
+        "levels": (t_dn, t_up), "rungs": (z1, z2), "dwells": tuple(dwells)})
 
 
 def staircase(
@@ -524,47 +543,8 @@ def staircase(
     omega: ControlRange,
 ) -> PlanResult:
     """Closed loop (0, x) -> (0, y) -> (0, x) for the projected system
-    t' = u*alpha, x' = c e^{gamma t} sin t.
-
-    Transitions run at bang controls between the dwell levels -pi/4 and
-    +pi/4, where the drift has a definite sign; dwell durations solve the
-    linear rung equations exactly.
-    """
-    t_dn, t_up, moves, (x1, y1, x2, y2), (z1, z2), (rd, ru) = _staircase_legs(
-        gamma, alpha, c, x, y, omega
-    )
-    s01, u01, _ = moves["0->1"]
-    s12, u12, _ = moves["1->2"]
-    s20, u20, _ = moves["2->0"]
-    s1 = (z1 - x1) / rd
-    s1_hat = (z1 - y1) / rd
-    s2 = (y2 - z2) / ru
-    s2_hat = (x2 - z2) / ru
-    for s in (s01, s12, s20):
-        if s <= 0.0:
-            raise RuntimeError("transition durations must be positive")
-    for s in (s1, s1_hat, s2, s2_hat):
-        if s < -1e-12:
-            raise RuntimeError("negative dwell time in the staircase solve")
-    itinerary = [
-        (s01, u01), (s1, 0.0), (s12, u12), (s2, 0.0), (s20, u20),
-        (s01, u01), (s1_hat, 0.0), (s12, u12), (s2_hat, 0.0), (s20, u20),
-    ]
-    ctrl = PiecewiseControl.from_pairs([(s, u) for s, u in itinerary if s > 0.0])
-    achieved = integrate_projected(gamma, alpha, c, ctrl, 0.0, x)
-    predicted = np.array([0.0, x])
-    err = float(np.max(np.abs(achieved - predicted)))
-    return PlanResult(
-        ctrl,
-        predicted,
-        achieved,
-        err,
-        diagnostics={
-            "levels": (t_dn, t_up),
-            "rungs": (z1, z2),
-            "dwells": (s1, s2, s1_hat, s2_hat),
-        },
-    )
+    t' = u*alpha, x' = c e^{gamma t} sin t."""
+    return _staircase(gamma, alpha, c, (x, y, x), omega)
 
 
 def half_staircase(
@@ -575,25 +555,9 @@ def half_staircase(
     y: float,
     omega: ControlRange,
 ) -> PlanResult:
-    """One-way connector (0, x) -> (0, y) using the first five staircase legs."""
-    t_dn, t_up, moves, (x1, y1, x2, y2), _, (rd, ru) = _staircase_legs(
-        gamma, alpha, c, x, y, omega
-    )
-    s01, u01, _ = moves["0->1"]
-    s12, u12, dx12 = moves["1->2"]
-    s20, u20, _ = moves["2->0"]
-    z1 = min(x1, y2 - dx12) - 1.0
-    z2 = z1 + dx12
-    s1 = (z1 - x1) / rd
-    s2 = (y2 - z2) / ru
-    if min(s1, s2) < -1e-12:
-        raise RuntimeError("negative dwell time in the half-staircase solve")
-    itinerary = [(s01, u01), (s1, 0.0), (s12, u12), (s2, 0.0), (s20, u20)]
-    ctrl = PiecewiseControl.from_pairs([(s, u) for s, u in itinerary if s > 0.0])
-    achieved = integrate_projected(gamma, alpha, c, ctrl, 0.0, x)
-    predicted = np.array([0.0, y])
-    err = float(np.max(np.abs(achieved - predicted)))
-    return PlanResult(ctrl, predicted, achieved, err)
+    """One-way connector (0, x) -> (0, y): the first five legs of a staircase
+    with its own rung."""
+    return _staircase(gamma, alpha, c, (x, y), omega)
 
 
 # -- the H1/H2 oscillation functions -----------------------------------------

@@ -465,7 +465,8 @@ class TestFlagFuzz:
 
 NAN, INF = math.nan, math.inf
 
-# malformed spec files: each fails in load_spec, before any command runs
+# malformed spec files: each fails in load_spec or in the numerics check,
+# before any command runs
 BAD_SPECS = {
     "alpha string": dict(WHOLE_SPEC, alpha="one"),
     "alpha true": dict(WHOLE_SPEC, alpha=True),
@@ -477,6 +478,8 @@ BAD_SPECS = {
     "gamma true": dict(WHOLE_SPEC, theta={"family": "spiral", "gamma": True}),
     "n fraction": dict(WHOLE_SPEC, variant={"type": "se2n", "n": 1.5}),
     "budget true": dict(WHOLE_SPEC, numerics={"budget": True}),
+    "step NaN": dict(WHOLE_SPEC, numerics={"step": NAN}),
+    "grid box NaN": dict(WHOLE_SPEC, numerics={"grid": {"box": [[NAN, 10.0], [-10.0, 10.0]]}}),
     "A NaN": dict(WHOLE_SPEC, A=[[NAN, -0.6], [0.6, 0.0]]),
     "A Infinity": dict(WHOLE_SPEC, A=[[0.0, -0.6], [0.6, INF]]),
     "A -Infinity": dict(WHOLE_SPEC, A=[[0.0, -INF], [0.6, 0.0]]),
@@ -669,6 +672,24 @@ class TestPlan:
         out = runner.invoke(main, ["plan", "staircase", spec,
                                    "--out-dir", str(tmp_path)])
         assert out.exit_code == 1
+
+    def test_has_no_seed_option(self, runner, tmp_path):
+        # no planner draws random numbers
+        spec = write_spec(tmp_path, WHOLE_SPEC)
+        out = runner.invoke(main, ["plan", "circle-hop", spec, "--seed", "3"])
+        assert out.exit_code == 2
+        assert "No such option" in out.output and "--seed" in out.output
+
+    @pytest.mark.parametrize("args", [["--v0", "1,2,3"], ["--v0", "2,1", "--u0", "0.5"]],
+                             ids=["v0 malformed", "u0 outside"])
+    def test_failed_plan_writes_nothing(self, runner, tmp_path, args):
+        spec = write_spec(tmp_path, WHOLE_SPEC)
+        out_dir = tmp_path / "out"
+        out = runner.invoke(main, ["plan", "circle-hop", spec, "--out-dir", str(out_dir),
+                                   *args])
+        assert out.exit_code == 1, out.output
+        assert out.output.startswith("Error:") and len(out.output.strip().splitlines()) == 1
+        assert not out_dir.exists()
 
     def test_fiber_sync_trivial(self, runner, tmp_path):
         spec = write_spec(tmp_path, dict(WHOLE_SPEC, A=[[-1.0, -0.3], [0.3, -1.0]]))

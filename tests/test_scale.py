@@ -1,24 +1,27 @@
-"""Verdicts under time rescaling.
+"""Verdicts, planners and rank-zero checks under rescaling.
 
 Scaling A, xi and the control range by c > 0 (alpha and eta fixed) is the
 time rescaling s -> c s of the system, so every verdict must be the one at
 c = 1.  A power of two scales every floating-point step exactly, which makes
-the property test below an exact check of scale freedom.
+the property tests below exact checks of scale freedom.  The planners are
+also checked under a rescaling of space (see the section on planners).
 """
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import solv3d.plan as plan
 from solv3d.cli import main
 from solv3d.covering import lift_control_set
 from solv3d.group import GroupVariant, SIMPLY_CONNECTED
 from solv3d.kernel2d import ThetaFamily, commutes, matrix_rank, trace_sign
-from solv3d.planar import ControlRange, PlanarSpec
+from solv3d.planar import ControlRange, PlanarSpec, equilibrium, planar_solution
 from solv3d.reach import classify, verify_classification
 from solv3d.system import InvariantField, LinearField, SystemSpec, nilrank
 
@@ -183,3 +186,156 @@ def test_rest_point_overlay_skips_controls_next_to_a_double_root(monkeypatch, tm
                                     "--budget", "200", "--horizon", "4"])
     assert out.exit_code == 0, out.output
     assert "<polyline" in (tmp_path / "out" / "reach.svg").read_text()
+
+
+# -- planners and rank-zero checks -------------------------------------------
+#
+# Space is rescaled by c = 2^k (eta, the starts and the targets, and the
+# staircase's drift coefficient), time by d = 2^j where the signature allows
+# (A, omega and the controls times d).  Durations then scale by exactly 1/d
+# and space errors by exactly c.
+
+ROTATION = ThetaFamily.spiral(0.0)
+_K = st.integers(-60, 60)
+_J = st.integers(-20, 20)
+_START = _VEC.filter(lambda v: v != (0.0, 0.0))
+
+
+@contextmanager
+def longest_schedule(bound):
+    """Fail as soon as integrate_projected is handed a schedule longer than
+    ``bound``, before it steps through it (at a fixed step of 1e-3)."""
+    real = plan.integrate_projected
+
+    def guarded(gamma, alpha, c, ctrl, *args, **kw):
+        assert ctrl.total_time <= bound, f"schedule of {ctrl.total_time:.3g} time units"
+        return real(gamma, alpha, c, ctrl, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plan, "integrate_projected", guarded)
+        yield
+
+
+def hop(k, j, v0, u0):
+    c, d = 2.0**k, 2.0**j
+    spec = PlanarSpec(0.6 * d * ROTATION.matrix(), ROTATION, [c, 0.0],
+                      ControlRange(-0.5 * d, 0.5 * d))
+    return plan.circle_hop(spec, c * np.asarray(v0), d * u0, (-0.5 * d, 0.5 * d))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(k=_K, j=_J, v0=_START, u0=st.sampled_from([-0.3, -0.1, 0.0, 0.15, 0.35]))
+# starts off the line of rest points: at 2^-40 an absolute on-line test took
+# them for on it, and at 2^-60 an absolute "already there" test returned an
+# empty schedule with error 0.0
+@example(k=-40, j=0, v0=(0.5, 0.5), u0=0.15)
+@example(k=-40, j=0, v0=(-0.25, 1.0), u0=0.15)
+@example(k=-60, j=0, v0=(2.0, 1.0), u0=0.15)
+def test_circle_hop_is_scale_free(k, j, v0, u0):
+    base, res = hop(0, 0, v0, u0), hop(k, j, v0, u0)
+    for got, want in ((res.control, base.control), (res.return_control, base.return_control)):
+        assert np.array_equal(got.durations * 2.0**j, want.durations)
+        assert np.array_equal(got.values, want.values * 2.0**j)
+    assert res.error == base.error * 2.0**k
+
+
+@pytest.mark.parametrize("planner", [plan.staircase, plan.half_staircase],
+                         ids=["staircase", "half"])
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(k=_K, j=st.integers(-3, 3), gamma=st.sampled_from([1.0, -1.0, 0.5, -0.25]),
+       c=st.integers(1, 8).map(lambda n: n / 4), x=_QUARTERS, y=_QUARTERS,
+       alpha=st.sampled_from([1.0, -1.0, 2.0, -0.5]),
+       omega=st.sampled_from([(-1.0, 1.0), (-0.5, 1.0), (-2.0, 0.25)]))
+# the rung margin was an absolute 1.0, so at 2^-20 the dwells grew to 1e6
+@example(k=-20, j=0, gamma=1.0, c=2.0, x=0.3, y=-0.4, alpha=1.0, omega=(-1.0, 1.0))
+def test_staircase_is_scale_free(planner, k, j, gamma, c, x, y, alpha, omega):
+    # a time rescaling speeds up t (through omega) and the drift (through c)
+    # alike; a space rescaling scales c, x and y
+    s, d = 2.0**k, 2.0**j
+    base = planner(gamma, alpha, c, x, y, ControlRange(*omega))
+    with longest_schedule(2.0 * base.control.total_time / d):
+        res = planner(gamma, alpha, c * s * d, x * s, y * s,
+                      ControlRange(omega[0] * d, omega[1] * d))
+    assert np.array_equal(res.control.durations * d, base.control.durations)
+    assert np.array_equal(res.control.values, base.control.values * d)
+    if j == 0:
+        # the re-integration steps the same times: t is unchanged, x scales
+        assert np.array_equal(res.achieved, base.achieved * [1.0, s])
+        assert np.array_equal(res.predicted, base.predicted * [1.0, s])
+
+
+FIBER = ([[-1.0, -1.0], [1.0, -1.0]], ControlRange(-1.0, 1.0))
+
+
+def fiber(k, v1, t2):
+    c = 2.0**k
+    spec = PlanarSpec(FIBER[0], ROTATION, [c, 0.0], FIBER[1])
+    r2 = equilibrium(spec, 0.5)
+    v2 = planar_solution(spec, 0.7, planar_solution(spec, 0.3, r2, -0.5), 0.5)
+    return plan.fiber_sync(spec, (0.0, c * np.asarray(v1)), (t2, v2), -0.5, 0.5)
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(k=_K, v1=_START, t2=st.integers(-8, 20).map(lambda n: n / 4))
+# at 2^-30 an absolute residual bound accepted boundary solves that missed
+# their targets
+@example(k=-30, v1=(1.5, -0.5), t2=3.0)
+def test_fiber_sync_is_scale_free(k, v1, t2):
+    base, res = fiber(0, v1, t2), fiber(k, v1, t2)
+    assert res.diagnostics["route"] == base.diagnostics["route"]
+    assert len(res.control) == len(base.control)
+    np.testing.assert_allclose(res.control.durations, base.control.durations, rtol=1e-12)
+    assert np.array_equal(res.control.values, base.control.values)
+
+
+@pytest.mark.parametrize("theta, xi, want", [
+    (ThetaFamily.jordan(), [1.0, 1.0], "InfiniteEmptyInterior"),
+    (ThetaFamily.diagonal(0.5), [1.0, 1.0], "InfiniteEmptyInterior"),
+    (ThetaFamily.spiral(1.0), [1.0, 0.0], "Controllable"),
+], ids=["jordan", "diagonal", "spiral"])
+@pytest.mark.parametrize("k", [-24, 24])
+def test_rank_zero_verdict_verifies_under_space_rescaling(theta, xi, want, k):
+    # A = 0: scaling xi scales v and keeps t, so the verdict and its check
+    # must not change; the identity return's staircase took 2e15 time units
+    # at 2^-24, and its endpoint missed an absolute 1e-5 bound at 2^24
+    sys = SystemSpec(theta, LinearField(np.zeros((2, 2)), 2.0**k * np.asarray(xi)),
+                     InvariantField(1.0, [0.0, 0.0]), ControlRange(-1.0, 1.0))
+    rep = classify(sys)
+    assert rep.taxonomy == want
+    # the c = 1 return schedules take 10-16 time units
+    with longest_schedule(100.0):
+        log = verify_classification(rep, sys)
+    assert log["ok"], log
+
+
+class TestCliAtSmallScale:
+    """The planner and the verification behind the CLI at a small xi."""
+
+    SPIRAL = {"theta": {"family": "spiral", "gamma": 1.0}, "A": [[0.0, 0.0], [0.0, 0.0]],
+              "alpha": 1.0, "eta": [0.0, 0.0], "omega": [-1.0, 1.0]}
+
+    def write(self, tmp_path, xi):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(self.SPIRAL, xi=xi)))
+        return str(path)
+
+    def test_plan_staircase(self, tmp_path):
+        # the staircase's drift coefficient is |theta^-1 xi|^2 = 2^-41, and x
+        # and y scale with it; the c = 1 plan takes about 15 time units
+        spec = self.write(tmp_path, [2.0**-20, 0.0])
+        x, y = 0.2 * 2.0**-41, -0.8 * 2.0**-41
+        with longest_schedule(100.0):
+            out = CliRunner().invoke(main, ["plan", "staircase", spec, "--out-dir",
+                                            str(tmp_path / "out"), f"--x={x!r}", f"--y={y!r}"])
+        assert out.exit_code == 0, out.output
+        report = json.loads((tmp_path / "out" / "plan_report.json").read_text())
+        assert report["plan"]["endpoint_error"] < 1e-6 * 2.0**-20
+
+    def test_classify_verifies_controllable(self, tmp_path):
+        spec = self.write(tmp_path, [2.0**-24, 0.0])
+        with longest_schedule(100.0):
+            out = CliRunner().invoke(main, ["classify", spec, "--out-dir", str(tmp_path)])
+        assert out.exit_code == 0, out.output
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["classification"]["taxonomy"] == "Controllable"
+        assert report["verification"]["ok"], report["verification"]
