@@ -115,6 +115,17 @@ class InputError(click.ClickException):
     exit_code = 1
 
 
+def _numbers(text: str, n: int, what: str) -> list[float]:
+    """The ``n`` finite numbers of the comma list ``text``, or a one-line InputError."""
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) != n or not all(map(math.isfinite, parts)):
+        raise InputError(f"{what} must be {n} comma-separated finite numbers, got {text!r}")
+    return parts
+
+
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -233,10 +244,7 @@ def _override_numerics(numerics: dict, *, seed=None, budget=None, horizon=None,
     if grid_res is not None:
         numerics["grid"]["resolution"] = grid_res
     if grid_box is not None:
-        try:
-            x0, x1, y0, y1 = (float(p) for p in grid_box.split(","))
-        except ValueError:
-            raise InputError(f"--grid-box must be 'x0,x1,y0,y1', got {grid_box!r}")
+        x0, x1, y0, y1 = _numbers(grid_box, 4, "--grid-box 'x0,x1,y0,y1'")
         numerics["grid"]["box"] = [[x0, x1], [y0, y1]]
     _validate(SPEC_SCHEMA["properties"]["numerics"], numerics, "numerics")
     box = numerics["grid"]["box"]
@@ -387,15 +395,9 @@ def _read_control_csv(path: str) -> PiecewiseControl:
                 line = line.strip()
                 if not line or (i == 0 and line.lower().startswith("duration")):
                     continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise InputError(f"{path}:{i + 1}: expected 'duration,value'")
-                s, u = float(parts[0]), float(parts[1])
-                if not (math.isfinite(s) and s > 0.0 and math.isfinite(u)):
-                    raise InputError(
-                        f"{path}:{i + 1}: expected a finite positive duration "
-                        "and a finite value"
-                    )
+                s, u = _numbers(line, 2, f"{path}:{i + 1}: 'duration,value'")
+                if not s > 0.0:
+                    raise InputError(f"{path}:{i + 1}: expected a positive duration")
                 pairs.append((s, u))
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read control schedule {path}: {exc}")
@@ -433,14 +435,8 @@ def cmd_simulate(spec_path, control_path, start, step, svg, out_dir, seed):
             f"{control_path}: step {numerics['step']!r} asks for more than "
             f"{MAX_SAMPLES} samples"
         )
-    for u in ctrl.values:
-        if not sys_spec.omega.contains(float(u)):
-            raise InputError(f"control value {u:g} outside the admissible range")
-    try:
-        t0, v1, v2 = (float(p) for p in start.split(","))
-        g0 = GroupElement(t0, np.array([v1, v2]))
-    except ValueError:
-        raise InputError(f"--start must be three finite numbers 't,v1,v2', got {start!r}")
+    t0, v1, v2 = _numbers(start, 3, "--start 't,v1,v2'")
+    g0 = GroupElement(t0, np.array([v1, v2]))
     try:
         traj = simulate(g0, ctrl, sys_spec, step=numerics["step"])
     except ValueError as exc:
@@ -547,11 +543,11 @@ def cmd_reach(spec_path, out_dir, seed, budget, horizon, grid_res, grid_box):
 @click.argument("planner", type=click.Choice(["circle-hop", "fiber-sync", "staircase"]))
 @click.argument("spec_path", type=click.Path(exists=True, dir_okay=False))
 @out_dir_option
-@click.option("--v0", default=None, help="circle-hop start point 'x,y'.")
+@click.option("--v0", default="3,0", show_default=True, help="circle-hop start point 'x,y'.")
 @click.option("--u0", type=float, default=0.0, show_default=True,
               help="circle-hop target control.")
-@click.option("--p1", default=None, help="fiber-sync start 't,x,y'.")
-@click.option("--p2", default=None, help="fiber-sync target 't,x,y'.")
+@click.option("--p1", default="0,0,0", show_default=True, help="fiber-sync start 't,x,y'.")
+@click.option("--p2", default="0,0,0", show_default=True, help="fiber-sync target 't,x,y'.")
 @click.option("--u-pair", default=None, help="fiber-sync dwell controls 'u1,u2'.")
 @click.option("--x", "x_val", type=float, default=0.0, show_default=True,
               help="staircase start coordinate.")
@@ -564,28 +560,19 @@ def cmd_plan(planner, spec_path, out_dir, v0, u0, p1, p2, u_pair, x_val, y_val):
     sys_spec, numerics, raw = load_spec(spec_path)
     _override_numerics(numerics)
 
-    def parse_vec(text, n, name):
-        try:
-            parts = [float(p) for p in text.split(",")]
-        except (AttributeError, ValueError):
-            raise InputError(f"--{name} must be {n} comma-separated numbers")
-        if len(parts) != n:
-            raise InputError(f"--{name} must be {n} comma-separated numbers")
-        return parts
-
     try:
         if planner == "circle-hop":
             spec = conjugate_to_planar(sys_spec).planar
-            start = np.array(parse_vec(v0 or "3,0", 2, "v0"))
+            start = np.array(_numbers(v0, 2, "--v0"))
             interval = omega_hat(spec).component_of_zero
             result = plan_mod.circle_hop(spec, start, u0, interval)
         elif planner == "fiber-sync":
             spec = conjugate_to_planar(sys_spec).planar
-            a = parse_vec(p1 or "0,0,0", 3, "p1")
-            b = parse_vec(p2 or "0,0,0", 3, "p2")
+            a = _numbers(p1, 3, "--p1")
+            b = _numbers(p2, 3, "--p2")
             lo, hi = omega_hat(spec).component_of_zero
             if u_pair is not None:
-                u1, u2 = parse_vec(u_pair, 2, "u-pair")
+                u1, u2 = _numbers(u_pair, 2, "--u-pair")
             else:
                 u1, u2 = 0.5 * lo, 0.5 * hi
             result = plan_mod.fiber_sync(

@@ -9,42 +9,22 @@ covering projection symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .group import GroupVariant
 from .kernel2d import ZERO_TOL
 from .planar import Trajectory
+from .reach import TAX_OPEN
 from .system import SystemSpec
 
 __all__ = [
-    "CoveringMap",
     "descend_check",
     "project_trajectory",
     "lift_trajectory",
     "lift_control_set",
 ]
-
-
-@dataclass(frozen=True)
-class CoveringMap:
-    """The quotient projection attached to a non-trivial group variant."""
-
-    variant: GroupVariant
-
-    def __post_init__(self):
-        if self.variant.tag == GroupVariant.SIMPLY_CONNECTED:
-            raise ValueError("the simply connected group has no covering quotient")
-
-    @property
-    def period(self) -> float:
-        return self.variant.period
-
-    @property
-    def wrapped_column(self) -> int:
-        """Index of the periodic coordinate in a (t, v1, v2) state row."""
-        return 0 if self.variant.tag == GroupVariant.SE2N else 2
 
 
 def descend_check(sys: SystemSpec) -> tuple[bool, str]:
@@ -70,10 +50,9 @@ def descend_check(sys: SystemSpec) -> tuple[bool, str]:
 
 def project_trajectory(sys: SystemSpec, traj: Trajectory) -> Trajectory:
     """Sample-wise canonical representatives in the quotient group."""
-    cm = CoveringMap(sys.variant)
+    k, period = sys.variant.wrapped_column, sys.variant.period
     states = np.array(traj.states, dtype=float, copy=True)
-    k = cm.wrapped_column
-    states[:, k] = np.mod(states[:, k], cm.period)
+    states[:, k] = np.mod(states[:, k], period)
     return replace(traj, states=states)
 
 
@@ -84,45 +63,50 @@ def lift_trajectory(sys: SystemSpec, traj: Trajectory) -> Trajectory:
     by more than half a period; the lift starting value is the first
     sample's canonical representative.
     """
-    cm = CoveringMap(sys.variant)
+    k, period = sys.variant.wrapped_column, sys.variant.period
     states = np.array(traj.states, dtype=float, copy=True)
-    k = cm.wrapped_column
-    states[:, k] = np.unwrap(states[:, k], period=cm.period)
+    states[:, k] = np.unwrap(states[:, k], period=period)
     return replace(traj, states=states)
+
+
+# the relation between a quotient control set and its lift, and the topology
+# it reports (None: no topology entry), for each rule of reach.classify on a
+# quotient group
+_LIFT = {
+    "rank-condition-failed": ("none: the rank condition fails", None),
+    "se2n/unique-lift": (
+        "the preimage of the quotient control set under the covering "
+        "projection is the unique control set upstairs",
+        None,
+    ),
+    "se2n/flat-cylinders": (
+        "infinite family of control sets with empty interior on the "
+        "cylinders C_r = {([t], v): <v, xi_hat> = r}",
+        None,
+    ),
+    "affcircle/trace-sign": (
+        "the quotient control set is the product of the affine-line "
+        "control set with the full circle; its preimage upstairs is "
+        "the unique control set of the lifted system",
+        lambda taxonomy: "open" if taxonomy == TAX_OPEN else "closed",
+    ),
+    "affcircle/trace-zero": (
+        "the quotient system is controllable while the lifted system "
+        "admits an infinite family of control sets with empty "
+        "interior, one per separating plane",
+        lambda taxonomy: "whole group downstairs, plane family upstairs",
+    ),
+}
 
 
 def lift_control_set(report, sys: SystemSpec) -> dict:
     """Symbolic relation between the quotient control set and its lift, read off the report."""
-    cm = CoveringMap(sys.variant)
     out = {
         "variant": sys.variant.tag,
-        "period": cm.period,
+        "period": sys.variant.period,
         "taxonomy": report.taxonomy,
     }
-    if report.rule == "rank-condition-failed":
-        out["relation"] = "none: the rank condition fails"
-    elif report.rule == "affcircle/trace-sign":
-        out["relation"] = (
-            "the quotient control set is the product of the affine-line "
-            "control set with the full circle; its preimage upstairs is "
-            "the unique control set of the lifted system"
-        )
-        out["topology"] = "open" if report.taxonomy == "UniqueControlSetOpen" else "closed"
-    elif report.rule == "affcircle/trace-zero":
-        out["relation"] = (
-            "the quotient system is controllable while the lifted system "
-            "admits an infinite family of control sets with empty "
-            "interior, one per separating plane"
-        )
-        out["topology"] = "whole group downstairs, plane family upstairs"
-    elif report.nilrank == 2:
-        out["relation"] = (
-            "the preimage of the quotient control set under the covering "
-            "projection is the unique control set upstairs"
-        )
-    else:
-        out["relation"] = (
-            "infinite family of control sets with empty interior on the "
-            "cylinders C_r = {([t], v): <v, xi_hat> = r}"
-        )
+    out["relation"], topology = _LIFT[report.rule]
+    if topology is not None:
+        out["topology"] = topology(report.taxonomy)
     return out

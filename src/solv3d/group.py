@@ -90,6 +90,12 @@ class GroupVariant:
             return 2.0 * np.pi
         raise ValueError("simply connected variant has no period")
 
+    @property
+    def wrapped_column(self) -> int:
+        """Index of the periodic coordinate in a (t, v1, v2) state row."""
+        self.period  # raises on the simply connected group
+        return 0 if self.tag == self.SE2N else 2
+
 
 SIMPLY_CONNECTED = GroupVariant(GroupVariant.SIMPLY_CONNECTED)
 
@@ -151,12 +157,9 @@ def project_H(a: GroupElement, w: np.ndarray, family: ThetaFamily) -> tuple[floa
 def quotient_map(a: GroupElement, variant: GroupVariant, family: ThetaFamily) -> QuotientElement:
     """Canonical representative of a in the quotient group of the variant."""
     variant.check_family(family)
-    period = variant.period
-    if variant.tag == GroupVariant.SE2N:
-        rep = GroupElement(a.t % period, a.v)
-    else:
-        rep = GroupElement(a.t, np.array([a.v[0], a.v[1] % period]))
-    return QuotientElement(rep, variant)
+    row = a.as_array()
+    row[variant.wrapped_column] %= variant.period
+    return QuotientElement(GroupElement(row[0], row[1:]), variant)
 
 
 def quotient_multiply(a: QuotientElement, b: QuotientElement, family: ThetaFamily) -> QuotientElement:

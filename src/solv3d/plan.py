@@ -64,6 +64,9 @@ G_CHECK_TOL = 1e-8
 SOLVE_TOL = 1e-10
 # least_squares's step, cost and gradient tolerances for those solves
 LSQ_TOL = 1e-15
+# where the separating certificate samples g, and how many samples it takes
+CERT_T_RANGE = (-10.0, 10.0)
+CERT_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -145,11 +148,7 @@ class SeparatingCertificate:
         return self.min_g >= -ZERO_TOL * float(np.max(np.abs(self.g_values)))
 
 
-def monotone_certificate(
-    sys,
-    t_range: tuple[float, float] = (-10.0, 10.0),
-    n_samples: int = 10_000,
-) -> SeparatingCertificate:
+def monotone_certificate(sys) -> SeparatingCertificate:
     """Certificate that a rank-zero drift only pushes across the plane family
     one way.
 
@@ -162,10 +161,10 @@ def monotone_certificate(
     if nilrank(sys) != 0:
         raise ValueError("monotone certificate applies to rank-zero drifts only")
     xh = xi_hat(sys.theta, sys.xi)
-    ts = np.linspace(t_range[0], t_range[1], n_samples)
+    ts = np.linspace(*CERT_T_RANGE, CERT_SAMPLES)
     closed = np.asarray(xh.g(ts), dtype=float)
     th = sys.theta_matrix
-    idx = np.linspace(0, n_samples - 1, 200).astype(int)
+    idx = np.linspace(0, CERT_SAMPLES - 1, 200).astype(int)
     direct = np.array([float(lambda_op(th, ts[i], sys.xi) @ xh.vector) for i in idx])
     if np.max(np.abs(direct - closed[idx])) > G_CHECK_TOL * np.max(np.abs(closed)):
         raise AssertionError("closed-form g disagrees with the integral operator")
@@ -309,15 +308,17 @@ def _connect_planar(
     from scipy import optimize
 
     # residuals in units of the size of the end points and of eta, so the
-    # solver's absolute gradient test and the acceptance hold at any scale
+    # solver's absolute gradient test and the acceptance hold at any scale;
+    # durations in units of 1 / |A|, so the fixed guesses and bound do too
     scale = float(np.max(np.abs([va, vb, spec.eta])))
     if scale == 0.0:
         return []  # every arc stays at va = vb = 0
+    unit = 1.0 / float(np.max(np.abs(spec.A)))
 
     def residual(s: np.ndarray) -> np.ndarray:
         v = va
         for si, ui in zip(s, controls):
-            v = planar_solution(spec, float(si), v, ui)
+            v = planar_solution(spec, float(si) * unit, v, ui)
         return (v - vb) / scale
 
     best = None
@@ -337,7 +338,7 @@ def _connect_planar(
     if best is None or best[0] > 10.0 * SOLVE_TOL:
         return None
     longest = float(np.max(best[1]))
-    return [(float(s), float(u)) for s, u in zip(best[1], controls)
+    return [(float(s) * unit, float(u)) for s, u in zip(best[1], controls)
             if s > ZERO_TOL * longest]
 
 
@@ -358,8 +359,8 @@ def fiber_sync(
     dwell times solve the remaining linear t-budget with nonnegative
     durations, u1 < 0 < u2 providing both signs.
     """
-    t1, v1 = float(p1[0]), check_finite(p1[1], "p1").reshape(2)
-    t2, v2 = float(p2[0]), check_finite(p2[1], "p2").reshape(2)
+    t1, t2, u1, u2 = check_finite([p1[0], p2[0], u1, u2], "t1, t2, u1, u2").tolist()
+    v1, v2 = check_finite(p1[1], "p1").reshape(2), check_finite(p2[1], "p2").reshape(2)
     if not (u1 < 0.0 < u2):
         raise ValueError("fiber_sync needs u1 < 0 < u2")
 
@@ -423,11 +424,8 @@ def fiber_sync(
 
 
 def _finish_fiber(spec, t1, v1, t2, v2, ctrl, diag) -> PlanResult:
-    v = v1
-    t = t1
-    for s, u in ctrl.pairs():
-        v = planar_solution(spec, s, v, u)
-        t += s * u
+    v, _ = concat_solution(spec, v1, ctrl)
+    t = sum((s * u for s, u in ctrl.pairs()), t1)
     achieved = np.array([t, v[0], v[1]])
     predicted = np.array([t2, v2[0], v2[1]])
     err = float(np.max(np.abs(achieved - predicted)))
@@ -497,6 +495,7 @@ def _staircase(gamma: float, alpha: float, c: float, stops, omega: ControlRange)
     The drift has a definite sign on both levels, and every step shares the
     rung, so the dwell durations solve linear rung equations exactly.
     """
+    check_finite(stops, "staircase stops")
     if gamma == 0.0:
         raise ValueError("staircase needs gamma != 0")
     if c <= 0.0 or alpha == 0.0:

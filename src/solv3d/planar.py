@@ -335,10 +335,8 @@ def exceptional_control(spec: PlanarSpec) -> float | None:
     return u0 if omega_hat(spec).contains(u0) else None
 
 
-def classify_planar(
-    spec: PlanarSpec, interval: tuple[float, float] | None = None
-) -> tuple[PlanarVerdict, dict]:
-    """Topological verdict for the control set over an admissible interval.
+def classify_planar(spec: PlanarSpec) -> tuple[PlanarVerdict, dict]:
+    """Topological verdict for the control set over the component of zero of omega_hat.
 
     The verdict follows the sign pattern of the linear function
     tr A(u) = tr A - u tr theta on the interval: positive means open,
@@ -346,9 +344,7 @@ def classify_planar(
     plane.  Requires det A(u) > 0 on the interval and raises DetSignError
     with the failing u otherwise.
     """
-    if interval is None:
-        interval = omega_hat(spec).component_of_zero
-    lo, hi = interval
+    lo, hi = omega_hat(spec).component_of_zero
     c2, c1, c0 = _det_a_of_u_coeffs(spec)
 
     # minimum of the det quadratic over [lo, hi], from its factored form

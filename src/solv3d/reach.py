@@ -66,6 +66,9 @@ N_CHUNKS = 8
 # the identity-return round trip may end off the identity fiber by this
 # fraction of how far it went
 RETURN_TOL = 1e-5
+# the WholeGroup check: the estimate must fill at least this share of the window
+FILL_WINDOW = ((-5.0, 5.0), (-5.0, 5.0))
+FILL_THRESHOLD = 0.99
 # whole chunks are sampled together up to this many trajectories: enough to
 # amortise numpy's per-call overhead, few enough that an arc's arrays stay
 # in cache (one uncapped 100k batch ran slower than 12.5k chunks)
@@ -525,8 +528,6 @@ def verify_classification(
     resolution: int = 64,
     seed: int = 0,
     box: tuple = ((-10.0, 10.0), (-10.0, 10.0)),
-    window: tuple = ((-5.0, 5.0), (-5.0, 5.0)),
-    fill_threshold: float = 0.99,
 ) -> dict:
     """Targeted numerical experiments against the taxonomy verdict.
 
@@ -563,9 +564,9 @@ def verify_classification(
                 ok_all &= reached
             add("far-starts-reach-estimate", ok_all, starts=10, radius=10.0)
         else:
-            fill = window_fill(grid, est.cells, window)
-            add("window-fill", fill >= fill_threshold, fill=fill,
-                threshold=fill_threshold)
+            fill = window_fill(grid, est.cells, FILL_WINDOW)
+            add("window-fill", fill >= FILL_THRESHOLD, fill=fill,
+                threshold=FILL_THRESHOLD)
         add("estimate-nonempty", est.diagnostics["estimate_cells"] > 0,
             **est.diagnostics)
     elif report.rule == "nilrank0/spiral-staircase":

@@ -306,7 +306,7 @@ def test_criterion_7_rank_zero_dichotomy():
         sys = make_system(theta, np.zeros((2, 2)), xi, 1.0, [0.0, 0.0])
         rep = classify(sys)
         assert rep.taxonomy == "InfiniteEmptyInterior"
-        cert = monotone_certificate(sys, n_samples=10_000)
+        cert = monotone_certificate(sys)
         assert cert.min_g >= -1e-12
         log = verify_classification(rep, sys)
         assert log["ok"], log

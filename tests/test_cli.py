@@ -423,10 +423,25 @@ FUZZ_FLAGS = {
     "--grid-box": (("reach",), 4, None),
     "--step": (("simulate",), 1, float),
     "--start": (("simulate",), 3, None),
+    "--v0": (("plan circle-hop",), 2, None),
+    "--u0": (("plan circle-hop",), 1, float),
+    "--p1": (("plan fiber-sync",), 3, None),
+    "--p2": (("plan fiber-sync",), 3, None),
+    "--u-pair": (("plan fiber-sync",), 2, None),
+    "--x": (("plan staircase",), 1, float),
+    "--y": (("plan staircase",), 1, float),
 }
 FUZZ_VALUES = ["nan", "inf", "-1", "0", "1e400", "abc"]
 # probes that are valid inputs for the flag, so there is nothing to reject
-FUZZ_VALID = {("--seed", "0"), ("--start", "-1"), ("--start", "0")}
+FUZZ_VALID = {("--seed", "0"), ("--start", "-1"), ("--start", "0"), ("--v0", "-1"),
+              ("--v0", "0"), ("--u0", "0"), ("--p1", "-1"), ("--p1", "0"), ("--p2", "-1"),
+              ("--p2", "0"), ("--x", "-1"), ("--x", "0"), ("--y", "-1"), ("--y", "0")}
+# the spec each command is fuzzed on, where it differs from WHOLE_SPEC: one
+# on which the command succeeds with valid flags
+FUZZ_SPECS = {
+    "plan fiber-sync": dict(WHOLE_SPEC, A=[[-1.0, -1.0], [1.0, -1.0]], omega=[-1.0, 1.0]),
+    "plan staircase": SPIRAL_CTRL_SPEC,
+}
 
 
 def _fuzz_cases():
@@ -435,6 +450,7 @@ def _fuzz_cases():
         probes = [(v, ",".join([v] * arity)) for v in FUZZ_VALUES
                   if (flag, v) not in FUZZ_VALID]
         probes.append(("arity", ",".join(["1"] * (2 if arity == 1 else arity - 1))))
+        probes.append(("empty", ""))
         for command in commands:
             for label, value in probes:
                 try:
@@ -451,8 +467,8 @@ class TestFlagFuzz:
     @pytest.mark.parametrize("command, flag, value, code", _fuzz_cases())
     def test_bad_flag_exits_with_one_error_line(self, runner, tmp_path, command, flag,
                                                 value, code):
-        spec = write_spec(tmp_path, WHOLE_SPEC)
-        args = [command, spec, "--out-dir", str(tmp_path / "out"), flag, value]
+        spec = write_spec(tmp_path, FUZZ_SPECS.get(command, WHOLE_SPEC))
+        args = [*command.split(), spec, "--out-dir", str(tmp_path / "out"), flag, value]
         if command == "simulate":
             args += ["--control", write_ctrl(tmp_path, [(1.0, 0.25)])]
         out = runner.invoke(main, args)
@@ -687,6 +703,17 @@ class TestPlan:
         out_dir = tmp_path / "out"
         out = runner.invoke(main, ["plan", "circle-hop", spec, "--out-dir", str(out_dir),
                                    *args])
+        assert out.exit_code == 1, out.output
+        assert out.output.startswith("Error:") and len(out.output.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
+    def test_fiber_sync_nan_start_time_writes_nothing(self, runner, tmp_path):
+        # a NaN in the start time alone, with a finite start point, is
+        # rejected before the planner could report a NaN endpoint error
+        spec = write_spec(tmp_path, FUZZ_SPECS["plan fiber-sync"])
+        out_dir = tmp_path / "out"
+        out = runner.invoke(main, ["plan", "fiber-sync", spec, "--out-dir", str(out_dir),
+                                   "--p1=nan,0,0"])
         assert out.exit_code == 1, out.output
         assert out.output.startswith("Error:") and len(out.output.strip().splitlines()) == 1
         assert not out_dir.exists()

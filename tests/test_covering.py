@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from solv3d.covering import (
-    CoveringMap,
     descend_check,
     lift_control_set,
     lift_trajectory,
@@ -34,16 +33,15 @@ def aff_system(A):
                       InvariantField(1.0, [0.0, 0.0]), OMEGA, AFF)
 
 
-class TestCoveringMap:
+class TestWrappedColumn:
     def test_rejects_simply_connected(self):
         with pytest.raises(ValueError):
-            CoveringMap(SIMPLY_CONNECTED)
+            SIMPLY_CONNECTED.wrapped_column
 
     def test_columns_and_periods(self):
-        cm = CoveringMap(GroupVariant(GroupVariant.SE2N, 3))
-        assert cm.wrapped_column == 0 and abs(cm.period - 6 * np.pi) < 1e-12
-        cm = CoveringMap(AFF)
-        assert cm.wrapped_column == 2 and abs(cm.period - 2 * np.pi) < 1e-12
+        var = GroupVariant(GroupVariant.SE2N, 3)
+        assert var.wrapped_column == 0 and abs(var.period - 6 * np.pi) < 1e-12
+        assert AFF.wrapped_column == 2 and abs(AFF.period - 2 * np.pi) < 1e-12
 
 
 class TestDescend:
@@ -164,3 +162,41 @@ class TestLiftControlSet:
         assert rep.rule == "rank-condition-failed"
         out = lift_control_set(rep, sys)
         assert out["relation"] == "none: the rank condition fails" and "topology" not in out
+
+    UNIQUE_LIFT = ("the preimage of the quotient control set under the covering "
+                   "projection is the unique control set upstairs")
+    CYLINDERS = ("infinite family of control sets with empty interior on the "
+                 "cylinders C_r = {([t], v): <v, xi_hat> = r}")
+    CIRCLE_PRODUCT = ("the quotient control set is the product of the affine-line "
+                      "control set with the full circle; its preimage upstairs is "
+                      "the unique control set of the lifted system")
+    CONTROLLABLE_DOWNSTAIRS = ("the quotient system is controllable while the lifted "
+                               "system admits an infinite family of control sets with "
+                               "empty interior, one per separating plane")
+
+    @pytest.mark.parametrize("sys, rule, want", [
+        (se2_system(), "se2n/unique-lift",
+         {"variant": "se2n", "taxonomy": "UniqueControlSetClosed", "relation": UNIQUE_LIFT}),
+        (SystemSpec(ROTATION, LinearField(np.zeros((2, 2)), [1.0, 0.0]),
+                    InvariantField(1.0, [0.0, 0.0]), OMEGA, SE2), "se2n/flat-cylinders",
+         {"variant": "se2n", "taxonomy": "InfiniteEmptyInterior", "relation": CYLINDERS}),
+        (aff_system(np.diag([1.0, 0.0])), "affcircle/trace-sign",
+         {"variant": "aff_circle", "taxonomy": "UniqueControlSetOpen",
+          "relation": CIRCLE_PRODUCT, "topology": "open"}),
+        (aff_system(np.diag([-1.0, 0.0])), "affcircle/trace-sign",
+         {"variant": "aff_circle", "taxonomy": "UniqueControlSetClosed",
+          "relation": CIRCLE_PRODUCT, "topology": "closed"}),
+        (aff_system(np.zeros((2, 2))), "affcircle/trace-zero",
+         {"variant": "aff_circle", "taxonomy": "Controllable",
+          "relation": CONTROLLABLE_DOWNSTAIRS,
+          "topology": "whole group downstairs, plane family upstairs"}),
+        (SystemSpec(DIAG0, LinearField(np.diag([1.0, 0.0]), [1.0, 1.0]),
+                    InvariantField(0.0, [0.0, 0.0]), OMEGA, AFF), "rank-condition-failed",
+         {"variant": "aff_circle", "taxonomy": "Unclassified",
+          "relation": "none: the rank condition fails"}),
+    ], ids=["se2n unique lift", "se2n flat cylinders", "aff open", "aff closed",
+            "aff trace zero", "aff rank failed"])
+    def test_golden_relation_for_every_quotient_rule(self, sys, rule, want):
+        rep = classify(sys)
+        assert rep.rule == rule
+        assert lift_control_set(rep, sys) == dict(want, period=2 * np.pi)

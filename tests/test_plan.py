@@ -182,6 +182,14 @@ class TestFiberSync:
         with pytest.raises(ValueError):
             fiber_sync(self.SPEC, (0.0, np.zeros(2)), (1.0, np.ones(2)), 0.2, 0.5)
 
+    @pytest.mark.parametrize("t1, t2, u1, u2", [
+        (np.nan, 1.0, -0.5, 0.5), (0.0, np.inf, -0.5, 0.5),
+        (0.0, 1.0, -np.inf, 0.5), (0.0, 1.0, -0.5, np.nan),
+    ], ids=["t1 nan", "t2 inf", "u1 -inf", "u2 nan"])
+    def test_rejects_non_finite_times_and_controls(self, t1, t2, u1, u2):
+        with pytest.raises(ValueError, match="finite"):
+            fiber_sync(self.SPEC, (t1, np.zeros(2)), (t2, np.ones(2)), u1, u2)
+
     def test_rejects_expanding_rest_point(self):
         sp = PlanarSpec(np.eye(2), ROTATION, [1.0, 0.0], ControlRange(-1, 1))
         with pytest.raises(ValueError):
@@ -202,6 +210,12 @@ class TestStaircase:
         first_half = PiecewiseControl.from_pairs(pairs[:5])
         mid = integrate_projected(gamma, 1.0, 1.5, first_half, 0.0, -0.2)
         assert abs(mid[0]) < 1e-6 and abs(mid[1] - 0.9) < 1e-6
+
+    @pytest.mark.parametrize("x, y", [(np.nan, 1.0), (0.0, np.inf)], ids=["x nan", "y inf"])
+    @pytest.mark.parametrize("planner", [staircase, half_staircase], ids=["loop", "half"])
+    def test_rejects_non_finite_stops(self, planner, x, y):
+        with pytest.raises(ValueError, match="finite"):
+            planner(1.0, 1.0, 2.0, x, y, ControlRange(-1, 1))
 
     def test_half_staircase(self):
         res = half_staircase(0.5, 2.0, 1.0, 1.2, -2.3, ControlRange(-0.5, 1.0))

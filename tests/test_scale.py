@@ -267,12 +267,13 @@ def test_staircase_is_scale_free(planner, k, j, gamma, c, x, y, alpha, omega):
 FIBER = ([[-1.0, -1.0], [1.0, -1.0]], ControlRange(-1.0, 1.0))
 
 
-def fiber(k, v1, t2):
-    c = 2.0**k
-    spec = PlanarSpec(FIBER[0], ROTATION, [c, 0.0], FIBER[1])
-    r2 = equilibrium(spec, 0.5)
-    v2 = planar_solution(spec, 0.7, planar_solution(spec, 0.3, r2, -0.5), 0.5)
-    return plan.fiber_sync(spec, (0.0, c * np.asarray(v1)), (t2, v2), -0.5, 0.5)
+def fiber(k, v1, t2, j=0):
+    c, d = 2.0**k, 2.0**j
+    spec = PlanarSpec(d * np.asarray(FIBER[0]), ROTATION, [c, 0.0],
+                      ControlRange(d * FIBER[1].u_min, d * FIBER[1].u_max))
+    r2 = equilibrium(spec, 0.5 * d)
+    v2 = planar_solution(spec, 0.7 / d, planar_solution(spec, 0.3 / d, r2, -0.5 * d), 0.5 * d)
+    return plan.fiber_sync(spec, (0.0, c * np.asarray(v1)), (t2, v2), -0.5 * d, 0.5 * d)
 
 
 @settings(derandomize=True, database=None, max_examples=12, deadline=None)
@@ -286,6 +287,21 @@ def test_fiber_sync_is_scale_free(k, v1, t2):
     assert len(res.control) == len(base.control)
     np.testing.assert_allclose(res.control.durations, base.control.durations, rtol=1e-12)
     assert np.array_equal(res.control.values, base.control.values)
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(j=st.integers(-20, 4), v1=_START, t2=st.integers(-8, 20).map(lambda n: n / 4))
+# the boundary solves started from fixed durations below an absolute bound
+# of 50, so at 2^-6 the transfer between the rest points was not found
+@example(j=-6, v1=(1.5, -0.5), t2=3.0)
+@example(j=-20, v1=(1.5, -0.5), t2=3.0)
+def test_fiber_sync_is_time_scale_free(j, v1, t2):
+    # A, the control range and the dwell controls times 2^j: durations scale
+    # by exactly 2^-j and the endpoints do not move
+    base, res = fiber(0, v1, t2), fiber(0, v1, t2, j)
+    assert np.array_equal(res.control.durations * 2.0**j, base.control.durations)
+    assert np.array_equal(res.control.values, base.control.values * 2.0**j)
+    assert np.array_equal(res.achieved, base.achieved) and res.error == base.error
 
 
 @pytest.mark.parametrize("theta, xi, want", [
