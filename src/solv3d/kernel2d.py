@@ -21,7 +21,6 @@ __all__ = [
     "DIAGONAL",
     "SPIRAL",
     "ThetaFamily",
-    "vec2",
     "mat2",
     "check_finite",
     "matrix_rank",
@@ -87,10 +86,6 @@ def trace_sign(M: np.ndarray) -> int:
     """Sign of tr M (1, -1, or 0 when it vanishes against the size of M)."""
     tr = float(np.trace(M))
     return 0 if abs(tr) <= ZERO_TOL * _size(M) else (1 if tr > 0.0 else -1)
-
-
-def vec2(x: float, y: float) -> np.ndarray:
-    return check_finite([x, y], "vector")
 
 
 def mat2(a: float, b: float, c: float, d: float) -> np.ndarray:

@@ -24,6 +24,7 @@ from .kernel2d import (
     ROT90,
     ZERO_TOL,
     ThetaFamily,
+    arc_matrices,
     check_finite,
     commutes,
     lambda_op,
@@ -35,9 +36,9 @@ from .planar import (
     ControlRange,
     PiecewiseControl,
     PlanarSpec,
+    a_of_u,
     concat_solution,
     equilibrium,
-    planar_solution,
 )
 
 __all__ = [
@@ -58,12 +59,16 @@ __all__ = [
 # bracket shrink for the H2 sign-change intervals, in radians
 EPSILON_BRACKET = 1e-3
 # accuracy acceptances, as fractions of the size of the data they check: the
-# closed-form g against the integral operator, and the residual at which a
-# multi-arc boundary solve stops searching (it accepts ten times that)
+# closed-form g against the integral operator, and the residual below which a
+# multi-arc boundary solve only polishes (it accepts ten times that)
 G_CHECK_TOL = 1e-8
 SOLVE_TOL = 1e-10
-# least_squares's step, cost and gradient tolerances for those solves
-LSQ_TOL = 1e-15
+# a boundary solve's starting durations and bound, in units of 1 / |A|, its
+# Gauss-Newton steps per start and its step halvings per line search
+SOLVE_GUESSES = (0.5, 1.5, 3.0)
+SOLVE_BOUND = 50.0
+SOLVE_STEPS = 60
+SOLVE_HALVINGS = 30
 # where the separating certificate samples g, and how many samples it takes
 CERT_T_RANGE = (-10.0, 10.0)
 CERT_SAMPLES = 10_000
@@ -300,64 +305,76 @@ def circle_hop(
 # -- fiber synchronization on the product system -----------------------------
 
 
-def _connect_planar(
-    spec: PlanarSpec, va: np.ndarray, vb: np.ndarray, controls: tuple[float, ...]
-) -> list[tuple[float, float]] | None:
-    """Durations making the multi-arc endpoint map hit vb, or None."""
-    # scipy.optimize takes about 0.5 s to import and only this planner uses it
-    from scipy import optimize
+def _connect_planar(spec: PlanarSpec, va: np.ndarray, vb: np.ndarray, first: float,
+                    last: float) -> list[tuple[float, float]] | None:
+    """Legs from va to vb with controls first, ..., last, or None.
 
+    The routes are tried shortest first: (first, last), (first, 0, last) and
+    the bang-bang (first, u_min, u_max, last) and (first, u_max, u_min, last).
+    A route's durations solve endpoint(s) = vb by damped Gauss-Newton from
+    fixed guesses, kept in [0, SOLVE_BOUND].  The derivative of the endpoint
+    by s_i is exact: the later arcs' e^{s_j A(u_j)} applied to the field
+    A(u_i) v_i + u_i eta at the end v_i of arc i.
+    """
     # residuals in units of the size of the end points and of eta, so the
-    # solver's absolute gradient test and the acceptance hold at any scale;
-    # durations in units of 1 / |A|, so the fixed guesses and bound do too
+    # acceptance holds at any scale; durations in units of 1 / |A|, so the
+    # fixed guesses and bound do too
     scale = float(np.max(np.abs([va, vb, spec.eta])))
     if scale == 0.0:
         return []  # every arc stays at va = vb = 0
     unit = 1.0 / float(np.max(np.abs(spec.A)))
 
-    def residual(s: np.ndarray) -> np.ndarray:
-        v = va
+    def miss(s: np.ndarray, controls: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The scaled endpoint residual and its derivative by s."""
+        v, cols = va, []
         for si, ui in zip(s, controls):
-            v = planar_solution(spec, float(si) * unit, v, ui)
-        return (v - vb) / scale
+            Au = a_of_u(spec, ui)
+            E, W = arc_matrices(Au, si * unit)
+            v = E @ v + W @ (ui * spec.eta)
+            # each later arc carries the earlier arcs' end fields along
+            cols = [E @ c for c in cols] + [Au @ v + ui * spec.eta]
+        return (v - vb) / scale, np.transpose(cols) * (unit / scale)
 
-    best = None
-    rng = np.random.default_rng(0)
-    guesses = [np.full(len(controls), g) for g in (0.5, 1.5, 3.0)]
-    guesses += [rng.uniform(0.05, 6.0, size=len(controls)) for _ in range(12)]
-    for g in guesses:
-        sol = optimize.least_squares(
-            residual, g, bounds=(np.zeros(len(controls)), np.full(len(controls), 50.0)),
-            xtol=LSQ_TOL, ftol=LSQ_TOL, gtol=LSQ_TOL,
-        )
-        r = float(np.hypot(*sol.fun))
-        if best is None or r < best[0]:
-            best = (r, sol.x)
-        if r <= SOLVE_TOL:
-            break
-    if best is None or best[0] > 10.0 * SOLVE_TOL:
-        return None
-    longest = float(np.max(best[1]))
-    return [(float(s) * unit, float(u)) for s, u in zip(best[1], controls)
-            if s > ZERO_TOL * longest]
+    lo, hi = spec.omega.u_min, spec.omega.u_max
+    for controls in ((first, last), (first, 0.0, last), (first, lo, hi, last),
+                     (first, hi, lo, last)):
+        for g in SOLVE_GUESSES:
+            s = np.full(len(controls), g)
+            r, J = miss(s, controls)
+            for _ in range(SOLVE_STEPS):
+                # a duration at a bound that the gradient pushes past stays there
+                grad = J.T @ r
+                free = ~(((s <= 0.0) & (grad > 0.0)) | ((s >= SOLVE_BOUND) & (grad < 0.0)))
+                step = np.zeros_like(s)
+                step[free] = np.linalg.lstsq(J[:, free], -r, rcond=None)[0]
+                # below SOLVE_TOL only full steps, which polish the solve to rounding
+                for k in range(SOLVE_HALVINGS if np.hypot(*r) > SOLVE_TOL else 1):
+                    trial = np.clip(s + step / 2**k, 0.0, SOLVE_BOUND)
+                    r_trial, J_trial = miss(trial, controls)
+                    if np.hypot(*r_trial) < np.hypot(*r):
+                        break
+                else:
+                    break  # no step along the Gauss-Newton direction decreases the miss
+                s, r, J = trial, r_trial, J_trial
+            if np.hypot(*r) <= 10.0 * SOLVE_TOL:
+                longest = float(np.max(s))
+                return [(float(si) * unit, float(u)) for si, u in zip(s, controls)
+                        if si > ZERO_TOL * longest]
+    return None
 
 
-def fiber_sync(
-    spec: PlanarSpec,
-    p1: tuple[float, np.ndarray],
-    p2: tuple[float, np.ndarray],
-    u1: float,
-    u2: float,
-) -> PlanResult:
+def fiber_sync(spec: PlanarSpec, p1: tuple[float, np.ndarray], p2: tuple[float, np.ndarray],
+               u1: float, u2: float) -> PlanResult:
     """Steer the product system t' = u, v' = (A - u*theta) v + u*eta between
     two prescribed (t, v) pairs.
 
     The v-component is routed through the rest points v(u1) and v(u2): a
     long contraction arc lands on v(u1), dwells there (which moves only t,
     since rest points are fixed in v), transfers to v(u2), dwells again, and
-    finally solves a two-arc boundary problem into the target v.  The two
-    dwell times solve the remaining linear t-budget with nonnegative
-    durations, u1 < 0 < u2 providing both signs.
+    finally connects into the target v; the transfer and the connection
+    are boundary problems of ``_connect_planar``.  The two dwell times solve
+    the remaining linear t-budget with nonnegative durations, u1 < 0 < u2
+    providing both signs.
     """
     t1, t2, u1, u2 = check_finite([p1[0], p2[0], u1, u2], "t1, t2, u1, u2").tolist()
     v1, v2 = check_finite(p1[1], "p1").reshape(2), check_finite(p2[1], "p2").reshape(2)
@@ -390,34 +407,17 @@ def fiber_sync(
         )
     # forty time constants: the start is forgotten to e^-40 of its distance
     contract_T = 40.0 / rate
-    legs: list[tuple[float, float]] = [(contract_T, u1)]
-    t_spent = contract_T * u1
-
-    transfer = _connect_planar(spec, r1, r2, (u2, u1))
-    if transfer is None:
-        transfer = _connect_planar(spec, r1, r2, (u2, 0.0, u1))
+    transfer = _connect_planar(spec, r1, r2, u2, u1)
     if transfer is None:
         raise RuntimeError("fiber_sync: no transfer between the rest points found")
-    final = _connect_planar(spec, r2, v2, (u1, u2))
-    if final is None:
-        final = _connect_planar(spec, r2, v2, (u2, u1))
+    final = _connect_planar(spec, r2, v2, u1, u2)
     if final is None:
         raise RuntimeError("fiber_sync: no final connection into the target found")
-    t_spent += sum(s * u for s, u in transfer) + sum(s * u for s, u in final)
-
-    need = (t2 - t1) - t_spent
+    need = (t2 - t1) - sum(s * u for s, u in [(contract_T, u1), *transfer, *final])
     # dwell d1 at v(u1) (rate u1 < 0) and d2 at v(u2) (rate u2 > 0)
-    if need >= 0.0:
-        d1, d2 = 0.0, need / u2
-    else:
-        d1, d2 = need / u1, 0.0
-    if d1 > 0.0:
-        legs.append((d1, u1))
-    legs += transfer
-    if d2 > 0.0:
-        legs.append((d2, u2))
-    legs += final
-    ctrl = PiecewiseControl.from_pairs(legs)
+    d1, d2 = (0.0, need / u2) if need >= 0.0 else (need / u1, 0.0)
+    legs = [(contract_T, u1), (d1, u1), *transfer, (d2, u2), *final]
+    ctrl = PiecewiseControl.from_pairs([(s, u) for s, u in legs if s > 0.0])
     return _finish_fiber(
         spec, t1, v1, t2, v2, ctrl, {"route": "equilibrium-dwell", "dwells": (d1, d2)}
     )
@@ -528,32 +528,22 @@ def _staircase(gamma: float, alpha: float, c: float, stops, omega: ControlRange)
     ctrl = PiecewiseControl.from_pairs([(s, u) for s, u in itinerary if s > 0.0])
     achieved = integrate_projected(gamma, alpha, c, ctrl, 0.0, stops[0])
     predicted = np.array([0.0, stops[-1]])
-    err = float(np.max(np.abs(achieved - predicted)))
+    # each residual against its own coordinate's scale: the largest |t| level
+    # and the largest |x| among the stops and rungs
+    err = float(np.max(np.abs(achieved - predicted) / [t_up, np.max(np.abs([*stops, z1, z2]))]))
     return PlanResult(ctrl, predicted, achieved, err, diagnostics={
         "levels": (t_dn, t_up), "rungs": (z1, z2), "dwells": tuple(dwells)})
 
 
-def staircase(
-    gamma: float,
-    alpha: float,
-    c: float,
-    x: float,
-    y: float,
-    omega: ControlRange,
-) -> PlanResult:
+def staircase(gamma: float, alpha: float, c: float, x: float, y: float,
+              omega: ControlRange) -> PlanResult:
     """Closed loop (0, x) -> (0, y) -> (0, x) for the projected system
     t' = u*alpha, x' = c e^{gamma t} sin t."""
     return _staircase(gamma, alpha, c, (x, y, x), omega)
 
 
-def half_staircase(
-    gamma: float,
-    alpha: float,
-    c: float,
-    x: float,
-    y: float,
-    omega: ControlRange,
-) -> PlanResult:
+def half_staircase(gamma: float, alpha: float, c: float, x: float, y: float,
+                   omega: ControlRange) -> PlanResult:
     """One-way connector (0, x) -> (0, y): the first five legs of a staircase
     with its own rung."""
     return _staircase(gamma, alpha, c, (x, y), omega)

@@ -197,11 +197,6 @@ def _det_a_of_u_coeffs(spec: PlanarSpec) -> tuple[float, float, float]:
     return c2, c1, c0
 
 
-def det_a_of_u(spec: PlanarSpec, u: float) -> float:
-    c2, c1, c0 = _det_a_of_u_coeffs(spec)
-    return c2 * u * u + c1 * u + c0
-
-
 def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
     """Real roots of c2 u^2 + c1 u + c0 in closed form, sorted; a double root once."""
     if c2 == 0.0:

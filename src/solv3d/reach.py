@@ -48,7 +48,6 @@ __all__ = [
     "control_set_estimate",
     "classify",
     "verify_classification",
-    "convergence_diagnostic",
     "window_fill",
     "grid_to_csv",
     "grid_to_pgm",
@@ -105,12 +104,9 @@ class ReachGrid:
         return xs, ys
 
     def cell_of(self, v: np.ndarray) -> tuple[int, int] | None:
-        (x0, x1), (y0, y1) = self.box
-        ix = int(np.floor((v[0] - x0) / (x1 - x0) * self.resolution))
-        iy = int(np.floor((v[1] - y0) / (y1 - y0) * self.resolution))
-        if 0 <= ix < self.resolution and 0 <= iy < self.resolution:
-            return ix, iy
-        return None
+        """The cell holding v, or None outside the box (or for NaN)."""
+        fx, fy, inside = _cells(v[0], v[1], self.box, self.resolution)
+        return (int(fx), int(fy)) if inside else None
 
 
 @dataclass(frozen=True)
@@ -328,29 +324,6 @@ def window_fill(grid: ReachGrid, cells: np.ndarray, window: tuple) -> float:
     in_y = (ys >= wy0) & (ys <= wy1)
     sub = cells[np.ix_(in_x, in_y)]
     return float(np.mean(sub)) if sub.size else 0.0
-
-
-def convergence_diagnostic(
-    spec: PlanarSpec,
-    v0: np.ndarray,
-    T: float,
-    budgets: tuple[int, ...],
-    seed: int = 0,
-    **kw,
-) -> list[dict]:
-    """Occupancy deltas between successive budgets (stabilization indicator)."""
-    out = []
-    prev = None
-    for b in budgets:
-        g = reach_sets(spec, v0, T, b, seed=seed, **kw)
-        occ = int(np.sum(g.forward))
-        out.append({
-            "budget": int(b),
-            "forward_cells": occ,
-            "delta": None if prev is None else occ - prev,
-        })
-        prev = occ
-    return out
 
 
 # -- classification ----------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .group import GroupElement, GroupVariant, SIMPLY_CONNECTED
-from .kernel2d import (RANK_TOL, ThetaFamily, arc_matrices, check_finite, commutes, lambda_op,
+from .kernel2d import (ThetaFamily, arc_matrices, check_finite, commutes, lambda_op,
                        matrix_rank, rank_product)
 from .planar import ControlRange, PiecewiseControl, PlanarSpec, Trajectory, planar_solution
 
@@ -28,7 +28,6 @@ __all__ = [
     "InvariantField",
     "SystemSpec",
     "RankCertificate",
-    "SpectrumReport",
     "PlanarReduction",
     "derivation_matrix",
     "drift_flow",
@@ -37,7 +36,6 @@ __all__ = [
     "larc",
     "adrank",
     "nilrank",
-    "derivation_spectrum",
     "normalize_eta",
     "normalize_xi",
     "conjugate_to_planar",
@@ -160,24 +158,6 @@ def adrank(sys: SystemSpec) -> RankCertificate:
 def nilrank(sys: SystemSpec) -> int:
     """Rank of the drift matrix A (0, 1 or 2)."""
     return matrix_rank(sys.A)
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Eigenvalues of the derivation and the stable/central/unstable split."""
-
-    eigenvalues: tuple[complex, ...]
-    dim_unstable: int
-    dim_central: int
-    dim_stable: int
-
-
-def derivation_spectrum(sys: SystemSpec) -> SpectrumReport:
-    eigs = [0.0 + 0.0j] + [complex(z) for z in np.linalg.eigvals(sys.A)]
-    tol = RANK_TOL * float(np.max(np.abs(sys.A)))
-    plus = sum(1 for z in eigs if z.real > tol)
-    minus = sum(1 for z in eigs if z.real < -tol)
-    return SpectrumReport(tuple(eigs), plus, 3 - plus - minus, minus)
 
 
 # -- conjugations ------------------------------------------------------------

@@ -16,6 +16,8 @@ from jsonschema.validators import validator_for
 import solv3d
 from solv3d import reach
 from solv3d.cli import SPEC_SCHEMA, main, report_schema
+from solv3d.kernel2d import ThetaFamily
+from solv3d.planar import ControlRange, PlanarSpec, equilibrium, planar_solution
 
 OPEN_SPEC = {
     "theta": {"family": "spiral", "gamma": 0.0},
@@ -567,13 +569,12 @@ class TestStartup:
               "solv3d.covering"]
 
     @staticmethod
-    def run_classify(spec: str, out_dir: str) -> dict:
+    def run_cli(args: list[str]) -> dict:
         code = f"""
 import json, sys
 from solv3d.cli import main
 try:
-    main(["classify", {spec!r}, "--no-verify", "--out-dir", {out_dir!r}],
-         standalone_mode=False)
+    main({args!r}, standalone_mode=False)
     error = None
 except Exception as exc:
     error = exc.format_message()
@@ -581,6 +582,9 @@ print(json.dumps({{"error": error, "modules": sorted(sys.modules)}}))
 """
         # the last line; a successful command prints its verdict first
         return json.loads(run_python(code).splitlines()[-1])
+
+    def run_classify(self, spec: str, out_dir: str) -> dict:
+        return self.run_cli(["classify", spec, "--no-verify", "--out-dir", out_dir])
 
     def loaded(self, modules: list[str]) -> list[str]:
         return [name for name in self.UNUSED
@@ -592,6 +596,21 @@ print(json.dumps({{"error": error, "modules": sorted(sys.modules)}}))
         assert result["error"] is None
         assert (out_dir / "report.json").exists()
         assert self.loaded(result["modules"]) == []
+
+    def test_fiber_sync_does_not_load_scipy(self, tmp_path):
+        # the generic transfer of the library's fiber_sync tests: xi = 0
+        # keeps the planar eta at (1, 0)
+        sp = PlanarSpec([[-1.0, -1.0], [1.0, -1.0]], ThetaFamily.spiral(0.0), [1.0, 0.0],
+                        ControlRange(-1.0, 1.0))
+        v2 = planar_solution(sp, 0.7, planar_solution(sp, 0.3, equilibrium(sp, 0.5), -0.5), 0.5)
+        spec = write_spec(tmp_path, dict(FUZZ_SPECS["plan fiber-sync"], xi=[0.0, 0.0]))
+        out_dir = tmp_path / "out"
+        result = self.run_cli(["plan", "fiber-sync", spec, "--out-dir", str(out_dir),
+                               "--p1=0,1.5,-0.5", "--p2=3,{!r},{!r}".format(*v2.tolist())])
+        assert result["error"] is None
+        report = json.loads((out_dir / "plan_report.json").read_text())
+        assert report["plan"]["endpoint_error"] < 1e-9
+        assert not [m for m in result["modules"] if m.split(".")[0] == "scipy"]
 
     def test_malformed_spec_loads_jsonschema_for_its_message(self, tmp_path):
         raw = dict(OPEN_SPEC, omega=[-0.5])
@@ -727,6 +746,18 @@ class TestPlan:
         assert out.exit_code == 0, out.output
         report = json.loads((tmp_path / "plan_report.json").read_text())
         assert report["plan"]["endpoint_error"] == 0.0
+
+    @pytest.mark.parametrize("p1", ["1,2,3", "0,0.5,0"])
+    def test_fiber_sync_slow_rotation(self, runner, tmp_path, p1):
+        # a drift rotating slowly about its rest points; both runs exited 1
+        # with "no transfer between the rest points found"
+        spec = write_spec(tmp_path, dict(WHOLE_SPEC, A=[[-1.0, -0.3], [0.3, -1.0]],
+                                         xi=[0.0, 0.0]))
+        out = runner.invoke(main, ["plan", "fiber-sync", spec, "--out-dir", str(tmp_path),
+                                   f"--p1={p1}"])
+        assert out.exit_code == 0, out.output
+        report = json.loads((tmp_path / "plan_report.json").read_text())
+        assert report["plan"]["endpoint_error"] < 1e-9
 
 
 class TestDeterminism:

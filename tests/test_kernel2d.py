@@ -16,7 +16,6 @@ from solv3d.kernel2d import (
     mat2,
     rot90,
     theta_matrix,
-    vec2,
 )
 from solv3d.planar import ControlRange, PlanarSpec, planar_solution
 
@@ -64,10 +63,6 @@ class TestFamilies:
 
 
 class TestConstructors:
-    def test_vec2_rejects_nan(self):
-        with pytest.raises(ValueError):
-            vec2(np.nan, 0.0)
-
     def test_mat2_rejects_inf(self):
         with pytest.raises(ValueError):
             mat2(1.0, np.inf, 0.0, 1.0)

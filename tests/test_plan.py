@@ -178,6 +178,17 @@ class TestFiberSync:
                          (-25.0, equilibrium(self.SPEC, -0.5)), -0.5, 0.5)
         assert res.error < 1e-9
 
+    @pytest.mark.parametrize("p1", [(1.0, [2.0, 3.0]), (0.0, [0.5, 0.0])],
+                             ids=["far start", "near start"])
+    def test_slow_rotation(self, p1):
+        # the rest points v(-0.4) and v(0.4) of a slowly rotating drift: a
+        # boundary solve without the endpoint's derivative found no transfer
+        # between them from any of its 15 starts
+        sp = PlanarSpec([[-1.0, -0.3], [0.3, -1.0]], ROTATION, [1.0, 0.0],
+                        ControlRange(-0.5, 0.5))
+        res = fiber_sync(sp, (p1[0], np.array(p1[1])), (0.0, np.zeros(2)), -0.4, 0.4)
+        assert res.error < 1e-9
+
     def test_rejects_bad_control_signs(self):
         with pytest.raises(ValueError):
             fiber_sync(self.SPEC, (0.0, np.zeros(2)), (1.0, np.ones(2)), 0.2, 0.5)

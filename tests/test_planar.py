@@ -13,7 +13,6 @@ from solv3d.planar import (
     a_of_u,
     classify_planar,
     concat_solution,
-    det_a_of_u,
     equilibrium,
     equilibrium_derivative,
     exceptional_control,
@@ -21,7 +20,7 @@ from solv3d.planar import (
     openness_certificate,
     planar_solution,
 )
-from solv3d.planar import _quadratic_factored, _quadratic_roots
+from solv3d.planar import _det_a_of_u_coeffs, _quadratic_factored, _quadratic_roots
 
 
 def spec_spiral(A=None, eta=(1.0, 0.0), omega=(-1.0, 1.0)):
@@ -83,8 +82,9 @@ class TestBasics:
     def test_det_polynomial(self):
         sp = spec_spiral()
         rng = np.random.default_rng(20)
+        c2, c1, c0 = _det_a_of_u_coeffs(sp)
         for u in rng.uniform(-3, 3, size=20):
-            assert abs(det_a_of_u(sp, u) - np.linalg.det(a_of_u(sp, u))) < 1e-12
+            assert abs(c2 * u * u + c1 * u + c0 - np.linalg.det(a_of_u(sp, u))) < 1e-12
 
 
 class TestEquilibrium:

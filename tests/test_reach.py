@@ -23,7 +23,6 @@ from solv3d.reach import (
     ReachGrid,
     classify,
     control_set_estimate,
-    convergence_diagnostic,
     grid_to_csv,
     grid_to_pgm,
     reach_sets,
@@ -61,6 +60,8 @@ class TestGrids:
         g = reach_sets(closed_planar(), np.zeros(2), 2.0, 100, resolution=8)
         assert g.cell_of(np.array([0.1, 0.1])) == (4, 4)
         assert g.cell_of(np.array([50.0, 0.0])) is None
+        for bad in ([np.nan, 0.1], [0.1, np.nan], [np.inf, 0.1], [0.1, -np.inf]):
+            assert g.cell_of(np.array(bad)) is None
 
     def test_determinism(self):
         sp = closed_planar()
@@ -125,12 +126,6 @@ class TestEstimate:
     def test_window_fill_full(self):
         g = reach_sets(closed_planar(), np.zeros(2), 2.0, 100, resolution=8)
         assert window_fill(g, np.ones((8, 8), bool), ((-5, 5), (-5, 5))) == 1.0
-
-    def test_convergence_diagnostic(self):
-        sp = closed_planar()
-        rows = convergence_diagnostic(sp, np.zeros(2), 4.0, (200, 400), seed=0)
-        assert rows[0]["delta"] is None
-        assert rows[1]["delta"] == rows[1]["forward_cells"] - rows[0]["forward_cells"]
 
 
 class TestExports:

@@ -262,6 +262,7 @@ def test_staircase_is_scale_free(planner, k, j, gamma, c, x, y, alpha, omega):
         # the re-integration steps the same times: t is unchanged, x scales
         assert np.array_equal(res.achieved, base.achieved * [1.0, s])
         assert np.array_equal(res.predicted, base.predicted * [1.0, s])
+        assert res.error == base.error
 
 
 FIBER = ([[-1.0, -1.0], [1.0, -1.0]], ControlRange(-1.0, 1.0))

@@ -13,7 +13,6 @@ from solv3d.system import (
     adrank,
     conjugate_to_planar,
     derivation_matrix,
-    derivation_spectrum,
     drift_flow,
     field_values,
     larc,
@@ -54,12 +53,6 @@ class TestSpec:
         assert nilrank(make(th, np.diag([1.0, 2.0]), [0, 0], 1, [0, 0])) == 2
         assert nilrank(make(th, np.diag([1.0, 0.0]), [0, 0], 1, [0, 0])) == 1
         assert nilrank(make(th, np.zeros((2, 2)), [0, 0], 1, [0, 0])) == 0
-
-    def test_spectrum_split(self):
-        sys = make(ThetaFamily.diagonal(1.0), np.diag([1.0, -1.0]), [0, 0], 1, [0, 0])
-        rep = derivation_spectrum(sys)
-        assert (rep.dim_unstable, rep.dim_central, rep.dim_stable) == (1, 1, 1)
-        assert 0.0 + 0.0j in rep.eigenvalues
 
 
 class TestDriftFlow:
