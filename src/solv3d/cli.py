@@ -26,8 +26,6 @@ from .system import (
     LinearField,
     SystemSpec,
     conjugate_to_planar,
-    larc,
-    nilrank,
     simulate,
 )
 
@@ -471,8 +469,12 @@ def cmd_simulate(spec_path, control_path, start, step, svg, out_dir, seed):
             (float(pts[:, 1].min() - pad), float(pts[:, 1].max() + pad)),
         )
         elements = [_svg_polyline(pts, box, "#225599")]
-        if nilrank(sys_spec) == 2 and larc(sys_spec).holds:
-            elements.append(_equilibrium_overlay(conjugate_to_planar(sys_spec).planar, box))
+        try:
+            planar = conjugate_to_planar(sys_spec).planar
+        except ValueError:
+            pass  # no planar reduction, so no rest-point curve
+        else:
+            elements.append(_equilibrium_overlay(planar, box))
         svg_path = os.path.join(out_dir, "trajectory.svg")
         write_svg(svg_path, elements, box)
         click.echo(f"wrote {svg_path}")
@@ -489,7 +491,9 @@ def cmd_simulate(spec_path, control_path, start, step, svg, out_dir, seed):
 def cmd_reach(spec_path, out_dir, seed, budget, horizon, grid_res, grid_box):
     """Estimate planar reachable sets and the control set; write CSV/PGM/SVG."""
     sys_spec, numerics, raw = load_spec(spec_path)
-    if nilrank(sys_spec) < 2 or not larc(sys_spec).holds:
+    try:
+        spec = conjugate_to_planar(sys_spec).planar
+    except ValueError:
         raise InputError(
             "reach needs an invertible drift matrix and the rank condition "
             "(the planar reduction is undefined otherwise)"
@@ -497,7 +501,6 @@ def cmd_reach(spec_path, out_dir, seed, budget, horizon, grid_res, grid_box):
     _override_numerics(numerics, seed=seed, budget=budget, horizon=horizon,
                        grid_res=grid_res, grid_box=grid_box)
 
-    spec = conjugate_to_planar(sys_spec).planar
     box = tuple(map(tuple, numerics["grid"]["box"]))
     grid = reach_mod.reach_sets(
         spec, np.zeros(2), numerics["horizon"], numerics["budget"],
@@ -561,34 +564,23 @@ def cmd_plan(planner, spec_path, out_dir, v0, u0, p1, p2, u_pair, x_val, y_val):
     _override_numerics(numerics)
 
     try:
-        if planner == "circle-hop":
-            spec = conjugate_to_planar(sys_spec).planar
-            start = np.array(_numbers(v0, 2, "--v0"))
-            interval = omega_hat(spec).component_of_zero
-            result = plan_mod.circle_hop(spec, start, u0, interval)
-        elif planner == "fiber-sync":
-            spec = conjugate_to_planar(sys_spec).planar
-            a = _numbers(p1, 3, "--p1")
-            b = _numbers(p2, 3, "--p2")
-            lo, hi = omega_hat(spec).component_of_zero
-            if u_pair is not None:
-                u1, u2 = _numbers(u_pair, 2, "--u-pair")
-            else:
-                u1, u2 = 0.5 * lo, 0.5 * hi
-            result = plan_mod.fiber_sync(
-                spec, (a[0], np.array(a[1:])), (b[0], np.array(b[1:])), u1, u2
-            )
+        if planner == "staircase":
+            c = plan_mod.staircase_fiber(sys_spec)[1]
+            result = plan_mod.staircase(sys_spec.theta.gamma, sys_spec.alpha, c, x_val, y_val,
+                                        sys_spec.omega)
         else:
-            if sys_spec.theta.tag != "spiral" or sys_spec.theta.gamma == 0.0:
-                raise InputError(
-                    "staircase needs the spiral family with a nonzero "
-                    "scaling part (gamma != 0)"
+            spec = conjugate_to_planar(sys_spec).planar
+            lo, hi = omega_hat(spec).component_of_zero
+            if planner == "circle-hop":
+                start = np.array(_numbers(v0, 2, "--v0"))
+                result = plan_mod.circle_hop(spec, start, u0, (lo, hi))
+            else:
+                a = _numbers(p1, 3, "--p1")
+                b = _numbers(p2, 3, "--p2")
+                u1, u2 = (0.5 * lo, 0.5 * hi) if u_pair is None else _numbers(u_pair, 2, "--u-pair")
+                result = plan_mod.fiber_sync(
+                    spec, (a[0], np.array(a[1:])), (b[0], np.array(b[1:])), u1, u2
                 )
-            th_inv_xi = np.linalg.solve(sys_spec.theta_matrix, sys_spec.xi)
-            c = float(th_inv_xi @ th_inv_xi)
-            result = plan_mod.staircase(
-                sys_spec.theta.gamma, sys_spec.alpha, c, x_val, y_val, sys_spec.omega
-            )
     except (ValueError, RuntimeError) as exc:
         raise InputError(f"{planner}: {exc}")
 

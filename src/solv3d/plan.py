@@ -24,10 +24,10 @@ from .kernel2d import (
     ROT90,
     ZERO_TOL,
     ThetaFamily,
+    arc,
     arc_matrices,
     check_finite,
     commutes,
-    lambda_op,
     rank_product,
     rot90,
     trace_sign,
@@ -40,6 +40,7 @@ from .planar import (
     concat_solution,
     equilibrium,
 )
+from .system import nilrank
 
 __all__ = [
     "PlanResult",
@@ -50,6 +51,7 @@ __all__ = [
     "fiber_sync",
     "staircase",
     "half_staircase",
+    "staircase_fiber",
     "integrate_projected",
     "h_functions",
     "h2_zero",
@@ -137,20 +139,32 @@ def xi_hat(theta: ThetaFamily, xi: np.ndarray) -> XiHat:
     return XiHat(v, "diagonal", g_fn)
 
 
+def _never_negative(values: np.ndarray) -> bool:
+    """No value lies below -ZERO_TOL times the largest magnitude."""
+    return float(np.min(values)) >= -ZERO_TOL * float(np.max(np.abs(values)))
+
+
 @dataclass(frozen=True)
 class SeparatingCertificate:
     """Numerical evidence that the planes <v, xi_hat> = c are never crossed
-    downward by the flow: the sampled pairing g(t) stays nonnegative."""
+    downward by the flow: the pairing g(t) stays nonnegative in its closed
+    form ``g_values`` and as ``swept`` from the integral operator."""
 
     xi_hat: XiHat
     t_samples: np.ndarray
     g_values: np.ndarray
     min_g: float
+    swept: np.ndarray
 
     @property
     def holds(self) -> bool:
-        """No sample of g lies below -ZERO_TOL times the largest |g|."""
-        return self.min_g >= -ZERO_TOL * float(np.max(np.abs(self.g_values)))
+        """No closed-form sample of g lies below -ZERO_TOL times the largest |g|."""
+        return _never_negative(self.g_values)
+
+    @property
+    def sweep_holds(self) -> bool:
+        """The same test on ``swept``, the rate of <v, xi_hat> when eta = 0."""
+        return _never_negative(self.swept)
 
 
 def monotone_certificate(sys) -> SeparatingCertificate:
@@ -158,22 +172,20 @@ def monotone_certificate(sys) -> SeparatingCertificate:
     one way.
 
     Samples g(t) = <Lambda_t^theta xi, xi_hat> both from the closed form and
-    from the integral operator itself, keeping the pointwise minimum so a
-    defect in either evaluation shows up.
+    from the integral operator (one batched ``arc``), and checks that they
+    agree at every sample, so a defect in either evaluation shows up.
     """
-    from .system import nilrank  # local import to avoid a cycle
-
     if nilrank(sys) != 0:
         raise ValueError("monotone certificate applies to rank-zero drifts only")
     xh = xi_hat(sys.theta, sys.xi)
     ts = np.linspace(*CERT_T_RANGE, CERT_SAMPLES)
     closed = np.asarray(xh.g(ts), dtype=float)
-    th = sys.theta_matrix
-    idx = np.linspace(0, CERT_SAMPLES - 1, 200).astype(int)
-    direct = np.array([float(lambda_op(th, ts[i], sys.xi) @ xh.vector) for i in idx])
-    if np.max(np.abs(direct - closed[idx])) > G_CHECK_TOL * np.max(np.abs(closed)):
+    _, (w00, w01, w10, w11) = arc(*sys.theta_matrix.ravel().tolist(), ts)
+    (x0, x1), (h0, h1) = sys.xi, xh.vector
+    swept = (w00 * x0 + w01 * x1) * h0 + (w10 * x0 + w11 * x1) * h1
+    if np.max(np.abs(swept - closed)) > G_CHECK_TOL * np.max(np.abs(closed)):
         raise AssertionError("closed-form g disagrees with the integral operator")
-    return SeparatingCertificate(xh, ts, closed, float(np.min(closed)))
+    return SeparatingCertificate(xh, ts, closed, float(np.min(closed)), swept)
 
 
 # -- circle hopping (pure rotation planar case) ------------------------------
@@ -374,7 +386,8 @@ def fiber_sync(spec: PlanarSpec, p1: tuple[float, np.ndarray], p2: tuple[float, 
     finally connects into the target v; the transfer and the connection
     are boundary problems of ``_connect_planar``.  The two dwell times solve
     the remaining linear t-budget with nonnegative durations, u1 < 0 < u2
-    providing both signs.
+    providing both signs.  A(u1) must contract, and so must A(u2) when its
+    dwell is positive, or the dwell would magnify the solves' residual.
     """
     t1, t2, u1, u2 = check_finite([p1[0], p2[0], u1, u2], "t1, t2, u1, u2").tolist()
     v1, v2 = check_finite(p1[1], "p1").reshape(2), check_finite(p2[1], "p2").reshape(2)
@@ -397,16 +410,8 @@ def fiber_sync(spec: PlanarSpec, p1: tuple[float, np.ndarray], p2: tuple[float, 
             ctrl = PiecewiseControl.from_pairs([((t2 - t1) / u, u)] if t2 != t1 else [])
             return _finish_fiber(spec, t1, v1, t2, v2, ctrl, {"route": "dwell-only"})
 
-    A_u1 = spec.A - u1 * spec.theta_matrix
-    eigs = np.linalg.eigvals(A_u1)
-    rate = -float(np.max(eigs.real))
-    if rate <= ZERO_TOL * float(np.max(np.abs(A_u1))):
-        raise ValueError(
-            "fiber_sync needs a contracting rest point at u1 "
-            f"(eigenvalue real parts {eigs.real})"
-        )
     # forty time constants: the start is forgotten to e^-40 of its distance
-    contract_T = 40.0 / rate
+    contract_T = 40.0 / _contraction_rate(spec, u1, "u1")
     transfer = _connect_planar(spec, r1, r2, u2, u1)
     if transfer is None:
         raise RuntimeError("fiber_sync: no transfer between the rest points found")
@@ -416,11 +421,27 @@ def fiber_sync(spec: PlanarSpec, p1: tuple[float, np.ndarray], p2: tuple[float, 
     need = (t2 - t1) - sum(s * u for s, u in [(contract_T, u1), *transfer, *final])
     # dwell d1 at v(u1) (rate u1 < 0) and d2 at v(u2) (rate u2 > 0)
     d1, d2 = (0.0, need / u2) if need >= 0.0 else (need / u1, 0.0)
+    if d2 > 0.0:
+        _contraction_rate(spec, u2, "u2")
     legs = [(contract_T, u1), (d1, u1), *transfer, (d2, u2), *final]
     ctrl = PiecewiseControl.from_pairs([(s, u) for s, u in legs if s > 0.0])
     return _finish_fiber(
         spec, t1, v1, t2, v2, ctrl, {"route": "equilibrium-dwell", "dwells": (d1, d2)}
     )
+
+
+def _contraction_rate(spec: PlanarSpec, u: float, name: str) -> float:
+    """-max Re eig A(u), or a ValueError when A(u) does not contract: the
+    largest real part must lie below -ZERO_TOL |A(u)|."""
+    Au = a_of_u(spec, u)
+    eigs = np.linalg.eigvals(Au)
+    rate = -float(np.max(eigs.real))
+    if rate <= ZERO_TOL * float(np.max(np.abs(Au))):
+        raise ValueError(
+            f"fiber_sync needs a contracting rest point at {name} "
+            f"(eigenvalue real parts {eigs.real})"
+        )
+    return rate
 
 
 def _finish_fiber(spec, t1, v1, t2, v2, ctrl, diag) -> PlanResult:
@@ -547,6 +568,21 @@ def half_staircase(gamma: float, alpha: float, c: float, x: float, y: float,
     """One-way connector (0, x) -> (0, y): the first five legs of a staircase
     with its own rung."""
     return _staircase(gamma, alpha, c, (x, y), omega)
+
+
+def staircase_fiber(sys) -> tuple[np.ndarray, float]:
+    """The axis R theta^{-1} xi and rate c = |theta^{-1} xi|^2 of the fiber
+    coordinate x = <v, R theta^{-1} xi>, which moves by x' = c e^{gamma t} sin t
+    when eta = 0.  Requires the spiral family with gamma != 0 and nilrank 0.
+    """
+    if sys.theta.tag != SPIRAL or sys.theta.gamma == 0.0:
+        raise ValueError(
+            "staircase needs the spiral family with a nonzero scaling part (gamma != 0)"
+        )
+    if nilrank(sys) != 0:
+        raise ValueError("staircase needs a rank-zero drift (A = 0)")
+    th_inv_xi = np.linalg.solve(sys.theta_matrix, sys.xi)
+    return rot90(th_inv_xi), float(th_inv_xi @ th_inv_xi)
 
 
 # -- the H1/H2 oscillation functions -----------------------------------------

@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .group import GroupVariant
-from .kernel2d import SPIRAL, ZERO_TOL, arc, rot90, trace_sign
+from .group import GroupVariant, identity
+from .kernel2d import SPIRAL, arc, trace_sign
 from .planar import (
     DetSignError,
+    PiecewiseControl,
     PlanarSpec,
     PlanarVerdict,
     classify_planar,
@@ -37,6 +38,8 @@ from .system import (
     conjugate_to_planar,
     larc,
     nilrank,
+    normalize_eta,
+    simulate,
 )
 
 __all__ = [
@@ -513,8 +516,7 @@ def verify_classification(
         checks.append({"name": name, "ok": bool(ok), **_jsonable(data)})
 
     if report.taxonomy in (TAX_OPEN, TAX_CLOSED, TAX_WHOLE) and report.nilrank == 2:
-        red = conjugate_to_planar(sys)
-        spec = red.planar
+        spec = conjugate_to_planar(sys).planar
         grid = reach_sets(
             spec, np.zeros(2), horizon, budget, box=box, resolution=resolution, seed=seed
         )
@@ -550,7 +552,7 @@ def verify_classification(
 
         cert = monotone_certificate(sys)
         add("monotone-certificate", cert.holds, min_g=cert.min_g)
-        add("pairing-never-decreases", _pairing_monotone(sys, cert, seed))
+        add("pairing-never-decreases", cert.sweep_holds)
     else:
         add("symbolic-only", True,
             note="no numerical experiment wired for this branch")
@@ -583,21 +585,13 @@ def _identity_return_error(sys: SystemSpec, seed: int) -> float:
     lands, each coordinate as a fraction of the largest value it took on
     the way.
     """
-    from .group import identity
-    from .plan import half_staircase
-    from .planar import PiecewiseControl
-    from .system import normalize_eta, simulate
+    from .plan import _bang_for, half_staircase, staircase_fiber
 
     if np.max(np.abs(sys.eta)) > 0.0:
         # the input direction conjugates away without changing xi (A = 0),
         # and the conjugation fixes the identity fiber
         sys = normalize_eta(sys)[0]
-    gamma = sys.theta.gamma
-    th = sys.theta_matrix
-    xi = sys.xi
-    th_inv_xi = np.linalg.solve(th, xi)
-    axis = rot90(th_inv_xi)
-    c = float(th_inv_xi @ th_inv_xi)
+    axis, c = staircase_fiber(sys)
 
     rng = np.random.default_rng(seed)
     excursion = PiecewiseControl.from_pairs([
@@ -607,45 +601,17 @@ def _identity_return_error(sys: SystemSpec, seed: int) -> float:
     legs = excursion.pairs()
     t_now = sum(s * u * sys.alpha for s, u in legs)
     # bring t back to 0 with one bang leg
-    u_back = sys.omega.u_min if t_now * sys.alpha > 0.0 else sys.omega.u_max
-    s_back = t_now / (-u_back * sys.alpha)
-    legs.append((s_back, u_back))
+    u_back = _bang_for(-t_now, sys.alpha, sys.omega)
+    legs.append((t_now / (-u_back * sys.alpha), u_back))
 
     mid = simulate(identity(), PiecewiseControl.from_pairs(legs), sys, step=1e-3)
     x_mid = float(mid.final_state[1:] @ axis)
-    plan = half_staircase(gamma, sys.alpha, c, x_mid, 0.0, sys.omega)
+    plan = half_staircase(sys.theta.gamma, sys.alpha, c, x_mid, 0.0, sys.omega)
     legs += plan.control.pairs()
     traj = simulate(identity(), PiecewiseControl.from_pairs(legs), sys, step=1e-3)
     t = np.abs(traj.states[:, 0])
     x = np.abs(traj.states[:, 1:] @ axis)
     return float(max(t[-1] / np.max(t), x[-1] / np.max(x)))
-
-
-def _pairing_rates(sys: SystemSpec, xh: np.ndarray, seed: int) -> np.ndarray:
-    """d/ds <v(s), xh> at 10 000 random (t, u) with t in [-8, 8], u in Omega.
-
-    With a rank-zero drift the v-rate is Lambda_t^theta xi + u rho_t eta, so
-    the pairing rate only depends on (t, u); sampling covers both densely.
-    One batched ``arc`` gives every rho_t and Lambda_t.  The columns of
-    ``rng.random((n, 2))`` are the draws that interleaved scalar ``uniform``
-    calls for t and u would make, scaled the same way.
-    """
-    r = np.random.default_rng(seed).random((10_000, 2))
-    t = -8.0 + 16.0 * r[:, 0]
-    u = sys.omega.u_min + (sys.omega.u_max - sys.omega.u_min) * r[:, 1]
-    rho, lam = (np.stack(m, axis=-1).reshape(-1, 2, 2)
-                for m in arc(*sys.theta_matrix.ravel().tolist(), t))
-    return (lam @ sys.xi + u[:, None] * (rho @ sys.eta)) @ xh
-
-
-def _pairing_monotone(sys: SystemSpec, cert, seed: int) -> bool:
-    """The pairing rate along random constant-control arcs is nowhere below
-    -ZERO_TOL times its largest magnitude."""
-    # eta contributes a bounded oscillation; the certificate concerns xi only
-    if np.max(np.abs(sys.eta)) > 0.0:
-        return cert.holds
-    rates = _pairing_rates(sys, cert.xi_hat.vector, seed)
-    return float(np.min(rates)) >= -ZERO_TOL * float(np.max(np.abs(rates)))
 
 
 # -- exports -----------------------------------------------------------------

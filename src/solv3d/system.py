@@ -219,46 +219,48 @@ class PlanarReduction:
     """Planar data of a full-nilrank system plus the coordinate maps.
 
     ``to_planar`` sends a group element (t, v) to product coordinates
-    (t, rho_{-t}(v + Lambda_t^theta A^{-1} xi)); ``from_planar`` inverts it.
-    The planar control value is the original control times alpha.
+    (t, rho_{-t}(v + Lambda_t^theta shift)) with shift = A^{-1} xi, the
+    translation of ``normalize_xi``; ``from_planar`` inverts it.  The planar
+    control value is the original control times alpha.
     """
 
     planar: PlanarSpec
-    alpha: float
     sys: SystemSpec
+    shift: np.ndarray
 
     def to_planar(self, g: GroupElement) -> tuple[float, np.ndarray]:
         # rho_{-t} Lambda_t^theta = -Lambda_{-t}^theta: one pair at -t gives both terms
         rho, lam = arc_matrices(self.sys.theta_matrix, -g.t)
-        return g.t, rho @ g.v - lam @ np.linalg.solve(self.sys.A, self.sys.xi)
+        return g.t, rho @ g.v - lam @ self.shift
 
     def from_planar(self, t: float, v: np.ndarray) -> GroupElement:
         rho, lam = arc_matrices(self.sys.theta_matrix, t)
-        return GroupElement(t, rho @ v - lam @ np.linalg.solve(self.sys.A, self.sys.xi))
+        return GroupElement(t, rho @ v - lam @ self.shift)
 
 
 def conjugate_to_planar(sys: SystemSpec) -> PlanarReduction:
-    """Reduce a full-nilrank system to the planar control-affine system.
+    """Reduce a full-nilrank system to the planar control-affine system, or
+    raise ValueError below nilrank 2 or without the rank condition.
 
-    The planar system (in controls already rescaled by alpha) is
-    v' = (A - u theta) v + u eta_hat / alpha with eta_hat = eta + alpha A^{-1} xi.
-    Its plane is the quotient of the group by the drift singularities, so the
-    second planar coordinate of ``to_planar`` agrees with project_S when
-    xi = 0.
+    The reduction is ``normalize_xi`` followed by the plane projection: the
+    planar system (in controls already rescaled by alpha) is
+    v' = (A - u theta) v + u eta_hat / alpha, with eta_hat = eta + alpha A^{-1} xi
+    the normalized input.  Its plane is the quotient of the group by the
+    drift singularities, so the second planar coordinate of ``to_planar``
+    agrees with project_S when xi = 0.
     """
     if nilrank(sys) < 2:
         raise ValueError("planar reduction needs nilrank 2")
-    cert = larc(sys)
-    if not cert.holds:
+    if not larc(sys).holds:
         raise ValueError("planar reduction needs the rank condition (alpha != 0)")
-    eta_hat = sys.eta + sys.alpha * np.linalg.solve(sys.A, sys.xi)
+    normal, psi = normalize_xi(sys)
     planar = PlanarSpec(
         A=sys.A,
         theta=sys.theta,
-        eta=eta_hat / sys.alpha,
+        eta=normal.eta / sys.alpha,
         omega=sys.omega.scaled(sys.alpha),
     )
-    return PlanarReduction(planar, sys.alpha, sys)
+    return PlanarReduction(planar, sys, psi.delta)
 
 
 # -- simulation --------------------------------------------------------------
@@ -289,7 +291,7 @@ def _rk4_arc(g: GroupElement, u: float, duration: float, sys: SystemSpec, step: 
 def _exact_arc(red: PlanarReduction, g: GroupElement, u: float, duration: float, step: float):
     """Closed-form constant-control arc through the planar conjugation."""
     t0, v0 = red.to_planar(g)
-    us = u * red.alpha
+    us = u * red.sys.alpha
     n_steps = max(1, int(np.ceil(duration / step)))
     samples = []
     for i in range(1, n_steps + 1):
@@ -307,9 +309,9 @@ def simulate(
 ) -> Trajectory:
     """Concatenated constant-control arcs from g.
 
-    Full-nilrank systems satisfying the rank condition are integrated
-    exactly through the planar conjugation; everything else uses fixed-step
-    classical 4th-order integration.  Samples are recorded at every step and
+    Systems with a planar reduction (``conjugate_to_planar``) are integrated
+    exactly through it; everything else uses fixed-step classical
+    4th-order integration.  Samples are recorded at every step and
     at every switch.
     """
     if step <= 0.0:
@@ -318,9 +320,10 @@ def simulate(
         if not sys.omega.contains(u):
             raise ValueError(f"control value {u:g} outside the admissible range")
 
-    red = None
-    if nilrank(sys) == 2 and larc(sys).holds:
+    try:
         red = conjugate_to_planar(sys)
+    except ValueError:
+        red = None  # no planar reduction: fixed-step integration
 
     times = [0.0]
     states = [g.as_array()]

@@ -703,10 +703,36 @@ class TestPlan:
         assert report["plan"]["endpoint_error"] < 1e-6
 
     def test_staircase_needs_scaling_spiral(self, runner, tmp_path):
-        spec = write_spec(tmp_path, WHOLE_SPEC)
-        out = runner.invoke(main, ["plan", "staircase", spec,
-                                   "--out-dir", str(tmp_path)])
-        assert out.exit_code == 1
+        # a rotation family, and a scaling spiral whose drift has rank 2: the
+        # staircase's fiber equation x' = c e^{gamma t} sin t holds for neither
+        out_dir = tmp_path / "out"
+        for raw in (WHOLE_SPEC, dict(SPIRAL_CTRL_SPEC, A=[[1.0, 0.0], [0.0, 1.0]])):
+            spec = write_spec(tmp_path, raw)
+            out = runner.invoke(main, ["plan", "staircase", spec, "--out-dir", str(out_dir),
+                                       "--x", "0.2", "--y", "0.7"])
+            assert out.exit_code == 1, out.output
+            assert out.output.startswith("Error:") and len(out.output.strip().splitlines()) == 1
+            assert not out_dir.exists()
+        spec = write_spec(tmp_path, SPIRAL_CTRL_SPEC)
+        out = runner.invoke(main, ["plan", "staircase", spec, "--out-dir", str(out_dir),
+                                   "--x", "0.2", "--y", "0.7"])
+        assert out.exit_code == 0, out.output
+
+    def test_fiber_sync_rejects_expanding_dwell(self, runner, tmp_path):
+        # the dwell at v(u2) would last 406 time units on an expanding A(u2)
+        raw = {"theta": {"family": "spiral", "gamma": -0.5},
+               "A": [[0.24, 0.74], [-0.74, 0.24]], "xi": [0.0, 0.0], "alpha": 1.0,
+               "eta": [2.56, 0.95], "omega": [-1.0, 1.0]}
+        sp = PlanarSpec(raw["A"], ThetaFamily.spiral(-0.5), raw["eta"], ControlRange(-1, 1))
+        spec = write_spec(tmp_path, raw)
+        out_dir = tmp_path / "out"
+        out = runner.invoke(main, ["plan", "fiber-sync", spec, "--out-dir", str(out_dir),
+                                   "--u-pair=-0.68,0.68", "--p1=0,-0.34,0.62",
+                                   "--p2=-2.09,{!r},{!r}".format(*equilibrium(sp, 0.68).tolist())])
+        assert out.exit_code == 1, out.output
+        assert out.output.startswith("Error:") and len(out.output.strip().splitlines()) == 1
+        assert "u2" in out.output
+        assert not out_dir.exists()
 
     def test_has_no_seed_option(self, runner, tmp_path):
         # no planner draws random numbers

@@ -203,8 +203,16 @@ class TestFiberSync:
 
     def test_rejects_expanding_rest_point(self):
         sp = PlanarSpec(np.eye(2), ROTATION, [1.0, 0.0], ControlRange(-1, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at u1"):
             fiber_sync(sp, (0.0, np.zeros(2)), (1.0, np.ones(2)), -0.5, 0.5)
+        # A(u1) contracts but A(u2) does not (eigenvalues 0.58 +- 1.42i), and
+        # the t-budget asks for a long dwell at v(u2)
+        sp = PlanarSpec([[0.24, 0.74], [-0.74, 0.24]], ThetaFamily.spiral(-0.5),
+                        [2.56, 0.95], ControlRange(-1, 1))
+        target = (-2.09, equilibrium(sp, 0.68))
+        with pytest.raises(ValueError, match="at u2") as exc:
+            fiber_sync(sp, (0.0, np.array([-0.34, 0.62])), target, -0.68, 0.68)
+        assert len(str(exc.value).splitlines()) == 1
 
 
 class TestStaircase:

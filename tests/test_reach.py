@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from solv3d.group import GroupVariant
-from solv3d.kernel2d import ThetaFamily, arc, arc_matrices
+from solv3d.kernel2d import ThetaFamily, arc, lambda_op
 from solv3d.planar import ControlRange, PlanarSpec
 from solv3d.reach import (
     N_CHUNKS,
@@ -18,8 +18,6 @@ from solv3d.reach import (
     _entry_index,
     _mark,
     ClassificationReport,
-    _pairing_monotone,
-    _pairing_rates,
     ReachGrid,
     classify,
     control_set_estimate,
@@ -289,21 +287,6 @@ class TestConnectivity:
             assert np.max(np.abs(end - b)) < 1e-6
 
 
-def _scalar_pairing(sys, cert, seed):
-    """The pairing sweep drawn and evaluated one sample at a time (oracle)."""
-    rng = np.random.default_rng(seed)
-    rates = []
-    for _ in range(10_000):
-        t = rng.uniform(-8.0, 8.0)
-        u = rng.uniform(sys.omega.u_min, sys.omega.u_max)
-        rho, lam = arc_matrices(sys.theta_matrix, t)
-        rates.append(float((lam @ sys.xi + u * (rho @ sys.eta)) @ cert.xi_hat.vector))
-    rates = np.array(rates)
-    if np.max(np.abs(sys.eta)) == 0.0:
-        return rates, bool(rates.min() >= -1e-12)
-    return rates, bool(cert.min_g >= -1e-12)
-
-
 class TestPairingSweep:
     SYSTEMS = [
         (ThetaFamily.jordan(), (0.0, 0.0), OMEGA),
@@ -320,22 +303,17 @@ class TestPairingSweep:
         sys = SystemSpec(theta, LinearField(np.zeros((2, 2)), [1.0, 1.0]),
                          InvariantField(1.0, eta), omega)
         cert = monotone_certificate(sys)
-        for seed in (0, 3):
-            scalar, verdict = _scalar_pairing(sys, cert, seed)
-            batched = _pairing_rates(sys, cert.xi_hat.vector, seed)
-            scale = np.maximum(1.0, np.abs(scalar))
-            assert np.max(np.abs(batched - scalar) / scale) <= 1e-13
-            assert abs(batched.min() - scalar.min()) <= 1e-13 * max(1.0, abs(scalar.min()))
-            assert _pairing_monotone(sys, cert, seed) == verdict
-
-    def test_block_draws_equal_interleaved_scalar_draws(self):
-        lo, hi = -1.0, 2.0
-        block = np.random.default_rng(11).random((10_000, 2))
-        rng = np.random.default_rng(11)
-        scalar = np.array([(rng.uniform(-8.0, 8.0), rng.uniform(lo, hi))
-                           for _ in range(10_000)])
-        assert np.array_equal(-8.0 + 16.0 * block[:, 0], scalar[:, 0])
-        assert np.array_equal(lo + (hi - lo) * block[:, 1], scalar[:, 1])
+        # the certificate's one batched sweep against scalar lambda_op, one
+        # sample time at a time
+        scalar = np.array([float(lambda_op(sys.theta_matrix, t, sys.xi) @ cert.xi_hat.vector)
+                           for t in cert.t_samples])
+        scale = np.maximum(1.0, np.abs(scalar))
+        assert np.max(np.abs(cert.swept - scalar) / scale) <= 1e-13
+        verdict = bool(scalar.min() >= -1e-12 * np.max(np.abs(scalar)))
+        assert cert.sweep_holds == verdict
+        log = verify_classification(classify(sys), sys)
+        oks = {c["name"]: c["ok"] for c in log["checks"]}
+        assert oks == {"monotone-certificate": cert.holds, "pairing-never-decreases": verdict}
 
 
 def _chunk_direction(spec, v0, T, n_traj, rng, bitmap, box, res, sign,

@@ -1,5 +1,7 @@
 """Tests for system specs, rank conditions, conjugations and the simulator."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,17 @@ class TestSimulate:
             arr = _rk4_arc(y, u, d, sys, 1e-3)[-1]
             y = GroupElement(arr[0], arr[1:])
         assert np.max(np.abs(exact - y.as_array())) < 1e-8
+
+    def test_exact_path_solves_for_the_shift_once(self):
+        # A^{-1} xi is solved by normalize_xi when the reduction is built,
+        # not again for every arc and sample
+        sys = make(ThetaFamily.spiral(0.0), np.eye(2), [1.0, 0.0], 1.0, [0.0, 0.0],
+                   ControlRange(-0.5, 0.5))
+        ctrl = PiecewiseControl.from_pairs([(0.5, 0.3), (0.5, -0.4)])
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+            traj = simulate(GroupElement(0.0, [0.2, -0.1]), ctrl, sys)
+        assert len(traj.times) == 1001
+        assert solve.call_count <= 1
 
     def test_first_coordinate_integrates_control(self):
         sys = spiral_system()
