@@ -421,11 +421,11 @@ def _write_control_csv(path: str, ctrl: PiecewiseControl) -> None:
 @click.option("--step", type=float, default=None, help="Integrator step override.")
 @click.option("--svg/--no-svg", default=False, show_default=True,
               help="Also write a phase portrait SVG.")
-@common_options
-def cmd_simulate(spec_path, control_path, start, step, svg, out_dir, seed):
+@out_dir_option
+def cmd_simulate(spec_path, control_path, start, step, svg, out_dir):
     """Integrate a piecewise-constant control and write trajectory.csv."""
     sys_spec, numerics, _ = load_spec(spec_path)
-    _override_numerics(numerics, seed=seed, step=step)
+    _override_numerics(numerics, step=step)
     ctrl = _read_control_csv(control_path)
     # one sample per step: an overflowing (inf) or huge count would never finish
     if not sum(s / numerics["step"] for s in ctrl.durations.tolist()) <= MAX_SAMPLES:

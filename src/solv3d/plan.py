@@ -2,8 +2,8 @@
 
 Each planner transcribes an explicit geometric construction into a
 piecewise-constant control schedule and then reports the endpoint error
-honestly, by re-integrating the schedule with an independent integrator
-rather than trusting the construction.
+honestly, by re-integrating the schedule independently of the construction
+rather than trusting it.
 
 Contents: circle-hopping between rotation orbits, fiber synchronization on
 the product system, the staircase connector for rank-zero drifts, the
@@ -404,9 +404,11 @@ def fiber_sync(spec: PlanarSpec, p1: tuple[float, np.ndarray], p2: tuple[float, 
     r1 = equilibrium(spec, u1)
     r2 = equilibrium(spec, u2)
 
-    # single-dwell shortcut when both endpoints sit on the same rest point
-    for u, r in ((u1, r1), (u2, r2)):
+    # single-dwell shortcut when both endpoints sit on the same rest point,
+    # which must contract like every other dwell
+    for u, r, name in ((u1, r1, "u1"), (u2, r2, "u2")):
         if same(v1, r) and same(v2, r) and (t2 - t1) * u >= 0.0:
+            _contraction_rate(spec, u, name)
             ctrl = PiecewiseControl.from_pairs([((t2 - t1) / u, u)] if t2 != t1 else [])
             return _finish_fiber(spec, t1, v1, t2, v2, ctrl, {"route": "dwell-only"})
 
@@ -474,35 +476,24 @@ def _bang_for(delta_t: float, alpha: float, omega: ControlRange) -> float:
     return u
 
 
-def integrate_projected(
-    gamma: float,
-    alpha: float,
-    c: float,
-    ctrl: PiecewiseControl,
-    t0: float = 0.0,
-    x0: float = 0.0,
-    step: float = 1e-3,
-) -> np.ndarray:
-    """Fixed-step 4th-order integration of t' = u*alpha, x' = c e^{gamma t} sin t.
+def integrate_projected(gamma: float, alpha: float, c: float, ctrl: PiecewiseControl,
+                        t0: float = 0.0, x0: float = 0.0) -> np.ndarray:
+    """Exact endpoint of t' = u*alpha, x' = c e^{gamma t} sin t under ctrl.
 
-    Independent endpoint oracle for the staircase construction.
+    The rate is c times the second entry of rho_t e1, with rho_t = e^{t theta}
+    and theta = gamma I + R.  So a leg at control u for s time units is one
+    ``arc`` (E, W) of u alpha theta over s: x moves by c (rho W)[1, 0] and rho
+    becomes rho E.  The staircase's endpoint check, independent of the
+    antiderivatives its construction uses.
     """
-
-    def rate(t: float) -> float:
-        return c * np.exp(gamma * t) * np.sin(t)
-
+    theta = gamma * np.eye(2) + ROT90
+    rho = arc_matrices(theta, t0)[0]
     t, x = float(t0), float(x0)
     for s, u in ctrl.pairs():
-        n = max(1, int(np.ceil(s / step)))
-        h = s / n
-        td = u * alpha
-        for _ in range(n):
-            k1 = rate(t)
-            k2 = rate(t + 0.5 * h * td)
-            k3 = k2
-            k4 = rate(t + h * td)
-            x += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h * td
+        E, W = arc_matrices(u * alpha * theta, s)
+        x += c * float(rho[1] @ W[:, 0])
+        rho = rho @ E
+        t += s * u * alpha
     return np.array([t, x])
 
 

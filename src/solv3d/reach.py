@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .group import GroupVariant, identity
+from .group import GroupElement, GroupVariant, identity
 from .kernel2d import SPIRAL, arc, trace_sign
 from .planar import (
     DetSignError,
@@ -68,6 +68,11 @@ N_CHUNKS = 8
 # the identity-return round trip may end off the identity fiber by this
 # fraction of how far it went
 RETURN_TOL = 1e-5
+# the identity return's leg durations and simulation step in units of
+# tau = 1 / (u_max |alpha|), and its controls in units of u_max
+RETURN_DURATIONS = (0.15, 0.4)
+RETURN_STEP = 5e-4
+RETURN_CONTROLS = (0.2, 1.0)
 # the WholeGroup check: the estimate must fill at least this share of the window
 FILL_WINDOW = ((-5.0, 5.0), (-5.0, 5.0))
 FILL_THRESHOLD = 0.99
@@ -581,9 +586,11 @@ def _identity_return_error(sys: SystemSpec, seed: int) -> float:
     """Round trip identity -> excursion -> identity fiber, via the staircase.
 
     Steers the fiber coordinates (t, <v, R theta^{-1} xi>) back to (0, 0)
-    and reports how far from the identity fiber the re-integrated endpoint
+    and reports how far from the identity fiber the simulated endpoint
     lands, each coordinate as a fraction of the largest value it took on
-    the way.
+    the way.  Durations and the step are in units of tau = 1 / (u_max
+    |alpha|) and controls in units of u_max, so a time rescaling draws the
+    same round trip.
     """
     from .plan import _bang_for, half_staircase, staircase_fiber
 
@@ -592,25 +599,26 @@ def _identity_return_error(sys: SystemSpec, seed: int) -> float:
         # and the conjugation fixes the identity fiber
         sys = normalize_eta(sys)[0]
     axis, c = staircase_fiber(sys)
+    u_max = sys.omega.u_max
+    tau = 1.0 / (u_max * abs(sys.alpha))
+    step = RETURN_STEP * tau
 
     rng = np.random.default_rng(seed)
-    excursion = PiecewiseControl.from_pairs([
-        (float(rng.uniform(0.3, 0.8)), float(rng.uniform(0.1, sys.omega.u_max)))
-        for _ in range(3)
-    ])
-    legs = excursion.pairs()
+    legs = [(tau * float(rng.uniform(*RETURN_DURATIONS)),
+             u_max * float(rng.uniform(*RETURN_CONTROLS))) for _ in range(3)]
     t_now = sum(s * u * sys.alpha for s, u in legs)
     # bring t back to 0 with one bang leg
     u_back = _bang_for(-t_now, sys.alpha, sys.omega)
     legs.append((t_now / (-u_back * sys.alpha), u_back))
 
-    mid = simulate(identity(), PiecewiseControl.from_pairs(legs), sys, step=1e-3)
-    x_mid = float(mid.final_state[1:] @ axis)
-    plan = half_staircase(sys.theta.gamma, sys.alpha, c, x_mid, 0.0, sys.omega)
-    legs += plan.control.pairs()
-    traj = simulate(identity(), PiecewiseControl.from_pairs(legs), sys, step=1e-3)
-    t = np.abs(traj.states[:, 0])
-    x = np.abs(traj.states[:, 1:] @ axis)
+    out = simulate(identity(), PiecewiseControl.from_pairs(legs), sys, step=step)
+    end = out.final_state
+    plan = half_staircase(sys.theta.gamma, sys.alpha, c, float(end[1:] @ axis), 0.0,
+                          sys.omega)
+    back = simulate(GroupElement(end[0], end[1:]), plan.control, sys, step=step)
+    states = np.vstack([out.states, back.states[1:]])
+    t = np.abs(states[:, 0])
+    x = np.abs(states[:, 1:] @ axis)
     return float(max(t[-1] / np.max(t), x[-1] / np.max(x)))
 
 

@@ -182,6 +182,14 @@ class TestClassify:
 
 
 class TestSimulate:
+    def test_has_no_seed_option(self, runner, tmp_path):
+        # simulate draws no random numbers
+        spec = write_spec(tmp_path, OPEN_SPEC)
+        ctrl = write_ctrl(tmp_path, [(0.5, 0.25)])
+        out = runner.invoke(main, ["simulate", spec, "--control", ctrl, "--seed", "1"])
+        assert out.exit_code == 2
+        assert "No such option" in out.output and "--seed" in out.output
+
     def test_writes_trajectory(self, runner, tmp_path):
         spec = write_spec(tmp_path, OPEN_SPEC)
         ctrl = write_ctrl(tmp_path, [(0.5, 0.25), (0.5, -0.25)])
@@ -418,7 +426,7 @@ class TestReachWorkCaps:
 
 # numeric flag -> (commands taking it, numbers it holds, click's type or None)
 FUZZ_FLAGS = {
-    "--seed": (("classify", "reach", "simulate"), 1, int),
+    "--seed": (("classify", "reach"), 1, int),
     "--budget": (("classify", "reach"), 1, int),
     "--horizon": (("classify", "reach"), 1, float),
     "--grid-res": (("reach",), 1, int),
@@ -438,6 +446,9 @@ FUZZ_VALUES = ["nan", "inf", "-1", "0", "1e400", "abc"]
 FUZZ_VALID = {("--seed", "0"), ("--start", "-1"), ("--start", "0"), ("--v0", "-1"),
               ("--v0", "0"), ("--u0", "0"), ("--p1", "-1"), ("--p1", "0"), ("--p2", "-1"),
               ("--p2", "0"), ("--x", "-1"), ("--x", "0"), ("--y", "-1"), ("--y", "0")}
+# flags a command dropped: click rejects the option itself (exit 2),
+# whatever the value
+FUZZ_DROPPED = {"--seed": ("simulate",)}
 # the spec each command is fuzzed on, where it differs from WHOLE_SPEC: one
 # on which the command succeeds with valid flags
 FUZZ_SPECS = {
@@ -453,13 +464,14 @@ def _fuzz_cases():
                   if (flag, v) not in FUZZ_VALID]
         probes.append(("arity", ",".join(["1"] * (2 if arity == 1 else arity - 1))))
         probes.append(("empty", ""))
-        for command in commands:
+        dropped = FUZZ_DROPPED.get(flag, ())
+        for command in commands + dropped:
             for label, value in probes:
                 try:
-                    parses = kind is None or kind(value) is not None
+                    parses = command not in dropped and (kind is None or kind(value) is not None)
                 except ValueError:
                     parses = False
-                # click's own type errors exit 2, the program's input errors 1
+                # click's own option and type errors exit 2, the program's input errors 1
                 cases.append(pytest.param(command, flag, value, 1 if parses else 2,
                                           id=f"{command} {flag} {label}"))
     return cases
@@ -719,20 +731,22 @@ class TestPlan:
         assert out.exit_code == 0, out.output
 
     def test_fiber_sync_rejects_expanding_dwell(self, runner, tmp_path):
-        # the dwell at v(u2) would last 406 time units on an expanding A(u2)
+        # the dwell at v(u2) would last 406 time units on an expanding A(u2),
+        # and 73.5 on the dwell-only route between two points at v(u2)
         raw = {"theta": {"family": "spiral", "gamma": -0.5},
                "A": [[0.24, 0.74], [-0.74, 0.24]], "xi": [0.0, 0.0], "alpha": 1.0,
                "eta": [2.56, 0.95], "omega": [-1.0, 1.0]}
         sp = PlanarSpec(raw["A"], ThetaFamily.spiral(-0.5), raw["eta"], ControlRange(-1, 1))
         spec = write_spec(tmp_path, raw)
         out_dir = tmp_path / "out"
-        out = runner.invoke(main, ["plan", "fiber-sync", spec, "--out-dir", str(out_dir),
-                                   "--u-pair=-0.68,0.68", "--p1=0,-0.34,0.62",
-                                   "--p2=-2.09,{!r},{!r}".format(*equilibrium(sp, 0.68).tolist())])
-        assert out.exit_code == 1, out.output
-        assert out.output.startswith("Error:") and len(out.output.strip().splitlines()) == 1
-        assert "u2" in out.output
-        assert not out_dir.exists()
+        rest = "{!r},{!r}".format(*equilibrium(sp, 0.68).tolist())
+        for p1, p2 in (("0,-0.34,0.62", f"-2.09,{rest}"), (f"0,{rest}", f"50,{rest}")):
+            out = runner.invoke(main, ["plan", "fiber-sync", spec, "--out-dir", str(out_dir),
+                                       "--u-pair=-0.68,0.68", f"--p1={p1}", f"--p2={p2}"])
+            assert out.exit_code == 1, out.output
+            assert out.output.startswith("Error:") and len(out.output.strip().splitlines()) == 1
+            assert "u2" in out.output
+            assert not out_dir.exists()
 
     def test_has_no_seed_option(self, runner, tmp_path):
         # no planner draws random numbers

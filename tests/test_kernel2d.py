@@ -3,6 +3,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm as scipy_expm
 
@@ -10,6 +12,7 @@ from solv3d.kernel2d import (
     ROT90,
     ThetaFamily,
     arc,
+    arc_matrices,
     expm,
     expm_series,
     lambda_op,
@@ -242,3 +245,19 @@ class TestArc:
                 for x, col in zip(sc, ba):
                     assert isinstance(x, float)
                     assert np.array_equal(col, np.full(3, x))
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(m=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+           s1=st.floats(-3.0, 3.0), s2=st.floats(-3.0, 3.0))
+    def test_arcs_compose(self, m, s1, s2):
+        # the semigroup law E(s1 + s2) = E(s2) E(s1), and with it
+        # W(s1 + s2) = W(s1) + E(s1) W(s2), each to 1e-12 of its factors' size
+        M = np.reshape(m, (2, 2))
+        (E1, W1), (E2, W2) = arc_matrices(M, s1), arc_matrices(M, s2)
+        E, W = arc_matrices(M, s1 + s2)
+
+        def size(X):
+            return np.max(np.abs(X))
+
+        assert size(E - E2 @ E1) <= 1e-12 * size(E2) * size(E1)
+        assert size(W - (W1 + E1 @ W2)) <= 1e-12 * (size(W1) + size(E1) * size(W2))

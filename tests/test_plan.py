@@ -28,6 +28,27 @@ from solv3d.plan import (
 ROTATION = ThetaFamily.spiral(0.0)
 
 
+def rk4_projected(gamma, alpha, c, ctrl, t0=0.0, x0=0.0, step=1e-3):
+    """Fixed-step classical 4th-order integration of t' = u alpha,
+    x' = c e^{gamma t} sin t: the oracle for ``integrate_projected``."""
+
+    def rate(t):
+        return c * np.exp(gamma * t) * np.sin(t)
+
+    t, x = float(t0), float(x0)
+    for s, u in ctrl.pairs():
+        n = max(1, int(np.ceil(s / step)))
+        h = s / n
+        td = u * alpha
+        for _ in range(n):
+            k1 = rate(t)
+            k2 = rate(t + 0.5 * h * td)
+            k4 = rate(t + h * td)
+            x += (h / 6.0) * (k1 + 4.0 * k2 + k4)
+            t += h * td
+    return np.array([t, x])
+
+
 def hop_spec(mu=0.6):
     return PlanarSpec(mu * ROTATION.matrix(), ROTATION, [1.0, 0.0],
                       ControlRange(-0.5, 0.5))
@@ -213,6 +234,12 @@ class TestFiberSync:
         with pytest.raises(ValueError, match="at u2") as exc:
             fiber_sync(sp, (0.0, np.array([-0.34, 0.62])), target, -0.68, 0.68)
         assert len(str(exc.value).splitlines()) == 1
+        # both end points at v(u2): the dwell-only route lasted 73.5 time
+        # units, with an endpoint error of 2e3
+        rest = equilibrium(sp, 0.68)
+        with pytest.raises(ValueError, match="at u2") as exc:
+            fiber_sync(sp, (0.0, rest), (50.0, rest), -0.68, 0.68)
+        assert len(str(exc.value).splitlines()) == 1
 
 
 class TestStaircase:
@@ -229,6 +256,27 @@ class TestStaircase:
         first_half = PiecewiseControl.from_pairs(pairs[:5])
         mid = integrate_projected(gamma, 1.0, 1.5, first_half, 0.0, -0.2)
         assert abs(mid[0]) < 1e-6 and abs(mid[1] - 0.9) < 1e-6
+
+    @pytest.mark.parametrize("planner, gamma, alpha, c, x, y, omega", [
+        (staircase, 1.0, 1.0, 2.0, 0.3, -0.7, (-1.0, 1.0)),
+        (staircase, -1.0, -0.5, 1.5, -0.2, 0.9, (-2.0, 0.25)),
+        (half_staircase, 0.5, 2.0, 1.0, 1.2, -2.3, (-0.5, 1.0)),
+        (half_staircase, -0.25, 1.0, 0.75, 0.0, 1.0, (-1.0, 1.0)),
+    ], ids=["loop", "loop reversed", "half", "half slow"])
+    def test_exact_propagation_matches_rk4(self, planner, gamma, alpha, c, x, y, omega):
+        # every leg, and the whole schedule from a start off t = 0, against
+        # the fixed-step oracle
+        res = planner(gamma, alpha, c, x, y, ControlRange(*omega))
+        pairs = res.control.pairs()
+        for k in range(1, len(pairs) + 1):
+            ctrl = PiecewiseControl.from_pairs(pairs[:k])
+            np.testing.assert_allclose(integrate_projected(gamma, alpha, c, ctrl, 0.0, x),
+                                       rk4_projected(gamma, alpha, c, ctrl, 0.0, x),
+                                       rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(integrate_projected(gamma, alpha, c, res.control, 0.3, x),
+                                   rk4_projected(gamma, alpha, c, res.control, 0.3, x),
+                                   rtol=0.0, atol=1e-10)
+        assert res.error < 1e-12
 
     @pytest.mark.parametrize("x, y", [(np.nan, 1.0), (0.0, np.inf)], ids=["x nan", "y inf"])
     @pytest.mark.parametrize("planner", [staircase, half_staircase], ids=["loop", "half"])

@@ -7,7 +7,7 @@ import pytest
 
 from solv3d.group import GroupVariant
 from solv3d.kernel2d import ThetaFamily, arc, lambda_op
-from solv3d.planar import ControlRange, PlanarSpec
+from solv3d.planar import ControlRange, PiecewiseControl, PlanarSpec
 from solv3d.reach import (
     N_CHUNKS,
     _BATCH,
@@ -251,12 +251,35 @@ class TestVerify:
         names = [c["name"] for c in log["checks"]]
         assert "monotone-certificate" in names
 
-    def test_controllable_identity_return(self):
+    def test_controllable_identity_return(self, monkeypatch):
+        # the excursion is simulated once, then the staircase from its end:
+        # the stacked states are the ones one simulation of the whole
+        # schedule gives
+        import solv3d.reach as reach
+        from solv3d.group import identity
+        from solv3d.plan import staircase_fiber
+
         sys = SystemSpec(ThetaFamily.spiral(1.0),
                          LinearField(np.zeros((2, 2)), [1.0, 0.0]),
                          InvariantField(1.0, [0.0, 0.0]), OMEGA)
+        calls = []
+        real = reach.simulate
+
+        def spy(g, ctrl, sys, step):
+            calls.append((ctrl, step))
+            return real(g, ctrl, sys, step=step)
+
+        monkeypatch.setattr(reach, "simulate", spy)
         log = verify_classification(classify(sys), sys)
         assert log["ok"], log
+        assert len(calls) == 2
+        (excursion, step), (back, _) = calls
+        whole = PiecewiseControl.from_pairs(excursion.pairs() + back.pairs())
+        states = real(identity(), whole, sys, step=step).states
+        t = np.abs(states[:, 0])
+        x = np.abs(states[:, 1:] @ staircase_fiber(sys)[0])
+        err, = (c["endpoint_error"] for c in log["checks"] if c["name"] == "identity-return")
+        assert err == max(t[-1] / np.max(t), x[-1] / np.max(x))
 
     def test_symbolic_branch(self):
         sys = SystemSpec(ThetaFamily.diagonal(0.5),

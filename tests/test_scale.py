@@ -22,7 +22,7 @@ from solv3d.covering import lift_control_set
 from solv3d.group import GroupVariant, SIMPLY_CONNECTED
 from solv3d.kernel2d import ThetaFamily, commutes, matrix_rank, trace_sign
 from solv3d.planar import ControlRange, PlanarSpec, equilibrium, planar_solution
-from solv3d.reach import classify, verify_classification
+from solv3d.reach import _identity_return_error, classify, verify_classification
 from solv3d.system import InvariantField, LinearField, SystemSpec, nilrank
 
 SE2 = GroupVariant(GroupVariant.SE2N, 1)
@@ -204,7 +204,8 @@ _START = _VEC.filter(lambda v: v != (0.0, 0.0))
 @contextmanager
 def longest_schedule(bound):
     """Fail as soon as integrate_projected is handed a schedule longer than
-    ``bound``, before it steps through it (at a fixed step of 1e-3)."""
+    ``bound``, before ``simulate`` samples it step by step (the identity
+    return simulates the staircase it plans)."""
     real = plan.integrate_projected
 
     def guarded(gamma, alpha, c, ctrl, *args, **kw):
@@ -258,11 +259,11 @@ def test_staircase_is_scale_free(planner, k, j, gamma, c, x, y, alpha, omega):
                       ControlRange(omega[0] * d, omega[1] * d))
     assert np.array_equal(res.control.durations * d, base.control.durations)
     assert np.array_equal(res.control.values, base.control.values * d)
-    if j == 0:
-        # the re-integration steps the same times: t is unchanged, x scales
-        assert np.array_equal(res.achieved, base.achieved * [1.0, s])
-        assert np.array_equal(res.predicted, base.predicted * [1.0, s])
-        assert res.error == base.error
+    # each leg's arc of u alpha theta over its duration is the same up to the
+    # exact factor d: t is unchanged, x scales
+    assert np.array_equal(res.achieved, base.achieved * [1.0, s])
+    assert np.array_equal(res.predicted, base.predicted * [1.0, s])
+    assert res.error == base.error
 
 
 FIBER = ([[-1.0, -1.0], [1.0, -1.0]], ControlRange(-1.0, 1.0))
@@ -323,6 +324,25 @@ def test_rank_zero_verdict_verifies_under_space_rescaling(theta, xi, want, k):
     with longest_schedule(100.0):
         log = verify_classification(rep, sys)
     assert log["ok"], log
+
+
+def test_identity_return_is_time_scale_free():
+    # A, xi and omega times 2^-4: the identity return draws its excursion
+    # and its step in units of 1 / (u_max |alpha|), so the round trip and
+    # its error are the unscaled ones; controls drawn from an absolute
+    # [0.1, u_max] made this system exit 1 (high - low < 0)
+    def spiral(c):
+        return scaled(ThetaFamily.spiral(1.0), np.zeros((2, 2)), [1.0, 0.0], [0.0, 0.0],
+                      (-1.0, 1.0), c)
+
+    sys = spiral(2.0**-4)
+    rep = classify(sys)
+    assert rep.taxonomy == "Controllable"
+    with longest_schedule(100.0 * 2.0**4):
+        log = verify_classification(rep, sys)
+    assert log["ok"], log
+    check, = (c for c in log["checks"] if c["name"] == "identity-return")
+    assert check["endpoint_error"] == _identity_return_error(spiral(1.0), 0)
 
 
 class TestCliAtSmallScale:
