@@ -28,6 +28,7 @@ from .kernel2d import (
     arc_matrices,
     check_finite,
     commutes,
+    expm,
     rank_product,
     rot90,
     trace_sign,
@@ -487,7 +488,7 @@ def integrate_projected(gamma: float, alpha: float, c: float, ctrl: PiecewiseCon
     antiderivatives its construction uses.
     """
     theta = gamma * np.eye(2) + ROT90
-    rho = arc_matrices(theta, t0)[0]
+    rho = expm(theta, t0)
     t, x = float(t0), float(x0)
     for s, u in ctrl.pairs():
         E, W = arc_matrices(u * alpha * theta, s)

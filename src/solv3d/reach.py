@@ -68,11 +68,6 @@ N_CHUNKS = 8
 # the identity-return round trip may end off the identity fiber by this
 # fraction of how far it went
 RETURN_TOL = 1e-5
-# the identity return's leg durations and simulation step in units of
-# tau = 1 / (u_max |alpha|), and its controls in units of u_max
-RETURN_DURATIONS = (0.15, 0.4)
-RETURN_STEP = 5e-4
-RETURN_CONTROLS = (0.2, 1.0)
 # the WholeGroup check: the estimate must fill at least this share of the window
 FILL_WINDOW = ((-5.0, 5.0), (-5.0, 5.0))
 FILL_THRESHOLD = 0.99
@@ -601,11 +596,11 @@ def _identity_return_error(sys: SystemSpec, seed: int) -> float:
     axis, c = staircase_fiber(sys)
     u_max = sys.omega.u_max
     tau = 1.0 / (u_max * abs(sys.alpha))
-    step = RETURN_STEP * tau
+    step = 5e-4 * tau
 
     rng = np.random.default_rng(seed)
-    legs = [(tau * float(rng.uniform(*RETURN_DURATIONS)),
-             u_max * float(rng.uniform(*RETURN_CONTROLS))) for _ in range(3)]
+    legs = [(tau * float(rng.uniform(0.15, 0.4)), u_max * float(rng.uniform(0.2, 1.0)))
+            for _ in range(3)]
     t_now = sum(s * u * sys.alpha for s, u in legs)
     # bring t back to 0 with one bang leg
     u_back = _bang_for(-t_now, sys.alpha, sys.omega)

@@ -281,6 +281,20 @@ class TestVerify:
         err, = (c["endpoint_error"] for c in log["checks"] if c["name"] == "identity-return")
         assert err == max(t[-1] / np.max(t), x[-1] / np.max(x))
 
+    def test_identity_return_with_asymmetric_omega(self):
+        # the step is 5e-4 / (u_max |alpha|), so the legs at u_min = -100
+        # take steps of 0.5 radians; the fast legs are short, and the round
+        # trip still ends far inside RETURN_TOL
+        sys = SystemSpec(ThetaFamily.spiral(1.0),
+                         LinearField(np.zeros((2, 2)), [1.0, 0.0]),
+                         InvariantField(1.0, [0.0, 0.0]), ControlRange(-100.0, 0.1))
+        rep = classify(sys)
+        assert rep.taxonomy == "Controllable"
+        log = verify_classification(rep, sys)
+        assert log["ok"], log
+        err, = (c["endpoint_error"] for c in log["checks"] if c["name"] == "identity-return")
+        assert err < 1e-7
+
     def test_symbolic_branch(self):
         sys = SystemSpec(ThetaFamily.diagonal(0.5),
                          LinearField(np.diag([2.0, 0.0]), [1.0, 1.0]),
