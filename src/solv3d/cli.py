@@ -26,6 +26,7 @@ from .system import (
     LinearField,
     SystemSpec,
     conjugate_to_planar,
+    sample_counts,
     simulate,
 )
 
@@ -427,8 +428,8 @@ def cmd_simulate(spec_path, control_path, start, step, svg, out_dir):
     sys_spec, numerics, _ = load_spec(spec_path)
     _override_numerics(numerics, step=step)
     ctrl = _read_control_csv(control_path)
-    # one sample per step: an overflowing (inf) or huge count would never finish
-    if not sum(s / numerics["step"] for s in ctrl.durations.tolist()) <= MAX_SAMPLES:
+    # an overflowing (inf) or huge count would never finish
+    if not sample_counts(ctrl.durations, numerics["step"]).sum() <= MAX_SAMPLES:
         raise InputError(
             f"{control_path}: step {numerics['step']!r} asks for more than "
             f"{MAX_SAMPLES} samples"

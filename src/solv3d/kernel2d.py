@@ -12,7 +12,7 @@ the size of the matrices and vectors it reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,6 +104,9 @@ class ThetaFamily:
 
     tag: str
     gamma: float | None = None
+    # the structure matrix, built and checked once; read-only, so every caller
+    # can share it
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tag not in (JORDAN, DIAGONAL, SPIRAL):
@@ -117,6 +120,9 @@ class ThetaFamily:
             check_finite(self.gamma, "gamma")
             if self.tag == DIAGONAL and abs(self.gamma) > 1:
                 raise ValueError(f"diagonal family requires |gamma| <= 1, got {self.gamma}")
+        M = theta_matrix(self)
+        M.flags.writeable = False
+        object.__setattr__(self, "_matrix", M)
 
     @classmethod
     def jordan(cls) -> "ThetaFamily":
@@ -131,7 +137,8 @@ class ThetaFamily:
         return cls(SPIRAL, float(gamma))
 
     def matrix(self) -> np.ndarray:
-        return theta_matrix(self)
+        """The structure matrix (read-only, the same array on every call)."""
+        return self._matrix
 
 
 def theta_matrix(family: ThetaFamily) -> np.ndarray:

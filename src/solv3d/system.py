@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .group import GroupElement, GroupVariant, SIMPLY_CONNECTED
-from .kernel2d import (ThetaFamily, arc_matrices, check_finite, commutes, lambda_op,
+from .kernel2d import (ThetaFamily, arc, arc_matrices, check_finite, commutes, lambda_op,
                        matrix_rank, rank_product)
-from .planar import ControlRange, PiecewiseControl, PlanarSpec, Trajectory, planar_solution
+from .planar import ControlRange, PiecewiseControl, PlanarSpec, Trajectory, a_of_u
 
 __all__ = [
     "LinearField",
@@ -32,6 +32,7 @@ __all__ = [
     "derivation_matrix",
     "drift_flow",
     "field_values",
+    "sample_counts",
     "simulate",
     "larc",
     "adrank",
@@ -266,6 +267,13 @@ def conjugate_to_planar(sys: SystemSpec) -> PlanarReduction:
 # -- simulation --------------------------------------------------------------
 
 
+def sample_counts(durations, step: float) -> np.ndarray:
+    """How many samples ``simulate`` records on each arc: one per step, at
+    least one.  The counts are floats, so one too large to count reads inf."""
+    with np.errstate(over="ignore"):
+        return np.maximum(1.0, np.ceil(np.asarray(durations, dtype=float) / step))
+
+
 def _rk4_arc(g: GroupElement, u: float, duration: float, sys: SystemSpec, step: float):
     """Classical 4th-order fixed-step integration of one constant-control arc."""
 
@@ -276,7 +284,7 @@ def _rk4_arc(g: GroupElement, u: float, duration: float, sys: SystemSpec, step: 
 
     y = g.as_array()
     samples = []
-    n_steps = max(1, int(np.ceil(duration / step)))
+    n_steps = int(sample_counts(duration, step))
     h = duration / n_steps
     for _ in range(n_steps):
         k1 = rhs(y)
@@ -288,17 +296,42 @@ def _rk4_arc(g: GroupElement, u: float, duration: float, sys: SystemSpec, step: 
     return samples
 
 
-def _exact_arc(red: PlanarReduction, g: GroupElement, u: float, duration: float, step: float):
-    """Closed-form constant-control arc through the planar conjugation."""
-    t0, v0 = red.to_planar(g)
+# samples per batched ``arc`` call of an exact arc: bounds its temporaries
+_BLOCK = 4096
+
+
+def _arc_offsets(duration: float, n: int):
+    """The sample offsets duration*i/n, i = 1..n, as (first index, array)
+    blocks of at most _BLOCK."""
+    for lo in range(0, n, _BLOCK):
+        yield lo, duration * np.arange(lo + 1, min(lo + _BLOCK, n) + 1) / n
+
+
+def _exact_arc(red: PlanarReduction, g: GroupElement, u: float, duration: float,
+               out: np.ndarray) -> None:
+    """Write the len(out) samples of a constant-control arc into ``out``, in
+    closed form through the planar conjugation.
+
+    Each block of samples takes two batched ``arc`` calls: one of A(u alpha)
+    over the offsets s gives the planar states e^{sA} v0 + W(s) u alpha eta,
+    one of theta over the times t0 + u alpha s maps them back.
+    """
+    t0, (x0, y0) = red.to_planar(g)
     us = u * red.sys.alpha
-    n_steps = max(1, int(np.ceil(duration / step)))
-    samples = []
-    for i in range(1, n_steps + 1):
-        s = duration * i / n_steps
-        v = planar_solution(red.planar, s, v0, us)
-        samples.append(red.from_planar(t0 + us * s, v).as_array())
-    return samples
+    a = a_of_u(red.planar, us).ravel().tolist()
+    b0, b1 = (us * red.planar.eta).tolist()
+    theta = red.sys.theta_matrix.ravel().tolist()
+    c0, c1 = red.shift.tolist()
+    for lo, s in _arc_offsets(duration, len(out)):
+        (e00, e01, e10, e11), (w00, w01, w10, w11) = arc(*a, s)
+        x = e00 * x0 + e01 * y0 + (w00 * b0 + w01 * b1)
+        y = e10 * x0 + e11 * y0 + (w10 * b0 + w11 * b1)
+        t = t0 + us * s
+        (r00, r01, r10, r11), (l00, l01, l10, l11) = arc(*theta, t)
+        rows = out[lo:lo + s.size]
+        rows[:, 0] = t
+        rows[:, 1] = r00 * x + r01 * y - (l00 * c0 + l01 * c1)
+        rows[:, 2] = r10 * x + r11 * y - (l10 * c0 + l11 * c1)
 
 
 def simulate(
@@ -310,9 +343,11 @@ def simulate(
     """Concatenated constant-control arcs from g.
 
     Systems with a planar reduction (``conjugate_to_planar``) are integrated
-    exactly through it; everything else uses fixed-step classical
-    4th-order integration.  Samples are recorded at every step and
-    at every switch.
+    exactly through it, a block of samples per batched kernel call;
+    everything else uses fixed-step classical 4th-order integration.  Each
+    arc of duration d records ``sample_counts`` = max(1, ceil(d / step))
+    evenly spaced samples, the last at its switch; ``times`` and ``states``
+    start with the initial point.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -325,27 +360,28 @@ def simulate(
     except ValueError:
         red = None  # no planar reduction: fixed-step integration
 
-    times = [0.0]
-    states = [g.as_array()]
+    counts = [int(n) for n in sample_counts(ctrl.durations, step)]
+    times = np.empty(1 + sum(counts))
+    states = np.empty((times.size, 3))
+    times[0] = 0.0
+    states[0] = g.as_array()
     switches = []
     now = 0.0
-    cur = g
-    for duration, u in ctrl.pairs():
+    j = 1
+    for (duration, u), n in zip(ctrl.pairs(), counts):
+        for lo, s in _arc_offsets(duration, n):
+            times[j + lo:j + lo + s.size] = now + s
+        start = GroupElement(states[j - 1, 0], states[j - 1, 1:])
         if red is not None:
-            arc = _exact_arc(red, cur, u, duration, step)
+            _exact_arc(red, start, u, duration, states[j:j + n])
         else:
-            arc = _rk4_arc(cur, u, duration, sys, step)
-        n = len(arc)
-        for i, y in enumerate(arc, start=1):
-            times.append(now + duration * i / n)
-            states.append(y)
+            states[j:j + n] = _rk4_arc(start, u, duration, sys, step)
+        j += n
         now += duration
         switches.append(now)
-        y = states[-1]
-        cur = GroupElement(y[0], y[1:])
     return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
+        times=times,
+        states=states,
         switch_times=np.array(switches),
         control=ctrl,
     )

@@ -225,6 +225,21 @@ class TestSimulate:
         for word in ("date", "time", "2026"):
             assert word not in svg
 
+    def test_sample_cap_counts_every_arc(self, runner, tmp_path, monkeypatch):
+        # six arcs shorter than the step record one sample each: six, not 6 * 0.5
+        import solv3d.cli
+
+        monkeypatch.setattr(solv3d.cli, "MAX_SAMPLES", 5)
+        spec = write_spec(tmp_path, OPEN_SPEC)
+        ctrl = write_ctrl(tmp_path, [(5e-4, 0.25 * (-1) ** k) for k in range(6)])
+        out = runner.invoke(main, ["simulate", spec, "--control", ctrl,
+                                   "--out-dir", str(tmp_path)], catch_exceptions=False)
+        assert out.exit_code == 1
+        lines = out.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error:"), out.output
+        assert "more than 5 samples" in lines[0]
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_bad_start_string(self, runner, tmp_path):
         spec = write_spec(tmp_path, OPEN_SPEC)
         ctrl = write_ctrl(tmp_path, [(1.0, 0.25)])

@@ -64,6 +64,20 @@ class TestFamilies:
         with pytest.raises(ValueError):
             ThetaFamily("hyperbolic", 0.0)
 
+    @pytest.mark.parametrize("family", FAMILIES, ids=repr)
+    def test_matrix_is_built_once_and_read_only(self, family):
+        M = family.matrix()
+        assert family.matrix() is M
+        assert np.array_equal(M, theta_matrix(family))
+        with pytest.raises(ValueError):
+            M[0, 0] = 2.0
+        # the cached matrix is no field: equality, hash and repr read tag and gamma
+        twin = ThetaFamily(family.tag, family.gamma)
+        assert twin == family and hash(twin) == hash(family)
+        assert hash(family) == hash((family.tag, family.gamma))
+        assert repr(family) == f"ThetaFamily(tag={family.tag!r}, gamma={family.gamma!r})"
+        assert family != ThetaFamily.spiral(0.25)
+
 
 class TestConstructors:
     def test_mat2_rejects_inf(self):

@@ -1,13 +1,15 @@
 """Tests for system specs, rank conditions, conjugations and the simulator."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from solv3d import kernel2d, system
 from solv3d.group import GroupElement, multiply
 from solv3d.kernel2d import ThetaFamily
-from solv3d.planar import ControlRange, PiecewiseControl
+from solv3d.planar import ControlRange, PiecewiseControl, omega_hat, planar_solution
 from solv3d.system import (
     InvariantField,
     LinearField,
@@ -296,3 +298,121 @@ class TestSimulate:
         ctrl = PiecewiseControl.from_pairs([(0.5, 1.0), (0.25, -1.0)])
         traj = simulate(GroupElement(0.0, [0, 0]), ctrl, sys)
         assert np.allclose(traj.switch_times, [0.5, 0.75], atol=1e-12)
+
+
+N = np.array([[0.0, 1.0], [0.0, 0.0]])
+R = ThetaFamily.spiral(0.0).matrix()
+WIDE = ControlRange(-2.0, 2.0)
+# one nilrank-2 drift per structure family; jordan's det A(u) has a double
+# root at u = -1, diagonal's roots are -1 and 1.4, spiral's has none
+NILRANK2 = {
+    "jordan": make(ThetaFamily.jordan(), -np.eye(2) + 0.5 * N, [0.3, -0.2], 1.0,
+                   [0.5, 1.0], WIDE),
+    "diagonal": make(ThetaFamily.diagonal(0.5), np.diag([-1.0, 0.7]), [0.3, -0.2], 1.0,
+                     [0.5, 1.0], WIDE),
+    "spiral": make(ThetaFamily.spiral(0.3), -0.5 * np.eye(2) + 0.8 * R, [0.3, -0.2], 1.0,
+                   [0.5, 1.0], WIDE),
+}
+BLOCK = system._BLOCK
+EXACT_CASES = {
+    # a control 1e-9 from the root u = -1 of det A(u) on jordan and diagonal
+    "near root": (0.3, [(0.5, 0.7), (0.3, -0.4), (0.2, -1.0 + 1e-9)], 1e-3),
+    "50-unit arc up": (0.0, [(50.0, 0.05)], 1e-2),
+    "50-unit arc down": (0.0, [(50.0, -0.05)], 1e-2),
+    "t0 = -20": (-20.0, [(0.5, 0.7), (0.5, -0.7)], 1e-3),
+    "t0 = 20": (20.0, [(0.5, 0.7), (0.5, -0.7)], 1e-3),
+    # arcs of one block less, exactly one block and one block more
+    "block edges": (0.0, [((BLOCK + k) * 2.0**-10, 0.3 * (-1) ** k) for k in (-1, 0, 1)],
+                    2.0**-10),
+}
+
+
+def per_sample_exact(g, ctrl, sys, step):
+    """The exact path one sample at a time: a ``planar_solution`` and a
+    ``from_planar`` call per sample, each arc started from ``to_planar``."""
+    red = conjugate_to_planar(sys)
+    times, states, now, cur = [0.0], [g.as_array()], 0.0, g
+    for d, u in ctrl.pairs():
+        t0, v0 = red.to_planar(cur)
+        us = u * sys.alpha
+        n = max(1, int(np.ceil(d / step)))
+        for i in range(1, n + 1):
+            s = d * i / n
+            times.append(now + d * i / n)
+            v = planar_solution(red.planar, s, v0, us)
+            states.append(red.from_planar(t0 + us * s, v).as_array())
+        now += d
+        cur = GroupElement(states[-1][0], states[-1][1:])
+    return np.array(times), np.array(states)
+
+
+def field_values_rk4(g, ctrl, sys, step):
+    """Classical RK4 on ``field_values``, n = max(1, ceil(d / step)) steps per arc."""
+    y, states = g.as_array(), [g.as_array()]
+    for d, u in ctrl.pairs():
+        def rhs(y):
+            td, vd = field_values(GroupElement(y[0], y[1:]), u, sys)
+            return np.array([td, vd[0], vd[1]])
+
+        n = max(1, int(np.ceil(d / step)))
+        h = d / n
+        for _ in range(n):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            states.append(y.copy())
+    return np.array(states)
+
+
+class TestBatchedExactArcs:
+    def test_cases_reach_the_determinant_roots(self):
+        for name, root in (("jordan", -1.0), ("diagonal", -1.0)):
+            roots = omega_hat(conjugate_to_planar(NILRANK2[name]).planar).roots
+            assert min(abs(r - root) for r in roots) < 1e-12
+
+    @pytest.mark.parametrize("case", EXACT_CASES)
+    @pytest.mark.parametrize("family", NILRANK2)
+    def test_matches_per_sample_path(self, family, case):
+        sys = NILRANK2[family]
+        t0, pairs, step = EXACT_CASES[case]
+        g = GroupElement(t0, [1.0, -0.5])
+        ctrl = PiecewiseControl.from_pairs(pairs)
+        traj = simulate(g, ctrl, sys, step=step)
+        times, states = per_sample_exact(g, ctrl, sys, step)
+        assert np.array_equal(traj.times, times)  # bit for bit
+        assert traj.states.shape == states.shape
+        size = np.maximum(1.0, np.max(np.abs(states), axis=1))
+        assert np.all(np.max(np.abs(traj.states - states), axis=1) <= 1e-12 * size)
+
+    def test_rk4_path_is_field_values_rk4_bit_for_bit(self):
+        sys = make(ThetaFamily.diagonal(0.5), np.diag([1.0, 0.0]), [0.3, 1.0], 1.0,
+                   [0.5, 0.2])
+        assert nilrank(sys) == 1
+        ctrl = PiecewiseControl.from_pairs([(0.05, 0.5), (0.0305, -0.3), (0.0004, 1.0)])
+        g = GroupElement(0.4, [1.0, -0.5])
+        traj = simulate(g, ctrl, sys)
+        assert np.array_equal(traj.states, field_values_rk4(g, ctrl, sys, 1e-3))
+        assert len(traj.times) == 1 + 50 + 31 + 1
+
+    def test_a_few_kernel_calls_per_arc(self):
+        # the per-sample path made two scalar arc calls per sample, about 2000 here
+        calls = mock.Mock(wraps=kernel2d.arc)
+        ctrl = PiecewiseControl.from_pairs([(0.5, 0.3), (0.5, -0.4)])
+        with mock.patch.object(kernel2d, "arc", calls), mock.patch.object(system, "arc", calls):
+            traj = simulate(GroupElement(0.2, [1.0, -0.5]), ctrl, NILRANK2["spiral"])
+        assert len(traj.times) == 1001
+        assert calls.call_count <= 3 * len(ctrl)
+
+    def test_memory_stays_near_the_output(self):
+        ctrl = PiecewiseControl.from_pairs([(1.0, 0.3)])
+        tracemalloc.start()
+        try:
+            traj = simulate(GroupElement(0.2, [1.0, -0.5]), ctrl, NILRANK2["spiral"],
+                            step=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) == 10**6 + 1
+        assert peak < 1.5 * (traj.times.nbytes + traj.states.nbytes)
