@@ -118,7 +118,7 @@ class Trajectory:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if t.size > 1 and np.any(np.diff(t) <= 0.0):
+        if np.any(t[1:] <= t[:-1]):
             raise ValueError("sample times must be strictly increasing")
 
     @property

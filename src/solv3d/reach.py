@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .group import GroupElement, GroupVariant, identity
-from .kernel2d import SPIRAL, arc, trace_sign
+from .group import GroupVariant
+from .kernel2d import SPIRAL, arc, arc_matrices, expm, trace_sign
 from .planar import (
     DetSignError,
-    PiecewiseControl,
     PlanarSpec,
     PlanarVerdict,
     classify_planar,
@@ -39,7 +38,6 @@ from .system import (
     larc,
     nilrank,
     normalize_eta,
-    simulate,
 )
 
 __all__ = [
@@ -577,15 +575,30 @@ def _entry_index(spec: PlanarSpec, v: np.ndarray, est: ControlSetEstimate,
     return int(hit[0]) if hit.size else None
 
 
+def _leg_ends(sys: SystemSpec, pairs, t: float, v: np.ndarray) -> np.ndarray:
+    """The states (t, v) at the start and at each leg end of the A = 0, eta = 0
+    flow t' = u alpha, v' = (rho_t - I) theta^{-1} xi: a leg at control u for s
+    time units is one ``arc`` (E, W) of u alpha theta, which moves v by
+    (rho_t W - s I) theta^{-1} xi and rho_t to rho_t E."""
+    theta, th_inv_xi = sys.theta_matrix, np.linalg.solve(sys.theta_matrix, sys.xi)
+    rho, ends = expm(theta, t), [(t, *v)]
+    for s, u in pairs:
+        E, W = arc_matrices(u * sys.alpha * theta, s)
+        v = v + (rho @ W - s * np.eye(2)) @ th_inv_xi
+        rho, t = rho @ E, t + s * u * sys.alpha
+        ends.append((t, *v))
+    return np.array(ends)
+
+
 def _identity_return_error(sys: SystemSpec, seed: int) -> float:
     """Round trip identity -> excursion -> identity fiber, via the staircase.
 
     Steers the fiber coordinates (t, <v, R theta^{-1} xi>) back to (0, 0)
-    and reports how far from the identity fiber the simulated endpoint
-    lands, each coordinate as a fraction of the largest value it took on
-    the way.  Durations and the step are in units of tau = 1 / (u_max
-    |alpha|) and controls in units of u_max, so a time rescaling draws the
-    same round trip.
+    and reports how far from the identity fiber the exact endpoint
+    (``_leg_ends``) lands, each coordinate as a fraction of the largest value
+    it took at a leg end.  Durations are in units of tau = 1 / (u_max |alpha|)
+    and controls in units of u_max, so a time rescaling draws the same round
+    trip.
     """
     from .plan import _bang_for, half_staircase, staircase_fiber
 
@@ -596,7 +609,6 @@ def _identity_return_error(sys: SystemSpec, seed: int) -> float:
     axis, c = staircase_fiber(sys)
     u_max = sys.omega.u_max
     tau = 1.0 / (u_max * abs(sys.alpha))
-    step = 5e-4 * tau
 
     rng = np.random.default_rng(seed)
     legs = [(tau * float(rng.uniform(0.15, 0.4)), u_max * float(rng.uniform(0.2, 1.0)))
@@ -606,12 +618,10 @@ def _identity_return_error(sys: SystemSpec, seed: int) -> float:
     u_back = _bang_for(-t_now, sys.alpha, sys.omega)
     legs.append((t_now / (-u_back * sys.alpha), u_back))
 
-    out = simulate(identity(), PiecewiseControl.from_pairs(legs), sys, step=step)
-    end = out.final_state
-    plan = half_staircase(sys.theta.gamma, sys.alpha, c, float(end[1:] @ axis), 0.0,
+    out = _leg_ends(sys, legs, 0.0, np.zeros(2))
+    plan = half_staircase(sys.theta.gamma, sys.alpha, c, float(out[-1, 1:] @ axis), 0.0,
                           sys.omega)
-    back = simulate(GroupElement(end[0], end[1:]), plan.control, sys, step=step)
-    states = np.vstack([out.states, back.states[1:]])
+    states = np.vstack([out, _leg_ends(sys, plan.control.pairs(), out[-1, 0], out[-1, 1:])[1:]])
     t = np.abs(states[:, 0])
     x = np.abs(states[:, 1:] @ axis)
     return float(max(t[-1] / np.max(t), x[-1] / np.max(x)))

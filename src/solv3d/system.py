@@ -275,7 +275,10 @@ def sample_counts(durations, step: float) -> np.ndarray:
 
 
 def _rk4_arc(g: GroupElement, u: float, duration: float, sys: SystemSpec, step: float):
-    """Classical 4th-order fixed-step integration of one constant-control arc."""
+    """Classical 4th-order fixed-step integration of one constant-control arc.
+
+    A state outside the float range fails the finiteness check of the next
+    stage's ``GroupElement``, or of the last sample, as a ValueError."""
 
     def rhs(y: np.ndarray) -> np.ndarray:
         t, v = y[0], y[1:]
@@ -293,6 +296,7 @@ def _rk4_arc(g: GroupElement, u: float, duration: float, sys: SystemSpec, step: 
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         samples.append(y.copy())
+    check_finite(y, "state")
     return samples
 
 
@@ -314,7 +318,8 @@ def _exact_arc(red: PlanarReduction, g: GroupElement, u: float, duration: float,
 
     Each block of samples takes two batched ``arc`` calls: one of A(u alpha)
     over the offsets s gives the planar states e^{sA} v0 + W(s) u alpha eta,
-    one of theta over the times t0 + u alpha s maps them back.
+    one of theta over the times t0 + u alpha s maps them back.  A block
+    outside the float range fails its finiteness check as a ValueError.
     """
     t0, (x0, y0) = red.to_planar(g)
     us = u * red.sys.alpha
@@ -332,6 +337,7 @@ def _exact_arc(red: PlanarReduction, g: GroupElement, u: float, duration: float,
         rows[:, 0] = t
         rows[:, 1] = r00 * x + r01 * y - (l00 * c0 + l01 * c1)
         rows[:, 2] = r10 * x + r11 * y - (l10 * c0 + l11 * c1)
+        check_finite(rows, "state")
 
 
 def simulate(
@@ -368,14 +374,21 @@ def simulate(
     switches = []
     now = 0.0
     j = 1
-    for (duration, u), n in zip(ctrl.pairs(), counts):
+    for i, ((duration, u), n) in enumerate(zip(ctrl.pairs(), counts)):
         for lo, s in _arc_offsets(duration, n):
             times[j + lo:j + lo + s.size] = now + s
         start = GroupElement(states[j - 1, 0], states[j - 1, 1:])
-        if red is not None:
-            _exact_arc(red, start, u, duration, states[j:j + n])
-        else:
-            states[j:j + n] = _rk4_arc(start, u, duration, sys, step)
+        # with the controls in range, an arc fails only by leaving the float
+        # range, which each path checks as it goes
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if red is not None:
+                    _exact_arc(red, start, u, duration, states[j:j + n])
+                else:
+                    states[j:j + n] = _rk4_arc(start, u, duration, sys, step)
+        except ValueError:
+            raise ValueError(f"arc {i + 1} of {len(ctrl)} ({duration:g} time units at "
+                             f"control {u:g}) leaves the float range") from None
         j += n
         now += duration
         switches.append(now)

@@ -96,6 +96,17 @@ class TestClassify:
         assert report["classification"]["rule"] == "nilrank2/planar-cylinder"
         assert report["verification"]["ok"] is True
 
+    @pytest.mark.parametrize("omega", [[-0.1, 100.0], [-1e-3, 1e3]])
+    def test_identity_return_with_wide_omega(self, runner, tmp_path, omega):
+        # legs 10^3 and 10^6 times faster at u_max than at u_min
+        spec = write_spec(tmp_path, dict(SPIRAL_CTRL_SPEC, omega=omega))
+        out = runner.invoke(main, ["classify", spec, "--out-dir", str(tmp_path)])
+        assert out.exit_code == 0, out.output
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["classification"]["taxonomy"] == "Controllable"
+        check, = (c for c in report["verification"]["checks"] if c["name"] == "identity-return")
+        assert check["ok"] and check["endpoint_error"] < 1e-12
+
     def test_no_verify_skips_checks(self, runner, tmp_path):
         spec = write_spec(tmp_path, OPEN_SPEC)
         out = runner.invoke(main, ["classify", spec, "--out-dir", str(tmp_path),
@@ -274,6 +285,32 @@ class TestSimulate:
         assert len(lines) == 1 and lines[0].startswith("Error:"), out.output
         assert "Traceback" not in out.output
         assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("raw, row", [
+        (OPEN_SPEC, "800,0.2"),
+        (dict(OPEN_SPEC, theta={"family": "diagonal", "gamma": 0.5},
+              A=[[0.0, 0.0], [0.0, 0.5]], xi=[1.0, 1.0]), "1600,0.2"),
+    ], ids=["exact", "rk4"])
+    def test_overflow_is_one_line_error(self, tmp_path, raw, row):
+        # e^{800} on the exact path and on the RK4 one: one error line that
+        # names the arc, no numpy warning and no output directory
+        spec = write_spec(tmp_path, raw)
+        path = tmp_path / "ctrl.csv"
+        path.write_text(f"duration,value\n{row}\n")
+        out_dir = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(solv3d.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "solv3d.cli", "simulate", spec, "--control", str(path),
+             "--step", "1", "--out-dir", str(out_dir)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"),
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        duration = row.split(",")[0]
+        assert proc.stderr == (f"Error: simulate: arc 1 of 1 ({duration} time units at "
+                               "control 0.2) leaves the float range\n")
+        assert not out_dir.exists()
 
 
 class TestReach:

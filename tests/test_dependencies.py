@@ -4,6 +4,8 @@ Every top-level module imported anywhere in ``src/solv3d`` (inside
 functions too) is the package itself, the standard library, or a runtime
 dependency listed in ``pyproject.toml``.  Test-only tools such as scipy
 live in the ``test`` extra and must not come back into the package.
+Verification and planning propagate every leg in closed form, so they
+import no ``simulate`` and its fixed-step integration.
 """
 
 import ast
@@ -46,3 +48,25 @@ def test_every_third_party_import_is_a_runtime_dependency():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {k: v for k, v in undeclared.items() if v} == {}
+
+
+def simulate_uses(source: str) -> list[int]:
+    """Lines of ``source`` that import ``simulate`` or read it as an attribute."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(alias.name.split(".")[-1] == "simulate" for alias in node.names)
+        or isinstance(node, ast.Attribute) and node.attr == "simulate"
+    )
+
+
+def test_simulate_checker():
+    source = ("from .system import nilrank\ndef f():\n    from .system import simulate\n"
+              "from . import system\nsystem.simulate(g, ctrl, sys)\n")
+    assert simulate_uses(source) == [3, 5]
+    assert simulate_uses("def simulate_leg():\n    return 'simulate'\n") == []
+
+
+@pytest.mark.parametrize("name", ["reach.py", "plan.py"])
+def test_verification_and_planning_use_no_simulate(name):
+    assert simulate_uses((SRC / name).read_text()) == [], name

@@ -16,6 +16,7 @@ from solv3d.reach import (
     _distinct_controls,
     _draw_controls,
     _entry_index,
+    _leg_ends,
     _mark,
     ClassificationReport,
     ReachGrid,
@@ -252,39 +253,29 @@ class TestVerify:
         assert "monotone-certificate" in names
 
     def test_controllable_identity_return(self, monkeypatch):
-        # the excursion is simulated once, then the staircase from its end:
-        # the stacked states are the ones one simulation of the whole
-        # schedule gives
-        import solv3d.reach as reach
-        from solv3d.group import identity
+        # the round trip the check plans, excursion and staircase back, also
+        # returns to the identity fiber under an independent DOP853 integration
+        # of the whole schedule
         from solv3d.plan import staircase_fiber
 
         sys = SystemSpec(ThetaFamily.spiral(1.0),
                          LinearField(np.zeros((2, 2)), [1.0, 0.0]),
                          InvariantField(1.0, [0.0, 0.0]), OMEGA)
-        calls = []
-        real = reach.simulate
-
-        def spy(g, ctrl, sys, step):
-            calls.append((ctrl, step))
-            return real(g, ctrl, sys, step=step)
-
-        monkeypatch.setattr(reach, "simulate", spy)
+        calls = spy_leg_ends(monkeypatch)
         log = verify_classification(classify(sys), sys)
         assert log["ok"], log
-        assert len(calls) == 2
-        (excursion, step), (back, _) = calls
-        whole = PiecewiseControl.from_pairs(excursion.pairs() + back.pairs())
-        states = real(identity(), whole, sys, step=step).states
+        err, = (c["endpoint_error"] for c in log["checks"] if c["name"] == "identity-return")
+        assert err <= 1e-12
+        (_, excursion, _, _), (_, back, _, _) = calls
+        states = dop853_leg_ends(sys, excursion + back, 0.0, np.zeros(2))
         t = np.abs(states[:, 0])
         x = np.abs(states[:, 1:] @ staircase_fiber(sys)[0])
-        err, = (c["endpoint_error"] for c in log["checks"] if c["name"] == "identity-return")
-        assert err == max(t[-1] / np.max(t), x[-1] / np.max(x))
+        assert max(t[-1] / np.max(t), x[-1] / np.max(x)) <= 1e-9
 
     def test_identity_return_with_asymmetric_omega(self):
-        # the step is 5e-4 / (u_max |alpha|), so the legs at u_min = -100
-        # take steps of 0.5 radians; the fast legs are short, and the round
-        # trip still ends far inside RETURN_TOL
+        # legs at u_min = -100 turn a thousand times faster than legs at
+        # u_max = 0.1; each leg is one closed-form arc, so the round trip still
+        # ends at rounding level
         sys = SystemSpec(ThetaFamily.spiral(1.0),
                          LinearField(np.zeros((2, 2)), [1.0, 0.0]),
                          InvariantField(1.0, [0.0, 0.0]), ControlRange(-100.0, 0.1))
@@ -293,7 +284,22 @@ class TestVerify:
         log = verify_classification(rep, sys)
         assert log["ok"], log
         err, = (c["endpoint_error"] for c in log["checks"] if c["name"] == "identity-return")
-        assert err < 1e-7
+        assert err < 1e-12
+
+    @pytest.mark.parametrize("omega", [(-0.1, 100.0), (-1e-3, 1e3)])
+    def test_identity_return_with_wide_omega(self, omega):
+        # the legs at u_max turn 10^3 and 10^6 times faster than those at
+        # u_min; at a fixed step of 5e-4 / u_max the excursion alone took
+        # about 10^6 and 10^9 samples
+        sys = SystemSpec(ThetaFamily.spiral(1.0),
+                         LinearField(np.zeros((2, 2)), [1.0, 0.0]),
+                         InvariantField(1.0, [0.0, 0.0]), ControlRange(*omega))
+        rep = classify(sys)
+        assert rep.taxonomy == "Controllable"
+        log = verify_classification(rep, sys)
+        assert log["ok"], log
+        err, = (c["endpoint_error"] for c in log["checks"] if c["name"] == "identity-return")
+        assert err < 1e-12
 
     def test_symbolic_branch(self):
         sys = SystemSpec(ThetaFamily.diagonal(0.5),
@@ -301,6 +307,83 @@ class TestVerify:
                          InvariantField(1.0, [0.0, 0.0]), OMEGA)
         log = verify_classification(classify(sys), sys)
         assert log["checks"][0]["name"] == "symbolic-only"
+
+
+def spy_leg_ends(monkeypatch) -> list:
+    """Record the (system, legs, t, v) of every ``reach._leg_ends`` call."""
+    import solv3d.reach as reach
+
+    calls, real = [], reach._leg_ends
+
+    def spy(sys, pairs, t, v):
+        calls.append((sys, list(pairs), t, np.array(v)))
+        return real(sys, pairs, t, v)
+
+    monkeypatch.setattr(reach, "_leg_ends", spy)
+    return calls
+
+
+def dop853_leg_ends(sys, pairs, t, v):
+    """The state (t, v) at the start and at each leg end of the group ODE
+    t' = u alpha, v' = A v + Lambda_t xi + u rho_t eta, by scipy's DOP853.
+
+    The oracle shares no code with the package: it integrates the linear
+    system of (t, v, Lambda_t xi, rho_t xi, rho_t eta), whose last three
+    parts move by u alpha rho_t xi, u alpha theta rho_t xi and
+    u alpha theta rho_t eta, from a start taken from scipy's ``expm``.
+    """
+    from scipy.integrate import solve_ivp
+    from scipy.linalg import expm
+
+    th = sys.theta_matrix
+    block = np.zeros((3, 3))
+    block[:2, :2], block[:2, 2] = th, sys.xi
+    start = expm(t * block)
+    rho = start[:2, :2]
+    y = np.concatenate([[t], v, start[:2, 2], rho @ sys.xi, rho @ sys.eta])
+    ends = [y[:3]]
+    for s, u in pairs:
+        ua = u * sys.alpha
+
+        def rhs(_, z, u=u, ua=ua):
+            w, r, q = z[3:5], z[5:7], z[7:9]
+            return np.concatenate([[ua], sys.A @ z[1:3] + w + u * q, ua * r,
+                                   ua * (th @ r), ua * (th @ q)])
+
+        y = solve_ivp(rhs, (0.0, s), y, method="DOP853", rtol=1e-13,
+                      atol=1e-14 * max(1.0, np.max(np.abs(y)))).y[:, -1]
+        ends.append(y[:3])
+    return np.array(ends)
+
+
+class TestLegEnds:
+    """The identity return's closed-form leg map against the DOP853 oracle."""
+
+    @pytest.mark.parametrize("eta", [(0.0, 0.0), (0.3, -0.2)], ids=["eta0", "eta"])
+    @pytest.mark.parametrize("alpha", [-1.0, 2.5])
+    @pytest.mark.parametrize("gamma", [1.0, -0.4, 0.25])
+    def test_matches_dop853_at_every_leg_end(self, monkeypatch, gamma, alpha, eta):
+        # the legs are the round trip's own, the excursion and the staircase
+        # back; with eta != 0 the map runs on normalize_eta's system, and the
+        # oracle on the original one, carried over by its automorphism
+        from solv3d.group import GroupElement
+        from solv3d.reach import _identity_return_error
+        from solv3d.system import normalize_eta
+
+        sys = SystemSpec(ThetaFamily.spiral(gamma),
+                         LinearField(np.zeros((2, 2)), [0.7, -0.4]),
+                         InvariantField(alpha, eta), ControlRange(-0.8, 1.2))
+        calls = spy_leg_ends(monkeypatch)
+        assert _identity_return_error(sys, 3) <= 1e-12
+        assert len(calls) == 2 and sum(len(c[1]) for c in calls) >= 8
+        psi = normalize_eta(sys)[1]
+        for normal, pairs, t, v in calls:
+            got = _leg_ends(normal, pairs, t, v)
+            g = psi.inverse()(GroupElement(t, v))
+            want = np.array([psi(GroupElement(r[0], r[1:])).as_array()
+                             for r in dop853_leg_ends(sys, pairs, g.t, g.v)])
+            assert got.shape == want.shape == (len(pairs) + 1, 3)
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 class TestConnectivity:
