@@ -33,7 +33,6 @@ __all__ = [
     "expm",
     "expm_series",
     "lambda_op",
-    "rot90",
     "ROT90",
 ]
 
@@ -148,12 +147,6 @@ def theta_matrix(family: ThetaFamily) -> np.ndarray:
     if family.tag == DIAGONAL:
         return mat2(1.0, 0.0, 0.0, family.gamma)
     return mat2(family.gamma, -1.0, 1.0, family.gamma)
-
-
-def rot90(v: np.ndarray) -> np.ndarray:
-    """Counter-clockwise rotation by pi/2: (x, y) -> (-y, x)."""
-    v = np.asarray(v, dtype=float)
-    return np.array([-v[1], v[0]])
 
 
 # -- the affine-arc kernel ---------------------------------------------------

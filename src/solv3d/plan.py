@@ -30,7 +30,6 @@ from .kernel2d import (
     commutes,
     expm,
     rank_product,
-    rot90,
     trace_sign,
 )
 from .planar import (
@@ -118,7 +117,7 @@ def xi_hat(theta: ThetaFamily, xi: np.ndarray) -> XiHat:
         raise ValueError("xi_hat is not defined for the spiral family with gamma != 0")
 
     if theta.tag == SPIRAL:
-        v = rot90(xi)
+        v = ROT90 @ xi
         n2 = float(xi @ xi)
         return XiHat(v, "rotation", lambda t: n2 * (1.0 - np.cos(t)))
     if theta.tag == JORDAN:
@@ -233,7 +232,7 @@ def circle_hop(
     if not lo < u0 < hi:
         raise ValueError("u0 must be interior to the control interval")
 
-    e = rot90(spec.eta)
+    e = ROT90 @ spec.eta
     e_norm = float(np.hypot(e[0], e[1]))
     if e_norm == 0.0:
         raise ValueError("eta must be nonzero")
@@ -262,7 +261,7 @@ def circle_hop(
         return PlanResult(PiecewiseControl.empty(), rest, v0.copy(), gap, PiecewiseControl.empty())
 
     point = v0.copy()
-    on_line = abs(float(point @ rot90(e_unit))) <= tol
+    on_line = abs(float(point @ (ROT90 @ e_unit))) <= tol
     kappa = float(point @ e_unit)
     hop_u, other_u = u2, u1
     for _ in range(10_000):
@@ -574,7 +573,7 @@ def staircase_fiber(sys) -> tuple[np.ndarray, float]:
     if nilrank(sys) != 0:
         raise ValueError("staircase needs a rank-zero drift (A = 0)")
     th_inv_xi = np.linalg.solve(sys.theta_matrix, sys.xi)
-    return rot90(th_inv_xi), float(th_inv_xi @ th_inv_xi)
+    return ROT90 @ th_inv_xi, float(th_inv_xi @ th_inv_xi)
 
 
 # -- the H1/H2 oscillation functions -----------------------------------------

@@ -169,7 +169,8 @@ class PlanarVerdict(enum.Enum):
 
 
 class DetSignError(ValueError):
-    """The trace-sign classification needs det A(u) > 0 on the interval."""
+    """The trace-sign classification needs det A(u) > 0 on the component of
+    zero, which has the sign of det A: raised with u = 0 and det = det A."""
 
     def __init__(self, u: float, det: float):
         self.u = u
@@ -208,24 +209,6 @@ def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
         return [-c1 / (2.0 * c2)] if disc >= -DISC_TOL * c1 * c1 else []
     q = -(c1 + np.sign(c1 or 1.0) * np.sqrt(disc)) / 2.0
     return sorted({q / c2, c0 / q} if q != 0.0 else {0.0, -c1 / c2})
-
-
-def _quadratic_factored(c2: float, c1: float, c0: float, u: float) -> float:
-    """c2 u^2 + c1 u + c0 evaluated from its roots.
-
-    Next to a root the expanded sum cancels: at a double root r = 1 it
-    reads exactly 0.0 at the band edge r + 1e-8, where the value is about
-    1e-16.  The factors u - r keep the sign.
-    """
-    roots = _quadratic_roots(c2, c1, c0)
-    if c2 == 0.0:
-        return c1 * (u - roots[0]) if roots else c0
-    if len(roots) == 2:
-        return c2 * (u - roots[0]) * (u - roots[1])
-    if roots:
-        return c2 * (u - roots[0]) ** 2
-    # no real root: the vertex form, whose two terms share the sign of c2
-    return c2 * (u + c1 / (2.0 * c2)) ** 2 - (c1 * c1 - 4.0 * c2 * c0) / (4.0 * c2)
 
 
 def _regular_a_of_u(spec: PlanarSpec, u: float) -> np.ndarray:
@@ -336,22 +319,14 @@ def classify_planar(spec: PlanarSpec) -> tuple[PlanarVerdict, dict]:
     The verdict follows the sign pattern of the linear function
     tr A(u) = tr A - u tr theta on the interval: positive means open,
     negative means closed, a zero inside means the control set is the whole
-    plane.  Requires det A(u) > 0 on the interval and raises DetSignError
-    with the failing u otherwise.
+    plane.  The interval holds no root of det A(u), so det A(u) has the sign
+    of det A on it; DetSignError is raised at u = 0 when det A <= 0, a
+    saddle rest point.
     """
     lo, hi = omega_hat(spec).component_of_zero
-    c2, c1, c0 = _det_a_of_u_coeffs(spec)
-
-    # minimum of the det quadratic over [lo, hi], from its factored form
-    candidates = [lo, hi]
-    if c2 > 0.0:
-        vertex = -c1 / (2.0 * c2)
-        if lo < vertex < hi:
-            candidates.append(vertex)
-    for u in candidates:
-        det = _quadratic_factored(c2, c1, c0, u)
-        if det <= 0.0:
-            raise DetSignError(float(u), float(det))
+    det = _det2(spec.A)
+    if det <= 0.0:
+        raise DetSignError(0.0, det)
 
     tr_a = float(np.trace(spec.A))
     tr_th = float(np.trace(spec.theta_matrix))

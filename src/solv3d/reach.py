@@ -37,7 +37,6 @@ from .system import (
     conjugate_to_planar,
     larc,
     nilrank,
-    normalize_eta,
 )
 
 __all__ = [
@@ -478,7 +477,7 @@ def _planar_branch(sys: SystemSpec):
         return (
             TAX_UNCLASSIFIED,
             "none",
-            {"reason": "det A(u) changes sign on the admissible interval",
+            {"reason": "det A <= 0: the rest point at u = 0 is a saddle",
              "u": exc.u, "det": exc.det},
         )
     extra = {
@@ -579,7 +578,11 @@ def _leg_ends(sys: SystemSpec, pairs, t: float, v: np.ndarray) -> np.ndarray:
     """The states (t, v) at the start and at each leg end of the A = 0, eta = 0
     flow t' = u alpha, v' = (rho_t - I) theta^{-1} xi: a leg at control u for s
     time units is one ``arc`` (E, W) of u alpha theta, which moves v by
-    (rho_t W - s I) theta^{-1} xi and rho_t to rho_t E."""
+    (rho_t W - s I) theta^{-1} xi and rho_t to rho_t E.
+
+    ``sys.eta`` is never read: with A = 0, ``normalize_eta`` conjugates the
+    input direction away without changing xi and fixes the identity fiber,
+    so this is that system's flow."""
     theta, th_inv_xi = sys.theta_matrix, np.linalg.solve(sys.theta_matrix, sys.xi)
     rho, ends = expm(theta, t), [(t, *v)]
     for s, u in pairs:
@@ -602,10 +605,6 @@ def _identity_return_error(sys: SystemSpec, seed: int) -> float:
     """
     from .plan import _bang_for, half_staircase, staircase_fiber
 
-    if np.max(np.abs(sys.eta)) > 0.0:
-        # the input direction conjugates away without changing xi (A = 0),
-        # and the conjugation fixes the identity fiber
-        sys = normalize_eta(sys)[0]
     axis, c = staircase_fiber(sys)
     u_max = sys.omega.u_max
     tau = 1.0 / (u_max * abs(sys.alpha))

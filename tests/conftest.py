@@ -9,6 +9,13 @@ import tempfile
 os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
                       os.path.join(tempfile.gettempdir(), "solv3d-hypothesis"))
 
+from hypothesis import settings  # noqa: E402  (after the storage directory is set)
+
+# every property test is reproducible: a fixed example sequence, no example
+# database and no per-example deadline; a test sets only its example count
+settings.register_profile("solv3d", derandomize=True, database=None, deadline=None)
+settings.load_profile("solv3d")
+
 CRITERIA = {
     "test_criterion_1_kernel_exactness": (1, "kernel closed forms vs oracles"),
     "test_criterion_2_group_flow_laws": (2, "group axioms and flow laws"),

@@ -20,7 +20,7 @@ from solv3d.planar import (
     openness_certificate,
     planar_solution,
 )
-from solv3d.planar import _det_a_of_u_coeffs, _quadratic_factored, _quadratic_roots
+from solv3d.planar import _det_a_of_u_coeffs
 
 
 def spec_spiral(A=None, eta=(1.0, 0.0), omega=(-1.0, 1.0)):
@@ -265,29 +265,78 @@ class TestClassify:
         assert err.value.det <= 0.0
 
 
-class TestFactoredDeterminant:
-    def test_keeps_the_sign_next_to_a_double_root(self):
-        # det A(u) = (u + 1.25)^2; the expanded sum reads 0.0 at r + 1e-8
-        c2, c1, c0 = 1.0, 2.5, 1.5625
-        u = -1.25 + 1e-8
-        assert c2 * u * u + c1 * u + c0 == 0.0
-        assert _quadratic_roots(c2, c1, c0) == [-1.25]
-        assert 0.0 < _quadratic_factored(c2, c1, c0, u) <= 1.1e-16
+FIVE_FAMILIES = [ThetaFamily.jordan(), ThetaFamily.diagonal(0.5), ThetaFamily.diagonal(-0.7),
+                 ThetaFamily.spiral(0.0), ThetaFamily.spiral(0.4)]
+ROOTS = np.linspace(-1.4, 1.4, 20)
 
-    @pytest.mark.parametrize("coeffs", [
-        (1.0, 2.5, 1.5625),     # double root
-        (2.0, -1.0, -3.0),      # two roots
-        (-0.5, 0.25, 1.0),      # concave, two roots
-        (1.0, 0.0, 2.0),        # no real root
-        (-3.0, 1.0, -1.0),      # no real root, negative
-        (0.0, 2.0, -1.0),       # linear
-        (0.0, 0.0, 4.0),        # constant
-    ])
-    def test_equals_the_expanded_quadratic_away_from_roots(self, coeffs):
-        c2, c1, c0 = coeffs
-        for u in np.linspace(-3.0, 3.0, 61):
-            want = c2 * u * u + c1 * u + c0
-            got = _quadratic_factored(c2, c1, c0, u)
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(c2) * u * u + abs(c1 * u) + abs(c0))
-            if abs(want) > 1e-9:
-                assert np.sign(got) == np.sign(want)
+
+def _ends_at(r):
+    """Control ranges with the root r inside and at one end."""
+    return [(-1.5, 1.5), (-1.5, r) if r > 0 else (r, 1.5)]
+
+
+def det_gate_specs():
+    """Seeded planar specs over the five families.
+
+    Random drifts a I + b theta, which commute with theta, on random ranges;
+    double roots of det A(u) inside omega and at its ends, from A = r theta
+    (with and without a 1e-9 shift, which splits or lifts the root) and from
+    jordan A = a I + 0.5 N.
+    """
+    rng = np.random.default_rng(16)
+    out = []
+    for th in FIVE_FAMILIES:
+        T = th.matrix()
+        for _ in range(40):
+            a, b = rng.normal(size=2)
+            out.append((a * np.eye(2) + b * T, th, (-rng.uniform(0.1, 2), rng.uniform(0.1, 2))))
+        for r in ROOTS:
+            for eps in (0.0, 1e-9):
+                out += [(r * T + eps * np.eye(2), th, om) for om in _ends_at(r)]
+    N = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for a in ROOTS:
+        out += [(a * np.eye(2) + 0.5 * N, ThetaFamily.jordan(), om) for om in _ends_at(a)]
+    return [PlanarSpec(A, th, rng.normal(size=2), ControlRange(*om)) for A, th, om in out]
+
+
+def gate(spec):
+    """The verdict, or det A from the DetSignError raised at u = 0."""
+    try:
+        return classify_planar(spec)[0]
+    except DetSignError as exc:
+        assert exc.u == 0.0
+        return exc.det
+
+
+class TestDetSignGate:
+    """classify_planar raises DetSignError exactly when det A <= 0."""
+
+    SPECS = det_gate_specs()
+
+    def test_raises_exactly_when_det_a_is_not_positive(self):
+        raised = 0
+        for sp in self.SPECS:
+            det = sp.A[0, 0] * sp.A[1, 1] - sp.A[0, 1] * sp.A[1, 0]
+            got = gate(sp)
+            assert (got == det) if det <= 0.0 else isinstance(got, PlanarVerdict), (sp, got)
+            raised += det <= 0.0
+        assert 0 < raised < len(self.SPECS)
+
+    def test_component_of_zero_keeps_the_sign_of_det_a(self):
+        # the premise of the gate: omega_hat cuts every root, so det A(u)
+        # sampled inside the component of zero never leaves the sign of det A
+        for sp in self.SPECS:
+            lo, hi = omega_hat(sp).component_of_zero
+            dets = [np.linalg.det(a_of_u(sp, u)) for u in np.linspace(lo, hi, 33)[1:-1]]
+            assert np.all(np.sign(dets) == np.sign(np.linalg.det(sp.A))), sp
+
+    @pytest.mark.parametrize("k", [-30, -7, 5, 20])
+    def test_power_of_two_time_rescaling(self, k):
+        # A and omega times c = 2^k is the time rescaling s -> c s: the
+        # verdict stays, and det A scales by exactly c^2
+        c = 2.0**k
+        for sp in self.SPECS:
+            sc = PlanarSpec(c * sp.A, sp.theta, sp.eta,
+                            ControlRange(c * sp.omega.u_min, c * sp.omega.u_max))
+            want = gate(sp)
+            assert gate(sc) == (want if isinstance(want, PlanarVerdict) else c * c * want)

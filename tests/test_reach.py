@@ -364,8 +364,9 @@ class TestLegEnds:
     @pytest.mark.parametrize("gamma", [1.0, -0.4, 0.25])
     def test_matches_dop853_at_every_leg_end(self, monkeypatch, gamma, alpha, eta):
         # the legs are the round trip's own, the excursion and the staircase
-        # back; with eta != 0 the map runs on normalize_eta's system, and the
-        # oracle on the original one, carried over by its automorphism
+        # back; the map never reads eta, so with eta != 0 it gives the flow of
+        # normalize_eta's system, and the oracle runs on the original one,
+        # carried over by that conjugation's automorphism
         from solv3d.group import GroupElement
         from solv3d.reach import _identity_return_error
         from solv3d.system import normalize_eta

@@ -110,7 +110,7 @@ _QUARTERS = st.integers(-8, 8).map(lambda n: n / 4)
 _VEC = st.tuples(_QUARTERS, _QUARTERS)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(theta=_families(), a=_QUARTERS, b=_QUARTERS, xi=_VEC, eta=_VEC,
        lo=st.integers(1, 8), hi=st.integers(1, 8), k=st.integers(-27, 27))
 def test_taxonomy_is_invariant_under_power_of_two_rescaling(theta, a, b, xi, eta, lo, hi, k):
@@ -225,7 +225,7 @@ def hop(k, j, v0, u0):
     return plan.circle_hop(spec, c * np.asarray(v0), d * u0, (-0.5 * d, 0.5 * d))
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(k=_K, j=_J, v0=_START, u0=st.sampled_from([-0.3, -0.1, 0.0, 0.15, 0.35]))
 # starts off the line of rest points: at 2^-40 an absolute on-line test took
 # them for on it, and at 2^-60 an absolute "already there" test returned an
@@ -243,7 +243,7 @@ def test_circle_hop_is_scale_free(k, j, v0, u0):
 
 @pytest.mark.parametrize("planner", [plan.staircase, plan.half_staircase],
                          ids=["staircase", "half"])
-@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(k=_K, j=st.integers(-3, 3), gamma=st.sampled_from([1.0, -1.0, 0.5, -0.25]),
        c=st.integers(1, 8).map(lambda n: n / 4), x=_QUARTERS, y=_QUARTERS,
        alpha=st.sampled_from([1.0, -1.0, 2.0, -0.5]),
@@ -279,7 +279,7 @@ def fiber(k, v1, t2, j=0):
     return plan.fiber_sync(spec, (0.0, c * np.asarray(v1)), (t2, v2), -0.5 * d, 0.5 * d)
 
 
-@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@settings(max_examples=12)
 @given(k=_K, v1=_START, t2=st.integers(-8, 20).map(lambda n: n / 4))
 # at 2^-30 an absolute residual bound accepted boundary solves that missed
 # their targets
@@ -292,7 +292,7 @@ def test_fiber_sync_is_scale_free(k, v1, t2):
     assert np.array_equal(res.control.values, base.control.values)
 
 
-@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@settings(max_examples=12)
 @given(j=st.integers(-20, 4), v1=_START, t2=st.integers(-8, 20).map(lambda n: n / 4))
 # the boundary solves started from fixed durations below an absolute bound
 # of 50, so at 2^-6 the transfer between the rest points was not found

@@ -101,14 +101,14 @@ def _agrees(schema, instance) -> bool:
             == validator_for(schema)(schema).is_valid(instance))
 
 
-@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@settings(max_examples=1000)
 @given(data=st.data(), base=st.sampled_from([OPEN_SPEC, FULL_SPEC]))
 def test_checker_agrees_with_jsonschema_on_mutated_specs(data, base):
     spec = _mutated(data, base)
     assert _agrees(SPEC_SCHEMA, spec), spec
 
 
-@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@settings(max_examples=1000)
 @given(data=st.data())
 def test_checker_agrees_with_jsonschema_on_mutated_numerics(data):
     numerics = _mutated(data, FULL_SPEC["numerics"])

@@ -6,11 +6,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solv3d import kernel2d, system
 from solv3d.group import GroupElement, multiply
 from solv3d.kernel2d import ThetaFamily
 from solv3d.planar import ControlRange, PiecewiseControl, omega_hat, planar_solution
+from solv3d.reach import classify
 from solv3d.system import (
     InvariantField,
     LinearField,
@@ -212,6 +215,39 @@ class TestConjugations:
 
 def _unpack(y):
     return float(y[0]), y[1:]
+
+
+def _verdict(sys):
+    rep = classify(sys)
+    return rep.taxonomy, rep.rule, rep.larc.holds, rep.adrank.holds
+
+
+# quarter-integers and power-of-two input rates keep xi + A eta / alpha exact;
+# drifts a I + b theta on this grid are often of rank 1 or 0
+_QUARTERS = st.integers(-8, 8).map(lambda n: n / 4)
+_VEC = st.tuples(_QUARTERS, _QUARTERS)
+_FAMILIES = st.one_of(
+    st.just(ThetaFamily.jordan()),
+    st.integers(-4, 4).map(lambda n: ThetaFamily.diagonal(n / 4)),
+    st.integers(-4, 4).map(lambda n: ThetaFamily.spiral(n / 4)),
+)
+
+
+@settings(max_examples=300)
+@given(theta=_FAMILIES, a=_QUARTERS, b=_QUARTERS, xi=_VEC, eta=_VEC,
+       alpha=st.sampled_from([0.0, 1.0, -1.0, 2.0, -0.5]),
+       lo=st.integers(1, 8), hi=st.integers(1, 8))
+def test_verdict_is_invariant_under_the_conjugations(theta, a, b, xi, eta, alpha, lo, hi):
+    # normalize_eta (alpha != 0) and normalize_xi (nilrank 2) are
+    # automorphisms of the group, so they keep the taxonomy, the rule and
+    # both rank certificates
+    sys = make(theta, a * np.eye(2) + b * theta.matrix(), xi, alpha, eta,
+               ControlRange(-lo / 4, hi / 4))
+    want = _verdict(sys)
+    if alpha != 0.0:
+        assert _verdict(normalize_eta(sys)[0]) == want
+    if nilrank(sys) == 2:
+        assert _verdict(normalize_xi(sys)[0]) == want
 
 
 class TestPlanarReduction:
