@@ -53,6 +53,7 @@ __all__ = [
     "half_staircase",
     "staircase_fiber",
     "integrate_projected",
+    "identity_return_error",
     "h_functions",
     "h2_zero",
     "monotone_certificate",
@@ -476,24 +477,33 @@ def _bang_for(delta_t: float, alpha: float, omega: ControlRange) -> float:
     return u
 
 
+def _leg_ends(theta: np.ndarray, alpha: float, w: np.ndarray, pairs, t: float,
+              v: np.ndarray) -> np.ndarray:
+    """The states (t, v) at the start and at each leg end of the A = 0, eta = 0
+    flow t' = u alpha, v' = (rho_t - I) w, with rho_t = e^{t theta} and
+    w = theta^{-1} xi: a leg at control u for s time units is one ``arc``
+    (E, W) of u alpha theta, which moves v by (rho_t W - s I) w and rho_t to
+    rho_t E.  The identity return and ``integrate_projected`` both run on it."""
+    rho, ends = expm(theta, t), [(t, *v)]
+    for s, u in pairs:
+        E, W = arc_matrices(u * alpha * theta, s)
+        v = v + (rho @ W - s * np.eye(2)) @ w
+        rho, t = rho @ E, t + s * u * alpha
+        ends.append((t, *v))
+    return np.array(ends)
+
+
 def integrate_projected(gamma: float, alpha: float, c: float, ctrl: PiecewiseControl,
                         t0: float = 0.0, x0: float = 0.0) -> np.ndarray:
     """Exact endpoint of t' = u*alpha, x' = c e^{gamma t} sin t under ctrl.
 
-    The rate is c times the second entry of rho_t e1, with rho_t = e^{t theta}
-    and theta = gamma I + R.  So a leg at control u for s time units is one
-    ``arc`` (E, W) of u alpha theta over s: x moves by c (rho W)[1, 0] and rho
-    becomes rho E.  The staircase's endpoint check, independent of the
-    antiderivatives its construction uses.
+    With theta = gamma I + R and w = c e1, the leg map's v' = (rho_t - I) w
+    has c e^{gamma t} sin t as its second entry, so x is v[1] along
+    ``_leg_ends`` from v = (0, x0).  The staircase's endpoint check,
+    independent of the antiderivatives its construction uses.
     """
-    theta = gamma * np.eye(2) + ROT90
-    rho = expm(theta, t0)
-    t, x = float(t0), float(x0)
-    for s, u in ctrl.pairs():
-        E, W = arc_matrices(u * alpha * theta, s)
-        x += c * float(rho[1] @ W[:, 0])
-        rho = rho @ E
-        t += s * u * alpha
+    t, _, x = _leg_ends(gamma * np.eye(2) + ROT90, alpha, np.array([c, 0.0]), ctrl.pairs(),
+                        float(t0), np.array([0.0, x0]))[-1]
     return np.array([t, x])
 
 
@@ -574,6 +584,39 @@ def staircase_fiber(sys) -> tuple[np.ndarray, float]:
         raise ValueError("staircase needs a rank-zero drift (A = 0)")
     th_inv_xi = np.linalg.solve(sys.theta_matrix, sys.xi)
     return ROT90 @ th_inv_xi, float(th_inv_xi @ th_inv_xi)
+
+
+def identity_return_error(sys, seed: int) -> float:
+    """Round trip identity -> excursion -> identity fiber, via the staircase.
+
+    Steers the fiber coordinates (t, <v, R theta^{-1} xi>) back to (0, 0)
+    and reports how far from the identity fiber the exact endpoint
+    (``_leg_ends``) lands, each coordinate as a fraction of the largest value
+    it took at a leg end.  Durations are in units of tau = 1 / (u_max |alpha|)
+    and controls in units of u_max, so a time rescaling draws the same round
+    trip.  ``sys.eta`` is never read: with A = 0, ``normalize_eta`` conjugates
+    it away without changing xi and fixes the identity fiber.
+    """
+    axis, c = staircase_fiber(sys)
+    w = axis @ ROT90  # R^T R theta^{-1} xi: theta^{-1} xi, exactly
+    theta, alpha, omega = sys.theta_matrix, sys.alpha, sys.omega
+    tau = 1.0 / (omega.u_max * abs(alpha))
+
+    rng = np.random.default_rng(seed)
+    legs = [(tau * float(rng.uniform(0.15, 0.4)), omega.u_max * float(rng.uniform(0.2, 1.0)))
+            for _ in range(3)]
+    t_now = sum(s * u * alpha for s, u in legs)
+    # bring t back to 0 with one bang leg
+    u_back = _bang_for(-t_now, alpha, omega)
+    legs.append((t_now / (-u_back * alpha), u_back))
+
+    out = _leg_ends(theta, alpha, w, legs, 0.0, np.zeros(2))
+    stairs = half_staircase(sys.theta.gamma, alpha, c, float(out[-1, 1:] @ axis), 0.0, omega)
+    back = _leg_ends(theta, alpha, w, stairs.control.pairs(), out[-1, 0], out[-1, 1:])
+    states = np.vstack([out, back[1:]])
+    t = np.abs(states[:, 0])
+    x = np.abs(states[:, 1:] @ axis)
+    return float(max(t[-1] / np.max(t), x[-1] / np.max(x)))
 
 
 # -- the H1/H2 oscillation functions -----------------------------------------

@@ -12,6 +12,7 @@ stay exact at the roots of det A(u), where rest points do not exist.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,15 +188,31 @@ def _det2(M: np.ndarray) -> float:
     return float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
 
 
-def _det_a_of_u_coeffs(spec: PlanarSpec) -> tuple[float, float, float]:
-    """Coefficients (c2, c1, c0) of det(A - u*theta) as a polynomial in u."""
-    A, th = spec.A, spec.theta_matrix
+def _det_coeffs(A: np.ndarray, th: np.ndarray) -> tuple[float, float, float]:
+    """Coefficients (c2, c1, c0) of det(A - u*th) as a polynomial in u."""
     c0 = _det2(A)
     c2 = _det2(th)
-    # mixed term: tr(adj(A) theta)
+    # mixed term: tr(adj(A) th)
     adjA = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]])
     c1 = -float(np.trace(adjA @ th))
     return c2, c1, c0
+
+
+def _det_a_of_u_coeffs(spec: PlanarSpec) -> tuple[float, float, float]:
+    """Coefficients (c2, c1, c0) of det(A - u*theta) as a polynomial in u."""
+    return _det_coeffs(spec.A, spec.theta_matrix)
+
+
+def _unit_a(spec: PlanarSpec) -> tuple[np.ndarray, int]:
+    """(A 2^-e, e) with the largest |entry| of A 2^-e in [1/2, 1).
+
+    The products in det A(u) overflow above |A| ~ 2^511 and underflow below
+    ~ 2^-537; on A 2^-e they stay near 1.  A power of two scales every step
+    exactly, so det A(u)'s roots (times 2^e) and sign are the unscaled ones
+    wherever those products stay in range.
+    """
+    e = math.frexp(float(np.max(np.abs(spec.A))))[1]
+    return np.ldexp(spec.A, -e), e
 
 
 def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
@@ -238,7 +255,10 @@ def omega_hat(spec: PlanarSpec) -> OmegaHat:
     together with a guard band of ROOT_BAND |r| on each side of a root r.
     """
     lo, hi = spec.omega.u_min, spec.omega.u_max
-    roots = _quadratic_roots(*_det_a_of_u_coeffs(spec))
+    # det(A - u theta) = 4^e det(A 2^-e - (u 2^-e) theta)
+    unit, e = _unit_a(spec)
+    with np.errstate(over="ignore"):  # a root beyond the float range is no cut
+        roots = np.ldexp(_quadratic_roots(*_det_coeffs(unit, spec.theta_matrix)), e).tolist()
     roots_in = [r for r in roots if lo < r < hi]
     cuts = [lo] + sorted(roots_in) + [hi]
     intervals = []
@@ -324,9 +344,11 @@ def classify_planar(spec: PlanarSpec) -> tuple[PlanarVerdict, dict]:
     saddle rest point.
     """
     lo, hi = omega_hat(spec).component_of_zero
-    det = _det2(spec.A)
+    unit, e = _unit_a(spec)
+    det = _det2(unit)
     if det <= 0.0:
-        raise DetSignError(0.0, det)
+        with np.errstate(over="ignore", under="ignore"):  # det A, rounded to the float range
+            raise DetSignError(0.0, float(np.ldexp(det, 2 * e)))
 
     tr_a = float(np.trace(spec.A))
     tr_th = float(np.trace(spec.theta_matrix))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .group import GroupVariant
-from .kernel2d import SPIRAL, arc, arc_matrices, expm, trace_sign
+from .kernel2d import SPIRAL, arc, trace_sign
 from .planar import (
     DetSignError,
     PlanarSpec,
@@ -215,18 +215,20 @@ def _sample_direction(
         # one propagator per distinct control: the samples are its powers
         # applied to v.  The values span the same norms as the draws, so
         # ``arc`` picks the same squaring count and every entry is the one a
-        # per-trajectory call would give.
-        (e00, e01, e10, e11), (w00, w01, w10, w11) = arc(
-            A[0, 0] - u * th[0, 0], A[0, 1] - u * th[0, 1],
-            A[1, 0] - u * th[1, 0], A[1, 1] - u * th[1, 1],
-            sign * s / samples_per_arc,
-        )
-        cx = (u * (w00 * eta[0] + w01 * eta[1]))[inv]
-        cy = (u * (w10 * eta[0] + w11 * eta[1]))[inv]
-        e00, e01, e10, e11 = e00[inv], e01[inv], e10[inv], e11[inv]
-        for _ in range(samples_per_arc):
-            x, y = e00 * x + e01 * y + cx, e10 * x + e11 * y + cy
-            inside += _mark(bitmap, x, y, box, res)
+        # per-trajectory call would give.  A propagator or sample that
+        # overflows marks nothing and counts as outside, like ``_mark``'s lanes.
+        with np.errstate(invalid="ignore", over="ignore"):
+            (e00, e01, e10, e11), (w00, w01, w10, w11) = arc(
+                A[0, 0] - u * th[0, 0], A[0, 1] - u * th[0, 1],
+                A[1, 0] - u * th[1, 0], A[1, 1] - u * th[1, 1],
+                sign * s / samples_per_arc,
+            )
+            cx = (u * (w00 * eta[0] + w01 * eta[1]))[inv]
+            cy = (u * (w10 * eta[0] + w11 * eta[1]))[inv]
+            e00, e01, e10, e11 = e00[inv], e01[inv], e10[inv], e11[inv]
+            for _ in range(samples_per_arc):
+                x, y = e00 * x + e01 * y + cx, e10 * x + e11 * y + cy
+                inside += _mark(bitmap, x, y, box, res)
         elapsed += s
     return inside
 
@@ -542,7 +544,9 @@ def verify_classification(
         add("estimate-nonempty", est.diagnostics["estimate_cells"] > 0,
             **est.diagnostics)
     elif report.rule == "nilrank0/spiral-staircase":
-        err = _identity_return_error(sys, seed)
+        from .plan import identity_return_error
+
+        err = identity_return_error(sys, seed)
         add("identity-return", err <= RETURN_TOL, endpoint_error=err)
     elif report.taxonomy == TAX_INFINITE and report.rule == "nilrank0/plane-family":
         from .plan import monotone_certificate
@@ -572,58 +576,6 @@ def _entry_index(spec: PlanarSpec, v: np.ndarray, est: ControlSetEstimate,
     ok = np.flatnonzero(ok)
     hit = ok[est.cells[fx[ok].astype(np.intp), fy[ok].astype(np.intp)]]
     return int(hit[0]) if hit.size else None
-
-
-def _leg_ends(sys: SystemSpec, pairs, t: float, v: np.ndarray) -> np.ndarray:
-    """The states (t, v) at the start and at each leg end of the A = 0, eta = 0
-    flow t' = u alpha, v' = (rho_t - I) theta^{-1} xi: a leg at control u for s
-    time units is one ``arc`` (E, W) of u alpha theta, which moves v by
-    (rho_t W - s I) theta^{-1} xi and rho_t to rho_t E.
-
-    ``sys.eta`` is never read: with A = 0, ``normalize_eta`` conjugates the
-    input direction away without changing xi and fixes the identity fiber,
-    so this is that system's flow."""
-    theta, th_inv_xi = sys.theta_matrix, np.linalg.solve(sys.theta_matrix, sys.xi)
-    rho, ends = expm(theta, t), [(t, *v)]
-    for s, u in pairs:
-        E, W = arc_matrices(u * sys.alpha * theta, s)
-        v = v + (rho @ W - s * np.eye(2)) @ th_inv_xi
-        rho, t = rho @ E, t + s * u * sys.alpha
-        ends.append((t, *v))
-    return np.array(ends)
-
-
-def _identity_return_error(sys: SystemSpec, seed: int) -> float:
-    """Round trip identity -> excursion -> identity fiber, via the staircase.
-
-    Steers the fiber coordinates (t, <v, R theta^{-1} xi>) back to (0, 0)
-    and reports how far from the identity fiber the exact endpoint
-    (``_leg_ends``) lands, each coordinate as a fraction of the largest value
-    it took at a leg end.  Durations are in units of tau = 1 / (u_max |alpha|)
-    and controls in units of u_max, so a time rescaling draws the same round
-    trip.
-    """
-    from .plan import _bang_for, half_staircase, staircase_fiber
-
-    axis, c = staircase_fiber(sys)
-    u_max = sys.omega.u_max
-    tau = 1.0 / (u_max * abs(sys.alpha))
-
-    rng = np.random.default_rng(seed)
-    legs = [(tau * float(rng.uniform(0.15, 0.4)), u_max * float(rng.uniform(0.2, 1.0)))
-            for _ in range(3)]
-    t_now = sum(s * u * sys.alpha for s, u in legs)
-    # bring t back to 0 with one bang leg
-    u_back = _bang_for(-t_now, sys.alpha, sys.omega)
-    legs.append((t_now / (-u_back * sys.alpha), u_back))
-
-    out = _leg_ends(sys, legs, 0.0, np.zeros(2))
-    plan = half_staircase(sys.theta.gamma, sys.alpha, c, float(out[-1, 1:] @ axis), 0.0,
-                          sys.omega)
-    states = np.vstack([out, _leg_ends(sys, plan.control.pairs(), out[-1, 0], out[-1, 1:])[1:]])
-    t = np.abs(states[:, 0])
-    x = np.abs(states[:, 1:] @ axis)
-    return float(max(t[-1] / np.max(t), x[-1] / np.max(x)))
 
 
 # -- exports -----------------------------------------------------------------

@@ -107,6 +107,20 @@ class TestClassify:
         check, = (c for c in report["verification"]["checks"] if c["name"] == "identity-return")
         assert check["ok"] and check["endpoint_error"] < 1e-12
 
+    def test_overflowing_reach_samples_print_no_warning(self, tmp_path):
+        # at A = 1e200 I every reach-set arc leaves the float range; those
+        # samples mark nothing, and numpy says nothing on stderr
+        spec = write_spec(tmp_path, dict(OPEN_SPEC, A=[[1e200, 0.0], [0.0, 1e200]]))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(solv3d.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "solv3d.cli", "classify", spec, "--budget", "2000",
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
     def test_no_verify_skips_checks(self, runner, tmp_path):
         spec = write_spec(tmp_path, OPEN_SPEC)
         out = runner.invoke(main, ["classify", spec, "--out-dir", str(tmp_path),
@@ -235,6 +249,19 @@ class TestSimulate:
         assert "polyline" in svg
         for word in ("date", "time", "2026"):
             assert word not in svg
+
+    def test_svg_without_planar_reduction_has_no_rest_points(self, runner, tmp_path):
+        # a nilrank-1 drift has no planar reduction, so the portrait holds the
+        # trajectory and no rest-point curve
+        spec = write_spec(tmp_path, dict(OPEN_SPEC, theta={"family": "diagonal", "gamma": 0.5},
+                                         A=[[0.0, 0.0], [0.0, 0.5]], xi=[1.0, 1.0]))
+        ctrl = write_ctrl(tmp_path, [(1.0, 0.25)])
+        out = runner.invoke(main, ["simulate", spec, "--control", ctrl,
+                                   "--out-dir", str(tmp_path), "--svg"])
+        assert out.exit_code == 0, out.output
+        svg = (tmp_path / "trajectory.svg").read_text()
+        assert svg.count("<polyline") == 1 and "#225599" in svg
+        assert "#cc3333" not in svg
 
     def test_sample_cap_counts_every_arc(self, runner, tmp_path, monkeypatch):
         # six arcs shorter than the step record one sample each: six, not 6 * 0.5

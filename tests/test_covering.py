@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solv3d.covering import (
     descend_check,
@@ -13,7 +15,8 @@ from solv3d.group import GroupElement, GroupVariant, SIMPLY_CONNECTED, identity
 from solv3d.kernel2d import ThetaFamily
 from solv3d.planar import ControlRange, PiecewiseControl
 from solv3d.reach import classify
-from solv3d.system import InvariantField, LinearField, SystemSpec, drift_flow, simulate
+from solv3d.system import (InvariantField, LinearField, SystemSpec, drift_flow, nilrank,
+                           simulate)
 
 ROTATION = ThetaFamily.spiral(0.0)
 DIAG0 = ThetaFamily.diagonal(0.0)
@@ -200,3 +203,52 @@ class TestLiftControlSet:
         rep = classify(sys)
         assert rep.rule == rule
         assert lift_control_set(rep, sys) == dict(want, period=2 * np.pi)
+
+
+# -- deck translations as a property -----------------------------------------
+
+_SCHEDULE = st.lists(st.tuples(st.floats(0.05, 1.5), st.floats(-1.0, 1.0)),
+                     min_size=1, max_size=4)
+
+
+def _deck_gap(sys, g, shifted, ctrl, step):
+    """Largest difference of the projected runs from g and from its deck
+    translate, against max(1, |state|).  The wrapped coordinate's difference
+    is taken on the circle, where representatives near 0 and near the period
+    are one point."""
+    a = project_trajectory(sys, simulate(g, ctrl, sys, step=step)).states
+    b = project_trajectory(sys, simulate(shifted, ctrl, sys, step=step)).states
+    k, period = sys.variant.wrapped_column, sys.variant.period
+    diff = a - b
+    diff[:, k] = np.remainder(diff[:, k] + 0.5 * period, period) - 0.5 * period
+    return float(np.max(np.abs(diff) / np.maximum(1.0, np.abs(a))))
+
+
+@settings(max_examples=30)
+@given(n=st.integers(1, 3), k=st.integers(-3, 3).filter(bool), exact=st.booleans(),
+       a=st.floats(-1.0, 1.0), b=st.floats(0.3, 1.5), t=st.floats(-5.0, 5.0),
+       v=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       eta=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), pairs=_SCHEDULE)
+def test_se2n_deck_translations_project_equal(n, k, exact, a, b, t, v, eta, pairs):
+    # (t + 2 pi n k, v) and (t, v) are one point of the n-fold quotient, so
+    # their runs project to the same states: on the exact path for a
+    # nilrank-2 drift a I + b R, and on the RK4 path for A = 0
+    A = a * np.eye(2) + b * ROTATION.matrix() if exact else np.zeros((2, 2))
+    sys = SystemSpec(ROTATION, LinearField(A, [1.0, 0.5]), InvariantField(1.0, eta), OMEGA,
+                     GroupVariant(GroupVariant.SE2N, n))
+    assert nilrank(sys) == (2 if exact else 0)
+    shifted = GroupElement(t + k * sys.variant.period, v)
+    ctrl = PiecewiseControl.from_pairs(pairs)
+    assert _deck_gap(sys, GroupElement(t, v), shifted, ctrl, 0.01 if exact else 0.05) <= 1e-9
+
+
+@settings(max_examples=20)
+@given(k=st.integers(-3, 3).filter(bool), a=st.floats(-1.0, 1.0), t=st.floats(-5.0, 5.0),
+       v=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), pairs=_SCHEDULE)
+def test_aff_circle_deck_translations_project_equal(k, a, t, v, pairs):
+    # A = diag(a, 0) annihilates the circle direction e2, so (t, v1, v2 + 2 pi k)
+    # and (t, v1, v2) run to the same quotient states
+    sys = aff_system(np.diag([a, 0.0]))
+    shifted = GroupElement(t, [v[0], v[1] + k * sys.variant.period])
+    ctrl = PiecewiseControl.from_pairs(pairs)
+    assert _deck_gap(sys, GroupElement(t, v), shifted, ctrl, 0.05) <= 1e-9

@@ -5,7 +5,9 @@ functions too) is the package itself, the standard library, or a runtime
 dependency listed in ``pyproject.toml``.  Test-only tools such as scipy
 live in the ``test`` extra and must not come back into the package.
 Verification and planning propagate every leg in closed form, so they
-import no ``simulate`` and its fixed-step integration.
+import no ``simulate`` and its fixed-step integration.  No module imports a
+``_``-prefixed name of another: a helper two modules need is public, or
+both uses live beside it.
 """
 
 import ast
@@ -70,3 +72,33 @@ def test_simulate_checker():
 @pytest.mark.parametrize("name", ["reach.py", "plan.py"])
 def test_verification_and_planning_use_no_simulate(name):
     assert simulate_uses((SRC / name).read_text()) == [], name
+
+
+def private_imports(source: str) -> list[str]:
+    """``module.name`` of every ``_``-prefixed name that ``source`` imports
+    from another solv3d module, inside functions too, sorted.  Dunder names
+    such as ``__version__`` are public."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "solv3d":
+            continue
+        found += [f"{'.' * node.level}{module}.{alias.name}" for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return sorted(found)
+
+
+def test_private_import_checker():
+    source = ("from __future__ import annotations\nfrom numpy import _core\n"
+              "from . import __version__\nfrom .kernel2d import ROT90, _series\n"
+              "def f():\n    from .plan import _bang_for, staircase\n"
+              "from solv3d.reach import _mark\n")
+    assert private_imports(source) == [".kernel2d._series", ".plan._bang_for",
+                                       "solv3d.reach._mark"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_name(path):
+    assert private_imports(path.read_text()) == [], path.name

@@ -330,10 +330,12 @@ class TestDetSignGate:
             dets = [np.linalg.det(a_of_u(sp, u)) for u in np.linspace(lo, hi, 33)[1:-1]]
             assert np.all(np.sign(dets) == np.sign(np.linalg.det(sp.A))), sp
 
-    @pytest.mark.parametrize("k", [-30, -7, 5, 20])
+    @pytest.mark.parametrize("k", [-600, -540, -30, -7, 5, 20, 511, 600])
     def test_power_of_two_time_rescaling(self, k):
         # A and omega times c = 2^k is the time rescaling s -> c s: the
-        # verdict stays, and det A scales by exactly c^2
+        # verdict stays, and det A scales by exactly c^2, rounded into the
+        # float range; at k = -600, -540, 511 and 600 the products in
+        # det A(u) leave that range, and still no RuntimeWarning is raised
         c = 2.0**k
         for sp in self.SPECS:
             sc = PlanarSpec(c * sp.A, sp.theta, sp.eta,

@@ -7,6 +7,7 @@ import pytest
 
 from solv3d.group import GroupVariant
 from solv3d.kernel2d import ThetaFamily, arc, lambda_op
+from solv3d.plan import _leg_ends
 from solv3d.planar import ControlRange, PiecewiseControl, PlanarSpec
 from solv3d.reach import (
     N_CHUNKS,
@@ -16,7 +17,6 @@ from solv3d.reach import (
     _distinct_controls,
     _draw_controls,
     _entry_index,
-    _leg_ends,
     _mark,
     ClassificationReport,
     ReachGrid,
@@ -86,6 +86,21 @@ class TestGrids:
         g2 = reach_sets(sp, np.zeros(2), 8.0, 1500, seed=1)
         assert not np.any(g1.forward & ~g2.forward)
         assert not np.any(g1.backward & ~g2.backward)
+
+    def test_overflowing_samples_raise_no_warning(self):
+        # at A = 1e200 I every arc's propagator overflows: its samples mark
+        # nothing and count as outside, with or without warnings as errors
+        sp = conjugate_to_planar(canonical(1e200 * np.eye(2))).planar
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            plain = reach_sets(sp, np.zeros(2), 4.0, 400, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strict = reach_sets(sp, np.zeros(2), 4.0, 400, seed=2)
+        assert plain.points_outside > 0
+        assert strict.points_outside == plain.points_outside
+        assert np.array_equal(strict.forward, plain.forward)
+        assert np.array_equal(strict.backward, plain.backward)
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
@@ -310,16 +325,22 @@ class TestVerify:
 
 
 def spy_leg_ends(monkeypatch) -> list:
-    """Record the (system, legs, t, v) of every ``reach._leg_ends`` call."""
-    import solv3d.reach as reach
+    """Record the ((theta, alpha, w), legs, t, v) of every ``plan._leg_ends``
+    call that ``plan.identity_return_error`` makes itself; the staircase's
+    endpoint check, which it reaches through ``half_staircase``, runs on the
+    same map and is not recorded."""
+    import inspect
 
-    calls, real = [], reach._leg_ends
+    import solv3d.plan as plan
 
-    def spy(sys, pairs, t, v):
-        calls.append((sys, list(pairs), t, np.array(v)))
-        return real(sys, pairs, t, v)
+    calls, real = [], plan._leg_ends
 
-    monkeypatch.setattr(reach, "_leg_ends", spy)
+    def spy(theta, alpha, w, pairs, t, v):
+        if inspect.currentframe().f_back.f_code is plan.identity_return_error.__code__:
+            calls.append(((theta, alpha, w), list(pairs), t, np.array(v)))
+        return real(theta, alpha, w, pairs, t, v)
+
+    monkeypatch.setattr(plan, "_leg_ends", spy)
     return calls
 
 
@@ -368,18 +389,18 @@ class TestLegEnds:
         # normalize_eta's system, and the oracle runs on the original one,
         # carried over by that conjugation's automorphism
         from solv3d.group import GroupElement
-        from solv3d.reach import _identity_return_error
+        from solv3d.plan import identity_return_error
         from solv3d.system import normalize_eta
 
         sys = SystemSpec(ThetaFamily.spiral(gamma),
                          LinearField(np.zeros((2, 2)), [0.7, -0.4]),
                          InvariantField(alpha, eta), ControlRange(-0.8, 1.2))
         calls = spy_leg_ends(monkeypatch)
-        assert _identity_return_error(sys, 3) <= 1e-12
+        assert identity_return_error(sys, 3) <= 1e-12
         assert len(calls) == 2 and sum(len(c[1]) for c in calls) >= 8
         psi = normalize_eta(sys)[1]
         for normal, pairs, t, v in calls:
-            got = _leg_ends(normal, pairs, t, v)
+            got = _leg_ends(*normal, pairs, t, v)
             g = psi.inverse()(GroupElement(t, v))
             want = np.array([psi(GroupElement(r[0], r[1:])).as_array()
                              for r in dop853_leg_ends(sys, pairs, g.t, g.v)])

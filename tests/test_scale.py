@@ -22,7 +22,7 @@ from solv3d.covering import lift_control_set
 from solv3d.group import GroupVariant, SIMPLY_CONNECTED
 from solv3d.kernel2d import ThetaFamily, commutes, matrix_rank, trace_sign
 from solv3d.planar import ControlRange, PlanarSpec, equilibrium, planar_solution
-from solv3d.reach import _identity_return_error, classify, verify_classification
+from solv3d.reach import classify, verify_classification
 from solv3d.system import InvariantField, LinearField, SystemSpec, nilrank
 
 SE2 = GroupVariant(GroupVariant.SE2N, 1)
@@ -61,6 +61,26 @@ def test_reproducers_keep_their_verdict_at_every_scale(make, want):
     assert verdict(make(1.0)) == want
     for c in SCALES:
         assert verdict(make(c)) == want, c
+
+
+@pytest.mark.parametrize("theta, A, want", [
+    (ThetaFamily.spiral(0.0), np.eye(2), ("UniqueControlSetOpen", "nilrank2/planar-cylinder")),
+    (ThetaFamily.diagonal(1.0), [[1.0, 2.0], [1.0, 1.0]],
+     ("Unclassified", "nilrank2/planar-cylinder")),
+], ids=["spiral", "saddle"])
+@pytest.mark.parametrize("k", [-600, -540, 511, 600])
+def test_planar_verdict_beyond_the_determinant_products(theta, A, want, k):
+    # A = 2^k A_1 on omega = +-|A| / 2, xi and alpha fixed: the products in
+    # det A(u) leave the float range, and the verdict is the one at k = 0,
+    # with no RuntimeWarning (an error under this suite's warning filter)
+    def spec(c):
+        A_c = c * np.asarray(A, float)
+        half = 0.5 * float(np.max(np.abs(A_c)))
+        return SystemSpec(theta, LinearField(A_c, [1.0, 0.0]), InvariantField(1.0, [0.0, 0.0]),
+                          ControlRange(-half, half))
+
+    assert verdict(spec(1.0)) == want
+    assert verdict(spec(2.0**k)) == want
 
 
 @pytest.mark.parametrize("theta", [ThetaFamily.diagonal(0.5), ThetaFamily.jordan()],
@@ -343,7 +363,7 @@ def test_identity_return_is_time_scale_free():
         log = verify_classification(rep, sys)
     assert log["ok"], log
     check, = (c for c in log["checks"] if c["name"] == "identity-return")
-    assert check["endpoint_error"] == _identity_return_error(spiral(1.0), 0)
+    assert check["endpoint_error"] == plan.identity_return_error(spiral(1.0), 0)
 
 
 class TestCliAtSmallScale:
