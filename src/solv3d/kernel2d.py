@@ -76,9 +76,19 @@ def commutes(A: np.ndarray, B: np.ndarray) -> bool:
 
 def rank_product(M: np.ndarray, w: np.ndarray) -> tuple[float, bool]:
     """<M w, R w>, and whether it is nonzero against |M| |w|^2 (w is then
-    not an eigenvector of M): the products of the rank condition."""
+    not an eigenvector of M): the products of the rank condition.
+
+    Both are formed on M 2^-m and w 2^-e with largest entries in [1/2, 1),
+    where no product overflows or underflows; a power of two scales every
+    step exactly, so the decision is the unscaled one.  The product is
+    unscaled once at the end (to inf or 0.0 past the float range).
+    """
+    m, e = math.frexp(_size(M))[1], math.frexp(_size(w))[1]
+    M, w = np.ldexp(M, -m), np.ldexp(w, -e)
     p = float((M @ w) @ (ROT90 @ w))
-    return p, abs(p) > ZERO_TOL * _size(M) * float(w @ w)
+    with np.errstate(over="ignore"):
+        unscaled = float(np.ldexp(p, m + 2 * e))
+    return unscaled, abs(p) > ZERO_TOL * _size(M) * float(w @ w)
 
 
 def trace_sign(M: np.ndarray) -> int:

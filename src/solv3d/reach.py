@@ -3,10 +3,11 @@
 The planar reachable sets are estimated on a fixed grid by integrating
 batches of random piecewise-constant controls exactly: every arc is the
 affine map v -> E v + W u eta, and the evenly spaced samples along an arc
-are repeated applications of one such map from ``kernel2d.arc``.  Half the
-controls are bang levels, so ``arc`` runs once per distinct control value
-(each drawn level once, each uniform draw once) and the maps are gathered
-per trajectory; every sample then marks its cell with one flat scatter.
+are repeated applications of one such map from ``kernel2d.arc``.  The
+controls take LEVELS + 3 values (the bang levels and evenly spaced
+midpoints), so one ``arc`` call per direction and arc length tabulates
+every map, and each trajectory gathers its row; every sample then marks its
+cell with one flat scatter.
 Forward and backward occupancies combine into a control-set estimate, and
 ``classify`` implements the taxonomy decision tree over the drift rank and
 the group variant, with ``verify_classification`` cross-examining each
@@ -60,17 +61,18 @@ TAX_INFINITE = "InfiniteEmptyInterior"
 TAX_CONTROLLABLE = "Controllable"
 TAX_UNCLASSIFIED = "Unclassified"
 
-# the budget is split over this many independently seeded chunks
-N_CHUNKS = 8
+# every arc's control is u_min, 0, u_max or one of this many evenly spaced
+# midpoints of the range
+LEVELS = 4096
 # the identity-return round trip may end off the identity fiber by this
 # fraction of how far it went
 RETURN_TOL = 1e-5
 # the WholeGroup check: the estimate must fill at least this share of the window
 FILL_WINDOW = ((-5.0, 5.0), (-5.0, 5.0))
 FILL_THRESHOLD = 0.99
-# whole chunks are sampled together up to this many trajectories: enough to
-# amortise numpy's per-call overhead, few enough that an arc's arrays stay
-# in cache (one uncapped 100k batch ran slower than 12.5k chunks)
+# the budget is sampled in equal batches of at most this many trajectories:
+# enough to amortise numpy's per-call overhead, few enough that an arc's
+# arrays stay in cache (one uncapped 100k batch ran slower than 12.5k ones)
 _BATCH = 16_384
 
 
@@ -146,106 +148,63 @@ def _mark(bitmap: np.ndarray, x: np.ndarray, y: np.ndarray, box, res: int) -> in
     return cells.size
 
 
-def _bang_levels(omega) -> np.ndarray:
-    return np.array([omega.u_min, 0.0, omega.u_max])
+def _arc_table(spec: PlanarSpec, h: float) -> np.ndarray:
+    """Rows ``e00, e01, e10, e11, cx, cy`` of the sample map v -> E v + c over
+    time h, one column per control level: ``u_min, 0, u_max`` and then the
+    LEVELS midpoints ``u_min + (u_max - u_min)(j + 1/2)/LEVELS``.
 
-
-def _control_draws(rng: np.random.Generator, n: int, omega):
-    """The draws behind ``_draw_controls``: bang flags, bang levels, uniform values."""
-    bang = rng.random(n) < 0.5
-    pick = rng.integers(0, 3, size=n)
-    uni = rng.uniform(omega.u_min, omega.u_max, size=n)
-    return bang, pick, uni
-
-
-def _draw_controls(rng: np.random.Generator, n: int, omega) -> np.ndarray:
-    """Half bang values from {u_min, 0, u_max}, half uniform over the range."""
-    bang, pick, uni = _control_draws(rng, n, omega)
-    return np.where(bang, _bang_levels(omega)[pick], uni)
-
-
-def _distinct_controls(bang: np.ndarray, pick: np.ndarray, uni: np.ndarray, omega):
-    """``(values, index)`` with ``values[index]`` equal to the drawn controls.
-
-    Each bang level that was drawn appears once, followed by every uniform
-    draw, so the values hold the same set as the controls (a few repeats
-    aside) without a sort.
+    One ``arc`` call covers every level, so each entry is the one a call on
+    the whole range gives.  A propagator that overflows holds inf or NaN and
+    its samples count as outside, like ``_mark``'s lanes.
     """
-    used = np.bincount(np.compress(bang, pick), minlength=3) > 0
-    rank = np.cumsum(used) - 1
-    free = ~bang
-    values = np.concatenate([_bang_levels(omega)[used], np.compress(free, uni)])
-    index = np.where(bang, rank[pick], rank[-1] + np.cumsum(free))
-    return values, index
+    lo, hi = spec.omega.u_min, spec.omega.u_max
+    u = np.concatenate([[lo, 0.0, hi], lo + (hi - lo) * (np.arange(LEVELS) + 0.5) / LEVELS])
+    A, th, eta = spec.A, spec.theta_matrix, spec.eta
+    with np.errstate(invalid="ignore", over="ignore"):
+        (e00, e01, e10, e11), (w00, w01, w10, w11) = arc(
+            A[0, 0] - u * th[0, 0], A[0, 1] - u * th[0, 1],
+            A[1, 0] - u * th[1, 0], A[1, 1] - u * th[1, 1], h,
+        )
+        return np.array([e00, e01, e10, e11,
+                         u * (w00 * eta[0] + w01 * eta[1]), u * (w10 * eta[0] + w11 * eta[1])])
+
+
+def _draw_levels(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n column indices of ``_arc_table``: half the time a bang level (1/6
+    each), otherwise one of the LEVELS midpoints, all equally likely."""
+    r = rng.integers(0, 6 * LEVELS, size=n)
+    return np.where(r < 3 * LEVELS, r % 3, r // 3 - LEVELS + 3)
 
 
 def _sample_direction(
-    spec: PlanarSpec,
     v0: np.ndarray,
-    T: float,
-    rngs: list[np.random.Generator],
-    sizes: list[int],
+    tables: list[np.ndarray],
+    rng: np.random.Generator,
+    n: int,
     bitmap: np.ndarray,
     box,
     res: int,
-    sign: float,
-    arc_duration: float,
     samples_per_arc: int,
-) -> tuple[int, int]:
-    """Accumulate occupancy for one time direction over a batch of chunks.
+) -> int:
+    """Accumulate one time direction's occupancy over a batch of n trajectories.
 
-    Chunk i runs ``sizes[i]`` trajectories on controls drawn from
-    ``rngs[i]``.  All chunks advance as one array, and each arc's draws are
-    concatenated chunk by chunk, so every chunk consumes its generator
-    exactly as it would on its own.  Switches happen on a fixed period so a
-    longer horizon extends the same control draws instead of redrawing them;
-    occupied cells therefore grow monotonically with T under the same seed.
+    ``tables[i]`` is arc i's ``_arc_table``, and each arc draws one level
+    per trajectory from ``rng``.  Switches happen on a fixed period, so a
+    longer horizon extends the same draws instead of redrawing them.
     Returns how many of the sampled points fell inside the box.
     """
-    A, th, eta = spec.A, spec.theta_matrix, spec.eta
-    n_traj = sum(sizes)
-    x = np.full(n_traj, float(v0[0]))
-    y = np.full(n_traj, float(v0[1]))
+    x = np.full(n, float(v0[0]))
+    y = np.full(n, float(v0[1]))
     inside = _mark(bitmap, x, y, box, res)
-    elapsed = 0.0
-    for _ in range(math.ceil(T / arc_duration)):
-        draws = [_control_draws(rng, n, spec.omega) for rng, n in zip(rngs, sizes)]
-        u, inv = _distinct_controls(*(np.concatenate(d) for d in zip(*draws)), spec.omega)
-        s = min(arc_duration, T - elapsed)
-        # one propagator per distinct control: the samples are its powers
-        # applied to v.  The values span the same norms as the draws, so
-        # ``arc`` picks the same squaring count and every entry is the one a
-        # per-trajectory call would give.  A propagator or sample that
-        # overflows marks nothing and counts as outside, like ``_mark``'s lanes.
+    for table in tables:
+        e00, e01, e10, e11, cx, cy = table[:, _draw_levels(rng, n)]
+        # the samples are powers of the arc's map applied to v; one that
+        # overflows marks nothing
         with np.errstate(invalid="ignore", over="ignore"):
-            (e00, e01, e10, e11), (w00, w01, w10, w11) = arc(
-                A[0, 0] - u * th[0, 0], A[0, 1] - u * th[0, 1],
-                A[1, 0] - u * th[1, 0], A[1, 1] - u * th[1, 1],
-                sign * s / samples_per_arc,
-            )
-            cx = (u * (w00 * eta[0] + w01 * eta[1]))[inv]
-            cy = (u * (w10 * eta[0] + w11 * eta[1]))[inv]
-            e00, e01, e10, e11 = e00[inv], e01[inv], e10[inv], e11[inv]
             for _ in range(samples_per_arc):
                 x, y = e00 * x + e01 * y + cx, e10 * x + e11 * y + cy
                 inside += _mark(bitmap, x, y, box, res)
-        elapsed += s
     return inside
-
-
-def _batches(sizes: list[int]) -> list[list[int]]:
-    """Consecutive nonempty chunks grouped into batches of at most _BATCH
-    trajectories; a chunk larger than _BATCH is a batch of its own."""
-    batches, total = [], _BATCH
-    for i, n in enumerate(sizes):
-        if n == 0:
-            continue
-        if total + n > _BATCH:
-            batches.append([])
-            total = 0
-        batches[-1].append(i)
-        total += n
-    return batches
 
 
 def reach_points(T: float, budget: int, arc_duration: float = 2.0,
@@ -268,27 +227,33 @@ def reach_sets(
 ) -> ReachGrid:
     """Forward and backward occupancy of the planar system from v0.
 
-    The sample budget is split over a fixed number of independently seeded
-    chunks whose partial bitmaps merge by union.  Whole chunks are sampled
-    together in batches fixed by the budget alone, so the result depends
-    only on (spec, v0, T, budget, seed) and the grid.
+    Every arc's control is one of ``_arc_table``'s levels, so one table per
+    direction and arc length serves every trajectory.  The bang levels are
+    among them: a finite control set whose convex hull is the whole range
+    leaves the closure of a control-affine system's reachable sets unchanged
+    (Filippov-Wazewski relaxation).  The budget is split into
+    ``ceil(budget / _BATCH)`` equal batches, each direction of each batch
+    drawing from its own child of ``SeedSequence(seed)``, so the result
+    depends only on (spec, v0, T, budget, seed) and the grid.
     """
     if T <= 0.0 or budget <= 0:
         raise ValueError("horizon and budget must be positive")
     v0 = np.asarray(v0, dtype=float).reshape(2)
     res = int(resolution)
-    seeds = np.random.SeedSequence(seed).spawn(2 * N_CHUNKS)
-    sizes = [budget // N_CHUNKS] * N_CHUNKS
-    sizes[-1] += budget - sum(sizes)
+    lengths = [min(arc_duration, T - i * arc_duration) for i in range(math.ceil(T / arc_duration))]
+    n_batches = math.ceil(budget / _BATCH)
+    seeds = np.random.SeedSequence(seed).spawn(2 * n_batches)
 
     fwd = np.zeros((res, res), dtype=bool)
     bwd = np.zeros((res, res), dtype=bool)
     inside = 0
-    for chunks in _batches(sizes):
-        for d, (sign, bitmap) in enumerate(((+1.0, fwd), (-1.0, bwd))):
-            rngs = [np.random.default_rng(seeds[2 * i + d]) for i in chunks]
-            inside += _sample_direction(spec, v0, T, rngs, [sizes[i] for i in chunks], bitmap,
-                                        box, res, sign, arc_duration, samples_per_arc)
+    for d, (sign, bitmap) in enumerate(((+1.0, fwd), (-1.0, bwd))):
+        by_length = {s: _arc_table(spec, sign * s / samples_per_arc) for s in set(lengths)}
+        tables = [by_length[s] for s in lengths]
+        for i in range(n_batches):
+            n = budget // n_batches + (i < budget % n_batches)
+            inside += _sample_direction(v0, tables, np.random.default_rng(seeds[2 * i + d]), n,
+                                        bitmap, box, res, samples_per_arc)
     points = reach_points(T, budget, arc_duration, samples_per_arc)
     return ReachGrid(box, res, fwd, bwd, float(T), int(budget), int(seed), v0,
                      points, points - inside)

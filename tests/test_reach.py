@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from solv3d.group import GroupVariant
-from solv3d.kernel2d import ThetaFamily, arc, lambda_op
+from solv3d.kernel2d import ThetaFamily, arc, arc_matrices, lambda_op
 from solv3d.plan import _leg_ends
-from solv3d.planar import ControlRange, PiecewiseControl, PlanarSpec
+from solv3d.planar import ControlRange, PiecewiseControl, PlanarSpec, a_of_u
+import solv3d.reach as reach
 from solv3d.reach import (
-    N_CHUNKS,
+    LEVELS,
     _BATCH,
-    _batches,
-    _control_draws,
-    _distinct_controls,
-    _draw_controls,
+    _arc_table,
+    _draw_levels,
     _entry_index,
     _mark,
     ClassificationReport,
@@ -458,71 +457,74 @@ class TestPairingSweep:
         assert oks == {"monotone-certificate": cert.holds, "pairing-never-decreases": verdict}
 
 
-def _chunk_direction(spec, v0, T, n_traj, rng, bitmap, box, res, sign,
-                     arc_duration, samples_per_arc):
-    """One chunk of one time direction on its own, as a separate array."""
-    A, th, eta = spec.A, spec.theta_matrix, spec.eta
-    x = np.full(n_traj, float(v0[0]))
-    y = np.full(n_traj, float(v0[1]))
-    _mark(bitmap, x, y, box, res)
-    elapsed = 0.0
-    for _ in range(int(np.ceil(T / arc_duration))):
-        u = _draw_controls(rng, n_traj, spec.omega)
-        s = min(arc_duration, T - elapsed)
-        (e00, e01, e10, e11), (w00, w01, w10, w11) = arc(
-            A[0, 0] - u * th[0, 0], A[0, 1] - u * th[0, 1],
-            A[1, 0] - u * th[1, 0], A[1, 1] - u * th[1, 1],
-            sign * s / samples_per_arc,
-        )
-        cx = u * (w00 * eta[0] + w01 * eta[1])
-        cy = u * (w10 * eta[0] + w11 * eta[1])
-        for _ in range(samples_per_arc):
-            x, y = e00 * x + e01 * y + cx, e10 * x + e11 * y + cy
-            _mark(bitmap, x, y, box, res)
-        elapsed += s
+def _oracle_levels(rng, n):
+    """The level draws written with two masked stores (oracle): a draw r
+    below 3 LEVELS is bang level r mod 3, any other the midpoint
+    (r - 3 LEVELS) // 3, stored after the three bang columns."""
+    r = rng.integers(0, 6 * LEVELS, size=n)
+    bang = r < 3 * LEVELS
+    idx = np.empty(n, dtype=np.int64)
+    idx[bang] = r[bang] % 3
+    idx[~bang] = 3 + (r[~bang] - 3 * LEVELS) // 3
+    return idx
 
 
-def _per_chunk_reach(spec, v0, T, budget, seed=0, box=((-10.0, 10.0), (-10.0, 10.0)),
-                     res=64, arc_duration=2.0, samples_per_arc=8):
-    """The sampler one chunk and direction at a time, merged by union (oracle)."""
-    seeds = np.random.SeedSequence(seed).spawn(2 * N_CHUNKS)
-    sizes = [budget // N_CHUNKS] * N_CHUNKS
-    sizes[-1] += budget - sum(sizes)
+def _per_trajectory_reach(spec, v0, T, budget, seed=0, box=((-10.0, 10.0), (-10.0, 10.0)),
+                          res=64, arc_duration=2.0, samples_per_arc=8):
+    """The sampler re-derived (oracle): each batch's seeds and draws, each
+    trajectory's arc map gathered as its level's row, and every sample
+    marked with ``_mark_reference``.  Returns (forward, backward, inside)."""
+    n_batches = -(-budget // _BATCH)
+    sizes = [len(part) for part in np.array_split(np.arange(budget), n_batches)]
+    seeds = np.random.SeedSequence(seed).spawn(2 * n_batches)
+    arcs = [min(arc_duration, T - arc_duration * i)
+            for i in range(int(np.ceil(T / arc_duration)))]
     fwd = np.zeros((res, res), dtype=bool)
     bwd = np.zeros((res, res), dtype=bool)
+    inside = 0
     for i, n in enumerate(sizes):
-        if n == 0:
-            continue
-        for sign, merged in ((+1.0, fwd), (-1.0, bwd)):
-            bitmap = np.zeros((res, res), dtype=bool)
-            rng = np.random.default_rng(seeds[2 * i + (0 if sign > 0 else 1)])
-            _chunk_direction(spec, np.asarray(v0, float), T, n, rng, bitmap, box, res,
-                             sign, arc_duration, samples_per_arc)
-            merged |= bitmap
-    return fwd, bwd
+        for d, (sign, bitmap) in enumerate(((+1.0, fwd), (-1.0, bwd))):
+            rng = np.random.default_rng(seeds[2 * i + d])
+            x = np.full(n, float(v0[0]))
+            y = np.full(n, float(v0[1]))
+            inside += _mark_reference(bitmap, x, y, box, res)
+            for s in arcs:
+                rows = _arc_table(spec, sign * s / samples_per_arc).T[_oracle_levels(rng, n)]
+                for _ in range(samples_per_arc):
+                    x, y = (rows[:, 0] * x + rows[:, 1] * y + rows[:, 4],
+                            rows[:, 2] * x + rows[:, 3] * y + rows[:, 5])
+                    inside += _mark_reference(bitmap, x, y, box, res)
+    return fwd, bwd, inside
 
 
 class TestBatchedSampling:
-    BUDGETS = (1, 7, 9, 100, 1001, 10_000, 40_000)
+    BUDGETS = (1, 7, 100, 10_000, 16_385, 40_000)
     RUNS = [(7.0, (0.3, -0.2)), (12.0, (0.0, 0.0))]
 
     @pytest.mark.parametrize("system", [OPEN_SYS, CLOSED_SYS, WHOLE_SYS],
                              ids=["open", "closed", "whole"])
     @pytest.mark.parametrize("T, v0", RUNS, ids=["T7", "T12"])
-    def test_bitmaps_equal_per_chunk_oracle_at_any_thread_count(self, system, T, v0):
+    def test_bitmaps_equal_per_trajectory_oracle(self, system, T, v0):
         spec = conjugate_to_planar(system).planar
         for budget in self.BUDGETS:
-            fwd, bwd = _per_chunk_reach(spec, v0, T, budget)
+            fwd, bwd, inside = _per_trajectory_reach(spec, v0, T, budget)
             g = reach_sets(spec, v0, T, budget)
             assert g.forward.tobytes() == fwd.tobytes(), budget
             assert g.backward.tobytes() == bwd.tobytes(), budget
+            assert g.points_outside == g.points - inside, budget
 
-    def test_batches_hold_whole_chunks(self):
-        assert _batches([1250] * 8) == [list(range(8))]
-        assert _batches([5000] * 8) == [[0, 1, 2], [3, 4, 5], [6, 7]]
-        assert _batches([12_500] * 8) == [[i] for i in range(8)]
-        assert _batches([0] * 7 + [7]) == [[7]]
-        assert _batches([_BATCH // 2] * 3) == [[0, 1], [2]]
+    def test_one_table_per_direction_and_arc_length(self, monkeypatch):
+        # budget 40 000 is three batches and T = 7 is three arcs of 2 and
+        # one of 1: one arc call per direction and length, whatever the batches
+        calls = []
+
+        def counting_arc(*args):
+            calls.append(args[-1])
+            return arc(*args)
+
+        monkeypatch.setattr(reach, "arc", counting_arc)
+        reach_sets(closed_planar(), np.zeros(2), 7.0, 40_000)
+        assert sorted(calls) == [-0.25, -0.125, 0.125, 0.25]
 
 
 class TestGridExitCounters:
@@ -563,15 +565,6 @@ def _mark_reference(bitmap, x, y, box, res):
     ok = (ix >= 0) & (ix < res) & (iy >= 0) & (iy < res)
     bitmap[ix[ok], iy[ok]] = True
     return int(np.count_nonzero(ok))
-
-
-def _choose_controls(rng, n, omega):
-    """The control draws written with ``np.choose`` (oracle)."""
-    bang = rng.random(n) < 0.5
-    pick = rng.integers(0, 3, size=n)
-    bang_vals = np.choose(pick, [omega.u_min, 0.0, omega.u_max])
-    uni = rng.uniform(omega.u_min, omega.u_max, size=n)
-    return np.where(bang, bang_vals, uni)
 
 
 class TestMarker:
@@ -620,47 +613,66 @@ class TestMarker:
             _mark(bitmap, np.zeros(1), np.zeros(1), self.BOX, 8)
 
 
-class TestControlDraws:
-    RANGES = [OMEGA, ControlRange(-1.0, 2.0), ControlRange(-1e-3, 7.5),
-              ControlRange(-3.0, 0.25)]
-
-    @pytest.mark.parametrize("omega", RANGES, ids=["sym", "wide", "skew", "neg"])
-    def test_table_equals_choose(self, omega):
-        for seed, n in ((0, 1), (1, 7), (2, 1250), (3, 10_000)):
-            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert _draw_controls(a, n, omega).tobytes() == _choose_controls(b, n, omega).tobytes()
-            # both consumed the generator alike
-            assert a.random() == b.random()
-
-    @pytest.mark.parametrize("omega", RANGES, ids=["sym", "wide", "skew", "neg"])
-    def test_distinct_values_gather_to_the_draws(self, omega):
-        for seed, n in ((0, 1), (1, 2), (2, 3), (3, 9), (4, 10_000)):
-            u = _draw_controls(np.random.default_rng(seed), n, omega)
-            values, index = _distinct_controls(
-                *_control_draws(np.random.default_rng(seed), n, omega), omega)
-            assert values[index].tobytes() == u.tobytes()
-            # the same set of values, so arc's batch norm is the same
-            assert set(values.tolist()) == set(u.tolist())
-            assert len(values) <= n
-
-    def test_distinct_values_shrink_the_batch(self):
-        values, index = _distinct_controls(
-            *_control_draws(np.random.default_rng(5), 10_000, OMEGA), OMEGA)
-        assert len(values) < 5_300 and index.shape == (10_000,)
-
-
 class TestReachGridShape:
     """The benchmark's reach_grid call: T = 30, budget 10 000, box +-10, res 64."""
 
     @pytest.mark.parametrize("system", [OPEN_SYS, CLOSED_SYS, WHOLE_SYS],
                              ids=["open", "closed", "whole"])
-    def test_bitmaps_equal_per_chunk_oracle(self, system):
+    def test_bitmaps_equal_per_trajectory_oracle(self, system):
         spec = conjugate_to_planar(system).planar
-        fwd, bwd = _per_chunk_reach(spec, (0.0, 0.0), 30.0, 10_000, seed=7)
+        fwd, bwd, inside = _per_trajectory_reach(spec, (0.0, 0.0), 30.0, 10_000, seed=7)
         g = reach_sets(spec, np.zeros(2), 30.0, 10_000, seed=7)
         assert g.forward.tobytes() == fwd.tobytes()
         assert g.backward.tobytes() == bwd.tobytes()
         assert g.points == reach_points(30.0, 10_000) == 2 * 10_000 * (1 + 15 * 8)
+        assert g.points_outside == g.points - inside
+
+
+class TestArcTable:
+    SPECS = [
+        PlanarSpec(np.array([[-0.4, -1.1], [1.1, -0.4]]), ThetaFamily.spiral(0.3),
+                   np.array([1.0, 0.5]), ControlRange(-0.5, 0.5)),
+        PlanarSpec(np.array([[-1.25, 0.5], [0.0, -1.25]]), ThetaFamily.jordan(),
+                   np.array([0.0, 1.0]), ControlRange(-1.5, 1.5)),
+        PlanarSpec(np.array([[0.4, 0.0], [0.0, -1.3]]), ThetaFamily.diagonal(-0.5),
+                   np.array([0.7, -0.2]), ControlRange(-3.0, 0.25)),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["spiral", "jordan", "diagonal"])
+    def test_rows_equal_scalar_arcs(self, spec):
+        lo, hi = spec.omega.u_min, spec.omega.u_max
+        levels = [lo, 0.0, hi] + [lo + (hi - lo) * (j + 0.5) / LEVELS for j in range(LEVELS)]
+        for h in (0.25, -0.25, 0.125):
+            table = _arc_table(spec, h)
+            assert table.shape == (6, LEVELS + 3)
+            for u, row in zip(levels, table.T):
+                E, W = arc_matrices(a_of_u(spec, u), h)
+                c = W @ (u * spec.eta)
+                assert np.max(np.abs(row[:4] - E.ravel())) <= 1e-14 * np.max(np.abs(E)), u
+                assert np.max(np.abs(row[4:] - c)) <= 1e-14 * np.max(np.abs(c)), u
+
+
+class TestLevelDraws:
+    def test_draw_shares(self):
+        n = 600_000
+        idx = _draw_levels(np.random.default_rng(11), n)
+        assert idx.min() >= 0 and idx.max() < LEVELS + 3
+        assert abs(np.mean(idx < 3) - 0.5) < 0.005
+        for level in range(3):
+            assert abs(np.mean(idx == level) - 1.0 / 6.0) < 0.005, level
+        mids = idx[idx >= 3] - 3
+        # every midpoint is drawn, and 64 runs of 64 midpoints each hold
+        # 1/64 of the midpoint draws to within 10% (about 7 sigma)
+        assert np.all(np.bincount(mids, minlength=LEVELS) > 0)
+        runs = np.bincount(mids // 64, minlength=64)
+        assert np.all(np.abs(runs - mids.size / 64) < 0.1 * mids.size / 64)
+
+    def test_oracle_draws_equal(self):
+        for seed, n in ((0, 1), (1, 7), (2, 10_000)):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _draw_levels(a, n).tolist() == _oracle_levels(b, n).tolist()
+            # both consumed the generator alike
+            assert a.random() == b.random()
 
 
 def _scalar_entry_index(spec, v, est, grid):

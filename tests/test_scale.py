@@ -8,6 +8,7 @@ also checked under a rescaling of space (see the section on planners).
 """
 
 import json
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -81,6 +82,29 @@ def test_planar_verdict_beyond_the_determinant_products(theta, A, want, k):
 
     assert verdict(spec(1.0)) == want
     assert verdict(spec(2.0**k)) == want
+
+
+@pytest.mark.parametrize("k", [-600, -300, 300, 600])
+def test_rank_condition_beyond_the_product_range(k):
+    # xi = 2^k (1, 0) with A = I: the rank-condition products scale by
+    # 2^(2k) and leave the float range at k = +-600, yet the decisions are
+    # the ones at k = 0, with no RuntimeWarning, and each product is the
+    # unscaled one rounded once
+    def spec(c):
+        return SystemSpec(ThetaFamily.spiral(0.0), LinearField(np.eye(2), [c, 0.0]),
+                          InvariantField(1.0, [0.0, 0.0]), ControlRange(-0.5, 0.5))
+
+    base = classify(spec(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = classify(spec(2.0**k))
+    assert (rep.taxonomy, rep.rule) == (base.taxonomy, base.rule) == (
+        "UniqueControlSetOpen", "nilrank2/planar-cylinder")
+    with np.errstate(over="ignore"):
+        for got, want in ((rep.larc, base.larc), (rep.adrank, base.adrank)):
+            assert got.holds == want.holds
+            assert got.a_product == np.ldexp(want.a_product, 2 * k)
+            assert got.theta_product == np.ldexp(want.theta_product, 2 * k)
 
 
 @pytest.mark.parametrize("theta", [ThetaFamily.diagonal(0.5), ThetaFamily.jordan()],
