@@ -503,10 +503,13 @@ def cmd_reach(spec_path, out_dir, seed, budget, horizon, grid_res, grid_box):
                        grid_res=grid_res, grid_box=grid_box)
 
     box = tuple(map(tuple, numerics["grid"]["box"]))
-    grid = reach_mod.reach_sets(
-        spec, np.zeros(2), numerics["horizon"], numerics["budget"],
-        box=box, resolution=numerics["grid"]["resolution"], seed=numerics["seed"],
-    )
+    try:
+        grid = reach_mod.reach_sets(
+            spec, np.zeros(2), numerics["horizon"], numerics["budget"],
+            box=box, resolution=numerics["grid"]["resolution"], seed=numerics["seed"],
+        )
+    except ValueError as exc:
+        raise InputError(str(exc))
     est = reach_mod.control_set_estimate(grid)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "occupancy.csv"), "w", encoding="utf-8") as fh:
@@ -527,13 +530,7 @@ def cmd_reach(spec_path, out_dir, seed, budget, horizon, grid_res, grid_box):
     }
     dump_json(out, os.path.join(out_dir, "reach_report.json"))
 
-    n = grid.resolution
-    cell = 480 / n
-    elements = [
-        f'<rect x="{i * cell:.2f}" y="{(n - 1 - j) * cell:.2f}" '
-        f'width="{cell:.2f}" height="{cell:.2f}" fill="#88aadd" stroke="none"/>'
-        for i, j in np.argwhere(est.cells)
-    ]
+    elements = _cell_rects(est.cells)
     elements.append(_equilibrium_overlay(spec, box))
     write_svg(os.path.join(out_dir, "reach.svg"), elements, box)
     click.echo(
@@ -541,6 +538,17 @@ def cmd_reach(spec_path, out_dir, seed, budget, horizon, grid_res, grid_box):
         f"backward {est.diagnostics['backward_cells']}, "
         f"estimate {est.diagnostics['estimate_cells']}"
     )
+
+
+def _cell_rects(cells: np.ndarray) -> list[str]:
+    """One SVG square per set cell of the n x n bitmap, on the 480-unit canvas."""
+    n = cells.shape[0]
+    cell = 480 / n
+    return [
+        f'<rect x="{i * cell:.2f}" y="{(n - 1 - j) * cell:.2f}" '
+        f'width="{cell:.2f}" height="{cell:.2f}" fill="#88aadd" stroke="none"/>'
+        for i, j in np.argwhere(cells).tolist()
+    ]
 
 
 @main.command("plan")

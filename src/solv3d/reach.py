@@ -6,8 +6,10 @@ affine map v -> E v + W u eta, and the evenly spaced samples along an arc
 are repeated applications of one such map from ``kernel2d.arc``.  The
 controls take LEVELS + 3 values (the bang levels and evenly spaced
 midpoints), so one ``arc`` call per direction and arc length tabulates
-every map, and each trajectory gathers its row; every sample then marks its
-cell with one flat scatter.
+every map.  Each trajectory's level is one lookup of its random draw, and
+its row one ``np.take`` gather.  Every sample then marks its cell with one
+cast and one flat scatter over the whole batch, the lanes outside the box
+repeating the cell of a lane inside.
 Forward and backward occupancies combine into a control-set estimate, and
 ``classify`` implements the taxonomy decision tree over the drift rank and
 the group variant, with ``verify_classification`` cross-examining each
@@ -134,18 +136,22 @@ def _mark(bitmap: np.ndarray, x: np.ndarray, y: np.ndarray, box, res: int) -> in
 
     ``bitmap`` must be C-contiguous: the cells are set through its flat view,
     at ``ix * res + iy``, which float64 holds exactly for ``res <= 4096``.
-    Points outside the box, infinite or NaN mark nothing and are never cast.
+    Points outside the box, infinite or NaN mark nothing and are never cast:
+    their lanes take the cell of the first point inside, so one cast and one
+    scatter cover every lane.
     """
     if not bitmap.flags.c_contiguous:
         raise ValueError("the bitmap must be C-contiguous")
     fx, fy, ok = _cells(x, y, box, res)
+    if not ok.any():
+        return 0
     # lanes outside the box may overflow or meet opposite infinities; they
-    # are masked off before the cast
+    # are overwritten before the cast
     with np.errstate(invalid="ignore", over="ignore"):
         flat = fx * res + fy
-    cells = np.compress(ok, flat).astype(np.intp)
-    bitmap.reshape(-1)[cells] = True
-    return cells.size
+    flat[~ok] = flat[np.argmax(ok)]
+    bitmap.reshape(-1)[flat.astype(np.intp)] = True
+    return int(np.count_nonzero(ok))
 
 
 def _arc_table(spec: PlanarSpec, h: float) -> np.ndarray:
@@ -169,11 +175,17 @@ def _arc_table(spec: PlanarSpec, h: float) -> np.ndarray:
                          u * (w00 * eta[0] + w01 * eta[1]), u * (w10 * eta[0] + w11 * eta[1])])
 
 
+# the ``_arc_table`` column of each raw draw r in [0, 6 LEVELS): bang level
+# r mod 3 below 3 LEVELS, else midpoint (r - 3 LEVELS) // 3
+_LEVEL_OF = np.concatenate([np.tile(np.arange(3), LEVELS), 3 + np.repeat(np.arange(LEVELS), 3)])
+
+
 def _draw_levels(rng: np.random.Generator, n: int) -> np.ndarray:
     """n column indices of ``_arc_table``: half the time a bang level (1/6
-    each), otherwise one of the LEVELS midpoints, all equally likely."""
-    r = rng.integers(0, 6 * LEVELS, size=n)
-    return np.where(r < 3 * LEVELS, r % 3, r // 3 - LEVELS + 3)
+    each), otherwise one of the LEVELS midpoints, all equally likely.
+
+    One ``rng.integers`` draw per index, looked up in ``_LEVEL_OF``."""
+    return np.take(_LEVEL_OF, rng.integers(0, 6 * LEVELS, size=n))
 
 
 def _sample_direction(
@@ -189,15 +201,16 @@ def _sample_direction(
     """Accumulate one time direction's occupancy over a batch of n trajectories.
 
     ``tables[i]`` is arc i's ``_arc_table``, and each arc draws one level
-    per trajectory from ``rng``.  Switches happen on a fixed period, so a
-    longer horizon extends the same draws instead of redrawing them.
+    per trajectory from ``rng`` and gathers those columns with ``np.take``.
+    Switches happen on a fixed period, so a longer horizon extends the same
+    draws instead of redrawing them.  Every sample is one ``_mark`` call.
     Returns how many of the sampled points fell inside the box.
     """
     x = np.full(n, float(v0[0]))
     y = np.full(n, float(v0[1]))
     inside = _mark(bitmap, x, y, box, res)
     for table in tables:
-        e00, e01, e10, e11, cx, cy = table[:, _draw_levels(rng, n)]
+        e00, e01, e10, e11, cx, cy = np.take(table, _draw_levels(rng, n), axis=1)
         # the samples are powers of the arc's map applied to v; one that
         # overflows marks nothing
         with np.errstate(invalid="ignore", over="ignore"):
@@ -548,22 +561,18 @@ def _entry_index(spec: PlanarSpec, v: np.ndarray, est: ControlSetEstimate,
 
 def grid_to_csv(grid: ReachGrid, estimate: ControlSetEstimate | None = None) -> str:
     """Cell centers with occupancy flags, one row per cell."""
-    xs, ys = grid.cell_centers()
+    xs, ys = (c.tolist() for c in grid.cell_centers())
+    est = estimate.cells if estimate is not None else np.zeros_like(grid.forward)
+    fwd, bwd, est = (b.astype(np.uint8).tolist() for b in (grid.forward, grid.backward, est))
     lines = ["x,y,forward,backward,estimate"]
-    est = estimate.cells if estimate is not None else None
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            e = int(est[i, j]) if est is not None else 0
-            lines.append(
-                f"{x:.6f},{y:.6f},{int(grid.forward[i, j])},{int(grid.backward[i, j])},{e}"
-            )
+    for x, f_row, b_row, e_row in zip(xs, fwd, bwd, est):
+        for y, f, b, e in zip(ys, f_row, b_row, e_row):
+            lines.append(f"{x:.6f},{y:.6f},{f},{b},{e}")
     return "\n".join(lines) + "\n"
 
 
 def grid_to_pgm(bitmap: np.ndarray) -> str:
     """Plain-text PGM rendering of one occupancy layer (row-major, y down)."""
     res = bitmap.shape[0]
-    rows = []
-    for j in range(res - 1, -1, -1):
-        rows.append(" ".join("255" if bitmap[i, j] else "0" for i in range(res)))
+    rows = [" ".join("255" if v else "0" for v in row) for row in bitmap.T[::-1].tolist()]
     return f"P2\n{res} {res}\n255\n" + "\n".join(rows) + "\n"

@@ -908,3 +908,37 @@ class TestDeterminism:
             )
             blobs.append(blob)
         assert blobs[0] == blobs[1]
+
+
+class TestHugeControlRange:
+    """omega = [-1e308, 1e308]: the reach tables' midpoint grid overflows."""
+
+    @pytest.mark.parametrize("command", ["reach", "classify"])
+    def test_one_error_line(self, runner, tmp_path, command):
+        spec = write_spec(tmp_path, dict(WHOLE_SPEC, omega=[-1e308, 1e308]))
+        out_dir = tmp_path / "out"
+        out = runner.invoke(main, [command, spec, "--out-dir", str(out_dir)],
+                            catch_exceptions=False)
+        assert out.exit_code == 1, out.output
+        lines = out.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error:"), out.output
+        assert not out_dir.exists()
+
+
+def _cell_rects_loop(cells):
+    """``reach``'s SVG squares, one numpy index pair at a time (oracle)."""
+    n = cells.shape[0]
+    cell = 480 / n
+    return [
+        f'<rect x="{i * cell:.2f}" y="{(n - 1 - j) * cell:.2f}" '
+        f'width="{cell:.2f}" height="{cell:.2f}" fill="#88aadd" stroke="none"/>'
+        for i, j in np.argwhere(cells)
+    ]
+
+
+@pytest.mark.parametrize("res", [8, 64, 256])
+def test_svg_cell_rects_equal_index_loop(res):
+    from solv3d.cli import _cell_rects
+
+    cells = np.random.default_rng(res).random((res, res)) < 0.4
+    assert _cell_rects(cells) == _cell_rects_loop(cells)

@@ -800,3 +800,86 @@ class TestAnisotropicDrift:
         rep = classify(self.SYS)
         log = verify_classification(rep, self.SYS, budget=2000, horizon=6.0, seed=3)
         assert "rest-points-inside-estimate" in [c["name"] for c in log["checks"]]
+
+
+class TestLevelTable:
+    def test_equals_the_draw_formula(self):
+        r = np.arange(6 * LEVELS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = np.where(r < 3 * LEVELS, r % 3, r // 3 - LEVELS + 3)
+        assert reach._LEVEL_OF.shape == (6 * LEVELS,)
+        assert reach._LEVEL_OF.tolist() == want.tolist()
+
+
+class TestMarkerBatches:
+    """``_mark`` against ``_mark_reference`` where the outside lanes borrow a cell."""
+
+    BOX = ((-10.0, 10.0), (-10.0, 10.0))
+
+    @staticmethod
+    def batch(kind):
+        rng = np.random.default_rng(7)
+        x, y = rng.uniform(-9.9, 9.9, 1000), rng.uniform(-9.9, 9.9, 1000)
+        if kind == "first-outside":
+            x[0], y[3], x[5], y[9] = np.nan, np.inf, 1e300, -11.0
+        elif kind == "all-outside":
+            x[:] = 20.0
+            x[:3], y[3:6] = np.nan, -np.inf
+        return x, y
+
+    @pytest.mark.parametrize("kind", ["first-outside", "all-outside", "all-inside"])
+    def test_equals_reference(self, kind):
+        x, y = self.batch(kind)
+        got = np.zeros((64, 64), dtype=bool)
+        want = np.zeros((64, 64), dtype=bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n = _mark(got, x, y, self.BOX, 64)
+        # the reference casts every lane: move the outside ones to finite
+        # outside points first
+        xr, yr = (np.clip(np.nan_to_num(c, nan=20.0), -20.0, 20.0) for c in (x, y))
+        assert n == _mark_reference(want, xr, yr, self.BOX, 64)
+        assert got.tobytes() == want.tobytes()
+        if kind == "all-outside":
+            assert n == 0 and not got.any()
+        elif kind == "all-inside":
+            assert n == x.size
+
+
+def _csv_cell_loop(grid, estimate=None):
+    """``grid_to_csv`` reading one numpy scalar per cell (oracle)."""
+    xs, ys = grid.cell_centers()
+    lines = ["x,y,forward,backward,estimate"]
+    est = estimate.cells if estimate is not None else None
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            e = int(est[i, j]) if est is not None else 0
+            lines.append(
+                f"{x:.6f},{y:.6f},{int(grid.forward[i, j])},{int(grid.backward[i, j])},{e}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _pgm_cell_loop(bitmap):
+    """``grid_to_pgm`` reading one numpy scalar per cell (oracle)."""
+    res = bitmap.shape[0]
+    rows = []
+    for j in range(res - 1, -1, -1):
+        rows.append(" ".join("255" if bitmap[i, j] else "0" for i in range(res)))
+    return f"P2\n{res} {res}\n255\n" + "\n".join(rows) + "\n"
+
+
+class TestExportsEqualCellLoops:
+    @pytest.mark.parametrize("res", [8, 64, 256])
+    @pytest.mark.parametrize("box", [((-10.0, 10.0), (-10.0, 10.0)), ((-4.0, 4.0), (-0.5, 0.5))],
+                             ids=["square", "flat"])
+    def test_byte_equal(self, res, box):
+        rng = np.random.default_rng(res)
+        fwd, bwd = rng.random((2, res, res)) < 0.4
+        grid = ReachGrid(box, res, fwd, bwd, 1.0, 1, 0, np.zeros(2))
+        est = control_set_estimate(grid)
+        assert grid_to_csv(grid, est) == _csv_cell_loop(grid, est)
+        assert grid_to_csv(grid) == _csv_cell_loop(grid)
+        for layer in (fwd, bwd, est.cells):
+            assert grid_to_pgm(layer) == _pgm_cell_loop(layer)
