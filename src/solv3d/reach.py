@@ -8,8 +8,12 @@ controls take LEVELS + 3 values (the bang levels and evenly spaced
 midpoints), so one ``arc`` call per direction and arc length tabulates
 every map.  Each trajectory's level is one lookup of its random draw, and
 its row one ``np.take`` gather.  Every sample then marks its cell with one
-cast and one flat scatter over the whole batch, the lanes outside the box
-repeating the cell of a lane inside.
+cast and one flat scatter over the batch, the lanes outside the box
+repeating the cell of a lane inside.  Where the sign of ``sym(A(u))``
+certifies that |v| grows under every control beyond some radius
+(``_escape_radius``), a trajectory past that radius never returns to the
+box; it is dropped from the batch at the next arc, and its remaining
+samples are counted as escaped instead of computed.
 Forward and backward occupancies combine into a control-set estimate, and
 ``classify`` implements the taxonomy decision tree over the drift rank and
 the group variant, with ``verify_classification`` cross-examining each
@@ -84,6 +88,8 @@ class ReachGrid:
 
     ``points`` counts every sampled point of both directions, and
     ``points_outside`` those that left the box and marked no cell.
+    ``points_escaped``, part of ``points_outside``, counts the points not
+    computed because their trajectory had provably left the box for good.
     """
 
     box: tuple[tuple[float, float], tuple[float, float]]
@@ -96,6 +102,7 @@ class ReachGrid:
     base_point: np.ndarray
     points: int = 0
     points_outside: int = 0
+    points_escaped: int = 0
 
     def __post_init__(self):
         if self.resolution < 8:
@@ -188,42 +195,109 @@ def _draw_levels(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.take(_LEVEL_OF, rng.integers(0, 6 * LEVELS, size=n))
 
 
+def _escape_radius(spec: PlanarSpec, sign: float, box) -> float:
+    """A radius that no trajectory of direction ``sign`` recrosses into the
+    box, or inf when none is certified.
+
+    The sample maps of direction ``sign`` (``_arc_table`` at step ``sign h``)
+    integrate ``v' = sign (A(u) v + u eta)`` with ``A(u) = A - u theta``, so
+    ``d|v|^2/dt = 2 v.S(u)v + 2 sign u v.eta >= 2|v| (lam |v| - |u| |eta|)``
+    with ``S(u) = sign sym(A(u))`` and ``lam`` the least eigenvalue of S(u)
+    over omega.  S is affine in u, so its least eigenvalue is concave and
+    ``lam`` is its value at u_min or u_max.  If ``lam > 0``, |v| grows under
+    every control level wherever ``|v| > R* = max(|u_min|, |u_max|) |eta| / lam``,
+    so a trajectory beyond ``max(R*, r_box)``, with ``r_box`` the distance of
+    the box corner farthest from the origin, never comes back into the box.
+    The radius returned is twice that.  The factor 2 absorbs rounding: the
+    table entries are good to about 1e-14 relative, so a computed step can
+    shrink |v| by about that much where the exact one grows it (by about
+    e^{lam h}), and halving |v| that way takes some 1e13 steps.  With
+    ``lam <= 0`` some control keeps |v| bounded or shrinking, and the radius
+    is inf.
+    """
+    sym_a = 0.5 * (spec.A + spec.A.T)
+    sym_th = 0.5 * (spec.theta_matrix + spec.theta_matrix.T)
+    us = (spec.omega.u_min, spec.omega.u_max)
+    lam = min(np.linalg.eigvalsh(sign * (sym_a - u * sym_th))[0] for u in us)
+    if not lam > 0.0:
+        return math.inf
+    r_star = max(abs(u) for u in us) * math.hypot(*spec.eta) / lam
+    r_box = max(math.hypot(x, y) for x in box[0] for y in box[1])
+    return 2.0 * max(r_star, r_box)
+
+
 def _sample_direction(
     v0: np.ndarray,
     tables: list[np.ndarray],
+    rho: float,
     rng: np.random.Generator,
     n: int,
     bitmap: np.ndarray,
     box,
     res: int,
     samples_per_arc: int,
-) -> int:
+) -> tuple[int, int]:
     """Accumulate one time direction's occupancy over a batch of n trajectories.
 
     ``tables[i]`` is arc i's ``_arc_table``, and each arc draws one level
-    per trajectory from ``rng`` and gathers those columns with ``np.take``.
-    Switches happen on a fixed period, so a longer horizon extends the same
-    draws instead of redrawing them.  Every sample is one ``_mark`` call.
-    Returns how many of the sampled points fell inside the box.
+    for each of the n trajectories from ``rng``, dropped ones included, so
+    every kept trajectory sees the draws it would see alone.  Switches
+    happen on a fixed period, so a longer horizon extends the same draws
+    instead of redrawing them.  At the start of each arc, a trajectory
+    beyond the escape radius ``rho`` (or NaN, which stays NaN) is dropped,
+    and the rest gather their rows with ``np.take``; the batch ends when no
+    trajectory is left.  Every sample is one ``_mark`` call over the kept
+    trajectories.  Returns how many of the sampled points fell inside the
+    box, and how many were not computed because their trajectory was dropped.
     """
     x = np.full(n, float(v0[0]))
     y = np.full(n, float(v0[1]))
+    lanes = np.arange(n)
     inside = _mark(bitmap, x, y, box, res)
-    for table in tables:
-        e00, e01, e10, e11, cx, cy = np.take(table, _draw_levels(rng, n), axis=1)
-        # the samples are powers of the arc's map applied to v; one that
+    escaped = 0
+    for i, table in enumerate(tables):
+        draws = _draw_levels(rng, n)
+        if rho < math.inf:
+            with np.errstate(invalid="ignore", over="ignore"):
+                keep = np.flatnonzero(x * x + y * y <= rho * rho)
+            if keep.size < lanes.size:
+                escaped += (lanes.size - keep.size) * (len(tables) - i) * samples_per_arc
+                if not keep.size:
+                    break
+                lanes, x, y = lanes[keep], x[keep], y[keep]
+        if lanes.size < n:
+            draws = draws[lanes]
+        e00, e01, e10, e11, cx, cy = np.take(table, draws, axis=1)
+        # the samples are powers of the arc's map applied to v, computed as
+        # x <- (e00 x + e01 y) + cx and y <- (e11 y + e10 x) + cy; one that
         # overflows marks nothing
+        new_x, t = np.empty_like(x), np.empty_like(x)
         with np.errstate(invalid="ignore", over="ignore"):
             for _ in range(samples_per_arc):
-                x, y = e00 * x + e01 * y + cx, e10 * x + e11 * y + cy
+                np.multiply(e00, x, out=new_x)
+                np.multiply(e01, y, out=t)
+                new_x += t
+                new_x += cx
+                np.multiply(e11, y, out=y)
+                np.multiply(e10, x, out=t)
+                y += t
+                y += cy
+                x, new_x = new_x, x
                 inside += _mark(bitmap, x, y, box, res)
-    return inside
+    return inside, escaped
 
 
 def reach_points(T: float, budget: int, arc_duration: float = 2.0,
                  samples_per_arc: int = 8) -> int:
     """How many points ``reach_sets`` samples: every trajectory of both time
-    directions at its start and at each sample of every arc."""
+    directions at its start and at each sample of every arc.
+
+    Raises ValueError unless T and ``arc_duration`` are finite and positive
+    and ``samples_per_arc`` is at least 1."""
+    if not (0.0 < T < math.inf and 0.0 < arc_duration < math.inf):
+        raise ValueError("the horizon and the arc duration must be finite and positive")
+    if samples_per_arc < 1:
+        raise ValueError("samples_per_arc must be at least 1")
     return 2 * int(budget) * (1 + math.ceil(T / arc_duration) * samples_per_arc)
 
 
@@ -247,29 +321,38 @@ def reach_sets(
     (Filippov-Wazewski relaxation).  The budget is split into
     ``ceil(budget / _BATCH)`` equal batches, each direction of each batch
     drawing from its own child of ``SeedSequence(seed)``, so the result
-    depends only on (spec, v0, T, budget, seed) and the grid.
+    depends only on (spec, v0, T, budget, seed) and the grid.  Trajectories
+    beyond a direction's ``_escape_radius`` are dropped, which changes no
+    bitmap and no count but ``points_escaped``.  Bad sampling arguments
+    raise ValueError before any sampling.
     """
-    if T <= 0.0 or budget <= 0:
-        raise ValueError("horizon and budget must be positive")
-    v0 = np.asarray(v0, dtype=float).reshape(2)
+    points = reach_points(T, budget, arc_duration, samples_per_arc)
+    if budget <= 0:
+        raise ValueError("the budget must be positive")
     res = int(resolution)
+    if res < 8:
+        raise ValueError("grid resolution must be at least 8")
+    v0 = np.asarray(v0, dtype=float).reshape(2)
     lengths = [min(arc_duration, T - i * arc_duration) for i in range(math.ceil(T / arc_duration))]
     n_batches = math.ceil(budget / _BATCH)
     seeds = np.random.SeedSequence(seed).spawn(2 * n_batches)
 
     fwd = np.zeros((res, res), dtype=bool)
     bwd = np.zeros((res, res), dtype=bool)
-    inside = 0
+    inside = escaped = 0
     for d, (sign, bitmap) in enumerate(((+1.0, fwd), (-1.0, bwd))):
         by_length = {s: _arc_table(spec, sign * s / samples_per_arc) for s in set(lengths)}
         tables = [by_length[s] for s in lengths]
+        rho = _escape_radius(spec, sign, box)
         for i in range(n_batches):
             n = budget // n_batches + (i < budget % n_batches)
-            inside += _sample_direction(v0, tables, np.random.default_rng(seeds[2 * i + d]), n,
-                                        bitmap, box, res, samples_per_arc)
-    points = reach_points(T, budget, arc_duration, samples_per_arc)
+            got, lost = _sample_direction(v0, tables, rho,
+                                          np.random.default_rng(seeds[2 * i + d]), n,
+                                          bitmap, box, res, samples_per_arc)
+            inside += got
+            escaped += lost
     return ReachGrid(box, res, fwd, bwd, float(T), int(budget), int(seed), v0,
-                     points, points - inside)
+                     points, points - inside, escaped)
 
 
 def _dilate3x3(bitmap: np.ndarray) -> np.ndarray:
@@ -292,6 +375,7 @@ def control_set_estimate(grid: ReachGrid) -> ControlSetEstimate:
         "estimate_cells": int(np.sum(cells)),
         "points": grid.points,
         "points_outside": grid.points_outside,
+        "points_escaped": grid.points_escaped,
     }
     return ControlSetEstimate(cells, grid.base_point, diag)
 

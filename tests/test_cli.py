@@ -942,3 +942,16 @@ def test_svg_cell_rects_equal_index_loop(res):
 
     cells = np.random.default_rng(res).random((res, res)) < 0.4
     assert _cell_rects(cells) == _cell_rects_loop(cells)
+
+
+def test_reach_report_counts_escaped_points(runner, tmp_path):
+    # the Open system's forward trajectories leave the default box for good
+    spec = write_spec(tmp_path, OPEN_SPEC)
+    out = runner.invoke(main, [
+        "reach", spec, "--out-dir", str(tmp_path), "--budget", "500", "--horizon", "12",
+    ])
+    assert out.exit_code == 0, out.output
+    report = json.loads((tmp_path / "reach_report.json").read_text())
+    jsonschema.validate(report, report_schema())
+    diag = report["reach"]["diagnostics"]
+    assert 0 < diag["points_escaped"] <= diag["points_outside"] < diag["points"]

@@ -883,3 +883,300 @@ class TestExportsEqualCellLoops:
         assert grid_to_csv(grid) == _csv_cell_loop(grid)
         for layer in (fwd, bwd, est.cells):
             assert grid_to_pgm(layer) == _pgm_cell_loop(layer)
+
+
+# -- trajectories that never return to the box --------------------------------
+
+SQUARE_BOX = ((-10.0, 10.0), (-10.0, 10.0))
+OFF_CENTRE_BOX = ((-1.0, 3.0), (-2.0, 0.5))
+SHEAR = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+# planar specs with one certified direction: forward for jordan and spiral,
+# backward for diagonal
+CERTIFIED = [
+    PlanarSpec(1.2 * np.eye(2) + 0.5 * SHEAR, ThetaFamily.jordan(),
+               np.array([0.3, -1.0]), ControlRange(-0.5, 0.4)),
+    PlanarSpec(np.diag([-0.9, -1.3]), ThetaFamily.diagonal(-0.7),
+               np.array([1.0, 0.5]), ControlRange(-0.6, 0.3)),
+    PlanarSpec(0.8 * np.eye(2) + 1.1 * ROTATION.matrix(), ThetaFamily.spiral(0.4),
+               np.array([0.7, -0.4]), ControlRange(-0.5, 0.5)),
+]
+CERTIFIED_IDS = ["jordan", "diagonal(-0.7)", "spiral(0.4)"]
+
+
+def _scaled(spec, factor):
+    return PlanarSpec(factor * spec.A, spec.theta, spec.eta, spec.omega)
+
+
+def _mark_any_reference(bitmap, x, y, box, res):
+    """``_mark_reference`` for any points (oracle): drops NaN and infinite
+    points and clips the rest to one box width beyond the box, where they
+    stay outside, so that every cast is of a finite, moderate float."""
+    (x0, x1), (y0, y1) = box
+    finite = np.isfinite(x) & np.isfinite(y)
+    xs = np.clip(x[finite], 2 * x0 - x1, 2 * x1 - x0)
+    ys = np.clip(y[finite], 2 * y0 - y1, 2 * y1 - y0)
+    return _mark_reference(bitmap, xs, ys, box, res)
+
+
+def _follow_every_lane(spec, v0, T, budget, seed=0, box=SQUARE_BOX, res=64,
+                       arc_duration=2.0, samples_per_arc=8):
+    """The sampler with no trajectory dropped (oracle): each batch's seeds and
+    draws, every trajectory followed to the horizon and every sample marked
+    with ``_mark_any_reference``.  A trajectory escapes at the first arc it
+    starts beyond its direction's ``_escape_radius``, and every sample from
+    there on counts as escaped.  Returns (forward, backward, inside, escaped)."""
+    n_batches = -(-budget // _BATCH)
+    sizes = [len(part) for part in np.array_split(np.arange(budget), n_batches)]
+    seeds = np.random.SeedSequence(seed).spawn(2 * n_batches)
+    arcs = [min(arc_duration, T - arc_duration * i)
+            for i in range(int(np.ceil(T / arc_duration)))]
+    fwd = np.zeros((res, res), dtype=bool)
+    bwd = np.zeros((res, res), dtype=bool)
+    inside = escaped = 0
+    for i, n in enumerate(sizes):
+        for d, (sign, bitmap) in enumerate(((+1.0, fwd), (-1.0, bwd))):
+            rho = reach._escape_radius(spec, sign, box)
+            rng = np.random.default_rng(seeds[2 * i + d])
+            x = np.full(n, float(v0[0]))
+            y = np.full(n, float(v0[1]))
+            gone = np.zeros(n, dtype=bool)
+            inside += _mark_any_reference(bitmap, x, y, box, res)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for s in arcs:
+                    if rho < np.inf:
+                        gone |= ~(x * x + y * y <= rho * rho)
+                    rows = _arc_table(spec, sign * s / samples_per_arc).T[_oracle_levels(rng, n)]
+                    for _ in range(samples_per_arc):
+                        x, y = (rows[:, 0] * x + rows[:, 1] * y + rows[:, 4],
+                                rows[:, 2] * x + rows[:, 3] * y + rows[:, 5])
+                        inside += _mark_any_reference(bitmap, x, y, box, res)
+                        escaped += int(np.count_nonzero(gone))
+    return fwd, bwd, inside, escaped
+
+
+def _certified_specs(family, count, seed, box):
+    """Seeded random planar specs of one family, each with its certified
+    direction: (spec, sign) pairs."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        a, b = rng.uniform(-1.5, 1.5, 2)
+        if family == "spiral":
+            theta = ThetaFamily.spiral(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0))
+            A = a * np.eye(2) + b * ROTATION.matrix()
+        elif family == "diagonal":
+            theta = ThetaFamily.diagonal(rng.uniform(-1.0, 1.0))
+            A = np.diag([a, b])
+        else:
+            theta = ThetaFamily.jordan()
+            A = a * np.eye(2) + b * SHEAR
+        spec = PlanarSpec(A, theta, rng.normal(0.0, 1.0, 2),
+                          ControlRange(-rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)))
+        out += [(spec, s) for s in (1.0, -1.0) if reach._escape_radius(spec, s, box) < np.inf]
+    return out[:count]
+
+
+FAMILY_SEEDS = {"spiral": 1, "diagonal": 2, "jordan": 3}
+
+
+class TestEscapeRadius:
+    @pytest.mark.parametrize("family", ["spiral", "diagonal", "jordan"])
+    @pytest.mark.parametrize("box", [SQUARE_BOX, OFF_CENTRE_BOX], ids=["square", "off-centre"])
+    def test_lanes_beyond_the_radius_never_reenter_the_box(self, family, box):
+        # lanes start just beyond the radius at random angles; the first three
+        # hold u_min, 0 and u_max throughout, the others draw a level per arc
+        for k, (spec, sign) in enumerate(_certified_specs(family, 6, FAMILY_SEEDS[family], box)):
+            rho = reach._escape_radius(spec, sign, box)
+            rng = np.random.default_rng(k)
+            angle = rng.uniform(0.0, 2.0 * np.pi, 500)
+            x, y = rho * (1 + 1e-12) * np.cos(angle), rho * (1 + 1e-12) * np.sin(angle)
+            table = _arc_table(spec, sign * 0.25)
+            bitmap = np.zeros((64, 64), dtype=bool)
+            for _ in range(15):
+                levels = _draw_levels(rng, x.size)
+                levels[:3] = [0, 1, 2]
+                e00, e01, e10, e11, cx, cy = table[:, levels]
+                for _ in range(8):
+                    x, y = e00 * x + e01 * y + cx, e10 * x + e11 * y + cy
+                    assert _mark_any_reference(bitmap, x, y, box, 64) == 0, (family, k)
+                    assert np.all(np.hypot(x, y) >= rho / 2), (family, k)
+            assert not bitmap.any()
+
+    def test_radius_of_the_open_system(self):
+        spec = conjugate_to_planar(OPEN_SYS).planar
+        r_star = 0.5 * np.hypot(*spec.eta) / 1.0
+        want = 2.0 * max(r_star, np.hypot(10.0, 10.0))
+        assert reach._escape_radius(spec, 1.0, SQUARE_BOX) == pytest.approx(want, rel=1e-15)
+        assert reach._escape_radius(spec, -1.0, SQUARE_BOX) == np.inf
+
+    def test_box_and_drift_set_the_radius(self):
+        # A = 2I with a unit eta: R* = 0.5 / 2, so the box corner decides
+        spec = PlanarSpec(2.0 * np.eye(2), ROTATION, np.array([0.6, 0.8]), OMEGA)
+        far = ((-1.0, 3.0), (-2.0, 40.0))
+        assert reach._escape_radius(spec, 1.0, far) == pytest.approx(2 * np.hypot(3, 40))
+        spec = PlanarSpec(0.01 * np.eye(2), ROTATION, np.array([0.6, 0.8]), OMEGA)
+        assert reach._escape_radius(spec, 1.0, OFF_CENTRE_BOX) == pytest.approx(2 * 0.5 / 0.01)
+
+    @pytest.mark.parametrize("spec", [
+        conjugate_to_planar(WHOLE_SYS).planar,
+        PlanarSpec(np.diag([1.0, -1.0]), ThetaFamily.diagonal(0.5), np.array([1.0, 0.0]), OMEGA),
+        # sym(A(u)) = (0.2 - u) I changes sign inside omega
+        PlanarSpec(0.2 * np.eye(2), ThetaFamily.spiral(1.0), np.array([1.0, 0.0]), OMEGA),
+        # definite at every level but u_max, where it is singular
+        PlanarSpec(0.5 * np.eye(2), ThetaFamily.spiral(1.0), np.array([1.0, 0.0]), OMEGA),
+    ], ids=["whole-group", "saddle", "sign-change", "singular-at-u-max"])
+    def test_indefinite_symmetric_part_gives_inf(self, spec):
+        for box in (SQUARE_BOX, OFF_CENTRE_BOX):
+            assert reach._escape_radius(spec, 1.0, box) == np.inf
+            assert reach._escape_radius(spec, -1.0, box) == np.inf
+
+
+class TestDroppedLanes:
+    @pytest.mark.parametrize("spec", CERTIFIED, ids=CERTIFIED_IDS)
+    @pytest.mark.parametrize("box", [SQUARE_BOX, OFF_CENTRE_BOX], ids=["square", "off-centre"])
+    def test_bitmaps_equal_per_trajectory_oracle(self, spec, box):
+        assert min(reach._escape_radius(spec, s, box) for s in (1.0, -1.0)) < np.inf
+        for budget, T, v0 in ((7, 12.0, (0.3, -0.2)), (2000, 12.0, (0.0, 0.0)),
+                              (16_385, 7.0, (1.0, 0.5))):
+            fwd, bwd, inside = _per_trajectory_reach(spec, v0, T, budget, box=box)
+            g = reach_sets(spec, v0, T, budget, box=box)
+            assert g.forward.tobytes() == fwd.tobytes(), budget
+            assert g.backward.tobytes() == bwd.tobytes(), budget
+            assert g.points_outside == g.points - inside, budget
+        assert g.points_escaped > 0
+
+    @pytest.mark.parametrize("spec", [
+        _scaled(CERTIFIED[0], 30.0),
+        _scaled(CERTIFIED[1], 30.0),
+        PlanarSpec(np.diag([30.0, -30.0]), ThetaFamily.diagonal(-0.7),
+                   np.array([1.0, 0.5]), OMEGA),
+    ], ids=["jordan-x30", "diagonal-x30", "saddle-x30"])
+    @pytest.mark.parametrize("box", [SQUARE_BOX, OFF_CENTRE_BOX], ids=["square", "off-centre"])
+    def test_overflowing_spec_equals_every_lane_oracle(self, spec, box):
+        # the oracle follows every lane to the horizon, where the escaping ones
+        # overflow to inf and NaN; the sampler drops them (saddle: no radius,
+        # so its own lanes overflow)
+        for budget, T in ((300, 30.0), (16_385, 12.0)):
+            fwd, bwd, inside, escaped = _follow_every_lane(spec, (0.2, 0.1), T, budget, box=box)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g = reach_sets(spec, (0.2, 0.1), T, budget, box=box)
+            assert g.forward.tobytes() == fwd.tobytes(), budget
+            assert g.backward.tobytes() == bwd.tobytes(), budget
+            assert g.points_outside == g.points - inside, budget
+            assert g.points_escaped == escaped, budget
+
+    @pytest.mark.parametrize("system", [OPEN_SYS, CLOSED_SYS, WHOLE_SYS],
+                             ids=["open", "closed", "whole"])
+    def test_escaped_count_equals_every_lane_oracle(self, system):
+        spec = conjugate_to_planar(system).planar
+        _, _, inside, escaped = _follow_every_lane(spec, (0.0, 0.0), 30.0, 3000, seed=5)
+        g = reach_sets(spec, np.zeros(2), 30.0, 3000, seed=5)
+        assert (g.points_outside, g.points_escaped) == (g.points - inside, escaped)
+
+    def test_every_arc_draws_the_whole_batch(self, monkeypatch):
+        # each arc draws one level per trajectory of the batch, dropped ones
+        # included, until no trajectory is left
+        sizes = []
+
+        def counting_draws(rng, n):
+            sizes.append(n)
+            return _draw_levels(rng, n)
+
+        monkeypatch.setattr(reach, "_draw_levels", counting_draws)
+        spec = conjugate_to_planar(OPEN_SYS).planar
+        g = reach_sets(spec, np.zeros(2), 30.0, 3000, seed=1)
+        forward, backward = sizes[:-15], sizes[-15:]
+        assert backward == [3000] * 15
+        assert 1 <= len(forward) <= 15 and set(forward) == {3000}
+        if len(forward) < 15:
+            # the batch ended early: every trajectory escaped
+            assert g.points_escaped >= 3000 * (15 - len(forward) + 1) * 8
+        # from beyond the radius every forward trajectory drops at the first
+        # arc: one draw, and all 3000 * 15 * 8 forward samples escape
+        sizes.clear()
+        far = np.array([reach._escape_radius(spec, 1.0, SQUARE_BOX), 0.0]) * 1.01
+        g = reach_sets(spec, far, 30.0, 3000, seed=1)
+        assert sizes == [3000] * 16
+        assert g.points_escaped == 3000 * 15 * 8
+
+
+class TestEscapedPoints:
+    def grid(self, system, seed=0, **kw):
+        return reach_sets(conjugate_to_planar(system).planar, np.zeros(2), 30.0, 2000,
+                          seed=seed, **kw)
+
+    def test_open_forward_escapes(self):
+        g = self.grid(OPEN_SYS)
+        # only the forward direction of the Open system is certified
+        assert reach._escape_radius(conjugate_to_planar(OPEN_SYS).planar, -1.0, SQUARE_BOX) == np.inf
+        assert 0 < g.points_escaped <= g.points_outside
+
+    def test_closed_backward_escapes(self):
+        g = self.grid(CLOSED_SYS)
+        assert 0 < g.points_escaped <= g.points_outside
+
+    def test_whole_group_escapes_nothing(self):
+        g = self.grid(WHOLE_SYS)
+        assert g.points_escaped == 0
+
+    @pytest.mark.parametrize("system", [OPEN_SYS, CLOSED_SYS, WHOLE_SYS],
+                             ids=["open", "closed", "whole"])
+    def test_never_above_outside_and_equal_on_rerun(self, system):
+        for seed in (0, 1, 2):
+            for box in (SQUARE_BOX, OFF_CENTRE_BOX):
+                a = self.grid(system, seed, box=box)
+                b = self.grid(system, seed, box=box)
+                assert 0 <= a.points_escaped <= a.points_outside
+                assert a.points_escaped == b.points_escaped
+
+    def test_in_estimate_diagnostics_and_verification_log(self):
+        g = self.grid(OPEN_SYS)
+        assert control_set_estimate(g).diagnostics["points_escaped"] == g.points_escaped
+        log = verify_classification(classify(OPEN_SYS), OPEN_SYS, budget=800, horizon=10.0)
+        check = next(c for c in log["checks"] if c["name"] == "estimate-nonempty")
+        assert 0 < check["points_escaped"] <= check["points_outside"]
+
+    def test_positional_construction_defaults_to_zero(self):
+        g = ReachGrid(((-1, 1), (-1, 1)), 8, np.zeros((8, 8), bool),
+                      np.zeros((8, 8), bool), 1.0, 10, 0, np.zeros(2))
+        assert g.points_escaped == 0
+
+
+class TestSamplingArguments:
+    """Bad sampling arguments raise one ValueError before any sampling."""
+
+    CASES = {
+        "negative-arc": dict(arc_duration=-1.0),
+        "zero-arc": dict(arc_duration=0.0),
+        "infinite-arc": dict(arc_duration=np.inf),
+        "nan-arc": dict(arc_duration=np.nan),
+        "zero-samples": dict(samples_per_arc=0),
+        "negative-samples": dict(samples_per_arc=-3),
+        "negative-horizon": dict(T=-1.0),
+        "infinite-horizon": dict(T=np.inf),
+        "nan-horizon": dict(T=np.nan),
+    }
+
+    @pytest.mark.parametrize("case", [*CASES, "coarse-grid"])
+    def test_reach_sets_rejects_before_sampling(self, monkeypatch, case):
+        calls = []
+        monkeypatch.setattr(reach, "_arc_table", lambda *a: calls.append(a))
+        monkeypatch.setattr(reach, "_draw_levels", lambda *a: calls.append(a))
+        args = dict(T=30.0, budget=10_000)
+        args.update(self.CASES.get(case, dict(resolution=4)))
+        with pytest.raises(ValueError) as err:
+            reach_sets(closed_planar(), np.zeros(2), **args)
+        assert "\n" not in str(err.value)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_reach_points_rejects(self, case):
+        args = dict(T=30.0, budget=100)
+        args.update(self.CASES[case])
+        with pytest.raises(ValueError):
+            reach_points(**args)
+
+    def test_valid_arguments_still_count(self):
+        assert reach_points(30.0, 100, arc_duration=0.5, samples_per_arc=1) == 2 * 100 * 61
