@@ -246,12 +246,14 @@ def _override_numerics(numerics: dict, *, seed=None, budget=None, horizon=None,
         x0, x1, y0, y1 = _numbers(grid_box, 4, "--grid-box 'x0,x1,y0,y1'")
         numerics["grid"]["box"] = [[x0, x1], [y0, y1]]
     _validate(SPEC_SCHEMA["properties"]["numerics"], numerics, "numerics")
-    box = numerics["grid"]["box"]
-    (x0, x1), (y0, y1) = box
-    if not np.all(np.isfinite([numerics["horizon"], numerics["step"], x0, x1, y0, y1])):
-        raise InputError("numerics: the horizon, the step and the grid box must be finite")
-    if not (x0 < x1 and y0 < y1):
-        raise InputError(f"grid box must satisfy x0 < x1 and y0 < y1, got {box}")
+    if not np.all(np.isfinite([numerics["horizon"], numerics["step"]])):
+        raise InputError("numerics: the horizon and the step must be finite")
+    try:
+        reach_mod.check_box(numerics["grid"]["box"])
+    except ValueError as exc:
+        raise InputError(f"numerics: {exc}")
+    # the schema's integers may be written as floats (500.0); the sampler takes ints
+    numerics["seed"], numerics["budget"] = int(numerics["seed"]), int(numerics["budget"])
     points = reach_mod.reach_points(numerics["horizon"], numerics["budget"])
     if points > MAX_REACH_POINTS:
         raise InputError(
@@ -276,9 +278,13 @@ def _base_report(raw_spec: dict) -> dict:
 
 # -- SVG ---------------------------------------------------------------------
 
+# width and height of every SVG canvas, in user units
+_SVG_SIZE = 480
 
-def _svg_open(box, size=480) -> list[str]:
+
+def _svg_open(box) -> list[str]:
     (x0, x1), (y0, y1) = box
+    size = _SVG_SIZE
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
@@ -287,15 +293,15 @@ def _svg_open(box, size=480) -> list[str]:
     ]
 
 
-def _svg_xy(p, box, size=480):
+def _svg_xy(p, box):
     (x0, x1), (y0, y1) = box
-    sx = (p[0] - x0) / (x1 - x0) * size
-    sy = size - (p[1] - y0) / (y1 - y0) * size
+    sx = (p[0] - x0) / (x1 - x0) * _SVG_SIZE
+    sy = _SVG_SIZE - (p[1] - y0) / (y1 - y0) * _SVG_SIZE
     return f"{sx:.2f},{sy:.2f}"
 
 
-def _svg_polyline(points, box, color, width=1.2, size=480) -> str:
-    coords = " ".join(_svg_xy(p, box, size) for p in points)
+def _svg_polyline(points, box, color, width=1.2) -> str:
+    coords = " ".join(_svg_xy(p, box) for p in points)
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
         f'points="{coords}"/>'
@@ -541,9 +547,9 @@ def cmd_reach(spec_path, out_dir, seed, budget, horizon, grid_res, grid_box):
 
 
 def _cell_rects(cells: np.ndarray) -> list[str]:
-    """One SVG square per set cell of the n x n bitmap, on the 480-unit canvas."""
+    """One SVG square per set cell of the n x n bitmap, on the whole canvas."""
     n = cells.shape[0]
-    cell = 480 / n
+    cell = _SVG_SIZE / n
     return [
         f'<rect x="{i * cell:.2f}" y="{(n - 1 - j) * cell:.2f}" '
         f'width="{cell:.2f}" height="{cell:.2f}" fill="#88aadd" stroke="none"/>'

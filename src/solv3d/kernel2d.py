@@ -21,13 +21,11 @@ __all__ = [
     "DIAGONAL",
     "SPIRAL",
     "ThetaFamily",
-    "mat2",
     "check_finite",
     "matrix_rank",
     "commutes",
     "rank_product",
     "trace_sign",
-    "theta_matrix",
     "arc",
     "arc_matrices",
     "expm",
@@ -97,11 +95,6 @@ def trace_sign(M: np.ndarray) -> int:
     return 0 if abs(tr) <= ZERO_TOL * _size(M) else (1 if tr > 0.0 else -1)
 
 
-def mat2(a: float, b: float, c: float, d: float) -> np.ndarray:
-    """Row-major 2x2 matrix [[a, b], [c, d]]."""
-    return check_finite([[a, b], [c, d]], "matrix")
-
-
 @dataclass(frozen=True)
 class ThetaFamily:
     """Structure matrix family defining the group law.
@@ -120,16 +113,19 @@ class ThetaFamily:
     def __post_init__(self):
         if self.tag not in (JORDAN, DIAGONAL, SPIRAL):
             raise ValueError(f"unknown family tag {self.tag!r}")
+        g = self.gamma
         if self.tag == JORDAN:
-            if self.gamma is not None:
+            if g is not None:
                 raise ValueError("jordan family carries no parameter")
+            M = [[1.0, 1.0], [0.0, 1.0]]
         else:
-            if self.gamma is None:
+            if g is None:
                 raise ValueError(f"{self.tag} family requires gamma")
-            check_finite(self.gamma, "gamma")
-            if self.tag == DIAGONAL and abs(self.gamma) > 1:
-                raise ValueError(f"diagonal family requires |gamma| <= 1, got {self.gamma}")
-        M = theta_matrix(self)
+            check_finite(g, "gamma")
+            if self.tag == DIAGONAL and abs(g) > 1:
+                raise ValueError(f"diagonal family requires |gamma| <= 1, got {g}")
+            M = [[1.0, 0.0], [0.0, g]] if self.tag == DIAGONAL else [[g, -1.0], [1.0, g]]
+        M = np.array(M, dtype=float)
         M.flags.writeable = False
         object.__setattr__(self, "_matrix", M)
 
@@ -148,15 +144,6 @@ class ThetaFamily:
     def matrix(self) -> np.ndarray:
         """The structure matrix (read-only, the same array on every call)."""
         return self._matrix
-
-
-def theta_matrix(family: ThetaFamily) -> np.ndarray:
-    """The structure matrix of the family."""
-    if family.tag == JORDAN:
-        return mat2(1.0, 1.0, 0.0, 1.0)
-    if family.tag == DIAGONAL:
-        return mat2(1.0, 0.0, 0.0, family.gamma)
-    return mat2(family.gamma, -1.0, 1.0, family.gamma)
 
 
 # -- the affine-arc kernel ---------------------------------------------------

@@ -597,6 +597,8 @@ def identity_return_error(sys, seed: int) -> float:
     trip.  ``sys.eta`` is never read: with A = 0, ``normalize_eta`` conjugates
     it away without changing xi and fixes the identity fiber.
     """
+    if sys.alpha == 0.0:
+        raise ValueError("identity_return_error needs alpha != 0")
     axis, c = staircase_fiber(sys)
     w = axis @ ROT90  # R^T R theta^{-1} xi: theta^{-1} xi, exactly
     theta, alpha, omega = sys.theta_matrix, sys.alpha, sys.omega

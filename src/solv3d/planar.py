@@ -100,10 +100,6 @@ class PiecewiseControl:
     def __len__(self) -> int:
         return len(self.durations)
 
-    @property
-    def total_time(self) -> float:
-        return float(np.sum(self.durations))
-
     def pairs(self):
         return list(zip(self.durations.tolist(), self.values.tolist()))
 
@@ -115,7 +111,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     switch_times: np.ndarray
-    control: PiecewiseControl
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -196,11 +191,6 @@ def _det_coeffs(A: np.ndarray, th: np.ndarray) -> tuple[float, float, float]:
     adjA = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]])
     c1 = -float(np.trace(adjA @ th))
     return c2, c1, c0
-
-
-def _det_a_of_u_coeffs(spec: PlanarSpec) -> tuple[float, float, float]:
-    """Coefficients (c2, c1, c0) of det(A - u*theta) as a polynomial in u."""
-    return _det_coeffs(spec.A, spec.theta_matrix)
 
 
 def _unit_a(spec: PlanarSpec) -> tuple[np.ndarray, int]:

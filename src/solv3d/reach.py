@@ -23,12 +23,13 @@ verdict numerically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .group import GroupVariant
-from .kernel2d import SPIRAL, arc, trace_sign
+from .kernel2d import SPIRAL, arc, check_finite, trace_sign
 from .planar import (
     DetSignError,
     PlanarSpec,
@@ -52,6 +53,7 @@ __all__ = [
     "ClassificationReport",
     "reach_sets",
     "reach_points",
+    "check_box",
     "control_set_estimate",
     "classify",
     "verify_classification",
@@ -96,10 +98,6 @@ class ReachGrid:
     resolution: int
     forward: np.ndarray
     backward: np.ndarray
-    horizon: float
-    budget: int
-    seed: int
-    base_point: np.ndarray
     points: int = 0
     points_outside: int = 0
     points_escaped: int = 0
@@ -125,7 +123,6 @@ class ControlSetEstimate:
     """Cells of closure(forward orbit) intersected with the backward orbit."""
 
     cells: np.ndarray
-    base_point: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -287,6 +284,14 @@ def _sample_direction(
     return inside, escaped
 
 
+def check_box(box) -> None:
+    """Raise ValueError unless the grid box ((x0, x1), (y0, y1)) is finite
+    with x0 < x1 and y0 < y1."""
+    (x0, x1), (y0, y1) = box
+    if not (all(map(math.isfinite, (x0, x1, y0, y1))) and x0 < x1 and y0 < y1):
+        raise ValueError(f"the grid box must be finite with x0 < x1 and y0 < y1, got {box}")
+
+
 def reach_points(T: float, budget: int, arc_duration: float = 2.0,
                  samples_per_arc: int = 8) -> int:
     """How many points ``reach_sets`` samples: every trajectory of both time
@@ -327,12 +332,13 @@ def reach_sets(
     raise ValueError before any sampling.
     """
     points = reach_points(T, budget, arc_duration, samples_per_arc)
-    if budget <= 0:
-        raise ValueError("the budget must be positive")
+    if not isinstance(budget, numbers.Integral) or isinstance(budget, bool) or budget <= 0:
+        raise ValueError(f"the budget must be a positive integer, got {budget}")
     res = int(resolution)
     if res < 8:
         raise ValueError("grid resolution must be at least 8")
-    v0 = np.asarray(v0, dtype=float).reshape(2)
+    check_box(box)
+    v0 = check_finite(v0, "v0").reshape(2)
     lengths = [min(arc_duration, T - i * arc_duration) for i in range(math.ceil(T / arc_duration))]
     n_batches = math.ceil(budget / _BATCH)
     seeds = np.random.SeedSequence(seed).spawn(2 * n_batches)
@@ -351,8 +357,7 @@ def reach_sets(
                                           bitmap, box, res, samples_per_arc)
             inside += got
             escaped += lost
-    return ReachGrid(box, res, fwd, bwd, float(T), int(budget), int(seed), v0,
-                     points, points - inside, escaped)
+    return ReachGrid(box, res, fwd, bwd, points, points - inside, escaped)
 
 
 def _dilate3x3(bitmap: np.ndarray) -> np.ndarray:
@@ -377,7 +382,7 @@ def control_set_estimate(grid: ReachGrid) -> ControlSetEstimate:
         "points_outside": grid.points_outside,
         "points_escaped": grid.points_escaped,
     }
-    return ControlSetEstimate(cells, grid.base_point, diag)
+    return ControlSetEstimate(cells, diag)
 
 
 def window_fill(grid: ReachGrid, cells: np.ndarray, window: tuple) -> float:

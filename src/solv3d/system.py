@@ -14,6 +14,7 @@ reduction available at full nilrank, and a piecewise-constant simulator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,10 +55,6 @@ class LinearField:
         object.__setattr__(self, "A", check_finite(self.A, "A").reshape(2, 2))
         object.__setattr__(self, "xi", check_finite(self.xi, "xi").reshape(2))
 
-    def check_commutes(self, family: ThetaFamily) -> None:
-        if not commutes(self.A, family.matrix()):
-            raise ValueError("drift matrix must commute with the structure matrix")
-
 
 @dataclass(frozen=True)
 class InvariantField:
@@ -82,7 +79,8 @@ class SystemSpec:
     variant: GroupVariant = SIMPLY_CONNECTED
 
     def __post_init__(self):
-        self.drift.check_commutes(self.theta)
+        if not commutes(self.A, self.theta_matrix):
+            raise ValueError("drift matrix must commute with the structure matrix")
         if self.variant.tag != GroupVariant.SIMPLY_CONNECTED:
             self.variant.check_family(self.theta)
 
@@ -166,19 +164,16 @@ def nilrank(sys: SystemSpec) -> int:
 
 @dataclass(frozen=True)
 class Automorphism:
-    """Group map (t, v) -> (t, P v + Lambda_t^theta delta) and its inverse."""
+    """Group map (t, v) -> (t, v + Lambda_t^theta delta) and its inverse."""
 
     family: ThetaFamily
-    P: np.ndarray
     delta: np.ndarray
 
     def __call__(self, g: GroupElement) -> GroupElement:
-        shift = lambda_op(self.family.matrix(), g.t, self.delta)
-        return GroupElement(g.t, self.P @ g.v + shift)
+        return GroupElement(g.t, g.v + lambda_op(self.family.matrix(), g.t, self.delta))
 
     def inverse(self) -> "Automorphism":
-        Pinv = np.linalg.inv(self.P)
-        return Automorphism(self.family, Pinv, -(Pinv @ self.delta))
+        return Automorphism(self.family, -self.delta)
 
 
 def normalize_eta(sys: SystemSpec) -> tuple[SystemSpec, Automorphism]:
@@ -189,7 +184,7 @@ def normalize_eta(sys: SystemSpec) -> tuple[SystemSpec, Automorphism]:
     if sys.alpha == 0.0:
         raise ValueError("normalize_eta needs alpha != 0")
     new_xi = sys.xi + sys.A @ sys.eta / sys.alpha
-    psi = Automorphism(sys.theta, np.eye(2), -sys.eta / sys.alpha)
+    psi = Automorphism(sys.theta, -sys.eta / sys.alpha)
     out = replace(
         sys,
         drift=LinearField(sys.A, new_xi),
@@ -206,7 +201,7 @@ def normalize_xi(sys: SystemSpec) -> tuple[SystemSpec, Automorphism]:
     if matrix_rank(sys.A) < 2:
         raise ValueError("normalize_xi needs det A != 0")
     Ainv_xi = np.linalg.solve(sys.A, sys.xi)
-    psi = Automorphism(sys.theta, np.eye(2), Ainv_xi)
+    psi = Automorphism(sys.theta, Ainv_xi)
     out = replace(
         sys,
         drift=LinearField(sys.A, np.zeros(2)),
@@ -355,8 +350,8 @@ def simulate(
     evenly spaced samples, the last at its switch; ``times`` and ``states``
     start with the initial point.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"the step must be finite and positive, got {step}")
     for u in ctrl.values:
         if not sys.omega.contains(u):
             raise ValueError(f"control value {u:g} outside the admissible range")
@@ -392,9 +387,4 @@ def simulate(
         j += n
         now += duration
         switches.append(now)
-    return Trajectory(
-        times=times,
-        states=states,
-        switch_times=np.array(switches),
-        control=ctrl,
-    )
+    return Trajectory(times=times, states=states, switch_times=np.array(switches))

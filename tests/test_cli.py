@@ -365,6 +365,23 @@ class TestReach:
         report = json.loads((tmp_path / "reach_report.json").read_text())
         assert report["reach"]["box"] == [[-3.0, 3.0], [-3.0, 3.0]]
 
+    @pytest.mark.parametrize("command", ["reach", "classify"])
+    def test_spec_integers_written_as_floats(self, runner, tmp_path, command):
+        # the schema's integer type admits 200.0; the sampler runs as with 200
+        runs = {}
+        for name, budget, seed in (("int", 200, 3), ("float", 200.0, 3.0)):
+            numerics = {"budget": budget, "seed": seed, "horizon": 4.0}
+            spec = write_spec(tmp_path, dict(OPEN_SPEC, numerics=numerics), f"{name}.json")
+            out = runner.invoke(main, [command, spec, "--out-dir", str(tmp_path / name)],
+                                catch_exceptions=False)
+            assert out.exit_code == 0, out.output
+            runs[name] = out.output
+        assert runs["float"] == runs["int"]
+        if command == "reach":
+            for name in ("estimate.pgm", "occupancy.csv"):
+                assert ((tmp_path / "float" / name).read_bytes()
+                        == (tmp_path / "int" / name).read_bytes())
+
     def test_report_counts_points_outside_the_box(self, runner, tmp_path):
         spec = write_spec(tmp_path, OPEN_SPEC)
         out = runner.invoke(main, [

@@ -16,21 +16,21 @@ from solv3d.kernel2d import (
     expm,
     expm_series,
     lambda_op,
-    mat2,
-    theta_matrix,
 )
 from solv3d.planar import ControlRange, PlanarSpec, planar_solution
 
-FAMILIES = [
-    ThetaFamily.jordan(),
-    ThetaFamily.diagonal(1.0),
-    ThetaFamily.diagonal(0.5),
-    ThetaFamily.diagonal(0.0),
-    ThetaFamily.diagonal(-0.7),
-    ThetaFamily.spiral(0.0),
-    ThetaFamily.spiral(1.0),
-    ThetaFamily.spiral(-0.3),
-]
+# each family with its structure matrix, written out
+LITERALS = {
+    ThetaFamily.jordan(): [[1.0, 1.0], [0.0, 1.0]],
+    ThetaFamily.diagonal(1.0): [[1.0, 0.0], [0.0, 1.0]],
+    ThetaFamily.diagonal(0.5): [[1.0, 0.0], [0.0, 0.5]],
+    ThetaFamily.diagonal(0.0): [[1.0, 0.0], [0.0, 0.0]],
+    ThetaFamily.diagonal(-0.7): [[1.0, 0.0], [0.0, -0.7]],
+    ThetaFamily.spiral(0.0): [[0.0, -1.0], [1.0, 0.0]],
+    ThetaFamily.spiral(1.0): [[1.0, -1.0], [1.0, 1.0]],
+    ThetaFamily.spiral(-0.3): [[-0.3, -1.0], [1.0, -0.3]],
+}
+FAMILIES = list(LITERALS)
 
 
 def lambda_quadrature(B, t, v):
@@ -42,18 +42,23 @@ def lambda_quadrature(B, t, v):
 
 class TestFamilies:
     def test_jordan_matrix(self):
-        assert np.array_equal(theta_matrix(ThetaFamily.jordan()),
-                              [[1.0, 1.0], [0.0, 1.0]])
+        assert np.array_equal(ThetaFamily.jordan().matrix(), [[1.0, 1.0], [0.0, 1.0]])
 
     def test_diagonal_one_is_identity(self):
-        assert np.array_equal(theta_matrix(ThetaFamily.diagonal(1.0)), np.eye(2))
+        assert np.array_equal(ThetaFamily.diagonal(1.0).matrix(), np.eye(2))
 
     def test_spiral_zero_is_rotation(self):
-        assert np.array_equal(theta_matrix(ThetaFamily.spiral(0.0)), ROT90)
+        assert np.array_equal(ThetaFamily.spiral(0.0).matrix(), ROT90)
 
     def test_diagonal_gamma_bound(self):
         with pytest.raises(ValueError):
             ThetaFamily.diagonal(1.5)
+
+    @pytest.mark.parametrize("gamma", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("tag", ["diagonal", "spiral"])
+    def test_non_finite_gamma(self, tag, gamma):
+        with pytest.raises(ValueError, match="gamma must have finite entries"):
+            ThetaFamily(tag, gamma)
 
     def test_jordan_rejects_parameter(self):
         with pytest.raises(ValueError):
@@ -67,7 +72,7 @@ class TestFamilies:
     def test_matrix_is_built_once_and_read_only(self, family):
         M = family.matrix()
         assert family.matrix() is M
-        assert np.array_equal(M, theta_matrix(family))
+        assert M.dtype == float and np.array_equal(M, LITERALS[family])
         with pytest.raises(ValueError):
             M[0, 0] = 2.0
         # the cached matrix is no field: equality, hash and repr read tag and gamma
@@ -78,15 +83,6 @@ class TestFamilies:
         assert family != ThetaFamily.spiral(0.25)
 
 
-class TestConstructors:
-    def test_mat2_rejects_inf(self):
-        with pytest.raises(ValueError):
-            mat2(1.0, np.inf, 0.0, 1.0)
-
-    def test_mat2_layout(self):
-        assert np.array_equal(mat2(1, 2, 3, 4), [[1.0, 2.0], [3.0, 4.0]])
-
-
 class TestExpm:
     def test_zero_matrix(self):
         assert np.array_equal(expm(np.zeros((2, 2)), 3.7), np.eye(2))
@@ -95,7 +91,7 @@ class TestExpm:
         assert np.allclose(expm(ROT90, np.pi), -np.eye(2), atol=1e-12)
 
     def test_diagonal_half(self):
-        out = expm(theta_matrix(ThetaFamily.diagonal(0.5)), 1.0)
+        out = expm(ThetaFamily.diagonal(0.5).matrix(), 1.0)
         assert np.allclose(out, np.diag([np.e, np.exp(0.5)]), atol=1e-12)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f"{f.tag}-{f.gamma}")
@@ -141,7 +137,7 @@ class TestLambdaOp:
         assert np.allclose(out, [0.0, 2.0], atol=1e-12)
 
     def test_diagonal_zero_closed_form(self):
-        th = theta_matrix(ThetaFamily.diagonal(0.0))
+        th = ThetaFamily.diagonal(0.0).matrix()
         v = np.array([2.0, 3.0])
         t = 1.3
         expected = [(np.e ** t - 1.0) * 2.0, t * 3.0]

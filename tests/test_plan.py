@@ -19,6 +19,7 @@ from solv3d.plan import (
     h2_zero,
     h_functions,
     half_staircase,
+    identity_return_error,
     integrate_projected,
     monotone_certificate,
     staircase,
@@ -170,6 +171,23 @@ class TestCircleHop:
         with pytest.raises(ValueError):
             circle_hop(sp, np.array([1.0, 0.0]), 0.5, (-0.5, 0.5))
 
+    def test_rejects_non_rotation_family(self):
+        # A = 0.6 R commutes with 0.5 I + R, so the spec is valid
+        family = ThetaFamily.spiral(0.5)
+        sp = PlanarSpec(0.6 * ROTATION.matrix(), family, [1.0, 0.0], ControlRange(-0.5, 0.5))
+        with pytest.raises(ValueError, match="rotation structure family"):
+            circle_hop(sp, np.array([1.0, 0.0]), 0.1, (-0.5, 0.5))
+
+    @pytest.mark.parametrize("interval", [(0.2, 0.2), (0.5, -0.5)])
+    def test_rejects_degenerate_interval(self, interval):
+        with pytest.raises(ValueError, match="degenerate control interval"):
+            circle_hop(hop_spec(), np.array([1.0, 0.0]), 0.1, interval)
+
+    def test_rejects_zero_eta(self):
+        sp = PlanarSpec(0.6 * ROTATION.matrix(), ROTATION, [0.0, 0.0], ControlRange(-0.5, 0.5))
+        with pytest.raises(ValueError, match="eta must be nonzero"):
+            circle_hop(sp, np.array([1.0, 0.0]), 0.1, (-0.5, 0.5))
+
 
 class TestFiberSync:
     SPEC = PlanarSpec([[-1.0, -1.0], [1.0, -1.0]], ROTATION, [1.0, 0.0],
@@ -301,6 +319,16 @@ class TestStaircase:
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
             staircase(1.0, 1.0, -1.0, 0.0, 1.0, ControlRange(-1, 1))
+
+    def test_identity_return_rejects_zero_alpha(self):
+        # tau = 1 / (u_max |alpha|) would divide by zero
+        from solv3d.system import InvariantField, LinearField, SystemSpec
+
+        sys = SystemSpec(ThetaFamily.spiral(1.0), LinearField(np.zeros((2, 2)), [0.7, -0.4]),
+                         InvariantField(0.0, [0.0, 0.0]), ControlRange(-1, 1))
+        with pytest.raises(ValueError, match="alpha") as err:
+            identity_return_error(sys, 0)
+        assert "\n" not in str(err.value)
 
 
 class TestHFunctions:

@@ -52,7 +52,7 @@ class TestGrids:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             ReachGrid(((-1, 1), (-1, 1)), 4, np.zeros((4, 4), bool),
-                      np.zeros((4, 4), bool), 1.0, 10, 0, np.zeros(2))
+                      np.zeros((4, 4), bool))
 
     def test_cell_of(self):
         g = reach_sets(closed_planar(), np.zeros(2), 2.0, 100, resolution=8)
@@ -117,8 +117,7 @@ class TestEstimate:
     def test_empty_backward_empty_estimate(self):
         res = 8
         fwd = np.ones((res, res), dtype=bool)
-        g = ReachGrid(((-1, 1), (-1, 1)), res, fwd, np.zeros((res, res), bool),
-                      1.0, 10, 0, np.zeros(2))
+        g = ReachGrid(((-1, 1), (-1, 1)), res, fwd, np.zeros((res, res), bool))
         assert control_set_estimate(g).diagnostics["estimate_cells"] == 0
 
     @pytest.mark.parametrize("density", [0.02, 0.2, 0.6])
@@ -132,7 +131,7 @@ class TestEstimate:
             # set edge and corner cells so the border handling is exercised
             fwd[0, rng.integers(res)] = fwd[rng.integers(res), -1] = fwd[-1, 0] = True
             bwd = rng.random((res, res)) < 0.5
-            g = ReachGrid(((-1, 1), (-1, 1)), res, fwd, bwd, 1.0, 10, 0, np.zeros(2))
+            g = ReachGrid(((-1, 1), (-1, 1)), res, fwd, bwd)
             closure = ndimage.binary_dilation(fwd, structure=np.ones((3, 3), bool))
             assert np.array_equal(control_set_estimate(g).cells, closure & bwd)
 
@@ -553,7 +552,7 @@ class TestGridExitCounters:
 
     def test_positional_construction_defaults_to_zero(self):
         g = ReachGrid(((-1, 1), (-1, 1)), 8, np.zeros((8, 8), bool),
-                      np.zeros((8, 8), bool), 1.0, 10, 0, np.zeros(2))
+                      np.zeros((8, 8), bool))
         assert (g.points, g.points_outside) == (0, 0)
 
 
@@ -877,7 +876,7 @@ class TestExportsEqualCellLoops:
     def test_byte_equal(self, res, box):
         rng = np.random.default_rng(res)
         fwd, bwd = rng.random((2, res, res)) < 0.4
-        grid = ReachGrid(box, res, fwd, bwd, 1.0, 1, 0, np.zeros(2))
+        grid = ReachGrid(box, res, fwd, bwd)
         est = control_set_estimate(grid)
         assert grid_to_csv(grid, est) == _csv_cell_loop(grid, est)
         assert grid_to_csv(grid) == _csv_cell_loop(grid)
@@ -1140,7 +1139,7 @@ class TestEscapedPoints:
 
     def test_positional_construction_defaults_to_zero(self):
         g = ReachGrid(((-1, 1), (-1, 1)), 8, np.zeros((8, 8), bool),
-                      np.zeros((8, 8), bool), 1.0, 10, 0, np.zeros(2))
+                      np.zeros((8, 8), bool))
         assert g.points_escaped == 0
 
 
@@ -1159,17 +1158,39 @@ class TestSamplingArguments:
         "nan-horizon": dict(T=np.nan),
     }
 
-    @pytest.mark.parametrize("case", [*CASES, "coarse-grid"])
+    # arguments that only reach_sets checks
+    SETS_CASES = {
+        "coarse-grid": dict(resolution=4),
+        "empty-box": dict(box=((0.0, 0.0), (-1.0, 1.0))),
+        "reversed-box": dict(box=((1.0, -1.0), (-1.0, 1.0))),
+        "infinite-box": dict(box=((-np.inf, 1.0), (-1.0, 1.0))),
+        "nan-box": dict(box=((-1.0, 1.0), (np.nan, 1.0))),
+        "nan-v0": dict(v0=np.array([np.nan, 0.0])),
+        "infinite-v0": dict(v0=np.array([0.0, np.inf])),
+        "fractional-budget": dict(budget=2.5),
+        "zero-budget": dict(budget=0),
+    }
+
+    @pytest.mark.parametrize("case", [*CASES, *SETS_CASES])
     def test_reach_sets_rejects_before_sampling(self, monkeypatch, case):
         calls = []
         monkeypatch.setattr(reach, "_arc_table", lambda *a: calls.append(a))
         monkeypatch.setattr(reach, "_draw_levels", lambda *a: calls.append(a))
-        args = dict(T=30.0, budget=10_000)
-        args.update(self.CASES.get(case, dict(resolution=4)))
+        args = dict(v0=np.zeros(2), T=30.0, budget=10_000)
+        args.update(self.CASES.get(case) or self.SETS_CASES[case])
         with pytest.raises(ValueError) as err:
-            reach_sets(closed_planar(), np.zeros(2), **args)
+            reach_sets(closed_planar(), **args)
         assert "\n" not in str(err.value)
         assert calls == []
+
+    def test_verification_rejects_an_empty_box(self):
+        # an empty box used to sample every point outside it and fail both
+        # checks of this correct Open verdict
+        report = classify(OPEN_SYS)
+        assert report.taxonomy == reach.TAX_OPEN
+        with pytest.raises(ValueError, match="grid box"):
+            verify_classification(report, OPEN_SYS, budget=64, horizon=2.0,
+                                  box=((0.0, 0.0), (-1.0, 1.0)))
 
     @pytest.mark.parametrize("case", CASES)
     def test_reach_points_rejects(self, case):

@@ -293,6 +293,20 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(GroupElement(0, [0, 0]), PiecewiseControl.empty(), spiral_system(), step=0.0)
 
+    @pytest.mark.parametrize("step", [np.nan, np.inf])
+    @pytest.mark.parametrize("path", ["exact", "rk4"])
+    def test_rejects_non_finite_step_before_any_arc(self, monkeypatch, path, step):
+        sys = spiral_system() if path == "exact" else make(
+            ThetaFamily.diagonal(0.5), np.diag([0.0, 0.5]), [1.0, 1.0], 1.0, [0.0, 0.0])
+        calls = []
+        monkeypatch.setattr(system, "_exact_arc", lambda *a: calls.append(a))
+        monkeypatch.setattr(system, "_rk4_arc", lambda *a: calls.append(a))
+        ctrl = PiecewiseControl.from_pairs([(1.0, 0.5)])
+        with pytest.raises(ValueError, match="step") as err:
+            simulate(GroupElement(0, [0, 0]), ctrl, sys, step=step)
+        assert "\n" not in str(err.value)
+        assert calls == []
+
     def test_rejects_out_of_range_control(self):
         ctrl = PiecewiseControl.from_pairs([(1.0, 5.0)])
         with pytest.raises(ValueError):
