@@ -206,7 +206,7 @@ def load_spec(path: str) -> tuple[SystemSpec, dict, dict]:
         if var_raw["type"] == "simply_connected":
             variant = SIMPLY_CONNECTED
         else:
-            variant = GroupVariant(var_raw["type"], var_raw.get("n", 1))
+            variant = GroupVariant(var_raw["type"], int(var_raw.get("n", 1)))
         spec = SystemSpec(
             theta=family,
             drift=LinearField(np.array(raw["A"], dtype=float),

@@ -9,7 +9,8 @@ eta), a bounded control range and a group variant:
 
 The module provides the exact drift flow, rank conditions with auditable
 certificates, the conjugations that normalize eta or xi away, the planar
-reduction available at full nilrank, and a piecewise-constant simulator.
+reduction available at full nilrank, and a piecewise-constant simulator
+(exact at nilrank 2, by one block arc map in group coordinates).
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .group import GroupElement, GroupVariant, SIMPLY_CONNECTED
-from .kernel2d import (ThetaFamily, arc, arc_matrices, check_finite, commutes, lambda_op,
-                       matrix_rank, rank_product)
-from .planar import ControlRange, PiecewiseControl, PlanarSpec, Trajectory, a_of_u
+from .kernel2d import (ThetaFamily, arc_matrices, check_finite, commutes, expm_series,
+                       lambda_op, matrix_rank, rank_product)
+from .planar import ControlRange, PiecewiseControl, PlanarSpec, Trajectory
 
 __all__ = [
     "LinearField",
@@ -295,43 +296,46 @@ def _rk4_arc(g: GroupElement, u: float, duration: float, sys: SystemSpec, step: 
     return samples
 
 
-# samples per batched ``arc`` call of an exact arc: bounds its temporaries
-_BLOCK = 4096
+# samples per run of step-map powers after one directly evaluated anchor
+_RUN = 256
 
 
 def _arc_offsets(duration: float, n: int):
-    """The sample offsets duration*i/n, i = 1..n, as (first index, array)
-    blocks of at most _BLOCK."""
-    for lo in range(0, n, _BLOCK):
-        yield lo, duration * np.arange(lo + 1, min(lo + _BLOCK, n) + 1) / n
+    """Offsets duration*i/n, i = 1..n, as (first index, array) runs of at most _RUN."""
+    for lo in range(0, n, _RUN):
+        yield lo, duration * np.arange(lo + 1, min(lo + _RUN, n) + 1) / n
 
 
-def _exact_arc(red: PlanarReduction, g: GroupElement, u: float, duration: float,
+def _group_arc(sys: SystemSpec, g: GroupElement, u: float, duration: float,
                out: np.ndarray) -> None:
     """Write the len(out) samples of a constant-control arc into ``out``, in
-    closed form through the planar conjugation.
+    closed form in group coordinates, with no inverse (exact as det A -> 0).
 
-    Each block of samples takes two batched ``arc`` calls: one of A(u alpha)
-    over the offsets s gives the planar states e^{sA} v0 + W(s) u alpha eta,
-    one of theta over the times t0 + u alpha s maps them back.  A block
+    With u constant, t = t0 + u alpha s, and z = (v, Lambda_t xi, rho_t xi,
+    rho_t eta), from one ``arc_matrices`` of theta at t0, solves z' = K z for
+    a constant block-triangular 8x8 K (Van Loan's construction, as in
+    ``kernel2d.arc``): v' = A v + Lambda_t xi + u rho_t eta, (Lambda_t xi)' =
+    u alpha rho_t xi, and both rho_t terms move by u alpha theta.  Each run of
+    at most _RUN samples is the stacked powers e^{hK}, ..., e^{mhK} (h the
+    spacing) times its anchor e^{sK} z0 at the run's first offset s.  A run
     outside the float range fails its finiteness check as a ValueError.
     """
-    t0, (x0, y0) = red.to_planar(g)
-    us = u * red.sys.alpha
-    a = a_of_u(red.planar, us).ravel().tolist()
-    b0, b1 = (us * red.planar.eta).tolist()
-    theta = red.sys.theta_matrix.ravel().tolist()
-    c0, c1 = red.shift.tolist()
-    for lo, s in _arc_offsets(duration, len(out)):
-        (e00, e01, e10, e11), (w00, w01, w10, w11) = arc(*a, s)
-        x = e00 * x0 + e01 * y0 + (w00 * b0 + w01 * b1)
-        y = e10 * x0 + e11 * y0 + (w10 * b0 + w11 * b1)
-        t = t0 + us * s
-        (r00, r01, r10, r11), (l00, l01, l10, l11) = arc(*theta, t)
+    a = u * sys.alpha
+    eye, theta = np.eye(2), sys.theta_matrix
+    K = np.zeros((8, 8))
+    K[:2, :2], K[:2, 2:4], K[:2, 6:] = sys.A, eye, u * eye
+    K[2:4, 4:6], K[4:6, 4:6], K[6:, 6:] = a * eye, a * theta, a * theta
+    rho, lam = arc_matrices(theta, g.t)
+    z0 = np.concatenate([g.v, lam @ sys.xi, rho @ sys.xi, rho @ sys.eta])
+    n = len(out)
+    powers = expm_series(duration / n * K)[None]
+    while len(powers) < min(n, _RUN):
+        powers = np.concatenate([powers, powers[-1] @ powers])
+    for lo, s in _arc_offsets(duration, n):
+        anchor = expm_series(duration * lo / n * K) @ z0 if lo else z0
         rows = out[lo:lo + s.size]
-        rows[:, 0] = t
-        rows[:, 1] = r00 * x + r01 * y - (l00 * c0 + l01 * c1)
-        rows[:, 2] = r10 * x + r11 * y - (l10 * c0 + l11 * c1)
+        rows[:, 0] = g.t + a * s
+        rows[:, 1:] = powers[:s.size, :2] @ anchor
         check_finite(rows, "state")
 
 
@@ -343,12 +347,12 @@ def simulate(
 ) -> Trajectory:
     """Concatenated constant-control arcs from g.
 
-    Systems with a planar reduction (``conjugate_to_planar``) are integrated
-    exactly through it, a block of samples per batched kernel call;
-    everything else uses fixed-step classical 4th-order integration.  Each
-    arc of duration d records ``sample_counts`` = max(1, ceil(d / step))
-    evenly spaced samples, the last at its switch; ``times`` and ``states``
-    start with the initial point.
+    Nilrank-2 systems take each arc exactly in group coordinates, from one
+    8x8 block arc map (``_group_arc``); nilrank 0 and 1 use fixed-step
+    classical 4th-order integration.  Each arc of duration d records
+    ``sample_counts`` = max(1, ceil(d / step)) evenly spaced samples, the
+    last at its switch; ``times`` and ``states`` start with the initial
+    point.
     """
     if not 0.0 < step < math.inf:
         raise ValueError(f"the step must be finite and positive, got {step}")
@@ -356,11 +360,7 @@ def simulate(
         if not sys.omega.contains(u):
             raise ValueError(f"control value {u:g} outside the admissible range")
 
-    try:
-        red = conjugate_to_planar(sys)
-    except ValueError:
-        red = None  # no planar reduction: fixed-step integration
-
+    exact = nilrank(sys) == 2
     counts = [int(n) for n in sample_counts(ctrl.durations, step)]
     times = np.empty(1 + sum(counts))
     states = np.empty((times.size, 3))
@@ -377,8 +377,8 @@ def simulate(
         # range, which each path checks as it goes
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                if red is not None:
-                    _exact_arc(red, start, u, duration, states[j:j + n])
+                if exact:
+                    _group_arc(sys, start, u, duration, states[j:j + n])
                 else:
                     states[j:j + n] = _rk4_arc(start, u, duration, sys, step)
         except ValueError:

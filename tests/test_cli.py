@@ -146,6 +146,19 @@ class TestClassify:
         report = json.loads((tmp_path / "report.json").read_text())
         assert "preimage" in report["covering"]["relation"]
 
+    def test_se2n_n_written_as_a_float(self, runner, tmp_path):
+        # the schema's integer type admits n = 2.0; the cover is the one of n = 2
+        runs = {}
+        for name, n in (("int", 2), ("float", 2.0)):
+            spec = write_spec(tmp_path, dict(SE2_SPEC, variant={"type": "se2n", "n": n}),
+                              f"{name}.json")
+            out = runner.invoke(main, ["classify", spec, "--out-dir", str(tmp_path / name),
+                                       "--no-verify"], catch_exceptions=False)
+            assert out.exit_code == 0, out.output
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            runs[name] = out.output, report["classification"], report["covering"]
+        assert runs["float"] == runs["int"]
+
     def test_non_descending_quotient_is_input_error(self, runner, tmp_path):
         bad = {
             "theta": {"family": "diagonal", "gamma": 0.0},

@@ -5,9 +5,9 @@ functions too) is the package itself, the standard library, or a runtime
 dependency listed in ``pyproject.toml``.  Test-only tools such as scipy
 live in the ``test`` extra and must not come back into the package.
 Verification and planning propagate every leg in closed form, so they
-import no ``simulate`` and its fixed-step integration.  No module imports a
-``_``-prefixed name of another: a helper two modules need is public, or
-both uses live beside it.
+import no ``simulate`` and its fixed-step integration; ``simulate`` itself
+reaches no planar reduction.  No module imports a ``_``-prefixed name of
+another: a helper two modules need is public, or both uses live beside it.
 """
 
 import ast
@@ -72,6 +72,37 @@ def test_simulate_checker():
 @pytest.mark.parametrize("name", ["reach.py", "plan.py"])
 def test_verification_and_planning_use_no_simulate(name):
     assert simulate_uses((SRC / name).read_text()) == [], name
+
+
+def names_reached(source: str, entry: str) -> set[str]:
+    """Every name that the module-level function ``entry`` of ``source``
+    reads, directly or through the module-level functions it calls."""
+    defs = {node.name: node for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), [entry]
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None and name not in seen:
+                seen.add(name)
+                if name in defs:
+                    todo.append(name)
+    return seen
+
+
+def test_names_reached_checker():
+    source = ("def simulate(g):\n    return _arc(g)\n"
+              "def _arc(g):\n    return red.to_planar(g)\n"
+              "def other():\n    return conjugate_to_planar\n")
+    assert {"_arc", "red", "to_planar"} <= names_reached(source, "simulate")
+    assert "conjugate_to_planar" not in names_reached(source, "simulate")
+
+
+def test_simulate_reaches_no_planar_reduction():
+    # nilrank-2 arcs are exact in group coordinates, with no A^{-1} xi shift
+    reached = names_reached((SRC / "system.py").read_text(), "simulate")
+    assert reached & {"conjugate_to_planar", "PlanarReduction"} == set()
 
 
 def private_imports(source: str) -> list[str]:

@@ -468,34 +468,6 @@ def _oracle_levels(rng, n):
     return idx
 
 
-def _per_trajectory_reach(spec, v0, T, budget, seed=0, box=((-10.0, 10.0), (-10.0, 10.0)),
-                          res=64, arc_duration=2.0, samples_per_arc=8):
-    """The sampler re-derived (oracle): each batch's seeds and draws, each
-    trajectory's arc map gathered as its level's row, and every sample
-    marked with ``_mark_reference``.  Returns (forward, backward, inside)."""
-    n_batches = -(-budget // _BATCH)
-    sizes = [len(part) for part in np.array_split(np.arange(budget), n_batches)]
-    seeds = np.random.SeedSequence(seed).spawn(2 * n_batches)
-    arcs = [min(arc_duration, T - arc_duration * i)
-            for i in range(int(np.ceil(T / arc_duration)))]
-    fwd = np.zeros((res, res), dtype=bool)
-    bwd = np.zeros((res, res), dtype=bool)
-    inside = 0
-    for i, n in enumerate(sizes):
-        for d, (sign, bitmap) in enumerate(((+1.0, fwd), (-1.0, bwd))):
-            rng = np.random.default_rng(seeds[2 * i + d])
-            x = np.full(n, float(v0[0]))
-            y = np.full(n, float(v0[1]))
-            inside += _mark_reference(bitmap, x, y, box, res)
-            for s in arcs:
-                rows = _arc_table(spec, sign * s / samples_per_arc).T[_oracle_levels(rng, n)]
-                for _ in range(samples_per_arc):
-                    x, y = (rows[:, 0] * x + rows[:, 1] * y + rows[:, 4],
-                            rows[:, 2] * x + rows[:, 3] * y + rows[:, 5])
-                    inside += _mark_reference(bitmap, x, y, box, res)
-    return fwd, bwd, inside
-
-
 class TestBatchedSampling:
     BUDGETS = (1, 7, 100, 10_000, 16_385, 40_000)
     RUNS = [(7.0, (0.3, -0.2)), (12.0, (0.0, 0.0))]
@@ -506,7 +478,7 @@ class TestBatchedSampling:
     def test_bitmaps_equal_per_trajectory_oracle(self, system, T, v0):
         spec = conjugate_to_planar(system).planar
         for budget in self.BUDGETS:
-            fwd, bwd, inside = _per_trajectory_reach(spec, v0, T, budget)
+            fwd, bwd, inside, _ = _follow_every_lane(spec, v0, T, budget)
             g = reach_sets(spec, v0, T, budget)
             assert g.forward.tobytes() == fwd.tobytes(), budget
             assert g.backward.tobytes() == bwd.tobytes(), budget
@@ -619,7 +591,7 @@ class TestReachGridShape:
                              ids=["open", "closed", "whole"])
     def test_bitmaps_equal_per_trajectory_oracle(self, system):
         spec = conjugate_to_planar(system).planar
-        fwd, bwd, inside = _per_trajectory_reach(spec, (0.0, 0.0), 30.0, 10_000, seed=7)
+        fwd, bwd, inside, _ = _follow_every_lane(spec, (0.0, 0.0), 30.0, 10_000, seed=7)
         g = reach_sets(spec, np.zeros(2), 30.0, 10_000, seed=7)
         assert g.forward.tobytes() == fwd.tobytes()
         assert g.backward.tobytes() == bwd.tobytes()
@@ -1038,7 +1010,7 @@ class TestDroppedLanes:
         assert min(reach._escape_radius(spec, s, box) for s in (1.0, -1.0)) < np.inf
         for budget, T, v0 in ((7, 12.0, (0.3, -0.2)), (2000, 12.0, (0.0, 0.0)),
                               (16_385, 7.0, (1.0, 0.5))):
-            fwd, bwd, inside = _per_trajectory_reach(spec, v0, T, budget, box=box)
+            fwd, bwd, inside, _ = _follow_every_lane(spec, v0, T, budget, box=box)
             g = reach_sets(spec, v0, T, budget, box=box)
             assert g.forward.tobytes() == fwd.tobytes(), budget
             assert g.backward.tobytes() == bwd.tobytes(), budget

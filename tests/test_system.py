@@ -4,6 +4,7 @@ import tracemalloc
 import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from solv3d import kernel2d, system
 from solv3d.group import GroupElement, multiply
 from solv3d.kernel2d import ThetaFamily
-from solv3d.planar import ControlRange, PiecewiseControl, omega_hat, planar_solution
+from solv3d.planar import ControlRange, PiecewiseControl, omega_hat
 from solv3d.reach import classify
 from solv3d.system import (
     InvariantField,
@@ -299,7 +300,7 @@ class TestSimulate:
         sys = spiral_system() if path == "exact" else make(
             ThetaFamily.diagonal(0.5), np.diag([0.0, 0.5]), [1.0, 1.0], 1.0, [0.0, 0.0])
         calls = []
-        monkeypatch.setattr(system, "_exact_arc", lambda *a: calls.append(a))
+        monkeypatch.setattr(system, "_group_arc", lambda *a: calls.append(a))
         monkeypatch.setattr(system, "_rk4_arc", lambda *a: calls.append(a))
         ctrl = PiecewiseControl.from_pairs([(1.0, 0.5)])
         with pytest.raises(ValueError, match="step") as err:
@@ -352,15 +353,15 @@ class TestSimulate:
         assert np.max(np.abs(exact - y.as_array())) < 1e-8
 
     def test_exact_path_solves_for_the_shift_once(self):
-        # A^{-1} xi is solved by normalize_xi when the reduction is built,
-        # not again for every arc and sample
+        # the block arc map needs no A^{-1} xi shift: no solve at all, where
+        # the planar route solved once per call
         sys = make(ThetaFamily.spiral(0.0), np.eye(2), [1.0, 0.0], 1.0, [0.0, 0.0],
                    ControlRange(-0.5, 0.5))
         ctrl = PiecewiseControl.from_pairs([(0.5, 0.3), (0.5, -0.4)])
         with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
             traj = simulate(GroupElement(0.0, [0.2, -0.1]), ctrl, sys)
         assert len(traj.times) == 1001
-        assert solve.call_count <= 1
+        assert solve.call_count == 0
 
     def test_first_coordinate_integrates_control(self):
         sys = spiral_system()
@@ -388,7 +389,7 @@ NILRANK2 = {
     "spiral": make(ThetaFamily.spiral(0.3), -0.5 * np.eye(2) + 0.8 * R, [0.3, -0.2], 1.0,
                    [0.5, 1.0], WIDE),
 }
-BLOCK = system._BLOCK
+RUN = system._RUN
 EXACT_CASES = {
     # a control 1e-9 from the root u = -1 of det A(u) on jordan and diagonal
     "near root": (0.3, [(0.5, 0.7), (0.3, -0.4), (0.2, -1.0 + 1e-9)], 1e-3),
@@ -396,29 +397,53 @@ EXACT_CASES = {
     "50-unit arc down": (0.0, [(50.0, -0.05)], 1e-2),
     "t0 = -20": (-20.0, [(0.5, 0.7), (0.5, -0.7)], 1e-3),
     "t0 = 20": (20.0, [(0.5, 0.7), (0.5, -0.7)], 1e-3),
-    # arcs of one block less, exactly one block and one block more
-    "block edges": (0.0, [((BLOCK + k) * 2.0**-10, 0.3 * (-1) ** k) for k in (-1, 0, 1)],
+    # arcs of one run less, exactly one run and one run more
+    "block edges": (0.0, [((RUN + k) * 2.0**-10, 0.3 * (-1) ** k) for k in (-1, 0, 1)],
                     2.0**-10),
 }
 
 
-def per_sample_exact(g, ctrl, sys, step):
-    """The exact path one sample at a time: a ``planar_solution`` and a
-    ``from_planar`` call per sample, each arc started from ``to_planar``."""
-    red = conjugate_to_planar(sys)
-    times, states, now, cur = [0.0], [g.as_array()], 0.0, g
-    for d, u in ctrl.pairs():
-        t0, v0 = red.to_planar(cur)
-        us = u * sys.alpha
-        n = max(1, int(np.ceil(d / step)))
-        for i in range(1, n + 1):
-            s = d * i / n
-            times.append(now + d * i / n)
-            v = planar_solution(red.planar, s, v0, us)
-            states.append(red.from_planar(t0 + us * s, v).as_array())
-        now += d
-        cur = GroupElement(states[-1][0], states[-1][1:])
-    return np.array(times), np.array(states)
+def mp_affine(M, b, s, x):
+    """e^{sM} x + int_0^s e^{rM} b dr at the working precision, from the
+    exponential of the 3x3 block [[M, b], [0, 0]]."""
+    aug = mpmath.zeros(3, 3)
+    for i in range(2):
+        aug[i, 0], aug[i, 1], aug[i, 2] = M[i][0], M[i][1], b[i]
+    F = mpmath.expm(s * aug)
+    return [F[i, 0] * x[0] + F[i, 1] * x[1] + F[i, 2] for i in range(2)]
+
+
+def mp_states(sys, g, ctrl, step):
+    """{sample index: state} to 40 digits at every switch and at samples 1,
+    n // 2, RUN and RUN + 1 of each n-sample arc (oracle).
+
+    Through the planar conjugation, not the block arc map: with c = A^{-1} xi,
+    x = rho_{-t}(v + Lambda_t c) solves x' = (A - u alpha theta) x + u (eta + alpha c),
+    and v = rho_t x - Lambda_t c; each arc starts from the oracle's own switch state.
+    """
+    with mpmath.workdps(40):
+        def mp(a):
+            return [[mpmath.mpf(float(x)) for x in row] for row in np.atleast_2d(a)]
+
+        theta, A = mp(sys.theta_matrix), mp(sys.A)
+        (eta,), alpha = mp(sys.eta), mpmath.mpf(float(sys.alpha))
+        c = mpmath.lu_solve(mpmath.matrix(A), mpmath.matrix(mp(sys.xi)[0]))
+        minus_c = [-c[0], -c[1]]
+        t, (v,) = mpmath.mpf(float(g.t)), mp(g.v)
+        out, j = {}, 0
+        for d, u in ctrl.pairs():
+            n = max(1, int(np.ceil(d / step)))
+            a = mpmath.mpf(float(u)) * alpha
+            M = [[A[i][k] - a * theta[i][k] for k in range(2)] for i in range(2)]
+            b = [u * (eta[i] + alpha * c[i]) for i in range(2)]
+            x0 = mp_affine(theta, minus_c, -t, v)
+            for k in sorted({1, n // 2, RUN, RUN + 1, n} & set(range(1, n + 1))):
+                s = mpmath.mpf(float(d)) * k / n
+                tk = t + a * s
+                vk = mp_affine(theta, minus_c, tk, mp_affine(M, b, s, x0))
+                out[j + k] = np.array([float(tk), float(vk[0]), float(vk[1])])
+            t, v, j = tk, vk, j + n
+    return out
 
 
 def field_values_rk4(g, ctrl, sys, step):
@@ -455,11 +480,29 @@ class TestBatchedExactArcs:
         g = GroupElement(t0, [1.0, -0.5])
         ctrl = PiecewiseControl.from_pairs(pairs)
         traj = simulate(g, ctrl, sys, step=step)
-        times, states = per_sample_exact(g, ctrl, sys, step)
+        times, now = [0.0], 0.0
+        for d, _ in ctrl.pairs():
+            n = max(1, int(np.ceil(d / step)))
+            times += [now + d * i / n for i in range(1, n + 1)]
+            now += d
         assert np.array_equal(traj.times, times)  # bit for bit
-        assert traj.states.shape == states.shape
-        size = np.maximum(1.0, np.max(np.abs(states), axis=1))
-        assert np.all(np.max(np.abs(traj.states - states), axis=1) <= 1e-12 * size)
+        for j, state in mp_states(sys, g, ctrl, step).items():
+            size = max(1.0, np.max(np.abs(state)))
+            assert np.max(np.abs(traj.states[j] - state)) <= 1e-12 * size, j
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10])
+    def test_near_singular_drift_matches_the_oracle(self, eps):
+        # det A = -0.7 eps: no A^{-1} xi shift enters the map, so the
+        # endpoint does not lose accuracy as det A -> 0
+        sys = make(ThetaFamily.diagonal(0.5), np.diag([-0.7, eps]), [1.0, -1.0], 1.0,
+                   [0.5, 1.0])
+        assert nilrank(sys) == 2
+        ctrl = PiecewiseControl.from_pairs([(1.0, 0.6), (1.0, -0.9)])
+        g = GroupElement(1.0, [1.0, -0.5])
+        ref = mp_states(sys, g, ctrl, 1e-3)
+        end = ref[max(ref)]
+        final = simulate(g, ctrl, sys).final_state
+        assert np.max(np.abs(final - end)) <= 1e-12 * max(1.0, np.max(np.abs(end)))
 
     def test_rk4_path_is_field_values_rk4_bit_for_bit(self):
         sys = make(ThetaFamily.diagonal(0.5), np.diag([1.0, 0.0]), [0.3, 1.0], 1.0,
@@ -472,13 +515,17 @@ class TestBatchedExactArcs:
         assert len(traj.times) == 1 + 50 + 31 + 1
 
     def test_a_few_kernel_calls_per_arc(self):
-        # the per-sample path made two scalar arc calls per sample, about 2000 here
-        calls = mock.Mock(wraps=kernel2d.arc)
+        # the per-sample path made two scalar arc calls per sample, about 2000
+        # here; the block arc map takes one arc (the start), one step map and
+        # one anchor per further run of RUN samples
+        arcs = mock.Mock(wraps=kernel2d.arc)
+        exps = mock.Mock(wraps=kernel2d.expm_series)
         ctrl = PiecewiseControl.from_pairs([(0.5, 0.3), (0.5, -0.4)])
-        with mock.patch.object(kernel2d, "arc", calls), mock.patch.object(system, "arc", calls):
+        with mock.patch.object(kernel2d, "arc", arcs), \
+                mock.patch.object(system, "expm_series", exps):
             traj = simulate(GroupElement(0.2, [1.0, -0.5]), ctrl, NILRANK2["spiral"])
         assert len(traj.times) == 1001
-        assert calls.call_count <= 3 * len(ctrl)
+        assert arcs.call_count + exps.call_count <= 3 * len(ctrl)
 
     def test_memory_stays_near_the_output(self):
         ctrl = PiecewiseControl.from_pairs([(1.0, 0.3)])
