@@ -10,7 +10,9 @@ eta), a bounded control range and a group variant:
 The module provides the exact drift flow, rank conditions with auditable
 certificates, the conjugations that normalize eta or xi away, the planar
 reduction available at full nilrank, and a piecewise-constant simulator
-(exact at nilrank 2, by one block arc map in group coordinates).
+(exact at nilrank 2, by one block arc map in group coordinates; RK4 below,
+on the field of ``field_values`` evaluated in place).  Both arc maps write
+their samples into the output and check them once per run of samples.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .group import GroupElement, GroupVariant, SIMPLY_CONNECTED
-from .kernel2d import (ThetaFamily, arc_matrices, check_finite, commutes, expm_series,
+from .kernel2d import (ThetaFamily, arc, arc_matrices, check_finite, commutes, expm_series,
                        lambda_op, matrix_rank, rank_product)
 from .planar import ControlRange, PiecewiseControl, PlanarSpec, Trajectory
 
@@ -270,34 +272,45 @@ def sample_counts(durations, step: float) -> np.ndarray:
         return np.maximum(1.0, np.ceil(np.asarray(durations, dtype=float) / step))
 
 
-def _rk4_arc(g: GroupElement, u: float, duration: float, sys: SystemSpec, step: float):
-    """Classical 4th-order fixed-step integration of one constant-control arc.
+# samples per run: of step-map powers after one directly evaluated anchor on
+# the exact path, of RK4 steps on the other; each run is checked finite once
+_RUN = 256
 
-    A state outside the float range fails the finiteness check of the next
-    stage's ``GroupElement``, or of the last sample, as a ValueError."""
+
+def _rk4_arc(sys: SystemSpec, g: GroupElement, u: float, duration: float,
+             out: np.ndarray) -> None:
+    """Write len(out) classical 4th-order steps of a constant-control arc
+    into ``out``, one per row.
+
+    Each stage evaluates the field of ``field_values`` in its order of
+    operations, so the path is bit for bit RK4 on ``field_values``: one
+    ``arc`` of theta at the stage time, then A v + Lambda_t xi + u rho_t eta.
+    The caller has checked the control, so no stage re-checks it or builds
+    a group element.  A run of at most _RUN steps outside the float range
+    fails its one finiteness check (or a later stage's ``arc``) as a
+    ValueError.
+    """
+    theta = sys.theta_matrix.ravel().tolist()
+    A, xi, eta, td = sys.A, sys.xi, sys.eta, u * sys.alpha
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        t, v = y[0], y[1:]
-        td, vd = field_values(GroupElement(t, v), u, sys)
+        e, w = arc(*theta, float(y[0]))
+        rho, lam = np.array(e).reshape(2, 2), np.array(w).reshape(2, 2)
+        vd = A @ y[1:] + lam @ xi + u * (rho @ eta)
         return np.array([td, vd[0], vd[1]])
 
     y = g.as_array()
-    samples = []
-    n_steps = int(sample_counts(duration, step))
-    h = duration / n_steps
-    for _ in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        samples.append(y.copy())
-    check_finite(y, "state")
-    return samples
-
-
-# samples per run of step-map powers after one directly evaluated anchor
-_RUN = 256
+    h = duration / len(out)
+    for lo in range(0, len(out), _RUN):
+        rows = out[lo:lo + _RUN]
+        for row in rows:
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            row[:] = y
+        check_finite(rows, "state")
 
 
 def _arc_offsets(duration: float, n: int):
@@ -349,10 +362,12 @@ def simulate(
 
     Nilrank-2 systems take each arc exactly in group coordinates, from one
     8x8 block arc map (``_group_arc``); nilrank 0 and 1 use fixed-step
-    classical 4th-order integration.  Each arc of duration d records
-    ``sample_counts`` = max(1, ceil(d / step)) evenly spaced samples, the
-    last at its switch; ``times`` and ``states`` start with the initial
-    point.
+    classical 4th-order integration (``_rk4_arc``).  Either map is called
+    once per arc and writes the arc's samples in place.  Every control is
+    checked here, once, so no arc map re-checks it.  Each arc of duration d
+    records ``sample_counts`` = max(1, ceil(d / step)) evenly spaced
+    samples, the last at its switch; ``times`` and ``states`` start with
+    the initial point.
     """
     if not 0.0 < step < math.inf:
         raise ValueError(f"the step must be finite and positive, got {step}")
@@ -360,7 +375,7 @@ def simulate(
         if not sys.omega.contains(u):
             raise ValueError(f"control value {u:g} outside the admissible range")
 
-    exact = nilrank(sys) == 2
+    arc_map = _group_arc if nilrank(sys) == 2 else _rk4_arc
     counts = [int(n) for n in sample_counts(ctrl.durations, step)]
     times = np.empty(1 + sum(counts))
     states = np.empty((times.size, 3))
@@ -377,10 +392,7 @@ def simulate(
         # range, which each path checks as it goes
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                if exact:
-                    _group_arc(sys, start, u, duration, states[j:j + n])
-                else:
-                    states[j:j + n] = _rk4_arc(start, u, duration, sys, step)
+                arc_map(sys, start, u, duration, states[j:j + n])
         except ValueError:
             raise ValueError(f"arc {i + 1} of {len(ctrl)} ({duration:g} time units at "
                              f"control {u:g}) leaves the float range") from None

@@ -6,8 +6,9 @@ dependency listed in ``pyproject.toml``.  Test-only tools such as scipy
 live in the ``test`` extra and must not come back into the package.
 Verification and planning propagate every leg in closed form, so they
 import no ``simulate`` and its fixed-step integration; ``simulate`` itself
-reaches no planar reduction.  No module imports a ``_``-prefixed name of
-another: a helper two modules need is public, or both uses live beside it.
+reaches no planar reduction and no ``field_values``.  No module imports a
+``_``-prefixed name of another: a helper two modules need is public, or
+both uses live beside it.
 """
 
 import ast
@@ -103,6 +104,12 @@ def test_simulate_reaches_no_planar_reduction():
     # nilrank-2 arcs are exact in group coordinates, with no A^{-1} xi shift
     reached = names_reached((SRC / "system.py").read_text(), "simulate")
     assert reached & {"conjugate_to_planar", "PlanarReduction"} == set()
+
+
+def test_simulate_reaches_no_field_values():
+    # RK4 stages evaluate the field directly: no group element, no control check
+    reached = names_reached((SRC / "system.py").read_text(), "simulate")
+    assert "field_values" not in reached
 
 
 def private_imports(source: str) -> list[str]:

@@ -15,7 +15,7 @@ from solv3d.reach import (
     _BATCH,
     _arc_table,
     _draw_levels,
-    _entry_index,
+    _entry_indices,
     _mark,
     ClassificationReport,
     ReachGrid,
@@ -672,11 +672,8 @@ class TestFarStarts:
                   for a in 2.0 * np.pi * np.arange(10) / 10.0]
         # a start inside the estimate enters at once; one far outside never does
         starts += [np.zeros(2), np.array([1e20, -1e20])]
-        indices = []
-        for v in starts:
-            want = _scalar_entry_index(spec, v, est, g)
-            assert _entry_index(spec, v, est, g) == want
-            indices.append(want)
+        indices = [_scalar_entry_index(spec, v, est, g) for v in starts]
+        assert _entry_indices(spec, starts, est, g) == indices
         assert indices[-2] == 0 and indices[-1] is None
         assert all(i is not None and i > 0 for i in indices[:10])
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from solv3d import kernel2d, system
 from solv3d.group import GroupElement, multiply
-from solv3d.kernel2d import ThetaFamily
+from solv3d.kernel2d import ThetaFamily, matrix_rank
 from solv3d.planar import ControlRange, PiecewiseControl, omega_hat
 from solv3d.reach import classify
 from solv3d.system import (
@@ -348,9 +348,25 @@ class TestSimulate:
 
         y = g
         for d, u in ctrl.pairs():
-            arr = _rk4_arc(y, u, d, sys, 1e-3)[-1]
-            y = GroupElement(arr[0], arr[1:])
+            out = np.empty((int(np.ceil(d / 1e-3)), 3))
+            _rk4_arc(sys, y, u, d, out)
+            y = GroupElement(out[-1, 0], out[-1, 1:])
         assert np.max(np.abs(exact - y.as_array())) < 1e-8
+
+    def test_rk4_stages_skip_the_group_element_and_check_each_run_once(self, monkeypatch):
+        # simulate checks every control once, so no stage re-checks it
+        sys = make(ThetaFamily.diagonal(0.5), np.diag([1.0, 0.0]), [0.3, 1.0], 1.0,
+                   [0.5, 0.2])
+        g = GroupElement(0.4, [1.0, -0.5])
+        refuse = mock.Mock(side_effect=AssertionError("called"))
+        monkeypatch.setattr(system, "GroupElement", refuse)
+        monkeypatch.setattr(system, "field_values", refuse)
+        finite = mock.Mock(wraps=system.check_finite)
+        monkeypatch.setattr(system, "check_finite", finite)
+        out = np.full((RUN + 1, 3), np.nan)
+        system._rk4_arc(sys, g, 0.5, 0.3, out)
+        assert np.all(np.isfinite(out))
+        assert refuse.call_count == 0 and finite.call_count == 2
 
     def test_exact_path_solves_for_the_shift_once(self):
         # the block arc map needs no A^{-1} xi shift: no solve at all, where
@@ -466,6 +482,36 @@ def field_values_rk4(g, ctrl, sys, step):
     return np.array(states)
 
 
+def dop853_switches(sys, g, pairs):
+    """The state (t, v) at each switch of the group ODE, by scipy's DOP853
+    (oracle).
+
+    It shares no code with the package: with u constant, the augmented
+    state (t, v, rho_t, Lambda_t xi) solves the linear ODE t' = u alpha,
+    v' = A v + Lambda_t xi + u rho_t eta, rho' = u alpha theta rho,
+    (Lambda_t xi)' = u alpha rho_t xi, from start values by scipy's ``expm``.
+    """
+    from scipy.integrate import solve_ivp
+    from scipy.linalg import expm
+
+    th = sys.theta_matrix
+    block = np.zeros((3, 3))
+    block[:2, :2], block[:2, 2] = th, sys.xi
+    y = np.concatenate([[g.t], g.v, expm(g.t * th).ravel(), expm(g.t * block)[:2, 2]])
+    ends = []
+    for d, u in pairs:
+        ua = u * sys.alpha
+
+        def rhs(_, z, u=u, ua=ua):
+            rho = z[3:7].reshape(2, 2)
+            return np.concatenate([[ua], sys.A @ z[1:3] + z[7:] + u * (rho @ sys.eta),
+                                   (ua * th @ rho).ravel(), ua * (rho @ sys.xi)])
+
+        y = solve_ivp(rhs, (0.0, d), y, method="DOP853", rtol=1e-12, atol=1e-12).y[:, -1]
+        ends.append(y[:3])
+    return np.array(ends)
+
+
 class TestBatchedExactArcs:
     def test_cases_reach_the_determinant_roots(self):
         for name, root in (("jordan", -1.0), ("diagonal", -1.0)):
@@ -504,6 +550,29 @@ class TestBatchedExactArcs:
         final = simulate(g, ctrl, sys).final_state
         assert np.max(np.abs(final - end)) <= 1e-12 * max(1.0, np.max(np.abs(end)))
 
+    # the block map at the ranks simulate still integrates by RK4
+    LOW_RANK = {
+        "nilrank 0": make(ThetaFamily.spiral(1.0), np.zeros((2, 2)), [0.7, -0.4], 1.2,
+                          [0.5, 1.0]),
+        "nilrank 1": make(ThetaFamily.diagonal(0.5), 0.4 * np.diag([0.0, -0.5]),
+                          [0.7, -0.4], 1.2, [0.5, 1.0]),
+    }
+
+    @pytest.mark.parametrize("name", LOW_RANK)
+    def test_block_map_matches_dop853_below_full_rank(self, name):
+        sys = self.LOW_RANK[name]
+        assert nilrank(sys) == int(name[-1])
+        pairs = [(0.7, 0.6), (1.3, -0.8), (0.4, 0.3), (2.0, -0.2)]
+        g0 = g = GroupElement(0.3, [1.0, -0.5])
+        ends = []
+        for d, u in pairs:
+            out = np.empty((int(np.ceil(d / 1e-3)), 3))
+            system._group_arc(sys, g, u, d, out)
+            g = GroupElement(out[-1, 0], out[-1, 1:])
+            ends.append(out[-1])
+        for end, ref in zip(ends, dop853_switches(sys, g0, pairs)):
+            assert np.max(np.abs(end - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
     def test_rk4_path_is_field_values_rk4_bit_for_bit(self):
         sys = make(ThetaFamily.diagonal(0.5), np.diag([1.0, 0.0]), [0.3, 1.0], 1.0,
                    [0.5, 0.2])
@@ -538,3 +607,47 @@ class TestBatchedExactArcs:
             tracemalloc.stop()
         assert len(traj.times) == 10**6 + 1
         assert peak < 1.15 * (traj.times.nbytes + traj.states.nbytes)
+
+
+# the eight structure families of the trajectory benchmark
+FAMILIES = [ThetaFamily.jordan(), ThetaFamily.diagonal(1.0), ThetaFamily.diagonal(0.5),
+            ThetaFamily.diagonal(0.0), ThetaFamily.diagonal(-0.7), ThetaFamily.spiral(0.0),
+            ThetaFamily.spiral(1.0), ThetaFamily.spiral(-0.4)]
+
+
+class TestSuperposition:
+    """phi_{T,u}(g) = phi_T(g) phi_{T,u}(e): the run from g is the drift flow
+    of g times the run from the identity (Ayala & Tirao, 1999)."""
+
+    def test_run_from_g_is_drift_flow_times_run_from_identity(self):
+        # the law is exact for the true flow; RK4 (nilrank 0 and 1) breaks it
+        # by its truncation error, below 1e-12 at this step
+        rng = np.random.default_rng(23)
+        step = 2.0**-8
+        ranks = set()
+        for fam in FAMILIES:
+            th = fam.matrix()
+            # a I + b theta, and b (theta - I) where that has rank one, else 0
+            low = th - np.eye(2) if matrix_rank(th - np.eye(2)) == 1 else np.zeros((2, 2))
+            for A in (rng.uniform(0.2, 0.5) * np.eye(2) + rng.uniform(-0.4, 0.4) * th,
+                      rng.uniform(0.2, 0.5) * low):
+                sys = make(fam, A, rng.normal(size=2), rng.uniform(0.5, 1.5),
+                           0.5 * rng.normal(size=2))
+                ranks.add(nilrank(sys))
+                ctrl = PiecewiseControl.from_pairs(
+                    [(0.25, float(u)) for u in rng.uniform(-1.0, 1.0, size=3)])
+                g = GroupElement(rng.uniform(-1.0, 1.0), rng.normal(size=2))
+                from_g = simulate(g, ctrl, sys, step=step)
+                from_e = simulate(GroupElement(0.0, [0.0, 0.0]), ctrl, sys, step=step)
+                switches = np.flatnonzero(np.isin(from_g.times, from_g.switch_times))
+                assert len(switches) == len(ctrl)
+                for j, T in zip(switches, from_g.switch_times):
+                    here = GroupElement(from_e.states[j, 0], from_e.states[j, 1:])
+                    flow = drift_flow(T, g, sys)
+                    law = multiply(flow, here, fam).as_array()
+                    size = max(1.0, np.max(np.abs(law)))
+                    assert np.max(np.abs(from_g.states[j] - law)) <= 1e-11 * size
+                # the law is not the product in the other order
+                swapped = multiply(here, flow, fam).as_array()
+                assert np.max(np.abs(from_g.states[-1] - swapped)) > 1e-3
+        assert ranks == {0, 1, 2}
