@@ -13,12 +13,14 @@ import json
 import math
 import os
 import sys as _sys
+from contextlib import contextmanager
+from dataclasses import replace
 
 import click
 import numpy as np
 
 from . import __version__, reach as reach_mod
-from .group import GroupElement, GroupVariant, SIMPLY_CONNECTED
+from .group import GroupElement, GroupVariant
 from .kernel2d import ThetaFamily
 from .planar import ControlRange, PiecewiseControl, equilibrium, omega_hat
 from .system import (
@@ -188,8 +190,18 @@ def _validate(schema: dict, instance, where: str) -> None:
         raise InputError(f"{where}: at {error.json_path}: {error.message}")
 
 
-def load_spec(path: str) -> tuple[SystemSpec, dict, dict]:
-    """Parse and validate a spec file into (SystemSpec, numerics, raw echo)."""
+@contextmanager
+def _library_errors(prefix: str = "", errors=ValueError):
+    """Turn a library error of type ``errors`` raised in the block into the
+    one-line InputError ``Error: <prefix><message>``."""
+    try:
+        yield
+    except errors as exc:
+        raise InputError(f"{prefix}{exc}")
+
+
+def load_spec(path: str) -> tuple[SystemSpec, dict]:
+    """Parse and validate a spec file into (SystemSpec, raw spec)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -198,60 +210,40 @@ def load_spec(path: str) -> tuple[SystemSpec, dict, dict]:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     _validate(SPEC_SCHEMA, raw, path)
-
-    th = raw["theta"]
-    try:
-        family = ThetaFamily(th["family"], th.get("gamma"))
-        var_raw = raw.get("variant", {"type": "simply_connected"})
-        if var_raw["type"] == "simply_connected":
-            variant = SIMPLY_CONNECTED
-        else:
-            variant = GroupVariant(var_raw["type"], int(var_raw.get("n", 1)))
+    th, var = raw["theta"], raw.get("variant", {"type": GroupVariant.SIMPLY_CONNECTED})
+    with _library_errors(f"{path}: "):
         spec = SystemSpec(
-            theta=family,
+            theta=ThetaFamily(th["family"], th.get("gamma")),
             drift=LinearField(np.array(raw["A"], dtype=float),
                               np.array(raw["xi"], dtype=float)),
             input=InvariantField(float(raw["alpha"]),
                                  np.array(raw["eta"], dtype=float)),
             omega=ControlRange(float(raw["omega"][0]), float(raw["omega"][1])),
-            variant=variant,
+            variant=GroupVariant(var["type"], int(var.get("n", 1))),
         )
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}")
-
-    numerics = json.loads(json.dumps(DEFAULT_NUMERICS))
-    user = raw.get("numerics", {})
-    for key, val in user.items():
-        if key == "grid":
-            numerics["grid"].update(val)
-        else:
-            numerics[key] = val
-    return spec, numerics, raw
+    return spec, raw
 
 
-def _override_numerics(numerics: dict, *, seed=None, budget=None, horizon=None,
-                       step=None, grid_res=None, grid_box=None) -> None:
-    """Merge command-line overrides into ``numerics`` and validate the result.
+def _numerics(raw: dict, grid_res=None, grid_box=None, **flags) -> dict:
+    """DEFAULT_NUMERICS, overridden by the spec's numerics and then by every
+    flag that is set, validated once.
 
     Runs before any sampling, so a bad value exits 1 with a one-line error
     whether it came from the spec file or from a flag.
     """
-    for key, val in (("seed", seed), ("budget", budget), ("horizon", horizon),
-                     ("step", step)):
-        if val is not None:
-            numerics[key] = val
-    if grid_res is not None:
-        numerics["grid"]["resolution"] = grid_res
     if grid_box is not None:
         x0, x1, y0, y1 = _numbers(grid_box, 4, "--grid-box 'x0,x1,y0,y1'")
-        numerics["grid"]["box"] = [[x0, x1], [y0, y1]]
+        grid_box = [[x0, x1], [y0, y1]]
+    user = raw.get("numerics", {})
+    grid = {"resolution": grid_res, "box": grid_box}
+    numerics = {**DEFAULT_NUMERICS, **user, **{k: v for k, v in flags.items() if v is not None}}
+    numerics["grid"] = {**DEFAULT_NUMERICS["grid"], **user.get("grid", {}),
+                        **{k: v for k, v in grid.items() if v is not None}}
     _validate(SPEC_SCHEMA["properties"]["numerics"], numerics, "numerics")
     if not np.all(np.isfinite([numerics["horizon"], numerics["step"]])):
         raise InputError("numerics: the horizon and the step must be finite")
-    try:
+    with _library_errors("numerics: "):
         reach_mod.check_box(numerics["grid"]["box"])
-    except ValueError as exc:
-        raise InputError(f"numerics: {exc}")
     # the schema's integers may be written as floats (500.0); the sampler takes ints
     numerics["seed"], numerics["budget"] = int(numerics["seed"]), int(numerics["budget"])
     points = reach_mod.reach_points(numerics["horizon"], numerics["budget"])
@@ -260,6 +252,7 @@ def _override_numerics(numerics: dict, *, seed=None, budget=None, horizon=None,
             f"numerics: budget {numerics['budget']} at horizon {numerics['horizon']:g} "
             f"would sample {points:.3g} points, more than {MAX_REACH_POINTS:.0e}"
         )
+    return numerics
 
 
 def dump_json(obj: dict, path: str) -> None:
@@ -280,28 +273,15 @@ def _base_report(raw_spec: dict) -> dict:
 
 # width and height of every SVG canvas, in user units
 _SVG_SIZE = 480
-
-
-def _svg_open(box) -> list[str]:
-    (x0, x1), (y0, y1) = box
-    size = _SVG_SIZE
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-        f"<!-- data box x:[{x0},{x1}] y:[{y0},{y1}] -->",
-    ]
-
-
-def _svg_xy(p, box):
-    (x0, x1), (y0, y1) = box
-    sx = (p[0] - x0) / (x1 - x0) * _SVG_SIZE
-    sy = _SVG_SIZE - (p[1] - y0) / (y1 - y0) * _SVG_SIZE
-    return f"{sx:.2f},{sy:.2f}"
+# trajectory.csv is projected and formatted this many rows at a time, so a
+# long run streams
+_CSV_ROWS = 1024
 
 
 def _svg_polyline(points, box, color, width=1.2) -> str:
-    coords = " ".join(_svg_xy(p, box) for p in points)
+    (x0, x1), (y0, y1) = box
+    coords = " ".join(f"{(x - x0) / (x1 - x0) * _SVG_SIZE:.2f},"
+                      f"{_SVG_SIZE - (y - y0) / (y1 - y0) * _SVG_SIZE:.2f}" for x, y in points)
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
         f'points="{coords}"/>'
@@ -320,9 +300,16 @@ def _equilibrium_overlay(spec, box) -> str:
 
 
 def write_svg(path: str, elements: list[str], box) -> None:
-    body = _svg_open(box) + elements + ["</svg>"]
+    (x0, x1), (y0, y1) = box
+    size = _SVG_SIZE
+    head = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f"<!-- data box x:[{x0},{x1}] y:[{y0},{y1}] -->",
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(body) + "\n")
+        fh.write("\n".join(head + elements + ["</svg>"]) + "\n")
 
 
 # -- commands ----------------------------------------------------------------
@@ -359,28 +346,20 @@ def common_options(fn):
               help="Run the numerical cross-examination of the verdict.")
 def cmd_classify(spec_path, out_dir, seed, budget, horizon, verify):
     """Classify the control-set taxonomy of a system and write report.json."""
-    sys_spec, numerics, raw = load_spec(spec_path)
-    _override_numerics(numerics, seed=seed, budget=budget, horizon=horizon)
-    try:
-        report = reach_mod.classify(sys_spec)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    sys_spec, raw = load_spec(spec_path)
+    numerics = _numerics(raw, seed=seed, budget=budget, horizon=horizon)
     out = _base_report(raw)
-    out["classification"] = report.to_dict()
-    if verify:
-        try:
-            out["verification"] = reach_mod.verify_classification(
-                report, sys_spec,
-                budget=numerics["budget"],
-                horizon=numerics["horizon"],
-                resolution=numerics["grid"]["resolution"],
-                seed=numerics["seed"],
-                box=tuple(map(tuple, numerics["grid"]["box"])),
-            )
-        except ValueError as exc:
-            raise InputError(str(exc))
-    else:
-        out["verification"] = {"ok": True, "checks": []}
+    with _library_errors():
+        report = reach_mod.classify(sys_spec)
+        out["classification"] = report.to_dict()
+        out["verification"] = reach_mod.verify_classification(
+            report, sys_spec,
+            budget=numerics["budget"],
+            horizon=numerics["horizon"],
+            resolution=numerics["grid"]["resolution"],
+            seed=numerics["seed"],
+            box=tuple(map(tuple, numerics["grid"]["box"])),
+        ) if verify else {"ok": True, "checks": []}
     if sys_spec.variant.tag != GroupVariant.SIMPLY_CONNECTED:
         from .covering import lift_control_set
 
@@ -431,41 +410,33 @@ def _write_control_csv(path: str, ctrl: PiecewiseControl) -> None:
 @out_dir_option
 def cmd_simulate(spec_path, control_path, start, step, svg, out_dir):
     """Integrate a piecewise-constant control and write trajectory.csv."""
-    sys_spec, numerics, _ = load_spec(spec_path)
-    _override_numerics(numerics, step=step)
+    sys_spec, raw = load_spec(spec_path)
+    step = _numerics(raw, step=step)["step"]
     ctrl = _read_control_csv(control_path)
     # an overflowing (inf) or huge count would never finish
-    if not sample_counts(ctrl.durations, numerics["step"]).sum() <= MAX_SAMPLES:
+    if not sample_counts(ctrl.durations, step).sum() <= MAX_SAMPLES:
         raise InputError(
-            f"{control_path}: step {numerics['step']!r} asks for more than "
-            f"{MAX_SAMPLES} samples"
+            f"{control_path}: step {step!r} asks for more than {MAX_SAMPLES} samples"
         )
     t0, v1, v2 = _numbers(start, 3, "--start 't,v1,v2'")
-    g0 = GroupElement(t0, np.array([v1, v2]))
-    try:
-        traj = simulate(g0, ctrl, sys_spec, step=numerics["step"])
-    except ValueError as exc:
-        raise InputError(f"simulate: {exc}")
+    with _library_errors("simulate: "):
+        traj = simulate(GroupElement(t0, np.array([v1, v2])), ctrl, sys_spec, step=step)
 
     quotient = sys_spec.variant.tag != GroupVariant.SIMPLY_CONNECTED
+    if quotient:
+        from .covering import project_trajectory
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "trajectory.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
-        header = "time,t,v1,v2"
-        if quotient:
-            header += ",t_class,v1_class,v2_class"
-        fh.write(header + "\n")
-        wrapped = None
-        if quotient:
-            from .covering import project_trajectory
-
-            wrapped = project_trajectory(sys_spec, traj).states
-        for i, (tm, st) in enumerate(zip(traj.times, traj.states)):
-            row = ",".join(repr(float(x)) for x in (tm, st[0], st[1], st[2]))
+        fh.write("time,t,v1,v2" + (",t_class,v1_class,v2_class\n" if quotient else "\n"))
+        for i in range(0, len(traj.times), _CSV_ROWS):
+            block = replace(traj, times=traj.times[i:i + _CSV_ROWS],
+                            states=traj.states[i:i + _CSV_ROWS])
+            columns = [block.times, block.states]
             if quotient:
-                w = wrapped[i]
-                row += "," + ",".join(repr(float(x)) for x in w)
-            fh.write(row + "\n")
+                columns.append(project_trajectory(sys_spec, block).states)
+            rows = np.column_stack(columns).tolist()
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
     click.echo(f"wrote {csv_path} ({len(traj.times)} samples)")
 
     if svg:
@@ -497,7 +468,7 @@ def cmd_simulate(spec_path, control_path, start, step, svg, out_dir):
               help="Override grid box as 'x0,x1,y0,y1'.")
 def cmd_reach(spec_path, out_dir, seed, budget, horizon, grid_res, grid_box):
     """Estimate planar reachable sets and the control set; write CSV/PGM/SVG."""
-    sys_spec, numerics, raw = load_spec(spec_path)
+    sys_spec, raw = load_spec(spec_path)
     try:
         spec = conjugate_to_planar(sys_spec).planar
     except ValueError:
@@ -505,17 +476,15 @@ def cmd_reach(spec_path, out_dir, seed, budget, horizon, grid_res, grid_box):
             "reach needs an invertible drift matrix and the rank condition "
             "(the planar reduction is undefined otherwise)"
         )
-    _override_numerics(numerics, seed=seed, budget=budget, horizon=horizon,
-                       grid_res=grid_res, grid_box=grid_box)
+    numerics = _numerics(raw, seed=seed, budget=budget, horizon=horizon,
+                         grid_res=grid_res, grid_box=grid_box)
 
     box = tuple(map(tuple, numerics["grid"]["box"]))
-    try:
+    with _library_errors():
         grid = reach_mod.reach_sets(
             spec, np.zeros(2), numerics["horizon"], numerics["budget"],
             box=box, resolution=numerics["grid"]["resolution"], seed=numerics["seed"],
         )
-    except ValueError as exc:
-        raise InputError(str(exc))
     est = reach_mod.control_set_estimate(grid)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "occupancy.csv"), "w", encoding="utf-8") as fh:
@@ -575,10 +544,10 @@ def cmd_plan(planner, spec_path, out_dir, v0, u0, p1, p2, u_pair, x_val, y_val):
     """Run a constructive planner and write control.csv + plan_report.json."""
     from . import plan as plan_mod
 
-    sys_spec, numerics, raw = load_spec(spec_path)
-    _override_numerics(numerics)
+    sys_spec, raw = load_spec(spec_path)
+    _numerics(raw)
 
-    try:
+    with _library_errors(f"{planner}: ", (ValueError, RuntimeError)):
         if planner == "staircase":
             c = plan_mod.staircase_fiber(sys_spec)[1]
             result = plan_mod.staircase(sys_spec.theta.gamma, sys_spec.alpha, c, x_val, y_val,
@@ -596,8 +565,6 @@ def cmd_plan(planner, spec_path, out_dir, v0, u0, p1, p2, u_pair, x_val, y_val):
                 result = plan_mod.fiber_sync(
                     spec, (a[0], np.array(a[1:])), (b[0], np.array(b[1:])), u1, u2
                 )
-    except (ValueError, RuntimeError) as exc:
-        raise InputError(f"{planner}: {exc}")
 
     os.makedirs(out_dir, exist_ok=True)
     _write_control_csv(os.path.join(out_dir, "control.csv"), result.control)

@@ -26,6 +26,7 @@ __all__ = [
     "commutes",
     "rank_product",
     "trace_sign",
+    "unit_scaled",
     "arc",
     "arc_matrices",
     "expm",
@@ -72,6 +73,17 @@ def commutes(A: np.ndarray, B: np.ndarray) -> bool:
     return _size(A @ B - B @ A) <= ZERO_TOL * _size(A) * _size(B)
 
 
+def unit_scaled(a) -> tuple[np.ndarray, int]:
+    """(a 2^-e, e) with the largest |entry| of a 2^-e in [1/2, 1) (e = 0 for a = 0).
+
+    Products formed on the scaled entries neither overflow nor underflow,
+    and a power of two scales every step exactly, so a result scaled back
+    once at the end is the unscaled one wherever that is in the float range.
+    """
+    e = math.frexp(_size(a))[1]
+    return np.ldexp(a, -e), e
+
+
 def rank_product(M: np.ndarray, w: np.ndarray) -> tuple[float, bool]:
     """<M w, R w>, and whether it is nonzero against |M| |w|^2 (w is then
     not an eigenvector of M): the products of the rank condition.
@@ -81,8 +93,7 @@ def rank_product(M: np.ndarray, w: np.ndarray) -> tuple[float, bool]:
     step exactly, so the decision is the unscaled one.  The product is
     unscaled once at the end (to inf or 0.0 past the float range).
     """
-    m, e = math.frexp(_size(M))[1], math.frexp(_size(w))[1]
-    M, w = np.ldexp(M, -m), np.ldexp(w, -e)
+    (M, m), (w, e) = unit_scaled(M), unit_scaled(w)
     p = float((M @ w) @ (ROT90 @ w))
     with np.errstate(over="ignore"):
         unscaled = float(np.ldexp(p, m + 2 * e))

@@ -31,6 +31,7 @@ from .kernel2d import (
     expm,
     rank_product,
     trace_sign,
+    unit_scaled,
 )
 from .planar import (
     ControlRange,
@@ -105,11 +106,22 @@ class XiHat:
         return self.g_fn(np.asarray(t, dtype=float))
 
 
+def _ldexp(x, e: int):
+    """x 2^e, rounded to inf or 0.0 past the float range without a warning."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, e)
+
+
 def xi_hat(theta: ThetaFamily, xi: np.ndarray) -> XiHat:
     """Direction with a nonnegative pairing against Lambda_t^theta xi.
 
     Requires <theta xi, R xi> != 0 and excludes the spiral family with a
-    nonzero scaling part (where no such direction exists).
+    nonzero scaling part (where no such direction exists).  The direction
+    and g are formed on x = xi 2^-e with largest entry in [1/2, 1), as in
+    ``rank_product``, and scaled back by 2^e (R xi), 2^-e (the other
+    directions) and 2^(2e) (the rotation case's g): a power of two scales
+    every step exactly, so they are the unscaled ones wherever those are in
+    the float range, and inf or 0.0 past it.
     """
     xi = check_finite(xi, "xi").reshape(2)
     if not rank_product(theta.matrix(), xi)[1]:
@@ -117,27 +129,28 @@ def xi_hat(theta: ThetaFamily, xi: np.ndarray) -> XiHat:
     if theta.tag == SPIRAL and theta.gamma != 0.0:
         raise ValueError("xi_hat is not defined for the spiral family with gamma != 0")
 
+    x, e = unit_scaled(xi)
     if theta.tag == SPIRAL:
-        v = ROT90 @ xi
-        n2 = float(xi @ xi)
-        return XiHat(v, "rotation", lambda t: n2 * (1.0 - np.cos(t)))
+        n2 = float(x @ x)
+        return XiHat(_ldexp(ROT90 @ x, e), "rotation",
+                     lambda t: _ldexp(n2 * (1.0 - np.cos(t)), 2 * e))
     if theta.tag == JORDAN:
         # pairing nonzero forces xi2 != 0
-        v = np.array([1.0 / xi[1], -xi[0] / xi[1] ** 2])
-        return XiHat(v, "shear", lambda t: t * np.exp(t) - np.expm1(t))
+        v = np.array([1.0 / x[1], -x[0] / x[1] ** 2])
+        return XiHat(_ldexp(v, -e), "shear", lambda t: t * np.exp(t) - np.expm1(t))
     g = theta.gamma
     if g == 0.0:
-        v = np.array([1.0 / xi[0], -1.0 / xi[1]])
-        return XiHat(v, "diagonal-zero", lambda t: np.exp(t) - t - 1.0)
+        v = np.array([1.0 / x[0], -1.0 / x[1]])
+        return XiHat(_ldexp(v, -e), "diagonal-zero", lambda t: np.exp(t) - t - 1.0)
     # diagonal with 0 < |g| < 1; pairing nonzero forces both components nonzero
-    v = np.array([g / xi[0], -g / xi[1]])
+    v = np.array([g / x[0], -g / x[1]])
     if g < 0.0:
         v = -v
 
     def g_fn(t, gam=g, sgn=1.0 if g > 0.0 else -1.0):
         return sgn * (gam * np.expm1(t) - np.expm1(gam * t))
 
-    return XiHat(v, "diagonal", g_fn)
+    return XiHat(_ldexp(v, -e), "diagonal", g_fn)
 
 
 def _never_negative(values: np.ndarray) -> bool:
@@ -173,29 +186,40 @@ def monotone_certificate(sys) -> SeparatingCertificate:
     one way.
 
     Samples g(t) = <Lambda_t^theta xi, xi_hat> both from the closed form and
-    from the integral operator (one batched ``arc``), and checks that they
-    agree at every sample, so a defect in either evaluation shows up.
+    from the integral operator (one batched ``arc``), and raises ValueError
+    unless they agree at every sample, so a defect in either evaluation
+    shows up.  Both are evaluated on x = xi 2^-e with largest entry in
+    [1/2, 1), where no product leaves the float range, and scaled back as
+    ``xi_hat`` scales g: by 2^(2e) in the rotation case and not at all
+    otherwise.  Past the float range ``min_g`` reads inf or 0.0.
     """
     if nilrank(sys) != 0:
         raise ValueError("monotone certificate applies to rank-zero drifts only")
-    xh = xi_hat(sys.theta, sys.xi)
+    x, e = unit_scaled(sys.xi)
+    xh = xi_hat(sys.theta, x)
     ts = np.linspace(*CERT_T_RANGE, CERT_SAMPLES)
     closed = np.asarray(xh.g(ts), dtype=float)
     _, (w00, w01, w10, w11) = arc(*sys.theta_matrix.ravel().tolist(), ts)
-    (x0, x1), (h0, h1) = sys.xi, xh.vector
+    (x0, x1), (h0, h1) = x, xh.vector
     swept = (w00 * x0 + w01 * x1) * h0 + (w10 * x0 + w11 * x1) * h1
     if np.max(np.abs(swept - closed)) > G_CHECK_TOL * np.max(np.abs(closed)):
-        raise AssertionError("closed-form g disagrees with the integral operator")
-    return SeparatingCertificate(xh, ts, closed, float(np.min(closed)), swept)
+        raise ValueError("closed-form g disagrees with the integral operator")
+    k = 2 * e if xh.case == "rotation" else 0
+    closed, swept = _ldexp(closed, k), _ldexp(swept, k)
+    return SeparatingCertificate(xi_hat(sys.theta, sys.xi), ts, closed, float(np.min(closed)),
+                                 swept)
 
 
 # -- circle hopping (pure rotation planar case) ------------------------------
 
 
 def _arc_time(p: np.ndarray, q: np.ndarray, center: np.ndarray, omega_rot: float) -> float:
-    """Positive time to rotate p into q about center at angular velocity omega_rot."""
-    a = p - center
-    b = q - center
+    """Positive time to rotate p into q about center at angular velocity omega_rot.
+
+    The angle is taken between p - center and q - center each scaled by a
+    power of two to largest entry in [1/2, 1), where no product overflows.
+    """
+    (a, _), (b, _) = unit_scaled(p - center), unit_scaled(q - center)
     delta = float(np.arctan2(a[0] * b[1] - a[1] * b[0], a @ b))
     sign = 1.0 if omega_rot > 0.0 else -1.0
     return float(np.mod(sign * delta, 2.0 * np.pi)) / abs(omega_rot)
@@ -228,6 +252,9 @@ def circle_hop(
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError("degenerate control interval")
+    if not (spec.omega.contains(lo) and spec.omega.contains(hi)):
+        raise ValueError(f"circle_hop needs the control interval [{lo:g}, {hi:g}] inside "
+                         f"the control range [{spec.omega.u_min:g}, {spec.omega.u_max:g}]")
     if lo <= mu <= hi:
         raise ValueError("circle_hop needs mu outside the control interval")
     if not lo < u0 < hi:
@@ -394,6 +421,9 @@ def fiber_sync(spec: PlanarSpec, p1: tuple[float, np.ndarray], p2: tuple[float, 
     v1, v2 = check_finite(p1[1], "p1").reshape(2), check_finite(p2[1], "p2").reshape(2)
     if not (u1 < 0.0 < u2):
         raise ValueError("fiber_sync needs u1 < 0 < u2")
+    if not (spec.omega.contains(u1) and spec.omega.contains(u2)):
+        raise ValueError(f"fiber_sync needs u1 = {u1:g} and u2 = {u2:g} inside the control "
+                         f"range [{spec.omega.u_min:g}, {spec.omega.u_max:g}]")
 
     def same(a, b) -> bool:
         # a difference counts as zero against the size of both points

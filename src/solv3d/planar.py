@@ -12,13 +12,12 @@ stay exact at the roots of det A(u), where rest points do not exist.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kernel2d import (ROT90, ZERO_TOL, ThetaFamily, arc_matrices, check_finite, commutes,
-                       expm, matrix_rank, trace_sign)
+                       expm, matrix_rank, trace_sign, unit_scaled)
 
 __all__ = [
     "ControlRange",
@@ -193,18 +192,6 @@ def _det_coeffs(A: np.ndarray, th: np.ndarray) -> tuple[float, float, float]:
     return c2, c1, c0
 
 
-def _unit_a(spec: PlanarSpec) -> tuple[np.ndarray, int]:
-    """(A 2^-e, e) with the largest |entry| of A 2^-e in [1/2, 1).
-
-    The products in det A(u) overflow above |A| ~ 2^511 and underflow below
-    ~ 2^-537; on A 2^-e they stay near 1.  A power of two scales every step
-    exactly, so det A(u)'s roots (times 2^e) and sign are the unscaled ones
-    wherever those products stay in range.
-    """
-    e = math.frexp(float(np.max(np.abs(spec.A))))[1]
-    return np.ldexp(spec.A, -e), e
-
-
 def _quadratic_roots(c2: float, c1: float, c0: float) -> list[float]:
     """Real roots of c2 u^2 + c1 u + c0 in closed form, sorted; a double root once."""
     if c2 == 0.0:
@@ -245,8 +232,10 @@ def omega_hat(spec: PlanarSpec) -> OmegaHat:
     together with a guard band of ROOT_BAND |r| on each side of a root r.
     """
     lo, hi = spec.omega.u_min, spec.omega.u_max
-    # det(A - u theta) = 4^e det(A 2^-e - (u 2^-e) theta)
-    unit, e = _unit_a(spec)
+    # det(A - u theta) = 4^e det(A 2^-e - (u 2^-e) theta): the products in
+    # det A(u) overflow above |A| ~ 2^511 and underflow below ~ 2^-537, and on
+    # A 2^-e they stay near 1
+    unit, e = unit_scaled(spec.A)
     with np.errstate(over="ignore"):  # a root beyond the float range is no cut
         roots = np.ldexp(_quadratic_roots(*_det_coeffs(unit, spec.theta_matrix)), e).tolist()
     roots_in = [r for r in roots if lo < r < hi]
@@ -334,7 +323,7 @@ def classify_planar(spec: PlanarSpec) -> tuple[PlanarVerdict, dict]:
     saddle rest point.
     """
     lo, hi = omega_hat(spec).component_of_zero
-    unit, e = _unit_a(spec)
+    unit, e = unit_scaled(spec.A)
     det = _det2(unit)
     if det <= 0.0:
         with np.errstate(over="ignore", under="ignore"):  # det A, rounded to the float range

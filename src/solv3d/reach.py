@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -411,33 +411,20 @@ class ClassificationReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def cert(c: RankCertificate) -> dict:
-            return {
-                "holds": bool(c.holds),
-                "alpha": float(c.alpha),
-                "direction": [float(x) for x in c.direction],
-                "a_product": float(c.a_product),
-                "theta_product": float(c.theta_product),
-            }
-
-        return {
-            "nilrank": self.nilrank,
-            "larc": cert(self.larc),
-            "adrank": cert(self.adrank),
-            "taxonomy": self.taxonomy,
-            "geometry": self.geometry,
-            "rule": self.rule,
-            "details": _jsonable(self.details),
-        }
+        return _jsonable(asdict(self))
 
 
 def _jsonable(x):
+    """``x`` in JSON's own types: dicts with sorted keys, lists for tuples and
+    arrays, and Python bools, floats and ints for numpy scalars."""
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in sorted(x.items())}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
         return [_jsonable(v) for v in x.tolist()]
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
     if isinstance(x, (np.floating, float)):
         return float(x)
     if isinstance(x, (np.integer, int)):

@@ -985,3 +985,66 @@ def test_reach_report_counts_escaped_points(runner, tmp_path):
     jsonschema.validate(report, report_schema())
     diag = report["reach"]["diagnostics"]
     assert 0 < diag["points_escaped"] <= diag["points_outside"] < diag["points"]
+
+
+def test_fiber_sync_controls_outside_omega_are_one_line_error(runner, tmp_path):
+    # dwell controls of +-5 on omega = [-1, 1] would be written to control.csv
+    spec = write_spec(tmp_path, FUZZ_SPECS["plan fiber-sync"])
+    out_dir = tmp_path / "out"
+    out = runner.invoke(main, ["plan", "fiber-sync", spec, "--out-dir", str(out_dir),
+                               "--u-pair=-5,5", "--p2=1,0.3,0"], catch_exceptions=False)
+    assert out.exit_code == 1, out.output
+    lines = out.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: fiber-sync: "), out.output
+    assert "inside the control range [-1, 1]" in lines[0]
+    assert not out_dir.exists()
+
+
+# one spec per trajectory.csv layout: two quotients and a nilrank-1 drift,
+# which simulate integrates by RK4
+TRAJECTORY_SPECS = {
+    "se2n": dict(SE2_SPEC, variant={"type": "se2n", "n": 2}),
+    "aff_circle": {"theta": {"family": "diagonal", "gamma": 0.0},
+                   "A": [[-1.0, 0.0], [0.0, 0.0]], "xi": [1.0, 1.0], "alpha": 1.0,
+                   "eta": [0.5, 0.0], "omega": [-1.0, 1.0], "variant": {"type": "aff_circle"}},
+    "nilrank1": {"theta": {"family": "diagonal", "gamma": 0.5},
+                 "A": [[0.0, 0.0], [0.0, -0.5]], "xi": [1.0, 1.0], "alpha": 1.0,
+                 "eta": [0.3, -0.2], "omega": [-0.5, 0.5]},
+}
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1, 7])
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_SPECS))
+def test_trajectory_csv_rows_are_the_simulated_floats(runner, tmp_path, monkeypatch, name,
+                                                      rows_per_block):
+    # every row is the repr of simulate's floats, and the *_class columns
+    # those of covering.project_trajectory, whatever the block size
+    import solv3d.cli as cli
+    from solv3d.covering import project_trajectory
+    from solv3d.group import GroupElement
+    from solv3d.planar import PiecewiseControl
+    from solv3d.system import simulate
+
+    if rows_per_block is not None:
+        monkeypatch.setattr(cli, "_CSV_ROWS", rows_per_block, raising=False)
+    spec = write_spec(tmp_path, TRAJECTORY_SPECS[name])
+    pairs = [(0.73, 0.41), (0.5, -0.35), (1.3, 0.2)]
+    ctrl = write_ctrl(tmp_path, pairs)
+    out = runner.invoke(main, ["simulate", spec, "--control", ctrl, "--start=0.5,1.25,-2",
+                               "--step", "0.01", "--out-dir", str(tmp_path / "out")],
+                        catch_exceptions=False)
+    assert out.exit_code == 0, out.output
+
+    sys_spec = cli.load_spec(spec)[0]
+    traj = simulate(GroupElement(0.5, np.array([1.25, -2.0])),
+                    PiecewiseControl.from_pairs(pairs), sys_spec, step=0.01)
+    columns = [traj.times[:, None], traj.states]
+    header = "time,t,v1,v2"
+    if name != "nilrank1":
+        columns.append(project_trajectory(sys_spec, traj).states)
+        header += ",t_class,v1_class,v2_class"
+    table = np.hstack(columns)
+    want = [header] + [",".join(repr(float(x)) for x in row) for row in table]
+    got = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    assert len(got) == len(traj.times) + 1 > 250
+    assert got == want

@@ -8,7 +8,9 @@ Verification and planning propagate every leg in closed form, so they
 import no ``simulate`` and its fixed-step integration; ``simulate`` itself
 reaches no planar reduction and no ``field_values``.  No module imports a
 ``_``-prefixed name of another: a helper two modules need is public, or
-both uses live beside it.
+both uses live beside it.  No module asserts: the CLI turns only
+``ValueError`` and ``RuntimeError`` into a one-line error, so a failed
+``assert`` or an ``AssertionError`` would end in a traceback.
 """
 
 import ast
@@ -140,3 +142,26 @@ def test_private_import_checker():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_another_modules_private_name(path):
     assert private_imports(path.read_text()) == [], path.name
+
+
+def assertions(source: str) -> list[int]:
+    """Lines of ``source`` with an ``assert`` statement or a use of
+    ``AssertionError`` (raised, caught or bound)."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Name) and node.id == "AssertionError"
+        or isinstance(node, ast.Attribute) and node.attr == "AssertionError"
+    )
+
+
+def test_assertion_checker():
+    source = ("def f(x):\n    assert x > 0, 'x'\n    if x > 1:\n"
+              "        raise AssertionError('too big')\n    return builtins.AssertionError\n"
+              "def g():\n    raise ValueError('assert nothing')\n")
+    assert assertions(source) == [2, 4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_asserts(path):
+    assert assertions(path.read_text()) == [], path.name

@@ -404,3 +404,68 @@ class TestH2Zero:
     def test_roots_increase(self):
         roots = [h2_zero(1.0, 0.1, 1.0, k) for k in range(1, 21)]
         assert all(b > a for a, b in zip(roots[:-1], roots[1:]))
+
+
+class TestAdmissibleControls:
+    """The planners write only controls inside the system's control range."""
+
+    @pytest.mark.parametrize("u1, u2", [(-5.0, 5.0), (-1.5, 0.5), (-0.5, 1.0 + 2.0**-40)],
+                             ids=["both", "u1", "u2 by an ulp-sized margin"])
+    def test_fiber_sync_rejects_dwell_controls_outside_omega(self, u1, u2):
+        with pytest.raises(ValueError, match="inside the control range") as exc:
+            fiber_sync(TestFiberSync.SPEC, (0.0, np.zeros(2)), (1.0, np.array([0.3, 0.0])),
+                       u1, u2)
+        assert "\n" not in str(exc.value)
+
+    def test_fiber_sync_accepts_the_range_ends(self):
+        res = fiber_sync(TestFiberSync.SPEC, (0.0, np.zeros(2)), (1.0, np.array([0.3, 0.0])),
+                         -1.0, 1.0)
+        assert np.all(np.abs(res.control.values) <= 1.0)
+
+    @pytest.mark.parametrize("interval", [(-0.6, 0.5), (-0.5, 0.55), (-2.0, 2.0)])
+    def test_circle_hop_rejects_an_interval_leaving_omega(self, interval):
+        with pytest.raises(ValueError, match="inside the control range"):
+            circle_hop(hop_spec(), np.array([2.0, 1.0]), 0.1, interval)
+
+    def test_circle_hop_controls_stay_in_omega(self):
+        sp = hop_spec()
+        res = circle_hop(sp, np.array([2.0, 1.0]), 0.1, (-0.5, 0.5))
+        for ctrl in (res.control, res.return_control):
+            assert np.all((ctrl.values >= -0.5) & (ctrl.values <= 0.5))
+
+
+class TestCertificateScaling:
+    def test_disagreement_is_a_value_error(self, monkeypatch):
+        # a defect in the integral operator is an input-independent ValueError,
+        # which the CLI turns into one line, not an AssertionError traceback
+        import solv3d.plan as plan
+        from solv3d.system import InvariantField, LinearField, SystemSpec
+
+        real = plan.arc
+
+        def skewed(*args):
+            e, w = real(*args)
+            return e, tuple(1.5 * x for x in w)
+
+        monkeypatch.setattr(plan, "arc", skewed)
+        sys = SystemSpec(ThetaFamily.jordan(), LinearField(np.zeros((2, 2)), [1.0, 1.0]),
+                         InvariantField(1.0, [0.0, 0.0]), ControlRange(-1, 1))
+        with pytest.raises(ValueError, match="disagrees"):
+            monotone_certificate(sys)
+
+    @pytest.mark.parametrize("theta, xi", [
+        (ROTATION, [1.0, 2.0]), (ThetaFamily.jordan(), [0.5, 1.5]),
+        (ThetaFamily.diagonal(0.0), [1.0, -2.0]), (ThetaFamily.diagonal(-0.7), [2.0, 1.0]),
+    ], ids=["rotation", "shear", "diagonal-zero", "diagonal-neg"])
+    @pytest.mark.parametrize("k", [-700, -40, 40, 700])
+    def test_xi_hat_scales_by_powers_of_two(self, theta, xi, k):
+        # R xi scales with xi and the other directions against it; past the
+        # float range they read inf or 0.0, with no warning
+        base, xh = xi_hat(theta, xi), xi_hat(theta, np.ldexp(xi, k))
+        sign = 1 if theta is ROTATION else -1
+        with np.errstate(over="ignore"):
+            assert np.array_equal(xh.vector, np.ldexp(base.vector, sign * k))
+        ts = np.linspace(-3.0, 3.0, 7)
+        g_scale = 2 * k if theta is ROTATION else 0
+        with np.errstate(over="ignore"):
+            assert np.array_equal(xh.g(ts), np.ldexp(base.g(ts), g_scale))

@@ -1170,3 +1170,39 @@ class TestSamplingArguments:
 
     def test_valid_arguments_still_count(self):
         assert reach_points(30.0, 100, arc_duration=0.5, samples_per_arc=1) == 2 * 100 * 61
+
+
+class TestReportJson:
+    """``ClassificationReport.to_dict`` is ``_jsonable`` of the dataclass."""
+
+    def test_jsonable_maps_bools_before_ints(self):
+        out = reach._jsonable({"b": np.bool_(False), "a": True, "n": np.int64(3),
+                               "x": (np.float32(0.5), np.array([1.0, 2.0]))})
+        assert out == {"a": True, "b": False, "n": 3, "x": [0.5, [1.0, 2.0]]}
+        assert [type(v) for v in out.values()] == [bool, bool, int, list]
+        assert list(out) == ["a", "b", "n", "x"]
+
+    @pytest.mark.parametrize("sys", [OPEN_SYS, CLOSED_SYS,
+                                     SystemSpec(ThetaFamily.spiral(0.0),
+                                                LinearField(np.zeros((2, 2)), [1.0, 0.0]),
+                                                InvariantField(0.0, [0.0, 0.0]),
+                                                ControlRange(-0.5, 0.5))],
+                             ids=["open", "closed", "alpha0"])
+    def test_to_dict_is_the_field_by_field_report(self, sys):
+        # the certificates' fields each as a JSON scalar or list, the details
+        # with sorted keys
+        import json
+
+        rep = classify(sys)
+
+        def cert(c):
+            return {"holds": bool(c.holds), "alpha": float(c.alpha),
+                    "direction": [float(x) for x in c.direction],
+                    "a_product": float(c.a_product), "theta_product": float(c.theta_product)}
+
+        want = {"nilrank": rep.nilrank, "larc": cert(rep.larc), "adrank": cert(rep.adrank),
+                "taxonomy": rep.taxonomy, "geometry": rep.geometry, "rule": rep.rule,
+                "details": reach._jsonable(rep.details)}
+        got = rep.to_dict()
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert type(got["larc"]["holds"]) is bool

@@ -422,3 +422,82 @@ class TestCliAtSmallScale:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["classification"]["taxonomy"] == "Controllable"
         assert report["verification"]["ok"], report["verification"]
+
+
+@pytest.mark.parametrize("theta, xi", [
+    (ThetaFamily.jordan(), [1.0, 1.0]),
+    (ThetaFamily.diagonal(0.5), [1.0, 0.5]),
+    (ThetaFamily.spiral(0.0), [1.0, 0.0]),
+], ids=["jordan", "diagonal", "spiral0"])
+@pytest.mark.parametrize("k", [-600, 600])
+def test_plane_family_certificate_beyond_the_float_range(theta, xi, k):
+    # A = 0, xi = 2^k xi_1: xi_hat and the sweep are decided on xi 2^-e, so
+    # the verdict and both checks are the ones at k = 0, with no warning;
+    # g scales by 2^(2k) in the rotation case and not at all otherwise, so
+    # min_g reads inf or 0.0 past the float range
+    def spec(c):
+        return SystemSpec(theta, LinearField(np.zeros((2, 2)), c * np.asarray(xi)),
+                          InvariantField(1.0, [0.0, 0.0]), ControlRange(-1.0, 1.0))
+
+    base_rep = classify(spec(1.0))
+    base = verify_classification(base_rep, spec(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = classify(spec(2.0**k))
+        log = verify_classification(rep, spec(2.0**k))
+    assert (rep.taxonomy, rep.rule) == (base_rep.taxonomy, base_rep.rule) == (
+        "InfiniteEmptyInterior", "nilrank0/plane-family")
+    assert log["ok"], log
+    assert [c["ok"] for c in log["checks"]] == [c["ok"] for c in base["checks"]]
+    min_g = log["checks"][0]["min_g"]
+    if theta.tag == "spiral":
+        assert min_g == (np.inf if k > 0 else 0.0)
+    else:
+        assert min_g == base["checks"][0]["min_g"]
+
+
+@pytest.mark.parametrize("theta, xi", [
+    (ThetaFamily.jordan(), [1.0, 1.0]),
+    (ThetaFamily.diagonal(0.5), [1.0, 0.5]),
+    (ThetaFamily.spiral(0.0), [1.0, 0.0]),
+], ids=["jordan", "diagonal", "spiral0"])
+def test_plane_family_report_is_unchanged_at_every_scale(theta, xi):
+    # at the SCALES the scaled evaluation changes no bit: xi_hat, g and the
+    # sweep are the ones formed on xi itself (in the rotation case R xi and
+    # n2 (1 - cos t), otherwise multiples of 1 / xi)
+    ts = np.linspace(*plan.CERT_T_RANGE, plan.CERT_SAMPLES)
+    for c in SCALES:
+        sys = SystemSpec(theta, LinearField(np.zeros((2, 2)), c * np.asarray(xi)),
+                         InvariantField(1.0, [0.0, 0.0]), ControlRange(-1.0, 1.0))
+        cert = plan.monotone_certificate(sys)
+        (x0, x1), g = sys.xi, theta.gamma
+        if theta.tag == "spiral":
+            vector, want = np.array([-x1, x0]), float(sys.xi @ sys.xi) * (1.0 - np.cos(ts))
+        else:
+            vector = (np.array([1.0 / x1, -x0 / x1**2]) if theta.tag == "jordan"
+                      else np.array([g / x0, -g / x1]))
+            want = plan.xi_hat(theta, xi).g(ts)
+        assert np.array_equal(cert.xi_hat.vector, vector), c
+        _, (w00, w01, w10, w11) = plan.arc(*sys.theta_matrix.ravel().tolist(), ts)
+        swept = (w00 * x0 + w01 * x1) * vector[0] + (w10 * x0 + w11 * x1) * vector[1]
+        assert np.array_equal(cert.swept, swept), c
+        assert np.array_equal(cert.g_values, want), c
+        assert cert.min_g == float(np.min(want)), c
+        assert cert.holds and cert.sweep_holds, c
+
+
+def test_circle_hop_far_start_is_one_error_line(tmp_path):
+    # v0 near the float range: the hop angle is taken on unit-scaled
+    # vectors, so only the planner's one-line error prints (a numpy overflow
+    # warning is an error under this suite's warning filter)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"theta": {"family": "spiral", "gamma": 0.0},
+                                "A": [[0.0, -0.6], [0.6, 0.0]], "xi": [1.0, 0.0],
+                                "alpha": 1.0, "eta": [1.0, 0.0], "omega": [-0.5, 0.5]}))
+    out_dir = tmp_path / "out"
+    out = CliRunner().invoke(main, ["plan", "circle-hop", str(spec), "--out-dir", str(out_dir),
+                                    "--v0=1e300,0"], catch_exceptions=False)
+    assert out.exit_code == 1
+    assert out.output == ("Error: circle-hop: hop sequence failed to reach the "
+                          "rest-point segment\n")
+    assert not out_dir.exists()
