@@ -3,7 +3,7 @@
 Specs are JSON files validated against an embedded schema (jsonschema is
 loaded only to word a rejection); outputs are JSON reports (schema-versioned,
 sorted keys), CSV series, PGM occupancy bitmaps and timestamp-free SVG phase
-portraits.  Exit codes: 0 on success, 1 on input errors, 2 when
+portraits.  Exit codes: 0 on success, 1 on input and usage errors, 2 when
 classification ends Unclassified.
 """
 
@@ -200,6 +200,25 @@ def _library_errors(prefix: str = "", errors=ValueError):
         raise InputError(f"{prefix}{exc}")
 
 
+def _check_float_range(schema: dict, instance, where: str) -> None:
+    """Raise a one-line InputError naming the first integer that ``schema``
+    types as a number and that is too large for a float.
+
+    ``instance`` must be valid against ``schema``.
+    """
+    if isinstance(instance, dict):
+        for key, value in instance.items():
+            _check_float_range(schema["properties"][key], value, f"{where}.{key}")
+    elif isinstance(instance, list):
+        for i, value in enumerate(instance):
+            _check_float_range(schema["items"], value, f"{where}[{i}]")
+    elif schema.get("type") == "number" and isinstance(instance, int):
+        try:
+            float(instance)
+        except OverflowError:
+            raise InputError(f"{where}: integer too large for a float")
+
+
 def load_spec(path: str) -> tuple[SystemSpec, dict]:
     """Parse and validate a spec file into (SystemSpec, raw spec)."""
     try:
@@ -209,7 +228,10 @@ def load_spec(path: str) -> tuple[SystemSpec, dict]:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:  # an integer literal of more digits than int() takes
+        raise InputError(f"{path}: {exc}")
     _validate(SPEC_SCHEMA, raw, path)
+    _check_float_range(SPEC_SCHEMA, raw, f"{path}: at $")
     th, var = raw["theta"], raw.get("variant", {"type": GroupVariant.SIMPLY_CONNECTED})
     with _library_errors(f"{path}: "):
         spec = SystemSpec(
@@ -255,9 +277,21 @@ def _numerics(raw: dict, grid_res=None, grid_box=None, **flags) -> dict:
     return numerics
 
 
+def _finite_or_none(obj):
+    """``obj`` with every non-finite float replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_none(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_none(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def dump_json(obj: dict, path: str) -> None:
+    """Write ``obj`` as strict RFC 8259 JSON: a non-finite float as null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_none(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -315,7 +349,28 @@ def write_svg(path: str, elements: list[str], box) -> None:
 # -- commands ----------------------------------------------------------------
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group, where a click usage error (an unknown command or
+    option, a bad option value, a missing file) is an input error: one
+    ``Error:`` line and exit 1.  Bare ``solv3d`` prints the help, exit 1."""
+
+    def parse_args(self, ctx, args):
+        if not args:
+            click.echo(ctx.get_help(), err=True)
+            ctx.exit(1)
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            raise InputError(exc.format_message())
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            raise InputError(exc.format_message())
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="solv3d")
 def main():
     """Linear control systems on the 3D solvable nonnilpotent Lie groups.
@@ -323,7 +378,7 @@ def main():
     \b
     Exit codes:
       0  success
-      1  input error (malformed spec, violated precondition)
+      1  input error (malformed spec or option, violated precondition)
       2  classification ended Unclassified
     """
 

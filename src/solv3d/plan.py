@@ -14,6 +14,7 @@ separating-plane certificate built on the positive functional xi_hat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import cycle, islice
 from typing import Callable
 
 import numpy as np
@@ -235,20 +236,20 @@ def circle_hop(
 
     Requires A = mu*R with the rotation structure family and mu outside the
     control interval.  Constant-control orbits are circles centered at the
-    rest points v(u), which all lie on the line R*eta; the planner hops
-    along that line on alternating circles, shrinking the distance by
-    |v(u2) - v(u1)| per hop, and finishes with one arc whose circle passes
-    through both the last hop point and v(u0).  The complementary halves of
-    the same circles, in reverse order, steer back from v(u0) to v0 and are
-    returned as ``return_control``.
+    rest points v(u), which all lie on the line R*eta.  One arc takes v0
+    onto that line; from there each hop on the alternating circles is a
+    half turn, which reflects the line coordinate through the rest point
+    and shrinks the distance by |v(u2) - v(u1)|, and a last half turn about
+    the midpoint of the hop point and v(u0) ends at v(u0).  The
+    complementary halves of the same circles, in reverse order, steer back
+    from v(u0) to v0 and are returned as ``return_control``.
     """
     v0 = check_finite(v0, "v0").reshape(2)
-    A = spec.A
     if not (spec.theta.tag == SPIRAL and spec.theta.gamma == 0.0):
         raise ValueError("circle_hop needs the pure rotation structure family")
-    if not (commutes(A, ROT90) and trace_sign(A) == 0):
+    if not (commutes(spec.A, ROT90) and trace_sign(spec.A) == 0):
         raise ValueError("circle_hop needs A = mu * R")
-    mu = float(A[1, 0])
+    mu = float(spec.A[1, 0])
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError("degenerate control interval")
@@ -260,26 +261,18 @@ def circle_hop(
     if not lo < u0 < hi:
         raise ValueError("u0 must be interior to the control interval")
 
-    e = ROT90 @ spec.eta
-    e_norm = float(np.hypot(e[0], e[1]))
+    e_norm = float(np.hypot(*spec.eta))
     if e_norm == 0.0:
         raise ValueError("eta must be nonzero")
-    e_unit = e / e_norm
+    e_unit = ROT90 @ spec.eta / e_norm
 
-    def kappa_of_u(u: float) -> float:
-        return u / (mu - u) * e_norm  # coefficient of v(u) along e_unit
-
-    # hop controls: midpoints of the two sides of the interval around u0
+    # hop controls: midpoints of the two sides of the interval around u0; the
+    # rest point v(u) is kappa(u) e_unit with kappa(u) = u / (mu - u) |eta|
     u1 = 0.5 * (lo + u0)
     u2 = 0.5 * (u0 + hi)
-    k1, k2 = kappa_of_u(u1), kappa_of_u(u2)
-    k_lo, k_hi = min(k1, k2), max(k1, k2)
-    k0 = kappa_of_u(u0)
-    target = k0 * e_unit  # where the hops aim: v(u0) in the line parametrization
+    c1, c2, k0 = (u / (mu - u) * e_norm for u in (u1, u2, u0))
+    k_lo, k_hi = min(c1, c2), max(c1, c2)
     rest = equilibrium(spec, u0)  # what the schedule is checked against
-
-    pairs: list[tuple[float, float]] = []
-    radii: list[float] = []
 
     # a distance or an offset from the line counts as zero against the
     # size of the start and the target
@@ -288,55 +281,49 @@ def circle_hop(
     if gap <= tol:
         return PlanResult(PiecewiseControl.empty(), rest, v0.copy(), gap, PiecewiseControl.empty())
 
-    point = v0.copy()
-    on_line = abs(float(point @ (ROT90 @ e_unit))) <= tol
-    kappa = float(point @ e_unit)
-    hop_u, other_u = u2, u1
-    for _ in range(10_000):
-        if on_line and k_lo <= kappa <= k_hi:
-            break
-        center = equilibrium(spec, hop_u)
-        kc = float(center @ e_unit)
-        r = float(np.hypot(*(point - center)))
+    pairs: list[tuple[float, float]] = []
+    radii: list[float] = []
+    kappa = float(v0 @ e_unit)
+    if abs(float(v0 @ (ROT90 @ e_unit))) > tol or not k_lo <= kappa <= k_hi:
+        # one arc about v(u2) onto the line, to the crossing nearer v(u1)
+        center = c2 * e_unit
+        r = float(np.hypot(*(v0 - center)))
         radii.append(r)
-        k_other = kappa_of_u(other_u)
-        # two intersections of the hop circle with the line; keep the one
-        # closer to the other rest point
-        cand = [kc - r, kc + r]
-        kappa_next = min(cand, key=lambda k: abs(k - k_other))
-        nxt = kappa_next * e_unit
-        s = _arc_time(point, nxt, center, mu - hop_u)
+        kappa = min(c2 - r, c2 + r, key=lambda k: abs(k - c1))
+        s = _arc_time(v0, kappa * e_unit, center, mu - u2)
         if s > 0.0:
-            pairs.append((s, hop_u))
-        point, kappa, on_line = nxt, kappa_next, True
-        hop_u, other_u = other_u, hop_u
-    else:
-        raise RuntimeError("hop sequence failed to reach the rest-point segment")
+            pairs.append((s, u2))
+        # then half turns about v(u1), v(u2), v(u1), ..., each reflecting
+        # kappa through the center, until kappa lies between the two; with
+        # the arc above, at most 10 000 hops
+        for u, c in islice(cycle([(u1, c1), (u2, c2)]), 9_999):
+            if k_lo <= kappa <= k_hi:
+                break
+            radii.append(abs(kappa - c))
+            pairs.append((np.pi / abs(mu - u), u))
+            kappa = 2.0 * c - kappa
+        else:
+            raise RuntimeError("hop sequence failed to reach the rest-point segment")
 
-    if float(np.hypot(*(point - target))) > tol:
-        # final circle through both the hop point and the target rest point:
-        # its center is their midpoint on the line
-        k_mid = 0.5 * (kappa + k0) / e_norm  # back to the v(u) parametrization
+    if abs(kappa - k0) > tol:
+        # a last half turn about the midpoint of kappa and v(u0), back in
+        # the v(u) parametrization
+        k_mid = 0.5 * (kappa + k0) / e_norm
         u_fin = k_mid * mu / (1.0 + k_mid)
         if not lo < u_fin < hi:
             raise RuntimeError("final hop control left the admissible interval")
-        center = equilibrium(spec, u_fin)
-        s = _arc_time(point, target, center, mu - u_fin)
-        if s > 0.0:
-            pairs.append((s, u_fin))
+        pairs.append((np.pi / abs(mu - u_fin), u_fin))
 
     ctrl = PiecewiseControl.from_pairs(pairs)
     achieved, _ = concat_solution(spec, v0, ctrl)
-    err = float(np.hypot(*(achieved - rest)))
-    ret_pairs = [
+    ret = PiecewiseControl.from_pairs([
         (2.0 * np.pi / abs(mu - u) - s, u) for s, u in reversed(pairs) if s < 2.0 * np.pi / abs(mu - u)
-    ]
-    ret = PiecewiseControl.from_pairs(ret_pairs)
+    ])
     return PlanResult(
         ctrl,
         rest,
         achieved,
-        err,
+        float(np.hypot(*(achieved - rest))),
         return_control=ret,
         diagnostics={"hops": len(pairs), "radii": radii, "controls": [u for _, u in pairs]},
     )

@@ -225,7 +225,7 @@ class TestSimulate:
         spec = write_spec(tmp_path, OPEN_SPEC)
         ctrl = write_ctrl(tmp_path, [(0.5, 0.25)])
         out = runner.invoke(main, ["simulate", spec, "--control", ctrl, "--seed", "1"])
-        assert out.exit_code == 2
+        assert out.exit_code == 1
         assert "No such option" in out.output and "--seed" in out.output
 
     def test_writes_trajectory(self, runner, tmp_path):
@@ -555,7 +555,7 @@ FUZZ_VALUES = ["nan", "inf", "-1", "0", "1e400", "abc"]
 FUZZ_VALID = {("--seed", "0"), ("--start", "-1"), ("--start", "0"), ("--v0", "-1"),
               ("--v0", "0"), ("--u0", "0"), ("--p1", "-1"), ("--p1", "0"), ("--p2", "-1"),
               ("--p2", "0"), ("--x", "-1"), ("--x", "0"), ("--y", "-1"), ("--y", "0")}
-# flags a command dropped: click rejects the option itself (exit 2),
+# flags a command dropped: click rejects the option itself (exit 1),
 # whatever the value
 FUZZ_DROPPED = {"--seed": ("simulate",)}
 # the spec each command is fuzzed on, where it differs from WHOLE_SPEC: one
@@ -568,7 +568,7 @@ FUZZ_SPECS = {
 
 def _fuzz_cases():
     cases = []
-    for flag, (commands, arity, kind) in FUZZ_FLAGS.items():
+    for flag, (commands, arity, _) in FUZZ_FLAGS.items():
         probes = [(v, ",".join([v] * arity)) for v in FUZZ_VALUES
                   if (flag, v) not in FUZZ_VALID]
         probes.append(("arity", ",".join(["1"] * (2 if arity == 1 else arity - 1))))
@@ -576,12 +576,8 @@ def _fuzz_cases():
         dropped = FUZZ_DROPPED.get(flag, ())
         for command in commands + dropped:
             for label, value in probes:
-                try:
-                    parses = command not in dropped and (kind is None or kind(value) is not None)
-                except ValueError:
-                    parses = False
-                # click's own option and type errors exit 2, the program's input errors 1
-                cases.append(pytest.param(command, flag, value, 1 if parses else 2,
+                # click's own option and type errors exit 1, as the program's input errors do
+                cases.append(pytest.param(command, flag, value, 1,
                                           id=f"{command} {flag} {label}"))
     return cases
 
@@ -668,6 +664,92 @@ class TestSpecFuzz:
         spec = write_spec(tmp_path, BAD_SPECS[name])
         out = runner.invoke(main, ["classify", spec, "--no-verify"])
         assert "A must have finite entries, got array([[" in out.output
+
+
+# a JSON integer past the float range, in each kind of number field
+BIG = 10**400
+BIG_INTEGER_SPECS = {
+    "$.alpha": dict(WHOLE_SPEC, alpha=BIG),
+    "$.A[1][0]": dict(WHOLE_SPEC, A=[[0.0, -0.6], [-BIG, 0.0]]),
+    "$.omega[1]": dict(WHOLE_SPEC, omega=[-0.5, BIG]),
+    "$.numerics.horizon": dict(WHOLE_SPEC, numerics={"horizon": BIG}),
+    "$.numerics.step": dict(WHOLE_SPEC, numerics={"step": BIG}),
+    "$.numerics.grid.box[0][0]": dict(WHOLE_SPEC, numerics={"grid": {"box": [[-BIG, 1], [-1, 1]]}}),
+}
+
+
+@pytest.mark.parametrize("field", list(BIG_INTEGER_SPECS))
+def test_integer_too_large_for_a_float_names_the_field(runner, tmp_path, field):
+    spec = write_spec(tmp_path, BIG_INTEGER_SPECS[field])
+    out_dir = tmp_path / "out"
+    out = runner.invoke(main, ["classify", spec, "--out-dir", str(out_dir)],
+                        catch_exceptions=False)
+    assert out.exit_code == 1, out.output
+    assert out.output == f"Error: {spec}: at {field}: integer too large for a float\n"
+    assert not out_dir.exists()
+
+
+def test_integer_literal_past_the_digit_limit_is_one_error_line(runner, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(WHOLE_SPEC).replace('"alpha": 1.0', '"alpha": 1' + "0" * 5000))
+    out = runner.invoke(main, ["classify", str(spec)], catch_exceptions=False)
+    assert out.exit_code == 1
+    lines = out.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"Error: {spec}: "), out.output
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args, says", [
+        (["classify", "SPEC", "--budget", "abc"], "Invalid value for '--budget'"),
+        (["classify", "SPEC", "--bogus"], "No such option '--bogus'"),
+        (["--bogus"], "No such option '--bogus'"),
+        (["classify", "missing.json"], "Invalid value for 'SPEC_PATH'"),
+        (["simulate", "SPEC", "--control", "missing.csv"], "Invalid value for '--control'"),
+        (["plan", "nope", "SPEC"], "'nope' is not one of"),
+        (["nope"], "No such command 'nope'"),
+        (["classify"], "Missing argument 'SPEC_PATH'"),
+    ], ids=["bad value", "unknown option", "unknown group option", "missing spec",
+            "missing control", "bad planner", "unknown command", "no spec"])
+    def test_exits_1_with_one_error_line(self, runner, tmp_path, args, says):
+        spec = write_spec(tmp_path, WHOLE_SPEC)
+        out = runner.invoke(main, [spec if a == "SPEC" else str(tmp_path / a)
+                                   if a.startswith("missing") else a for a in args])
+        assert out.exit_code == 1, out.output
+        lines = out.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: ") and says in lines[0], out.output
+
+    def test_bare_command_prints_help_and_exits_1(self, runner):
+        out = runner.invoke(main, [])
+        assert out.exit_code == 1
+        assert "Exit codes:" in out.output and "Commands:" in out.output
+
+    @pytest.mark.parametrize("args", [["--help"], ["plan", "--help"]])
+    def test_help_exits_0(self, runner, args):
+        assert runner.invoke(main, args).exit_code == 0
+
+
+def _no_constant(name):
+    raise ValueError(f"not RFC 8259 JSON: {name}")
+
+
+# reports holding numbers past the float range: the rank certificates'
+# theta_product, and the plane-family check's min_g
+STRICT_SPECS = {
+    "theta_product": dict(OPEN_SPEC, xi=[2.0**600, 0.0]),
+    "min_g": dict(OPEN_SPEC, A=[[0.0, 0.0], [0.0, 0.0]], xi=[1e200, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(STRICT_SPECS))
+def test_report_is_strict_json(runner, tmp_path, name):
+    spec = write_spec(tmp_path, STRICT_SPECS[name])
+    out = runner.invoke(main, ["classify", spec, "--out-dir", str(tmp_path), "--budget", "2000",
+                               "--horizon", "5"], catch_exceptions=False)
+    assert out.exit_code == 0, out.output
+    text = (tmp_path / "report.json").read_text()
+    report = json.loads(text, parse_constant=_no_constant)
+    jsonschema.validate(report, report_schema())
+    assert re.search(rf'"{name}": null', text), name
 
 
 def run_python(code: str) -> str:
@@ -861,7 +943,7 @@ class TestPlan:
         # no planner draws random numbers
         spec = write_spec(tmp_path, WHOLE_SPEC)
         out = runner.invoke(main, ["plan", "circle-hop", spec, "--seed", "3"])
-        assert out.exit_code == 2
+        assert out.exit_code == 1
         assert "No such option" in out.output and "--seed" in out.output
 
     @pytest.mark.parametrize("args", [["--v0", "1,2,3"], ["--v0", "2,1", "--u0", "0.5"]],

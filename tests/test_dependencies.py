@@ -10,7 +10,8 @@ reaches no planar reduction and no ``field_values``.  No module imports a
 ``_``-prefixed name of another: a helper two modules need is public, or
 both uses live beside it.  No module asserts: the CLI turns only
 ``ValueError`` and ``RuntimeError`` into a one-line error, so a failed
-``assert`` or an ``AssertionError`` would end in a traceback.
+``assert`` or an ``AssertionError`` would end in a traceback.  Only
+``cli.dump_json`` writes JSON, so every report is strict RFC 8259 JSON.
 """
 
 import ast
@@ -165,3 +166,33 @@ def test_assertion_checker():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_asserts(path):
     assert assertions(path.read_text()) == [], path.name
+
+
+def json_writers(source: str) -> list[str]:
+    """Top-level definitions of ``source`` (``<module>`` for code outside
+    any) that read ``json.dump`` or ``json.dumps`` or import either from
+    ``json``, sorted."""
+    found = set()
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"
+                    or isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and any(alias.name in ("dump", "dumps") for alias in node.names)):
+                found.add(where)
+    return sorted(found)
+
+
+def test_json_writer_checker():
+    source = ("import json\ndef dump_json(obj, fh):\n    json.dump(obj, fh)\n"
+              "class Report:\n    def text(self):\n        return json.dumps(self.d)\n"
+              "def load(fh):\n    return json.load(fh)\n"
+              "def f():\n    from json import dumps\n"
+              "HOOK = json.dumps\n")
+    assert json_writers(source) == ["<module>", "Report", "dump_json", "f"]
+
+
+def test_only_dump_json_writes_json():
+    writers = {path.name: json_writers(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in writers.items() if v} == {"cli.py": ["dump_json"]}

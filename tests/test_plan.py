@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from solv3d import plan
 from solv3d.kernel2d import ThetaFamily, lambda_op
 from solv3d.planar import (
     ControlRange,
@@ -187,6 +188,33 @@ class TestCircleHop:
         sp = PlanarSpec(0.6 * ROTATION.matrix(), ROTATION, [0.0, 0.0], ControlRange(-0.5, 0.5))
         with pytest.raises(ValueError, match="eta must be nonzero"):
             circle_hop(sp, np.array([1.0, 0.0]), 0.1, (-0.5, 0.5))
+
+    def test_arcs_after_the_first_are_half_turns(self):
+        # eta off the axes, so the line of rest points is no coordinate axis
+        sp = PlanarSpec(0.6 * ROTATION.matrix(), ROTATION, [0.3, 0.7], ControlRange(-0.5, 0.5))
+        rng = np.random.default_rng(5)
+        later = 0
+        for _ in range(20):
+            v0 = rng.normal(size=2) * rng.uniform(0.5, 6.0)
+            res = circle_hop(sp, v0, 0.2, (-0.5, 0.5))
+            s, u = res.control.durations[1:], res.control.values[1:]
+            assert np.array_equal(s, np.pi / np.abs(0.6 - u))
+            assert res.error < 1e-9
+            later += len(s)
+        assert later > 20
+
+    @pytest.mark.parametrize("v0", [[40.0, 3.0], [0.0, 1.0]], ids=["off the line", "on it"])
+    def test_one_rest_point_solve_and_at_most_one_angle(self, monkeypatch, v0):
+        calls = {"equilibrium": 0, "_arc_time": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(plan, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(plan, name, counted)
+        res = circle_hop(hop_spec(), np.array(v0), 0.2, (-0.5, 0.5))
+        assert res.error < 1e-9 and len(res.control) > 0
+        assert calls["equilibrium"] == 1 and calls["_arc_time"] <= 1
 
 
 class TestFiberSync:
