@@ -16,7 +16,7 @@ import numpy as np
 from .group import GroupVariant
 from .kernel2d import ZERO_TOL
 from .planar import Trajectory
-from .reach import TAX_OPEN
+from .reach import RULES
 from .system import SystemSpec
 
 __all__ = [
@@ -69,44 +69,16 @@ def lift_trajectory(sys: SystemSpec, traj: Trajectory) -> Trajectory:
     return replace(traj, states=states)
 
 
-# the relation between a quotient control set and its lift, and the topology
-# it reports (None: no topology entry), for each rule of reach.classify on a
-# quotient group
-_LIFT = {
-    "rank-condition-failed": ("none: the rank condition fails", None),
-    "se2n/unique-lift": (
-        "the preimage of the quotient control set under the covering "
-        "projection is the unique control set upstairs",
-        None,
-    ),
-    "se2n/flat-cylinders": (
-        "infinite family of control sets with empty interior on the "
-        "cylinders C_r = {([t], v): <v, xi_hat> = r}",
-        None,
-    ),
-    "affcircle/trace-sign": (
-        "the quotient control set is the product of the affine-line "
-        "control set with the full circle; its preimage upstairs is "
-        "the unique control set of the lifted system",
-        lambda taxonomy: "open" if taxonomy == TAX_OPEN else "closed",
-    ),
-    "affcircle/trace-zero": (
-        "the quotient system is controllable while the lifted system "
-        "admits an infinite family of control sets with empty "
-        "interior, one per separating plane",
-        lambda taxonomy: "whole group downstairs, plane family upstairs",
-    ),
-}
-
-
 def lift_control_set(report, sys: SystemSpec) -> dict:
-    """Symbolic relation between the quotient control set and its lift, read off the report."""
+    """Symbolic relation between the quotient control set and its lift: the
+    relation and topology of the report's rule in ``reach.RULES``."""
+    rule = RULES[report.rule]
     out = {
         "variant": sys.variant.tag,
         "period": sys.variant.period,
         "taxonomy": report.taxonomy,
+        "relation": rule.relation,
     }
-    out["relation"], topology = _LIFT[report.rule]
-    if topology is not None:
-        out["topology"] = topology(report.taxonomy)
+    if rule.topology is not None:
+        out["topology"] = rule.topology[report.taxonomy]
     return out

@@ -72,6 +72,9 @@ class GroupVariant:
             raise ValueError(f"unknown variant {self.tag!r}")
         if self.tag == self.SE2N and (not isinstance(self.n, int) or self.n < 1):
             raise ValueError("se2n requires a positive integer n")
+        # an n of 2^1023 or more has no finite period; a larger int converts to no float
+        if self.tag == self.SE2N and not np.isfinite(2.0 * np.pi * min(self.n, 2**1023)):
+            raise ValueError("se2n requires a finite period 2*pi*n")
 
     def check_family(self, family: ThetaFamily) -> None:
         if self.tag == self.SE2N:

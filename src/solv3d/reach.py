@@ -14,16 +14,19 @@ certifies that |v| grows under every control beyond some radius
 (``_escape_radius``), a trajectory past that radius never returns to the
 box; it is dropped from the batch at the next arc, and its remaining
 samples are counted as escaped instead of computed.
-Forward and backward occupancies combine into a control-set estimate, and
-``classify`` implements the taxonomy decision tree over the drift rank and
-the group variant, with ``verify_classification`` cross-examining each
-verdict numerically.
+Forward and backward occupancies combine into a control-set estimate.
+``classify`` picks one rule of the table ``RULES`` by the rank condition,
+the group variant, the drift rank and the trace sign; the rule's row gives
+the verdict's geometry, the numerical experiment of
+``verify_classification`` and, on a quotient group, the covering relation
+of ``covering.lift_control_set``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -55,6 +58,8 @@ __all__ = [
     "reach_points",
     "check_box",
     "control_set_estimate",
+    "Rule",
+    "RULES",
     "classify",
     "verify_classification",
     "window_fill",
@@ -432,52 +437,137 @@ def _jsonable(x):
     return x
 
 
-# the verdict of a positive or negative trace on the nilrank-1 and circle branches
-_TRACE_TAX = {1: TAX_OPEN, -1: TAX_CLOSED}
+# -- the rule table ------------------------------------------------------------
 
-_PLANAR_TAX = {
-    PlanarVerdict.OPEN: TAX_OPEN,
-    PlanarVerdict.CLOSED: TAX_CLOSED,
-    PlanarVerdict.WHOLE_PLANE: TAX_WHOLE,
+
+def _check(name, ok, **data) -> dict:
+    return {"name": name, "ok": bool(ok), **_jsonable(data)}
+
+
+def _verify_planar(report, sys, budget, horizon, resolution, seed, box) -> list[dict]:
+    """Sampled reach sets of the reduced planar system against an Open,
+    Closed or WholeGroup verdict (none against Unclassified)."""
+    if report.taxonomy == TAX_UNCLASSIFIED:
+        return []
+    spec = conjugate_to_planar(sys).planar
+    grid = reach_sets(
+        spec, np.zeros(2), horizon, budget, box=box, resolution=resolution, seed=seed
+    )
+    est = control_set_estimate(grid)
+    i0 = omega_hat(spec).component_of_zero
+    if report.taxonomy == TAX_OPEN:
+        us = np.linspace(0.6 * i0[0], 0.6 * i0[1], 9)
+        cells = [grid.cell_of(equilibrium(spec, float(u))) for u in us]
+        hit = sum(c is not None and bool(est.cells[c]) for c in cells)
+        first = _check("rest-points-inside-estimate", hit == len(us), hits=hit, total=len(us))
+    elif report.taxonomy == TAX_CLOSED:
+        angles = [2.0 * np.pi * i / 10.0 for i in range(10)]
+        starts = [10.0 * np.array([np.cos(a), np.sin(a)]) for a in angles]
+        entries = _entry_indices(spec, starts, est, grid)
+        first = _check("far-starts-reach-estimate", None not in entries, starts=10, radius=10.0)
+    else:
+        fill = window_fill(grid, est.cells, FILL_WINDOW)
+        first = _check("window-fill", fill >= FILL_THRESHOLD, fill=fill,
+                       threshold=FILL_THRESHOLD)
+    return [first, _check("estimate-nonempty", est.diagnostics["estimate_cells"] > 0,
+                          **est.diagnostics)]
+
+
+def _verify_identity_return(report, sys, budget, horizon, resolution, seed, box) -> list[dict]:
+    from .plan import identity_return_error
+
+    err = identity_return_error(sys, seed)
+    return [_check("identity-return", err <= RETURN_TOL, endpoint_error=err)]
+
+
+def _verify_plane_family(report, sys, budget, horizon, resolution, seed, box) -> list[dict]:
+    from .plan import monotone_certificate
+
+    cert = monotone_certificate(sys)
+    return [_check("monotone-certificate", cert.holds, min_g=cert.min_g),
+            _check("pairing-never-decreases", cert.sweep_holds)]
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One rule of ``classify``: the geometry of the control sets it reports,
+    the numerical experiment that checks it (None: symbolic only) and, for a
+    rule on a quotient group, how the quotient control set relates to its
+    lift and the topology entry by taxonomy (``covering.lift_control_set``)."""
+
+    geometry: str
+    verifier: Callable[..., list[dict]] | None = None
+    relation: str | None = None
+    topology: dict | None = None
+
+
+# every rule that ``classify`` can report, keyed by name
+RULES = {
+    "rank-condition-failed": Rule("none", relation="none: the rank condition fails"),
+    "se2n/unique-lift": Rule(
+        "unique control set, the preimage of the base control set "
+        "under the covering projection",
+        _verify_planar,
+        "the preimage of the quotient control set under the covering "
+        "projection is the unique control set upstairs",
+    ),
+    "se2n/flat-cylinders": Rule(
+        "cylinder family C_r = {([t], v): <v, xi_hat> = r}",
+        relation="infinite family of control sets with empty interior on the "
+        "cylinders C_r = {([t], v): <v, xi_hat> = r}",
+    ),
+    "affcircle/trace-sign": Rule(
+        "product of the affine-line control set with the circle",
+        relation="the quotient control set is the product of the affine-line "
+        "control set with the full circle; its preimage upstairs is "
+        "the unique control set of the lifted system",
+        topology={TAX_OPEN: "open", TAX_CLOSED: "closed"},
+    ),
+    "affcircle/trace-zero": Rule(
+        "the whole group",
+        relation="the quotient system is controllable while the lifted system "
+        "admits an infinite family of control sets with empty "
+        "interior, one per separating plane",
+        topology={TAX_CONTROLLABLE: "whole group downstairs, plane family upstairs"},
+    ),
+    "nilrank2/planar-cylinder": Rule(
+        "cylinder: preimage of the planar control set under the plane projection",
+        _verify_planar,
+    ),
+    "nilrank1/trace-sign": Rule("product of a line control set with ker A"),
+    "nilrank0/spiral-staircase": Rule("the whole group", _verify_identity_return),
+    "nilrank0/plane-family": Rule(
+        "plane family P_c = {(t, v): <v, xi_hat> = c}", _verify_plane_family
+    ),
 }
 
 
 def classify(sys: SystemSpec) -> ClassificationReport:
-    """Taxonomy decision tree over the rank condition, drift rank and variant."""
+    """Pick the rule of ``RULES`` and the taxonomy from the rank condition,
+    the variant, the drift rank and the trace sign."""
     cert = larc(sys)
     ad = adrank(sys)
     nr = nilrank(sys)
 
-    def report(tax, geom, rule, **details):
+    def report(rule, tax, details):
+        geom = "none" if tax == TAX_UNCLASSIFIED else RULES[rule].geometry
         return ClassificationReport(nr, cert, ad, tax, geom, rule, details)
 
     if not cert.holds:
-        return report(
-            TAX_UNCLASSIFIED,
-            "none",
-            "rank-condition-failed",
-            reason="the accessibility rank condition does not hold",
-        )
+        return report("rank-condition-failed", TAX_UNCLASSIFIED,
+                      {"reason": "the accessibility rank condition does not hold"})
 
-    tr_a = float(np.trace(sys.A))
+    trace = {"trace": float(np.trace(sys.A))}
+    # the trace sign's verdict: open if positive, closed if negative, and
+    # the whole group if zero
     sign = trace_sign(sys.A)
+    by_sign = {1: TAX_OPEN, -1: TAX_CLOSED}.get(sign, TAX_WHOLE)
 
     if sys.variant.tag == GroupVariant.SE2N:
         if nr == 2:
-            tax, geom, extra = _planar_branch(sys)
-            return report(
-                tax,
-                "unique control set, the preimage of the base control set "
-                "under the covering projection",
-                "se2n/unique-lift",
-                **extra,
-            )
-        return report(
-            TAX_INFINITE,
-            "cylinder family C_r = {([t], v): <v, xi_hat> = r}",
-            "se2n/flat-cylinders",
-            det_a=float(np.linalg.det(sys.A)),
-        )
+            return report("se2n/unique-lift", *_planar_branch(sys))
+        return report("se2n/flat-cylinders", TAX_INFINITE,
+                      {"det_a": float(np.linalg.det(sys.A))})
 
     if sys.variant.tag == GroupVariant.AFF_CIRCLE:
         from .covering import descend_check
@@ -486,67 +576,33 @@ def classify(sys: SystemSpec) -> ClassificationReport:
         if not ok:
             raise ValueError(f"the drift does not descend to the quotient: {reason}")
         if sign:
-            return report(
-                _TRACE_TAX[sign],
-                "product of the affine-line control set with the circle",
-                "affcircle/trace-sign",
-                trace=tr_a,
-            )
-        return report(
-            TAX_CONTROLLABLE,
-            "the whole group",
-            "affcircle/trace-zero",
-            trace=tr_a,
-        )
+            return report("affcircle/trace-sign", by_sign, trace)
+        return report("affcircle/trace-zero", TAX_CONTROLLABLE, trace)
 
     if nr == 2:
-        tax, geom, extra = _planar_branch(sys)
-        return report(tax, geom, "nilrank2/planar-cylinder", **extra)
-
+        return report("nilrank2/planar-cylinder", *_planar_branch(sys))
     if nr == 1:
-        return report(
-            _TRACE_TAX.get(sign, TAX_WHOLE),
-            "product of a line control set with ker A",
-            "nilrank1/trace-sign",
-            trace=tr_a,
-        )
-
-    # rank-zero drift
+        return report("nilrank1/trace-sign", by_sign, trace)
     if sys.theta.tag == SPIRAL and sys.theta.gamma != 0.0:
-        return report(
-            TAX_CONTROLLABLE,
-            "the whole group",
-            "nilrank0/spiral-staircase",
-        )
-    return report(
-        TAX_INFINITE,
-        "plane family P_c = {(t, v): <v, xi_hat> = c}",
-        "nilrank0/plane-family",
-    )
+        return report("nilrank0/spiral-staircase", TAX_CONTROLLABLE, {})
+    return report("nilrank0/plane-family", TAX_INFINITE, {})
 
 
-def _planar_branch(sys: SystemSpec):
+def _planar_branch(sys: SystemSpec) -> tuple[str, dict]:
+    """The taxonomy of the reduced planar verdict and its certificate."""
     red = conjugate_to_planar(sys)
     try:
         verdict, cert = classify_planar(red.planar)
     except DetSignError as exc:
-        return (
-            TAX_UNCLASSIFIED,
-            "none",
-            {"reason": "det A <= 0: the rest point at u = 0 is a saddle",
-             "u": exc.u, "det": exc.det},
-        )
-    extra = {
+        return TAX_UNCLASSIFIED, {"reason": "det A <= 0: the rest point at u = 0 is a saddle",
+                                  "u": exc.u, "det": exc.det}
+    tax = {PlanarVerdict.OPEN: TAX_OPEN, PlanarVerdict.CLOSED: TAX_CLOSED}.get(verdict, TAX_WHOLE)
+    return tax, {
         "planar_verdict": verdict.value,
         "interval": cert["interval"],
         "trace_at_endpoints": cert["trace_at_endpoints"],
         "interior_trace_zero": cert["interior_trace_zero"],
     }
-    geom = "cylinder: preimage of the planar control set under the plane projection"
-    return _PLANAR_TAX[verdict], geom, extra
-
-
-# -- numerical cross-examination ---------------------------------------------
 
 
 def verify_classification(
@@ -558,57 +614,16 @@ def verify_classification(
     seed: int = 0,
     box: tuple = ((-10.0, 10.0), (-10.0, 10.0)),
 ) -> dict:
-    """Targeted numerical experiments against the taxonomy verdict.
+    """The numerical experiment of the report's rule in ``RULES`` against
+    its verdict, or one ``symbolic-only`` check where there is none.
 
     Returns a log {"ok": bool, "checks": [...]}; any discrepancy appears as
     a failed check, never silently.
     """
-    checks: list[dict] = []
-
-    def add(name, ok, **data):
-        checks.append({"name": name, "ok": bool(ok), **_jsonable(data)})
-
-    if report.taxonomy in (TAX_OPEN, TAX_CLOSED, TAX_WHOLE) and report.nilrank == 2:
-        spec = conjugate_to_planar(sys).planar
-        grid = reach_sets(
-            spec, np.zeros(2), horizon, budget, box=box, resolution=resolution, seed=seed
-        )
-        est = control_set_estimate(grid)
-        i0 = omega_hat(spec).component_of_zero
-        if report.taxonomy == TAX_OPEN:
-            us = np.linspace(0.6 * i0[0], 0.6 * i0[1], 9)
-            hit = 0
-            for u in us:
-                c = grid.cell_of(equilibrium(spec, float(u)))
-                if c is not None and est.cells[c]:
-                    hit += 1
-            add("rest-points-inside-estimate", hit == len(us), hits=hit, total=len(us))
-        elif report.taxonomy == TAX_CLOSED:
-            angles = [2.0 * np.pi * i / 10.0 for i in range(10)]
-            starts = [10.0 * np.array([np.cos(a), np.sin(a)]) for a in angles]
-            entries = _entry_indices(spec, starts, est, grid)
-            add("far-starts-reach-estimate", None not in entries, starts=10, radius=10.0)
-        else:
-            fill = window_fill(grid, est.cells, FILL_WINDOW)
-            add("window-fill", fill >= FILL_THRESHOLD, fill=fill,
-                threshold=FILL_THRESHOLD)
-        add("estimate-nonempty", est.diagnostics["estimate_cells"] > 0,
-            **est.diagnostics)
-    elif report.rule == "nilrank0/spiral-staircase":
-        from .plan import identity_return_error
-
-        err = identity_return_error(sys, seed)
-        add("identity-return", err <= RETURN_TOL, endpoint_error=err)
-    elif report.taxonomy == TAX_INFINITE and report.rule == "nilrank0/plane-family":
-        from .plan import monotone_certificate
-
-        cert = monotone_certificate(sys)
-        add("monotone-certificate", cert.holds, min_g=cert.min_g)
-        add("pairing-never-decreases", cert.sweep_holds)
-    else:
-        add("symbolic-only", True,
-            note="no numerical experiment wired for this branch")
-
+    verifier = RULES[report.rule].verifier
+    checks = verifier(report, sys, budget, horizon, resolution, seed, box) if verifier else []
+    checks = checks or [_check("symbolic-only", True,
+                               note="no numerical experiment wired for this branch")]
     return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
 

@@ -689,6 +689,18 @@ def test_integer_too_large_for_a_float_names_the_field(runner, tmp_path, field):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["classify", "reach"])
+def test_se2n_cover_without_a_finite_period_is_one_error_line(runner, tmp_path, command):
+    # n passes the schema (an integer, at least 1), but 2*pi*n is past the float range
+    spec = write_spec(tmp_path, dict(SE2_SPEC, variant={"type": "se2n", "n": BIG}))
+    out_dir = tmp_path / "out"
+    out = runner.invoke(main, [command, spec, "--out-dir", str(out_dir), "--budget", "100"],
+                        catch_exceptions=False)
+    assert out.exit_code == 1, out.output
+    assert out.output == f"Error: {spec}: se2n requires a finite period 2*pi*n\n"
+    assert not out_dir.exists()
+
+
 def test_integer_literal_past_the_digit_limit_is_one_error_line(runner, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(WHOLE_SPEC).replace('"alpha": 1.0', '"alpha": 1' + "0" * 5000))

@@ -147,6 +147,19 @@ class TestQuotients:
         with pytest.raises(ValueError):
             GroupVariant(GroupVariant.SE2N, 0)
 
+    @pytest.mark.parametrize("n, finite", [
+        (int(np.finfo(float).max / (2 * np.pi)), True),
+        (int(np.finfo(float).max / (2 * np.pi)) * 2, False),
+        (2**1023, False),
+        (10**400, False),
+    ], ids=["largest", "twice the largest", "2^1023", "past the float range"])
+    def test_se2n_period_is_finite_or_rejected(self, n, finite):
+        if finite:
+            assert np.isfinite(GroupVariant(GroupVariant.SE2N, n).period)
+        else:
+            with pytest.raises(ValueError, match="finite period"):
+                GroupVariant(GroupVariant.SE2N, n)
+
     def test_quotient_map_is_homomorphism(self):
         cases = [
             (ThetaFamily.spiral(0.0), GroupVariant(GroupVariant.SE2N, 1)),

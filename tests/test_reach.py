@@ -1,11 +1,14 @@
 """Tests for reachable-set sampling, estimation and the taxonomy classifier."""
 
+import re
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from solv3d.group import GroupVariant
+from solv3d.group import SIMPLY_CONNECTED, GroupVariant
 from solv3d.kernel2d import ThetaFamily, arc, arc_matrices, lambda_op
 from solv3d.plan import _leg_ends
 from solv3d.planar import ControlRange, PiecewiseControl, PlanarSpec, a_of_u
@@ -248,6 +251,88 @@ class TestClassify:
         json.dumps(d)
         assert d["taxonomy"] == "UniqueControlSetOpen"
         assert d["larc"]["holds"] is True
+
+
+SE2 = GroupVariant(GroupVariant.SE2N, 1)
+AFF = GroupVariant(GroupVariant.AFF_CIRCLE)
+
+
+def _system(theta, A, xi=(1.0, 0.0), alpha=1.0, variant=SIMPLY_CONNECTED):
+    return SystemSpec(theta, LinearField(np.asarray(A, float), list(xi)),
+                      InvariantField(alpha, [0.0, 0.0]), OMEGA, variant)
+
+
+# one system for each rule of reach.RULES, in the table's order
+RULE_SYSTEMS = {
+    "rank-condition-failed": _system(ROTATION, -np.eye(2), alpha=0.0),
+    "se2n/unique-lift": _system(ROTATION, -np.eye(2), variant=SE2),
+    "se2n/flat-cylinders": _system(ROTATION, np.zeros((2, 2)), variant=SE2),
+    "affcircle/trace-sign": _system(ThetaFamily.diagonal(0.0), np.diag([1.0, 0.0]),
+                                    (1.0, 1.0), variant=AFF),
+    "affcircle/trace-zero": _system(ThetaFamily.diagonal(0.0), np.zeros((2, 2)), (1.0, 1.0),
+                                    variant=AFF),
+    "nilrank2/planar-cylinder": OPEN_SYS,
+    "nilrank1/trace-sign": _system(ThetaFamily.diagonal(0.5), np.diag([2.0, 0.0]), (1.0, 1.0)),
+    "nilrank0/spiral-staircase": _system(ThetaFamily.spiral(1.0), np.zeros((2, 2))),
+    "nilrank0/plane-family": _system(ThetaFamily.jordan(), np.zeros((2, 2)), (1.0, 1.0)),
+}
+
+# the rules whose verdict no numerical experiment checks: a rule leaves this
+# list when it gains a verifier, and none may join it
+UNVERIFIED_RULES = {
+    "rank-condition-failed",
+    "se2n/flat-cylinders",
+    "affcircle/trace-sign",
+    "affcircle/trace-zero",
+    "nilrank1/trace-sign",
+}
+
+
+class TestRuleTable:
+    def test_one_system_per_rule(self):
+        assert list(RULE_SYSTEMS) == list(reach.RULES)
+
+    @pytest.mark.parametrize("rule", list(RULE_SYSTEMS))
+    def test_classify_reaches_the_rule(self, rule):
+        sys = RULE_SYSTEMS[rule]
+        rep = classify(sys)
+        assert rep.rule == rule
+        want = "none" if rep.taxonomy == "Unclassified" else reach.RULES[rule].geometry
+        assert rep.geometry == want
+        log = verify_classification(rep, sys, budget=2000)
+        assert log["ok"], log
+        names = [c["name"] for c in log["checks"]]
+        assert (names == ["symbolic-only"]) == (rule in UNVERIFIED_RULES), names
+
+    def test_unverified_rules_only_shrink(self):
+        unverified = {rule for rule, row in reach.RULES.items() if row.verifier is None}
+        assert unverified == UNVERIFIED_RULES
+
+    def test_saddle_has_no_planar_experiment(self):
+        sys = _system(ThetaFamily.diagonal(1.0), np.diag([1.0, -1.0]), (1.0, 1.0))
+        rep = classify(sys)
+        assert (rep.rule, rep.taxonomy, rep.geometry) == (
+            "nilrank2/planar-cylinder", "Unclassified", "none")
+        log = verify_classification(rep, sys, budget=2000)
+        assert [c["name"] for c in log["checks"]] == ["symbolic-only"]
+
+    def test_unknown_rule_is_an_error_not_symbolic(self):
+        rep = classify(OPEN_SYS)
+        with pytest.raises(KeyError):
+            verify_classification(replace(rep, rule="nilrank2/renamed"), OPEN_SYS)
+
+    def test_report_schema_enumerates_the_rules_and_taxonomies(self):
+        from solv3d.cli import report_schema
+
+        props = report_schema()["properties"]["classification"]["properties"]
+        assert props["rule"]["enum"] == list(reach.RULES)
+        taxonomies = [v for k, v in vars(reach).items() if k.startswith("TAX_")]
+        assert props["taxonomy"]["enum"] == taxonomies
+
+    def test_readme_rule_table_lists_the_rules(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Decision rules\n", 1)[1].split("\n## ", 1)[0]
+        assert re.findall(r"^\| `([^`]+)` \|", section, flags=re.M) == list(reach.RULES)
 
 
 class TestVerify:

@@ -3,8 +3,10 @@
 Scaling A, xi and the control range by c > 0 (alpha and eta fixed) is the
 time rescaling s -> c s of the system, so every verdict must be the one at
 c = 1.  A power of two scales every floating-point step exactly, which makes
-the property tests below exact checks of scale freedom.  The planners are
-also checked under a rescaling of space (see the section on planners).
+the property tests below exact checks of scale freedom.  Time reversal, the
+scale c = -1 with the control range mirrored, swaps only open and closed.
+The planners are also checked under a rescaling of space (see the section
+on planners).
 """
 
 import json
@@ -170,6 +172,45 @@ def test_taxonomy_is_invariant_under_power_of_two_rescaling(theta, a, b, xi, eta
         except ValueError:
             builds = False
         assert builds == (nilrank(s) == 2)
+
+
+# drifts a I + b theta on every variant: any family on the simply connected
+# group, the rotations on the n-fold covers, and the circle-annihilating
+# diagonal drifts on the aff_circle quotient; a coefficient is zero half the
+# time, so that rank-zero drifts come up, and b (theta - I) is rank one on
+# the shear and diagonal families
+_COEF = st.one_of(st.just(0.0), _QUARTERS)
+_DRIFTS = st.one_of(
+    st.tuples(_families(), _COEF, _COEF, st.just(SIMPLY_CONNECTED)),
+    st.tuples(_families(), _QUARTERS).map(lambda d: (d[0], -d[1], d[1], SIMPLY_CONNECTED)),
+    st.tuples(st.just(ThetaFamily.spiral(0.0)), _COEF, _COEF, st.integers(1, 3).map(
+        lambda n: GroupVariant(GroupVariant.SE2N, n))),
+    st.tuples(st.just(ThetaFamily.diagonal(0.0)), st.just(0.0), _COEF,
+              st.just(GroupVariant(GroupVariant.AFF_CIRCLE))),
+)
+_OPEN_CLOSED = {"UniqueControlSetOpen": "UniqueControlSetClosed",
+                "UniqueControlSetClosed": "UniqueControlSetOpen"}
+
+
+@settings(max_examples=300)
+@given(drift=_DRIFTS, xi=_VEC, alpha=st.sampled_from([1.0, 0.5, -1.0, 0.0]), eta=_VEC,
+       lo=st.integers(1, 8), hi=st.integers(1, 8))
+# a saddle, A = diag(1, -1) on diagonal(0.5): Unclassified both ways
+@example(drift=(ThetaFamily.diagonal(0.5), -3.0, 4.0, SIMPLY_CONNECTED), xi=(1.0, 1.0),
+         alpha=1.0, eta=(0.0, 0.0), lo=2, hi=2)
+def test_time_reversal_swaps_open_and_closed(drift, xi, alpha, eta, lo, hi):
+    # (A, xi, alpha, eta, omega) -> (-A, -xi, alpha, eta, -omega) runs the
+    # system backwards in time: an open control set turns closed and a closed
+    # one open, while the rule and every other taxonomy stay
+    theta, a, b, variant = drift
+    A = a * np.eye(2) + b * theta.matrix()
+    forward = SystemSpec(theta, LinearField(A, xi), InvariantField(alpha, eta),
+                         ControlRange(-lo / 4, hi / 4), variant)
+    backward = SystemSpec(theta, LinearField(-A, -np.asarray(xi)), InvariantField(alpha, eta),
+                          ControlRange(-hi / 4, lo / 4), variant)
+    rep, rev = classify(forward), classify(backward)
+    assert rev.rule == rep.rule
+    assert rev.taxonomy == _OPEN_CLOSED.get(rep.taxonomy, rep.taxonomy)
 
 
 class TestSmallDrift:
