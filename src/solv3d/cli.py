@@ -422,6 +422,9 @@ def cmd_classify(spec_path, out_dir, seed, budget, horizon, verify):
     os.makedirs(out_dir, exist_ok=True)
     dump_json(out, os.path.join(out_dir, "report.json"))
     click.echo(f"taxonomy: {report.taxonomy} ({report.rule})")
+    if verify:
+        failed = [c["name"] for c in out["verification"]["checks"] if not c["ok"]]
+        click.echo(f"verification: failed ({', '.join(failed)})" if failed else "verification: ok")
     if report.taxonomy == reach_mod.TAX_UNCLASSIFIED:
         _sys.exit(2)
 

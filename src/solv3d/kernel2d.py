@@ -163,16 +163,8 @@ class ThetaFamily:
 # _ARC_DEGREE Taylor sum of phi1(X) is exact to well below rounding.
 _ARC_NORM = 0.125
 _ARC_DEGREE = 10
-
-
-def _mul(a, b):
-    """Product of two 2x2 matrices given as row-major entry 4-tuples."""
-    return (
-        a[0] * b[0] + a[1] * b[2],
-        a[0] * b[1] + a[1] * b[3],
-        a[2] * b[0] + a[3] * b[2],
-        a[2] * b[1] + a[3] * b[3],
-    )
+# the scalar types whose step count ``arc`` takes in plain Python arithmetic
+_REAL = (int, float)
 
 
 def arc(m00, m01, m10, m11, s):
@@ -184,28 +176,36 @@ def arc(m00, m01, m10, m11, s):
     by Horner, E = I + X P and W = (s/2^k) P, and then k doublings
     W <- W + E W, E <- E E.  Only + * / touch the entries, so the same code
     takes floats or equal-shape (broadcastable) numpy arrays; a batch uses
-    the largest k any of its members needs.  No inverse is formed, so the
+    the largest k any of its members needs.  Scalar inputs stay Python
+    floats throughout, with the array path's operations in the same order,
+    so a scalar call pays no numpy overhead.  No inverse is formed, so the
     result stays accurate at and near det M = 0.
     """
-    norm = float(np.max(abs(s) * np.maximum(abs(m00) + abs(m01), abs(m10) + abs(m11))))
+    r0, r1, a = abs(m00) + abs(m01), abs(m10) + abs(m11), abs(s)
+    if isinstance(r0, _REAL) and isinstance(r1, _REAL) and isinstance(a, _REAL):
+        # Python's max drops a NaN in its second argument; np.maximum keeps it
+        norm = a * (r1 if r1 > r0 or r1 != r1 else r0)
+    else:
+        norm = float(np.max(a * np.maximum(r0, r1)))
     scaled = norm / _ARC_NORM
     if not math.isfinite(scaled):
         raise ValueError(f"arc needs a finite s*M well inside the float range, got {norm}")
     k = max(0, math.ceil(math.log2(scaled))) if norm > 0.0 else 0
     h = s / 2**k
-    x = (h * m00, h * m01, h * m10, h * m11)
-    p = (1.0, 0.0, 0.0, 1.0)
+    x0, x1, x2, x3 = h * m00, h * m01, h * m10, h * m11
+    p0, p1, p2, p3 = 1.0, 0.0, 0.0, 1.0
     for j in range(_ARC_DEGREE + 1, 1, -1):
-        xp = _mul(x, p)
-        p = (1.0 + xp[0] / j, xp[1] / j, xp[2] / j, 1.0 + xp[3] / j)
-    xp = _mul(x, p)
-    e = (1.0 + xp[0], xp[1], xp[2], 1.0 + xp[3])
-    w = (h * p[0], h * p[1], h * p[2], h * p[3])
+        p0, p1, p2, p3 = (1.0 + (x0 * p0 + x1 * p2) / j, (x0 * p1 + x1 * p3) / j,
+                          (x2 * p0 + x3 * p2) / j, 1.0 + (x2 * p1 + x3 * p3) / j)
+    e0, e1, e2, e3 = (1.0 + (x0 * p0 + x1 * p2), x0 * p1 + x1 * p3,
+                      x2 * p0 + x3 * p2, 1.0 + (x2 * p1 + x3 * p3))
+    w0, w1, w2, w3 = h * p0, h * p1, h * p2, h * p3
     for _ in range(k):
-        ew = _mul(e, w)
-        w = (w[0] + ew[0], w[1] + ew[1], w[2] + ew[2], w[3] + ew[3])
-        e = _mul(e, e)
-    return e, w
+        w0, w1, w2, w3 = (w0 + (e0 * w0 + e1 * w2), w1 + (e0 * w1 + e1 * w3),
+                          w2 + (e2 * w0 + e3 * w2), w3 + (e2 * w1 + e3 * w3))
+        e0, e1, e2, e3 = (e0 * e0 + e1 * e2, e0 * e1 + e1 * e3,
+                          e2 * e0 + e3 * e2, e2 * e1 + e3 * e3)
+    return (e0, e1, e2, e3), (w0, w1, w2, w3)
 
 
 def arc_matrices(B: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -524,6 +524,12 @@ def integrate_projected(gamma: float, alpha: float, c: float, ctrl: PiecewiseCon
     return np.array([t, x])
 
 
+def _in_float_range(values, stops) -> None:
+    """Reject a staircase whose dwell times, total time or end point overflowed."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"staircase stops {tuple(stops)} leave the float range")
+
+
 def _staircase(gamma: float, alpha: float, c: float, stops, omega: ControlRange) -> PlanResult:
     """Steer (0, stops[0]) through each (0, stops[i]) in turn for the projected
     system t' = u*alpha, x' = c e^{gamma t} sin t.
@@ -558,14 +564,21 @@ def _staircase(gamma: float, alpha: float, c: float, stops, omega: ControlRange)
     z2 = z1 + dx12
     rate_dn = c * np.exp(gamma * t_dn) * np.sin(t_dn)  # < 0
     rate_up = c * np.exp(gamma * t_up) * np.sin(t_up)  # > 0
-    dwells = [s for a, b in zip(landings, launches)
-              for s in ((z1 - a) / rate_dn, (b - z2) / rate_up)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dwells = [s for a, b in zip(landings, launches)
+                  for s in ((z1 - a) / rate_dn, (b - z2) / rate_up)]
+        total = sum(dwells) + (len(stops) - 1) * (s01 + s12 + s20)
+    _in_float_range([*dwells, total], stops)
     if min(dwells) < -ZERO_TOL * max(map(abs, dwells)):
         raise RuntimeError("negative dwell time in the staircase solve")
     itinerary = [leg for s1, s2 in zip(dwells[::2], dwells[1::2])
                  for leg in ((s01, u_dn), (s1, 0.0), (s12, u_up), (s2, 0.0), (s20, u_dn))]
     ctrl = PiecewiseControl.from_pairs([(s, u) for s, u in itinerary if s > 0.0])
-    achieved = integrate_projected(gamma, alpha, c, ctrl, 0.0, stops[0])
+    # the leg map's first coordinate, which the projection drops, may
+    # overflow where t and x do not
+    with np.errstate(over="ignore", invalid="ignore"):
+        achieved = integrate_projected(gamma, alpha, c, ctrl, 0.0, stops[0])
+    _in_float_range(achieved, stops)
     predicted = np.array([0.0, stops[-1]])
     # each residual against its own coordinate's scale: the largest |t| level
     # and the largest |x| among the stops and rungs

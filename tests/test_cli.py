@@ -121,6 +121,23 @@ class TestClassify:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize("flags, verdict", [
+        (["--budget", "500"], "verification: ok"),
+        (["--budget", "1", "--horizon", "1e-300"],
+         "verification: failed (rest-points-inside-estimate)"),
+        (["--no-verify"], None),
+    ], ids=["ok", "failed", "no-verify"])
+    def test_prints_verification_outcome(self, runner, tmp_path, flags, verdict):
+        # a failed verification keeps exit code 0 and says so on stdout;
+        # without verification there is no outcome to print
+        spec = write_spec(tmp_path, OPEN_SPEC)
+        out = runner.invoke(main, ["classify", spec, "--out-dir", str(tmp_path), *flags])
+        assert out.exit_code == 0, out.output
+        lines = ["taxonomy: UniqueControlSetOpen (nilrank2/planar-cylinder)"]
+        assert out.output.splitlines() == (lines + [verdict] if verdict else lines)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["verification"]["ok"] == ("failed" not in str(verdict))
+
     def test_no_verify_skips_checks(self, runner, tmp_path):
         spec = write_spec(tmp_path, OPEN_SPEC)
         out = runner.invoke(main, ["classify", spec, "--out-dir", str(tmp_path),
@@ -916,6 +933,24 @@ class TestPlan:
         assert out.exit_code == 0, out.output
         report = json.loads((tmp_path / "plan_report.json").read_text())
         assert report["plan"]["endpoint_error"] < 1e-6
+
+    def test_staircase_past_the_float_range(self, tmp_path):
+        # a dwell of 6e308 time units: one error line naming the stops, no
+        # numpy warning and no output directory
+        spec = write_spec(tmp_path, SPIRAL_CTRL_SPEC)
+        out_dir = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(solv3d.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "solv3d.cli", "plan", "staircase", spec, "--x=1e308",
+             "--y=0", "--out-dir", str(out_dir)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"),
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("Error: staircase: staircase stops (1e+308, 0.0, 1e+308) "
+                               "leave the float range\n")
+        assert not out_dir.exists()
 
     def test_staircase_needs_scaling_spiral(self, runner, tmp_path):
         # a rotation family, and a scaling spiral whose drift has rank 2: the

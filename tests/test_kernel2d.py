@@ -1,5 +1,7 @@
 """Tests for the exact 2x2 kernel: family matrices, expm, the Lambda operator."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm as scipy_expm
 
+from solv3d import kernel2d
 from solv3d.kernel2d import (
     ROT90,
     ThetaFamily,
@@ -254,3 +257,118 @@ class TestArc:
 
         assert size(E - E2 @ E1) <= 1e-12 * size(E2) * size(E1)
         assert size(W - (W1 + E1 @ W2)) <= 1e-12 * (size(W1) + size(E1) * size(W2))
+
+
+def _reference_mul(a, b):
+    return (
+        a[0] * b[0] + a[1] * b[2],
+        a[0] * b[1] + a[1] * b[3],
+        a[2] * b[0] + a[3] * b[2],
+        a[2] * b[1] + a[3] * b[3],
+    )
+
+
+def reference_arc(m00, m01, m10, m11, s):
+    """``arc`` with its step count taken by numpy ufuncs on every input and
+    its products by a 2x2 entry-tuple helper: the operations ``arc`` must
+    repeat bit for bit, on scalars and batches alike."""
+    norm = float(np.max(abs(s) * np.maximum(abs(m00) + abs(m01), abs(m10) + abs(m11))))
+    scaled = norm / 0.125
+    if not math.isfinite(scaled):
+        raise ValueError(f"arc needs a finite s*M well inside the float range, got {norm}")
+    k = max(0, math.ceil(math.log2(scaled))) if norm > 0.0 else 0
+    h = s / 2**k
+    x = (h * m00, h * m01, h * m10, h * m11)
+    p = (1.0, 0.0, 0.0, 1.0)
+    for j in range(11, 1, -1):
+        xp = _reference_mul(x, p)
+        p = (1.0 + xp[0] / j, xp[1] / j, xp[2] / j, 1.0 + xp[3] / j)
+    xp = _reference_mul(x, p)
+    e = (1.0 + xp[0], xp[1], xp[2], 1.0 + xp[3])
+    w = (h * p[0], h * p[1], h * p[2], h * p[3])
+    for _ in range(k):
+        ew = _reference_mul(e, w)
+        w = (w[0] + ew[0], w[1] + ew[1], w[2] + ew[2], w[3] + ew[3])
+        e = _reference_mul(e, e)
+    return e, w
+
+
+def assert_same_bits(got, want):
+    """Equal float bit patterns (signed zeros told apart), any NaN equal to any NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def flat(result):
+    e, w = result
+    return [*e, *w]
+
+
+class TestArcBitIdentity:
+    """``arc`` against ``reference_arc``: scalars never reach numpy, yet every
+    scalar and batched result keeps the reference's bits."""
+
+    def test_seeded_scalars(self):
+        # entries of both signs across 1e-8..1e4 and s of both signs: the
+        # largest |s M| (about 2e8) takes 31 doublings, whose squares of
+        # e^{sM} overflow to inf and then NaN
+        rng = np.random.default_rng(2027)
+        n = 10_000
+        entries = rng.choice([-1.0, 1.0], (n, 5)) * 10.0 ** rng.uniform(-8.0, 4.0, (n, 5))
+        got, want = [], []
+        for row in entries.tolist():
+            got.append(flat(arc(*row)))
+            want.append(flat(reference_arc(*row)))
+            assert all(type(x) is float for x in got[-1])
+        assert_same_bits(got, want)
+        assert not np.all(np.isfinite(want)) and np.any(np.isnan(want))
+
+    @pytest.mark.parametrize("args", [
+        (0.3, -1.2, 0.7, 0.1, 0.0),
+        (0.3, -1.2, 0.7, 0.1, -0.0),
+        (0.0, 0.0, 0.0, 0.0, 2.5),
+        (0.0, -0.0, 0.0, 0.0, -2.5),
+        (0.0, 0.0, 0.0, 0.0, 0.0),
+        (1, -2, 3, 0, 2),
+        (2, 0, 0, 1, -0.75),
+        (np.float64(0.3), np.float64(-1.2), np.float64(0.7), np.float64(0.1), np.float64(1.5)),
+        (np.float64(5.0), 0.5, -1, np.float64(0.25), 3.0),
+    ], ids=["s=0", "s=-0", "M=0", "M=-0", "both 0", "ints", "int M", "float64", "mixed"])
+    def test_special_scalars(self, args):
+        assert_same_bits(flat(arc(*args)), flat(reference_arc(*args)))
+
+    def test_mixed_scalar_and_array_arguments(self):
+        # each argument a scalar or an array, broadcast element-wise; the
+        # batch takes the largest member's doublings, like the reference
+        rng = np.random.default_rng(5)
+        for mask in range(32):
+            args = [rng.uniform(-3.0, 3.0, 7) if mask >> i & 1 else float(rng.uniform(-3.0, 3.0))
+                    for i in range(5)]
+            assert_same_bits(np.broadcast_arrays(*flat(arc(*args))),
+                             np.broadcast_arrays(*flat(reference_arc(*args))))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("slot", range(5))
+    def test_non_finite_argument_raises_the_reference_error(self, slot, bad):
+        args = [0.3, -1.2, 0.7, 0.1, 1.5]
+        args[slot] = bad
+        with pytest.raises(ValueError) as want:
+            reference_arc(*args)
+        with pytest.raises(ValueError) as got:
+            arc(*args)
+        assert str(got.value) == str(want.value)
+
+    def test_scalar_path_touches_no_numpy(self, monkeypatch):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"scalar arc read numpy.{name}")
+
+        args = (0.3, -1.2, 0.7, 0.1, 40.0)
+        want = flat(arc(*args))
+        monkeypatch.setattr(kernel2d, "np", NoNumpy())
+        assert_same_bits(flat(kernel2d.arc(*args)), want)
+        with pytest.raises(ValueError, match="got nan"):
+            kernel2d.arc(0.3, math.nan, 0.7, 0.1, 40.0)

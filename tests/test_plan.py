@@ -330,6 +330,21 @@ class TestStaircase:
         with pytest.raises(ValueError, match="finite"):
             planner(1.0, 1.0, 2.0, x, y, ControlRange(-1, 1))
 
+    @pytest.mark.parametrize("c, x, y", [
+        (2.0, 1e308, 0.0), (0.5, 1e308, 0.0), (2.0, -1e308, 1e308), (2.0, 0.0, 1.7e308),
+    ], ids=["total time", "dwell", "rung distance", "return dwell"])
+    def test_stops_past_the_float_range(self, c, x, y):
+        # an overflowing dwell, total time or distance is one ValueError that
+        # names the stops; with RuntimeWarning as an error, numpy says nothing
+        with pytest.raises(ValueError) as err:
+            staircase(1.0, 1.0, c, x, y, ControlRange(-1, 1))
+        assert str(err.value) == f"staircase stops {(x, y, x)} leave the float range"
+
+    def test_stops_near_the_float_range_still_plan(self):
+        res = staircase(1.0, 1.0, 2.0, 1e300, 0.0, ControlRange(-1, 1))
+        assert res.error < 1e-13
+        assert res.achieved[1] == pytest.approx(1e300, rel=1e-13)
+
     def test_half_staircase(self):
         res = half_staircase(0.5, 2.0, 1.0, 1.2, -2.3, ControlRange(-0.5, 1.0))
         assert res.error < 1e-6
