@@ -5,8 +5,9 @@ structure matrix of the group law comes in three families (shear, diagonal,
 rotation-plus-scaling).  One kernel, ``arc``, gives both e^{sM} and
 int_0^s e^{rM} dr for any 2x2 matrix M, for single matrices and batches
 alike; ``expm`` and ``lambda_op`` are views of it.  Rank, commutation, the
-rank-condition products and the trace sign are decided here, each against
-the size of the matrices and vectors it reads.
+rank-condition products and the trace sign are decided here, each on the
+power-of-two ``unit_scaled`` operands, where no product over- or underflows,
+so each decision holds at any scale; ``unscaled`` scales results back.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "rank_product",
     "trace_sign",
     "unit_scaled",
+    "unscaled",
     "arc",
     "arc_matrices",
     "expm",
@@ -62,17 +64,6 @@ def _size(M) -> float:
     return float(np.max(np.abs(M)))
 
 
-def matrix_rank(M: np.ndarray) -> int:
-    """Numerical rank: the singular values above RANK_TOL times the largest."""
-    sv = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(sv > RANK_TOL * sv[0]))
-
-
-def commutes(A: np.ndarray, B: np.ndarray) -> bool:
-    """Whether AB - BA vanishes against the size of A and B."""
-    return _size(A @ B - B @ A) <= ZERO_TOL * _size(A) * _size(B)
-
-
 def unit_scaled(a) -> tuple[np.ndarray, int]:
     """(a 2^-e, e) with the largest |entry| of a 2^-e in [1/2, 1) (e = 0 for a = 0).
 
@@ -84,24 +75,40 @@ def unit_scaled(a) -> tuple[np.ndarray, int]:
     return np.ldexp(a, -e), e
 
 
+def unscaled(x, e: int):
+    """x 2^e, the inverse of ``unit_scaled``: rounded to inf or 0.0 past the
+    float range, with no warning."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(x, e)
+
+
+def matrix_rank(M: np.ndarray) -> int:
+    """Numerical rank: the singular values above RANK_TOL times the largest."""
+    sv = np.linalg.svd(unit_scaled(M)[0], compute_uv=False)
+    return int(np.sum(sv > RANK_TOL * sv[0]))
+
+
+def commutes(A: np.ndarray, B: np.ndarray) -> bool:
+    """Whether AB - BA vanishes against the size of A and B."""
+    (A, _), (B, _) = unit_scaled(A), unit_scaled(B)
+    return _size(A @ B - B @ A) <= ZERO_TOL * _size(A) * _size(B)
+
+
 def rank_product(M: np.ndarray, w: np.ndarray) -> tuple[float, bool]:
     """<M w, R w>, and whether it is nonzero against |M| |w|^2 (w is then
     not an eigenvector of M): the products of the rank condition.
 
-    Both are formed on M 2^-m and w 2^-e with largest entries in [1/2, 1),
-    where no product overflows or underflows; a power of two scales every
-    step exactly, so the decision is the unscaled one.  The product is
-    unscaled once at the end (to inf or 0.0 past the float range).
+    Both are formed on M 2^-m and w 2^-e; the product is unscaled once at
+    the end.
     """
     (M, m), (w, e) = unit_scaled(M), unit_scaled(w)
     p = float((M @ w) @ (ROT90 @ w))
-    with np.errstate(over="ignore"):
-        unscaled = float(np.ldexp(p, m + 2 * e))
-    return unscaled, abs(p) > ZERO_TOL * _size(M) * float(w @ w)
+    return float(unscaled(p, m + 2 * e)), abs(p) > ZERO_TOL * _size(M) * float(w @ w)
 
 
 def trace_sign(M: np.ndarray) -> int:
     """Sign of tr M (1, -1, or 0 when it vanishes against the size of M)."""
+    M = unit_scaled(M)[0]
     tr = float(np.trace(M))
     return 0 if abs(tr) <= ZERO_TOL * _size(M) else (1 if tr > 0.0 else -1)
 

@@ -33,6 +33,7 @@ from .kernel2d import (
     rank_product,
     trace_sign,
     unit_scaled,
+    unscaled,
 )
 from .planar import (
     ControlRange,
@@ -107,12 +108,6 @@ class XiHat:
         return self.g_fn(np.asarray(t, dtype=float))
 
 
-def _ldexp(x, e: int):
-    """x 2^e, rounded to inf or 0.0 past the float range without a warning."""
-    with np.errstate(over="ignore"):
-        return np.ldexp(x, e)
-
-
 def xi_hat(theta: ThetaFamily, xi: np.ndarray) -> XiHat:
     """Direction with a nonnegative pairing against Lambda_t^theta xi.
 
@@ -133,16 +128,16 @@ def xi_hat(theta: ThetaFamily, xi: np.ndarray) -> XiHat:
     x, e = unit_scaled(xi)
     if theta.tag == SPIRAL:
         n2 = float(x @ x)
-        return XiHat(_ldexp(ROT90 @ x, e), "rotation",
-                     lambda t: _ldexp(n2 * (1.0 - np.cos(t)), 2 * e))
+        return XiHat(unscaled(ROT90 @ x, e), "rotation",
+                     lambda t: unscaled(n2 * (1.0 - np.cos(t)), 2 * e))
     if theta.tag == JORDAN:
         # pairing nonzero forces xi2 != 0
         v = np.array([1.0 / x[1], -x[0] / x[1] ** 2])
-        return XiHat(_ldexp(v, -e), "shear", lambda t: t * np.exp(t) - np.expm1(t))
+        return XiHat(unscaled(v, -e), "shear", lambda t: t * np.exp(t) - np.expm1(t))
     g = theta.gamma
     if g == 0.0:
         v = np.array([1.0 / x[0], -1.0 / x[1]])
-        return XiHat(_ldexp(v, -e), "diagonal-zero", lambda t: np.exp(t) - t - 1.0)
+        return XiHat(unscaled(v, -e), "diagonal-zero", lambda t: np.exp(t) - t - 1.0)
     # diagonal with 0 < |g| < 1; pairing nonzero forces both components nonzero
     v = np.array([g / x[0], -g / x[1]])
     if g < 0.0:
@@ -151,7 +146,7 @@ def xi_hat(theta: ThetaFamily, xi: np.ndarray) -> XiHat:
     def g_fn(t, gam=g, sgn=1.0 if g > 0.0 else -1.0):
         return sgn * (gam * np.expm1(t) - np.expm1(gam * t))
 
-    return XiHat(_ldexp(v, -e), "diagonal", g_fn)
+    return XiHat(unscaled(v, -e), "diagonal", g_fn)
 
 
 def _never_negative(values: np.ndarray) -> bool:
@@ -206,7 +201,7 @@ def monotone_certificate(sys) -> SeparatingCertificate:
     if np.max(np.abs(swept - closed)) > G_CHECK_TOL * np.max(np.abs(closed)):
         raise ValueError("closed-form g disagrees with the integral operator")
     k = 2 * e if xh.case == "rotation" else 0
-    closed, swept = _ldexp(closed, k), _ldexp(swept, k)
+    closed, swept = unscaled(closed, k), unscaled(swept, k)
     return SeparatingCertificate(xi_hat(sys.theta, sys.xi), ts, closed, float(np.min(closed)),
                                  swept)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel2d import (ROT90, ZERO_TOL, ThetaFamily, arc_matrices, check_finite, commutes,
-                       expm, matrix_rank, trace_sign, unit_scaled)
+                       expm, matrix_rank, trace_sign, unit_scaled, unscaled)
 
 __all__ = [
     "ControlRange",
@@ -235,9 +235,8 @@ def omega_hat(spec: PlanarSpec) -> OmegaHat:
     # det(A - u theta) = 4^e det(A 2^-e - (u 2^-e) theta): the products in
     # det A(u) overflow above |A| ~ 2^511 and underflow below ~ 2^-537, and on
     # A 2^-e they stay near 1
-    unit, e = unit_scaled(spec.A)
-    with np.errstate(over="ignore"):  # a root beyond the float range is no cut
-        roots = np.ldexp(_quadratic_roots(*_det_coeffs(unit, spec.theta_matrix)), e).tolist()
+    unit, e = unit_scaled(spec.A)  # a root beyond the float range is no cut
+    roots = unscaled(_quadratic_roots(*_det_coeffs(unit, spec.theta_matrix)), e).tolist()
     roots_in = [r for r in roots if lo < r < hi]
     cuts = [lo] + sorted(roots_in) + [hi]
     intervals = []
@@ -325,9 +324,8 @@ def classify_planar(spec: PlanarSpec) -> tuple[PlanarVerdict, dict]:
     lo, hi = omega_hat(spec).component_of_zero
     unit, e = unit_scaled(spec.A)
     det = _det2(unit)
-    if det <= 0.0:
-        with np.errstate(over="ignore", under="ignore"):  # det A, rounded to the float range
-            raise DetSignError(0.0, float(np.ldexp(det, 2 * e)))
+    if det <= 0.0:  # det A, rounded to the float range
+        raise DetSignError(0.0, float(unscaled(det, 2 * e)))
 
     tr_a = float(np.trace(spec.A))
     tr_th = float(np.trace(spec.theta_matrix))

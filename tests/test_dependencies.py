@@ -12,6 +12,8 @@ both uses live beside it.  No module asserts: the CLI turns only
 ``ValueError`` and ``RuntimeError`` into a one-line error, so a failed
 ``assert`` or an ``AssertionError`` would end in a traceback.  Only
 ``cli.dump_json`` writes JSON, so every report is strict RFC 8259 JSON.
+Only ``kernel2d`` scales by powers of two (``ldexp``, ``frexp``), so every
+float-range scale goes through ``unit_scaled`` and ``unscaled``.
 """
 
 import ast
@@ -196,3 +198,31 @@ def test_json_writer_checker():
 def test_only_dump_json_writes_json():
     writers = {path.name: json_writers(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in writers.items() if v} == {"cli.py": ["dump_json"]}
+
+
+def power_of_two_scalings(source: str) -> list[int]:
+    """Lines of ``source`` that read ``ldexp`` or ``frexp`` from ``np``,
+    ``numpy`` or ``math``, or import either from ``numpy`` or ``math``."""
+    names, modules = ("ldexp", "frexp"), ("np", "numpy", "math")
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in names
+        and isinstance(node.value, ast.Name) and node.value.id in modules
+        or isinstance(node, ast.ImportFrom) and node.module in modules
+        and any(alias.name in names for alias in node.names)
+    )
+
+
+def test_power_of_two_scaling_checker():
+    source = ("import math\nimport numpy as np\nx = np.ldexp(1.0, 3)\n"
+              "def f(y):\n    return math.frexp(y)[1]\n"
+              "from numpy import ldexp\nfrom math import frexp, log2\n"
+              "z = numpy.frexp(y)\nw = math.ldexp\n"
+              "def ldexp(x, e):\n    return unscaled(x, e)\nv = obj.ldexp(1.0, 2)\n")
+    assert power_of_two_scalings(source) == [3, 5, 6, 7, 8, 9]
+
+
+def test_only_kernel2d_scales_by_powers_of_two():
+    users = {path.name: power_of_two_scalings(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert sorted(k for k, v in users.items() if v) == ["kernel2d.py"]

@@ -307,6 +307,25 @@ def flat(result):
     return [*e, *w]
 
 
+class TestScale:
+    """``unit_scaled`` and its inverse ``unscaled``."""
+
+    @pytest.mark.parametrize("a", [[3.0, -0.25], [1e308, -3.0], [0.0, -0.0], 7.5, 2.0**-1074])
+    def test_unscaled_inverts_unit_scaled(self, a):
+        x, e = kernel2d.unit_scaled(np.asarray(a))
+        assert 0.5 <= np.max(np.abs(x)) < 1.0 or np.all(x == 0.0)
+        assert np.array_equal(kernel2d.unscaled(x, e), a)
+
+    def test_unscaled_rounds_past_the_float_range_without_a_warning(self):
+        # the suite turns a RuntimeWarning into an error
+        assert kernel2d.unscaled(0.75, 1024) == 0.75 * 2.0**1023 * 2.0
+        assert kernel2d.unscaled(0.75, 1025) == math.inf
+        assert kernel2d.unscaled(-0.75, 1025) == -math.inf
+        assert kernel2d.unscaled(0.75, -1076) == 0.0
+        assert kernel2d.unscaled(0.5, -1073) == 2.0**-1074
+        assert kernel2d.unscaled(np.array([0.5, 0.75]), 1025).tolist() == [math.inf, math.inf]
+
+
 class TestArcBitIdentity:
     """``arc`` against ``reference_arc``: scalars never reach numpy, yet every
     scalar and batched result keeps the reference's bits."""

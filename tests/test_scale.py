@@ -133,6 +133,16 @@ class TestMatrixDecisions:
                 assert (matrix_rank(c * M), commutes(c * M, jordan),
                         trace_sign(c * M)) == want, (M, c)
 
+    @pytest.mark.parametrize("c", [1e308, 1.5e308, 2.0**-1074], ids=["1e308", "1.5e308", "tiny"])
+    def test_decisions_at_the_ends_of_the_float_range(self, c):
+        # the products AB, BA, the singular values and the trace of c M
+        # leave the float range, but not those of the unit-scaled operands
+        jordan = ThetaFamily.jordan().matrix()
+        assert (matrix_rank(c * jordan), commutes(c * jordan, jordan), trace_sign(c * jordan),
+                trace_sign(-c * np.eye(2))) == (2, True, 1, -1)
+        assert not commutes(c * jordan, np.diag([1.0, 0.5]))
+        assert matrix_rank(c * np.diag([1.0, 0.0])) == 1
+
     def test_thresholds(self):
         assert matrix_rank(np.diag([1.0, 2e-10])) == 2
         assert matrix_rank(np.diag([1.0, 1e-10])) == 1
