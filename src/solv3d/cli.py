@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, reach as reach_mod
 from .group import GroupElement, GroupVariant
-from .kernel2d import ThetaFamily
+from .kernel2d import ThetaFamily, unit_scaled, unscaled
 from .planar import ControlRange, PiecewiseControl, equilibrium, omega_hat
 from .system import (
     InvariantField,
@@ -313,9 +313,15 @@ _CSV_ROWS = 1024
 
 
 def _svg_polyline(points, box, color, width=1.2) -> str:
+    """A polyline through the points of the data box, dropping any point
+    whose canvas coordinates leave the float range."""
     (x0, x1), (y0, y1) = box
-    coords = " ".join(f"{(x - x0) / (x1 - x0) * _SVG_SIZE:.2f},"
-                      f"{_SVG_SIZE - (y - y0) / (y1 - y0) * _SVG_SIZE:.2f}" for x, y in points)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = (pts[:, 0] - x0) / (x1 - x0) * _SVG_SIZE
+        ys = _SVG_SIZE - (pts[:, 1] - y0) / (y1 - y0) * _SVG_SIZE
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs[keep].tolist(), ys[keep].tolist()))
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="{width}" '
         f'points="{coords}"/>'
@@ -323,9 +329,11 @@ def _svg_polyline(points, box, color, width=1.2) -> str:
 
 
 def _equilibrium_overlay(spec, box) -> str:
-    lo, hi = omega_hat(spec).component_of_zero
+    # the controls are spaced on the interval scaled by a power of two into
+    # [-1, 1], where hi - lo cannot overflow
+    (lo, hi), e = unit_scaled(omega_hat(spec).component_of_zero)
     pts = []
-    for u in np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 200):
+    for u in unscaled(np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 200), e):
         try:
             pts.append(equilibrium(spec, float(u)))
         except ValueError:

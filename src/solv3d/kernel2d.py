@@ -186,7 +186,9 @@ def arc(m00, m01, m10, m11, s):
     the largest k any of its members needs.  Scalar inputs stay Python
     floats throughout, with the array path's operations in the same order,
     so a scalar call pays no numpy overhead.  No inverse is formed, so the
-    result stays accurate at and near det M = 0.
+    result stays accurate at and near det M = 0.  A NaN, an infinity or a
+    norm of s M past 2^1020, which would take more than 1023 doublings,
+    raises ValueError.
     """
     r0, r1, a = abs(m00) + abs(m01), abs(m10) + abs(m11), abs(s)
     if isinstance(r0, _REAL) and isinstance(r1, _REAL) and isinstance(a, _REAL):
@@ -195,7 +197,7 @@ def arc(m00, m01, m10, m11, s):
     else:
         norm = float(np.max(a * np.maximum(r0, r1)))
     scaled = norm / _ARC_NORM
-    if not math.isfinite(scaled):
+    if not scaled <= 2.0**1023:  # NaN fails too
         raise ValueError(f"arc needs a finite s*M well inside the float range, got {norm}")
     k = max(0, math.ceil(math.log2(scaled))) if norm > 0.0 else 0
     h = s / 2**k

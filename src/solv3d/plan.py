@@ -543,23 +543,25 @@ def _staircase(gamma: float, alpha: float, c: float, stops, omega: ControlRange)
     t_dn, t_up = -np.pi / 4.0, np.pi / 4.0
     u_dn = _bang_for(-1.0, alpha, omega)
     u_up = _bang_for(+1.0, alpha, omega)
-    # (duration, x-displacement) of the three transitions
-    (s01, dx01), (s12, dx12), (s20, dx20) = [
-        (dt / (u * alpha), _transition_dx(gamma, c, t_from, t_from + dt, u * alpha))
-        for t_from, dt, u in ((0.0, t_dn - 0.0, u_dn), (t_dn, t_up - t_dn, u_up),
-                              (t_up, 0.0 - t_up, u_dn))
-    ]
-    landings = [p + dx01 for p in stops[:-1]]  # at the lower level
-    launches = [p - dx20 for p in stops[1:]]  # required at the upper level
-    # the rung sits this far below every landing: the x-travel at rate c while
-    # the bang control moves t by 1/2, so it scales with x and the dwells
-    # scale with the transitions
-    margin = 0.5 * c / abs(u_up * alpha)
-    z1 = min(min(landings), min(launches) - dx12) - margin
-    z2 = z1 + dx12
-    rate_dn = c * np.exp(gamma * t_dn) * np.sin(t_dn)  # < 0
-    rate_up = c * np.exp(gamma * t_up) * np.sin(t_up)  # > 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    # e^{gamma t} at the levels overflows for |gamma| past about 900, and so
+    # may every quantity below; _in_float_range rejects what did
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # (duration, x-displacement) of the three transitions
+        (s01, dx01), (s12, dx12), (s20, dx20) = [
+            (dt / (u * alpha), _transition_dx(gamma, c, t_from, t_from + dt, u * alpha))
+            for t_from, dt, u in ((0.0, t_dn - 0.0, u_dn), (t_dn, t_up - t_dn, u_up),
+                                  (t_up, 0.0 - t_up, u_dn))
+        ]
+        landings = [p + dx01 for p in stops[:-1]]  # at the lower level
+        launches = [p - dx20 for p in stops[1:]]  # required at the upper level
+        # the rung sits this far below every landing: the x-travel at rate c
+        # while the bang control moves t by 1/2, so it scales with x and the
+        # dwells scale with the transitions
+        margin = 0.5 * c / abs(u_up * alpha)
+        z1 = min(min(landings), min(launches) - dx12) - margin
+        z2 = z1 + dx12
+        rate_dn = c * np.exp(gamma * t_dn) * np.sin(t_dn)  # < 0
+        rate_up = c * np.exp(gamma * t_up) * np.sin(t_up)  # > 0
         dwells = [s for a, b in zip(landings, launches)
                   for s in ((z1 - a) / rate_dn, (b - z2) / rate_up)]
         total = sum(dwells) + (len(stops) - 1) * (s01 + s12 + s20)

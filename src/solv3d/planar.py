@@ -214,8 +214,14 @@ def _regular_a_of_u(spec: PlanarSpec, u: float) -> np.ndarray:
 
 
 def equilibrium(spec: PlanarSpec, u: float) -> np.ndarray:
-    """The rest point v(u) = -u * A(u)^{-1} eta of the constant-control field."""
-    return -u * np.linalg.solve(_regular_a_of_u(spec, u), spec.eta)
+    """The rest point v(u) = -u * A(u)^{-1} eta of the constant-control field.
+
+    Formed on the unit-scaled u, A(u) and eta and unscaled once (to inf or
+    0.0 past the float range), so v(0) = 0 even where A^{-1} eta overflows.
+    """
+    Au = _regular_a_of_u(spec, u)
+    (M, m), (n, e), (w, k) = unit_scaled(Au), unit_scaled(spec.eta), unit_scaled(u)
+    return unscaled(-w * np.linalg.solve(M, n), k + e - m)
 
 
 def equilibrium_derivative(spec: PlanarSpec, u: float) -> np.ndarray:
@@ -319,7 +325,10 @@ def classify_planar(spec: PlanarSpec) -> tuple[PlanarVerdict, dict]:
     negative means closed, a zero inside means the control set is the whole
     plane.  The interval holds no root of det A(u), so det A(u) has the sign
     of det A on it; DetSignError is raised at u = 0 when det A <= 0, a
-    saddle rest point.
+    saddle rest point.  Everything is evaluated on A 2^-e, with largest
+    entry in [1/2, 1), and the interval ends scaled by the same 2^-e; the
+    reported traces and zero are unscaled (to inf or 0.0 past the float
+    range).
     """
     lo, hi = omega_hat(spec).component_of_zero
     unit, e = unit_scaled(spec.A)
@@ -327,21 +336,22 @@ def classify_planar(spec: PlanarSpec) -> tuple[PlanarVerdict, dict]:
     if det <= 0.0:  # det A, rounded to the float range
         raise DetSignError(0.0, float(unscaled(det, 2 * e)))
 
-    tr_a = float(np.trace(spec.A))
+    lo_e, hi_e = unscaled([lo, hi], -e).tolist()
+    tr_a = float(np.trace(unit))
     tr_th = float(np.trace(spec.theta_matrix))
-    tr_lo = tr_a - lo * tr_th
-    tr_hi = tr_a - hi * tr_th
+    tr_lo = tr_a - lo_e * tr_th
+    tr_hi = tr_a - hi_e * tr_th
     cert = {
         "interval": (float(lo), float(hi)),
-        "trace_at_endpoints": (tr_lo, tr_hi),
+        "trace_at_endpoints": tuple(unscaled([tr_lo, tr_hi], e).tolist()),
         "interior_trace_zero": None,
     }
     if tr_th != 0.0:
         # where tr A(u) vanishes, in units of the interval
         u_zero = tr_a / tr_th
-        slack = ZERO_TOL * (hi - lo)
-        if lo - slack <= u_zero <= hi + slack:
-            cert["interior_trace_zero"] = float(u_zero)
+        slack = ZERO_TOL * (hi_e - lo_e)
+        if lo_e - slack <= u_zero <= hi_e + slack:
+            cert["interior_trace_zero"] = float(unscaled(u_zero, e))
             return PlanarVerdict.WHOLE_PLANE, cert
     elif trace_sign(spec.A) == 0:
         cert["interior_trace_zero"] = float(lo)

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .group import GroupVariant
-from .kernel2d import SPIRAL, arc, check_finite, trace_sign
+from .kernel2d import SPIRAL, arc, check_finite, trace_sign, unit_scaled, unscaled
 from .planar import (
     DetSignError,
     PlanarSpec,
@@ -119,7 +119,8 @@ class ReachGrid:
 
     def cell_of(self, v: np.ndarray) -> tuple[int, int] | None:
         """The cell holding v, or None outside the box (or for NaN)."""
-        fx, fy, inside = _cells(v[0], v[1], self.box, self.resolution)
+        # Python floats: a cell index past the float range is inf, with no warning
+        fx, fy, inside = _cells(float(v[0]), float(v[1]), self.box, self.resolution)
         return (int(fx), int(fy)) if inside else None
 
 
@@ -169,11 +170,14 @@ def _arc_table(spec: PlanarSpec, h: float) -> np.ndarray:
     LEVELS midpoints ``u_min + (u_max - u_min)(j + 1/2)/LEVELS``.
 
     One ``arc`` call covers every level, so each entry is the one a call on
-    the whole range gives.  A propagator that overflows holds inf or NaN and
-    its samples count as outside, like ``_mark``'s lanes.
+    the whole range gives.  The levels are spaced on the range scaled by a
+    power of two into [-1, 1], where ``hi - lo`` cannot overflow.  A
+    propagator that overflows holds inf or NaN and its samples count as
+    outside, like ``_mark``'s lanes.
     """
-    lo, hi = spec.omega.u_min, spec.omega.u_max
-    u = np.concatenate([[lo, 0.0, hi], lo + (hi - lo) * (np.arange(LEVELS) + 0.5) / LEVELS])
+    (lo, hi), e = unit_scaled([spec.omega.u_min, spec.omega.u_max])
+    mid = lo + (hi - lo) * (np.arange(LEVELS) + 0.5) / LEVELS
+    u = unscaled(np.concatenate([[lo, 0.0, hi], mid]), e)
     A, th, eta = spec.A, spec.theta_matrix, spec.eta
     with np.errstate(invalid="ignore", over="ignore"):
         (e00, e01, e10, e11), (w00, w01, w10, w11) = arc(
@@ -220,7 +224,8 @@ def _escape_radius(spec: PlanarSpec, sign: float, box) -> float:
     sym_a = 0.5 * (spec.A + spec.A.T)
     sym_th = 0.5 * (spec.theta_matrix + spec.theta_matrix.T)
     us = (spec.omega.u_min, spec.omega.u_max)
-    lam = min(np.linalg.eigvalsh(sign * (sym_a - u * sym_th))[0] for u in us)
+    # a Python float, whose quotient overflows to inf without a warning
+    lam = float(min(np.linalg.eigvalsh(sign * (sym_a - u * sym_th))[0] for u in us))
     if not lam > 0.0:
         return math.inf
     r_star = max(abs(u) for u in us) * math.hypot(*spec.eta) / lam
@@ -557,7 +562,8 @@ def classify(sys: SystemSpec) -> ClassificationReport:
         return report("rank-condition-failed", TAX_UNCLASSIFIED,
                       {"reason": "the accessibility rank condition does not hold"})
 
-    trace = {"trace": float(np.trace(sys.A))}
+    unit, e = unit_scaled(sys.A)
+    trace = {"trace": float(unscaled(np.trace(unit), e))}
     # the trace sign's verdict: open if positive, closed if negative, and
     # the whole group if zero
     sign = trace_sign(sys.A)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .group import GroupElement, GroupVariant, SIMPLY_CONNECTED
 from .kernel2d import (ThetaFamily, arc, arc_matrices, check_finite, commutes, expm_series,
-                       lambda_op, matrix_rank, rank_product)
+                       lambda_op, matrix_rank, rank_product, unit_scaled, unscaled)
 from .planar import ControlRange, PiecewiseControl, PlanarSpec, Trajectory
 
 __all__ = [
@@ -141,19 +141,39 @@ def field_values(g: GroupElement, u: float, sys: SystemSpec) -> tuple[float, np.
     return u * sys.alpha, sys.A @ g.v + lam @ sys.xi + u * (rho @ sys.eta)
 
 
+def _rank_products(sys: SystemSpec):
+    """The direction w = alpha*xi + A*eta and both products of the rank
+    condition, each with its decision: (w, (<A w, R w>, nonzero), (<theta w,
+    R w>, nonzero)).
+
+    The two terms of w are formed on unit-scaled factors and added on the
+    power-of-two scale of the larger nonzero one, and the products on the
+    unit-scaled w, A and theta, so nothing overflows on the way; w and the
+    products are unscaled once (to inf or 0.0 past the float range).
+    """
+    (a, ea), (x, ex) = unit_scaled(sys.alpha), unit_scaled(sys.xi)
+    (M, em), (n, en) = unit_scaled(sys.A), unit_scaled(sys.eta)
+    (p, ep), (q, eq) = unit_scaled(a * x), unit_scaled(M @ n)
+    ep, eq = ep + ea + ex, eq + em + en
+    k = max([e for t, e in ((p, ep), (q, eq)) if t.any()], default=0)
+    w, e = unit_scaled(unscaled(p, ep - k) + unscaled(q, eq - k))
+    (T, et), k = unit_scaled(sys.theta_matrix), k + e
+    (ap, a_sep), (tp, t_sep) = rank_product(M, w), rank_product(T, w)
+    return (unscaled(w, k), (float(unscaled(ap, em + 2 * k)), a_sep),
+            (float(unscaled(tp, et + 2 * k)), t_sep))
+
+
 def larc(sys: SystemSpec) -> RankCertificate:
     """Rank condition: alpha != 0 and alpha*xi + A*eta is not a common
     eigenvector of A and the structure matrix."""
-    w = sys.alpha * sys.xi + sys.A @ sys.eta
-    (ap, a_sep), (tp, t_sep) = rank_product(sys.A, w), rank_product(sys.theta_matrix, w)
+    w, (ap, a_sep), (tp, t_sep) = _rank_products(sys)
     return RankCertificate(sys.alpha != 0.0 and (a_sep or t_sep), sys.alpha, w, ap, tp)
 
 
 def adrank(sys: SystemSpec) -> RankCertificate:
     """Stronger rank condition: alpha != 0 and the direction is not an
     eigenvector of A alone."""
-    w = sys.alpha * sys.xi + sys.A @ sys.eta
-    (ap, a_sep), (tp, _) = rank_product(sys.A, w), rank_product(sys.theta_matrix, w)
+    w, (ap, a_sep), (tp, _) = _rank_products(sys)
     return RankCertificate(sys.alpha != 0.0 and a_sep, sys.alpha, w, ap, tp)
 
 
@@ -246,20 +266,23 @@ def conjugate_to_planar(sys: SystemSpec) -> PlanarReduction:
     v' = (A - u theta) v + u eta_hat / alpha, with eta_hat = eta + alpha A^{-1} xi
     the normalized input.  Its plane is the quotient of the group by the
     drift singularities, so the second planar coordinate of ``to_planar``
-    agrees with project_S when xi = 0.
+    agrees with project_S when xi = 0.  The input eta_hat / alpha is formed
+    as (a A^{-1} xi + eta 2^-e) / a with alpha = a 2^e, so it stays in the
+    float range where eta_hat leaves it.
     """
     if nilrank(sys) < 2:
         raise ValueError("planar reduction needs nilrank 2")
     if not larc(sys).holds:
         raise ValueError("planar reduction needs the rank condition (alpha != 0)")
-    normal, psi = normalize_xi(sys)
+    shift = np.linalg.solve(sys.A, sys.xi)  # the translation of ``normalize_xi``
+    a, e = unit_scaled(sys.alpha)
     planar = PlanarSpec(
         A=sys.A,
         theta=sys.theta,
-        eta=normal.eta / sys.alpha,
+        eta=(a * shift + unscaled(sys.eta, -e)) / a,
         omega=sys.omega.scaled(sys.alpha),
     )
-    return PlanarReduction(planar, sys, psi.delta)
+    return PlanarReduction(planar, sys, shift)
 
 
 # -- simulation --------------------------------------------------------------
@@ -314,9 +337,12 @@ def _rk4_arc(sys: SystemSpec, g: GroupElement, u: float, duration: float,
 
 
 def _arc_offsets(duration: float, n: int):
-    """Offsets duration*i/n, i = 1..n, as (first index, array) runs of at most _RUN."""
+    """Offsets duration*i/n, i = 1..n, as (first index, array) runs of at most
+    _RUN, formed on duration 2^-e in [1/2, 1), where duration*i cannot
+    overflow, and unscaled."""
+    d, e = unit_scaled(duration)
     for lo in range(0, n, _RUN):
-        yield lo, duration * np.arange(lo + 1, min(lo + _RUN, n) + 1) / n
+        yield lo, unscaled(d * np.arange(lo + 1, min(lo + _RUN, n) + 1) / n, e)
 
 
 def _group_arc(sys: SystemSpec, g: GroupElement, u: float, duration: float,
@@ -376,7 +402,10 @@ def simulate(
             raise ValueError(f"control value {u:g} outside the admissible range")
 
     arc_map = _group_arc if nilrank(sys) == 2 else _rk4_arc
-    counts = [int(n) for n in sample_counts(ctrl.durations, step)]
+    counts = sample_counts(ctrl.durations, step).tolist()
+    if math.inf in counts:
+        raise ValueError(f"the step {step!r} asks for more samples than a float can count")
+    counts = [int(n) for n in counts]
     times = np.empty(1 + sum(counts))
     states = np.empty((times.size, 3))
     times[0] = 0.0
@@ -385,13 +414,15 @@ def simulate(
     now = 0.0
     j = 1
     for i, ((duration, u), n) in enumerate(zip(ctrl.pairs(), counts)):
-        for lo, s in _arc_offsets(duration, n):
-            times[j + lo:j + lo + s.size] = now + s
         start = GroupElement(states[j - 1, 0], states[j - 1, 1:])
         # with the controls in range, an arc fails only by leaving the float
-        # range, which each path checks as it goes
+        # range, which its last sample time and each path check
         try:
             with np.errstate(over="ignore", invalid="ignore"):
+                for lo, s in _arc_offsets(duration, n):
+                    times[j + lo:j + lo + s.size] = now + s
+                if not math.isfinite(times[j + n - 1]):
+                    raise ValueError("sample times past the float range")
                 arc_map(sys, start, u, duration, states[j:j + n])
         except ValueError:
             raise ValueError(f"arc {i + 1} of {len(ctrl)} ({duration:g} time units at "

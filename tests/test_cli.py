@@ -952,6 +952,23 @@ class TestPlan:
                                "leave the float range\n")
         assert not out_dir.exists()
 
+    def test_staircase_levels_past_the_float_range(self, tmp_path):
+        # spiral(1000): e^{gamma t} at the levels +-pi/4 overflows; one error
+        # line and no numpy warning
+        spec = write_spec(tmp_path, dict(SPIRAL_CTRL_SPEC, theta={"family": "spiral",
+                                                                  "gamma": 1000.0}))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(solv3d.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "solv3d.cli", "plan", "staircase", spec, "--x=0", "--y=1",
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"),
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("Error: staircase: staircase stops (0.0, 1.0, 0.0) "
+                               "leave the float range\n")
+
     def test_staircase_needs_scaling_spiral(self, runner, tmp_path):
         # a rotation family, and a scaling spiral whose drift has rank 2: the
         # staircase's fiber equation x' = c e^{gamma t} sin t holds for neither
@@ -1177,3 +1194,71 @@ def test_trajectory_csv_rows_are_the_simulated_floats(runner, tmp_path, monkeypa
     got = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     assert len(got) == len(traj.times) + 1 > 250
     assert got == want
+
+
+# specs at the ends of the float range, each with the commands it once sent
+# to a numpy warning or a traceback; the canonical Open system has eta = (1, 0)
+_TOP = 2.0**1023
+_CANONICAL = dict(OPEN_SPEC, eta=[1.0, 0.0])
+_JORDAN_RANK_ZERO = dict(OPEN_SPEC, theta={"family": "jordan"}, A=[[0.0, 0.0], [0.0, 0.0]],
+                         xi=[1e308, 1e308])
+FLOAT_RANGE_SPECS = {
+    "time 2^1023": dict(_CANONICAL, A=[[_TOP, 0.0], [0.0, _TOP]], xi=[_TOP, 0.0],
+                        omega=[-_TOP / 2, _TOP / 2]),
+    "alpha 1e308": dict(_CANONICAL, alpha=1e308, eta=[1e308, 0.0]),
+    "A 1e308 I": dict(OPEN_SPEC, A=[[1e308, 0.0], [0.0, 1e308]]),
+    "A 5e307 I": dict(OPEN_SPEC, A=[[5e307, 0.0], [0.0, 5e307]]),
+    "A 1e-308 I": dict(OPEN_SPEC, A=[[1e-308, 0.0], [0.0, 1e-308]]),
+    "xi 1e308": dict(OPEN_SPEC, xi=[1e308, 1e308]),
+    "omega 1e308": dict(_CANONICAL, omega=[-1e308, 1e308]),
+    "jordan xi 1e308": _JORDAN_RANK_ZERO,
+    "spiral(1000)": dict(SPIRAL_CTRL_SPEC, theta={"family": "spiral", "gamma": 1000.0}),
+}
+_SMALL = ["--budget", "200", "--horizon", "4"]
+# (spec, command, exit code): 0 with the verdict or artifacts, 1 with one error line
+FLOAT_RANGE_RUNS = [
+    ("time 2^1023", ["classify", "--no-verify"], 0),
+    ("time 2^1023", ["classify", *_SMALL], 1),
+    ("time 2^1023", ["reach", *_SMALL], 1),
+    ("alpha 1e308", ["classify", "--no-verify"], 0),
+    ("alpha 1e308", ["reach", *_SMALL], 1),
+    ("alpha 1e308", ["simulate", "--step", "0.1", "--svg"], 0),
+    ("A 1e308 I", ["classify", "--no-verify"], 0),
+    ("A 1e308 I", ["classify", *_SMALL], 1),
+    ("A 5e307 I", ["reach", "--budget", "10"], 1),
+    ("A 1e-308 I", ["classify", *_SMALL], 0),
+    ("A 1e-308 I", ["reach", *_SMALL], 0),
+    ("xi 1e308", ["classify", *_SMALL], 0),
+    ("xi 1e308", ["reach", *_SMALL], 0),
+    ("omega 1e308", ["classify", *_SMALL], 1),
+    ("omega 1e308", ["simulate", "--step", "0.1", "--svg"], 0),
+    ("jordan xi 1e308", ["simulate", "--step", "1e307"], 1),
+    ("spiral(1000)", ["plan", "staircase"], 1),
+    ("spiral(1000)", ["classify", *_SMALL], 1),
+]
+# the one arc each simulate run takes: (duration, control)
+FLOAT_RANGE_ARCS = {"jordan xi 1e308": (1e308, 0.1)}
+
+
+@pytest.mark.parametrize("name, args, code", FLOAT_RANGE_RUNS,
+                         ids=[f"{n}: {' '.join(a)}" for n, a, _ in FLOAT_RANGE_RUNS])
+def test_float_range_runs_end_in_a_verdict_or_one_error_line(runner, tmp_path, name, args,
+                                                             code):
+    # this suite turns a numpy RuntimeWarning into an exception, which the
+    # runner would report here
+    spec = write_spec(tmp_path, FLOAT_RANGE_SPECS[name])
+    args = [args[0], spec, *args[1:]]
+    if args[0] == "simulate":
+        args += ["--control", write_ctrl(tmp_path, [FLOAT_RANGE_ARCS.get(name, (1.0, 0.3))])]
+    out_dir = tmp_path / "out"
+    out = runner.invoke(main, [*args, "--out-dir", str(out_dir)])
+    assert out.exception is None or isinstance(out.exception, SystemExit), out.exc_info
+    assert out.exit_code == code, out.output
+    if code == 1:
+        assert out.stdout == "" and len(out.stderr.splitlines()) == 1, out.output
+        assert out.stderr.startswith("Error:"), out.output
+    else:
+        assert out.stderr == "", out.output
+        for svg in out_dir.glob("*.svg"):
+            text = svg.read_text()
+            assert "inf" not in text and "nan" not in text, svg.name

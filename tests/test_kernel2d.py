@@ -242,6 +242,24 @@ class TestArc:
                     assert isinstance(x, float)
                     assert np.array_equal(col, np.full(3, x))
 
+    @pytest.mark.parametrize("args", [
+        (1.5e307, 0.0, 0.0, 1.5e307, 1.0),
+        (1.0, 0.0, 0.0, 0.0, 1.5e307),
+        (-math.nextafter(2.0**1020, math.inf), 0.0, 0.0, 0.0, 1.0),
+    ], ids=["M", "s", "just past 2^1020"])
+    def test_more_than_1023_doublings_is_a_value_error(self, args):
+        # |s| * max row sum past 2^1020 would take 1024 doublings, and 2**1024
+        # is past the float range
+        for batch in (args, [np.full(3, a) for a in args]):
+            with pytest.raises(ValueError, match="well inside the float range"):
+                arc(*batch)
+
+    def test_1023_doublings_still_run(self):
+        # |s M| = 2^1020 exactly: e^{sM} underflows to 0 and W = 2^-1020
+        (e00, _, _, e11), (w00, _, _, w11) = arc(-2.0**1020, 0.0, 0.0, 0.0, 1.0)
+        assert (e00, e11, w11) == (0.0, 1.0, 1.0)
+        assert abs(w00 / 2.0**-1020 - 1.0) < 1e-14
+
     @settings(max_examples=200)
     @given(m=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
            s1=st.floats(-3.0, 3.0), s2=st.floats(-3.0, 3.0))

@@ -340,6 +340,14 @@ class TestStaircase:
             staircase(1.0, 1.0, c, x, y, ControlRange(-1, 1))
         assert str(err.value) == f"staircase stops {(x, y, x)} leave the float range"
 
+    @pytest.mark.parametrize("gamma", [903.0, 1000.0, -1000.0, 1e300])
+    @pytest.mark.parametrize("planner", [staircase, half_staircase], ids=["loop", "half"])
+    def test_levels_past_the_float_range(self, planner, gamma):
+        # e^{gamma t} at the levels +-pi/4 overflows, and with it the
+        # transitions and the dwell rates: one ValueError, no numpy warning
+        with pytest.raises(ValueError, match="leave the float range"):
+            planner(gamma, 1.0, 1.0, 0.0, 1.0, ControlRange(-1, 1))
+
     def test_stops_near_the_float_range_still_plan(self):
         res = staircase(1.0, 1.0, 2.0, 1e300, 0.0, ControlRange(-1, 1))
         assert res.error < 1e-13

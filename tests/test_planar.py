@@ -109,6 +109,27 @@ class TestEquilibrium:
             fd = (equilibrium(sp, u + h) - equilibrium(sp, u - h)) / (2 * h)
             assert np.max(np.abs(fd - equilibrium_derivative(sp, u))) < 1e-6
 
+    def test_matches_the_unscaled_formula_bit_for_bit(self):
+        # solved on unit-scaled u, A(u) and eta, and unscaled once: in the
+        # float range the bits of -u A(u)^{-1} eta formed directly
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            c, (a, b) = 2.0 ** rng.integers(-60, 61), rng.normal(size=2)
+            sp = spec_spiral(A=c * (a * np.eye(2) + b * ThetaFamily.spiral(0.0).matrix()),
+                             eta=c * rng.normal(size=2), omega=(-c, c))
+            u = float(c * rng.uniform(-1.0, 1.0))
+            want = -u * np.linalg.solve(a_of_u(sp, u), sp.eta)
+            assert equilibrium(sp, u).tobytes() == want.tobytes()
+
+    def test_rest_point_where_the_inverse_overflows(self):
+        # A = e I with e = 1e-308 and eta = (1e308, 0): A^{-1} eta overflows,
+        # yet v(0) = 0, and v(u) = -(e I + u R) eta / u to rounding for
+        # |u| >> e, with no numpy warning
+        sp = PlanarSpec(1e-308 * np.eye(2), ThetaFamily.spiral(0.0), [1e308, 0.0],
+                        ControlRange(-0.5, 0.5))
+        assert not np.any(equilibrium(sp, 0.0))
+        np.testing.assert_allclose(equilibrium(sp, 0.3), [-1.0 / 0.3, -1e308], rtol=1e-15)
+
     def test_singular_control_rejected(self):
         sp = PlanarSpec(np.eye(2), ThetaFamily.diagonal(1.0), [1.0, 0.0],
                         ControlRange(-2, 2))

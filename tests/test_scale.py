@@ -109,6 +109,47 @@ def test_rank_condition_beyond_the_product_range(k):
             assert got.theta_product == np.ldexp(want.theta_product, 2 * k)
 
 
+@pytest.mark.parametrize("c, eta", [(1e308, [0.0, 0.0]), (2.0**1023, [1.0, 0.0])],
+                         ids=["A = 1e308 I", "time 2^1023"])
+def test_open_verdict_at_the_top_of_the_float_range(c, eta):
+    # the trace of A, alpha xi + A eta and tr A(u) at the interval ends
+    # overflow; the verdict, interval and trace zero are the ones at c = 1,
+    # with no RuntimeWarning, and the traces read inf
+    def spec(k):
+        return SystemSpec(ThetaFamily.spiral(0.0), LinearField(k * np.eye(2), [k, 0.0]),
+                          InvariantField(1.0, eta), ControlRange(-0.5 * k, 0.5 * k))
+
+    base = classify(spec(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = classify(spec(c))
+    assert (rep.taxonomy, rep.rule) == (base.taxonomy, base.rule) == (
+        "UniqueControlSetOpen", "nilrank2/planar-cylinder")
+    assert rep.details["planar_verdict"] == "Open"
+    assert rep.details["interval"] == tuple(c * x for x in base.details["interval"])
+    assert rep.details["trace_at_endpoints"] == (np.inf, np.inf)
+    assert rep.details["interior_trace_zero"] is None
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000, 1022])
+def test_trace_zero_scales_with_the_system(k):
+    # tr A(u) = 0.2 - u vanishes inside the control range: the planar
+    # certificate's interval, traces and zero are the ones at k = 0 times 2^k
+    theta = ThetaFamily.spiral(0.5)
+
+    def spec(c):
+        A = c * (0.4 * theta.matrix() - 0.1 * np.eye(2))
+        return SystemSpec(theta, LinearField(A, [c, 0.0]), InvariantField(1.0, [0.0, 1.0]),
+                          ControlRange(-0.5 * c, 0.5 * c))
+
+    base = classify(spec(1.0)).details
+    got = classify(spec(2.0**k)).details
+    assert base["planar_verdict"] == got["planar_verdict"] == "WholePlane"
+    for key in ("interval", "trace_at_endpoints"):
+        assert got[key] == tuple(2.0**k * x for x in base[key]), key
+    assert got["interior_trace_zero"] == 2.0**k * base["interior_trace_zero"]
+
+
 @pytest.mark.parametrize("theta", [ThetaFamily.diagonal(0.5), ThetaFamily.jordan()],
                          ids=["diagonal", "jordan"])
 def test_rank_zero_plane_family_verifies_at_every_scale(theta):

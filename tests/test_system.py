@@ -153,6 +153,34 @@ class TestRankConditions:
             if adrank(sys).holds:
                 assert larc(sys).holds
 
+    # the canonical Open system (spiral(0), A = I, xi = eta = (1, 0)) with
+    # time rescaled by 2^1023, and with alpha and eta at 1e308: alpha xi + A
+    # eta overflows, but its direction decides the rank condition
+    TOP = {
+        "time 2^1023": make(ThetaFamily.spiral(0.0), 2.0**1023 * np.eye(2), [2.0**1023, 0.0],
+                            1.0, [1.0, 0.0], ControlRange(-2.0**1022, 2.0**1022)),
+        "alpha 1e308": make(ThetaFamily.spiral(0.0), np.eye(2), [1.0, 0.0], 1e308,
+                            [1e308, 0.0], ControlRange(-0.5, 0.5)),
+    }
+
+    @pytest.mark.parametrize("name", TOP)
+    def test_direction_past_the_float_range(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert, ad = larc(self.TOP[name]), adrank(self.TOP[name])
+        assert cert.holds and not ad.holds  # A = c I separates no direction
+        for c in (cert, ad):
+            assert c.direction.tolist() == [np.inf, 0.0]
+            assert (c.a_product, c.theta_product) == (0.0, np.inf)
+
+    def test_small_term_of_the_direction_survives_a_large_one(self):
+        # A eta vanishes while A is 2^900: xi alone sets the direction's scale
+        sys = make(ThetaFamily.diagonal(1.0), 2.0**900 * np.array([[1.0, 1.0], [1.0, 1.0]]),
+                   [2.0**-200, 3 * 2.0**-200], 1.0, [1.0, -1.0])
+        cert = larc(sys)
+        assert cert.direction.tolist() == [2.0**-200, 3 * 2.0**-200]
+        assert cert.a_product == -2.0**503 and cert.holds
+
     def test_nilrank_one_equivalence(self):
         # at rank-1 drift the two rank conditions agree
         rng = np.random.default_rng(14)
@@ -336,6 +364,22 @@ class TestSimulate:
                          step=1.0)
         assert str(exc.value) == (f"arc 2 of 2 ({long:g} time units at control 0.2) "
                                   "leaves the float range")
+
+    def test_uncountable_samples_are_a_value_error(self):
+        sys = spiral_system()
+        with pytest.raises(ValueError, match="more samples than a float can count"):
+            simulate(GroupElement(0.0, [0, 0]), PiecewiseControl.from_pairs([(1e10, 0.1)]), sys,
+                     step=1e-300)
+
+    @pytest.mark.parametrize("A", [np.zeros((2, 2)), -np.eye(2)], ids=["rk4", "exact"])
+    def test_sample_times_of_an_arc_near_the_float_range(self, A):
+        # duration * 2 overflows, the sample times duration / 2 and duration
+        # do not; at control 0 the state stays at rest at the origin
+        sys = make(ThetaFamily.diagonal(0.5), A, [0.0, 0.0], 1.0, [0.0, 0.0])
+        traj = simulate(GroupElement(0.0, [0, 0]), PiecewiseControl.from_pairs([(1e308, 0.0)]),
+                        sys, step=5e307)
+        assert traj.times.tolist() == [0.0, 5e307, 1e308]
+        assert not np.any(traj.states)
 
     def test_exact_path_matches_rk4(self):
         # the closed-form arc and the generic integrator agree
