@@ -70,7 +70,11 @@ def unit_scaled(a) -> tuple[np.ndarray, int]:
     Products formed on the scaled entries neither overflow nor underflow,
     and a power of two scales every step exactly, so a result scaled back
     once at the end is the unscaled one wherever that is in the float range.
+    A float stays a Python float, with no numpy call.
     """
+    if isinstance(a, float):
+        e = math.frexp(a)[1]
+        return math.ldexp(a, -e), e
     e = math.frexp(_size(a))[1]
     return np.ldexp(a, -e), e
 
