@@ -64,7 +64,7 @@ def _size(M) -> float:
     return float(np.max(np.abs(M)))
 
 
-def unit_scaled(a) -> tuple[np.ndarray, int]:
+def unit_scaled(a) -> tuple[np.ndarray | float, int]:
     """(a 2^-e, e) with the largest |entry| of a 2^-e in [1/2, 1) (e = 0 for a = 0).
 
     Products formed on the scaled entries neither overflow nor underflow,
