@@ -64,17 +64,13 @@ def _size(M) -> float:
     return float(np.max(np.abs(M)))
 
 
-def unit_scaled(a) -> tuple[np.ndarray | float, int]:
+def unit_scaled(a) -> tuple[np.ndarray, int]:
     """(a 2^-e, e) with the largest |entry| of a 2^-e in [1/2, 1) (e = 0 for a = 0).
 
     Products formed on the scaled entries neither overflow nor underflow,
     and a power of two scales every step exactly, so a result scaled back
     once at the end is the unscaled one wherever that is in the float range.
-    A float stays a Python float, with no numpy call.
     """
-    if isinstance(a, float):
-        e = math.frexp(a)[1]
-        return math.ldexp(a, -e), e
     e = math.frexp(_size(a))[1]
     return np.ldexp(a, -e), e
 

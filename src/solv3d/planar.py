@@ -325,10 +325,12 @@ def classify_planar(spec: PlanarSpec) -> tuple[PlanarVerdict, dict]:
     negative means closed, a zero inside means the control set is the whole
     plane.  The interval holds no root of det A(u), so det A(u) has the sign
     of det A on it; DetSignError is raised at u = 0 when det A <= 0, a
-    saddle rest point.  Everything is evaluated on A 2^-e, with largest
-    entry in [1/2, 1), and the interval ends scaled by the same 2^-e; the
-    reported traces and zero are unscaled (to inf or 0.0 past the float
-    range).
+    saddle rest point.  det A is read on A 2^-e, with largest entry in
+    [1/2, 1).  tr A(u) is evaluated on A and the interval ends scaled by one
+    power of two 2^-k: A's own 2^-e, unless an end would pass 2^1000 on it,
+    when k rises until none does (with tr theta = 0, tr A(u) is tr A and k is
+    e).  The reported traces are unscaled from 2^-k and the zero from 2^-e
+    (to inf or 0.0 past the float range).
     """
     lo, hi = omega_hat(spec).component_of_zero
     unit, e = unit_scaled(spec.A)
@@ -336,22 +338,24 @@ def classify_planar(spec: PlanarSpec) -> tuple[PlanarVerdict, dict]:
     if det <= 0.0:  # det A, rounded to the float range
         raise DetSignError(0.0, float(unscaled(det, 2 * e)))
 
-    lo_e, hi_e = unscaled([lo, hi], -e).tolist()
-    tr_a = float(np.trace(unit))
     tr_th = float(np.trace(spec.theta_matrix))
-    tr_lo = tr_a - lo_e * tr_th
-    tr_hi = tr_a - hi_e * tr_th
+    ends, f = unit_scaled([lo, hi])
+    k = max(e, f - 1000) if tr_th != 0.0 else e
+    tr_e = float(np.trace(unit))
+    tr_a = float(unscaled(tr_e, e - k))
+    lo_k, hi_k = unscaled(ends, f - k).tolist()
+    tr_lo, tr_hi = (tr_a - lo_k * tr_th, tr_a - hi_k * tr_th) if tr_th != 0.0 else (tr_a, tr_a)
     cert = {
         "interval": (float(lo), float(hi)),
-        "trace_at_endpoints": tuple(unscaled([tr_lo, tr_hi], e).tolist()),
+        "trace_at_endpoints": tuple(unscaled([tr_lo, tr_hi], k).tolist()),
         "interior_trace_zero": None,
     }
     if tr_th != 0.0:
         # where tr A(u) vanishes, in units of the interval
         u_zero = tr_a / tr_th
-        slack = ZERO_TOL * (hi_e - lo_e)
-        if lo_e - slack <= u_zero <= hi_e + slack:
-            cert["interior_trace_zero"] = float(unscaled(u_zero, e))
+        slack = ZERO_TOL * (hi_k - lo_k)
+        if lo_k - slack <= u_zero <= hi_k + slack:
+            cert["interior_trace_zero"] = float(unscaled(tr_e / tr_th, e))
             return PlanarVerdict.WHOLE_PLANE, cert
     elif trace_sign(spec.A) == 0:
         cert["interior_trace_zero"] = float(lo)

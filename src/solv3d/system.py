@@ -266,23 +266,23 @@ def conjugate_to_planar(sys: SystemSpec) -> PlanarReduction:
     v' = (A - u theta) v + u eta_hat / alpha, with eta_hat = eta + alpha A^{-1} xi
     the normalized input.  Its plane is the quotient of the group by the
     drift singularities, so the second planar coordinate of ``to_planar``
-    agrees with project_S when xi = 0.  The input eta_hat / alpha is formed
-    as (a A^{-1} xi + eta 2^-e) / a with alpha = a 2^e, so it stays in the
-    float range where eta_hat leaves it.
+    agrees with project_S when xi = 0.  ``normalize_xi`` runs on the input
+    (a, eta 2^-e) with alpha = a 2^e, so its input is eta_hat 2^-e, and
+    eta_hat / alpha stays in the float range where eta_hat leaves it.
     """
     if nilrank(sys) < 2:
         raise ValueError("planar reduction needs nilrank 2")
     if not larc(sys).holds:
         raise ValueError("planar reduction needs the rank condition (alpha != 0)")
-    shift = np.linalg.solve(sys.A, sys.xi)  # the translation of ``normalize_xi``
     a, e = unit_scaled(sys.alpha)
+    normal, psi = normalize_xi(replace(sys, input=InvariantField(a, unscaled(sys.eta, -e))))
     planar = PlanarSpec(
         A=sys.A,
         theta=sys.theta,
-        eta=(a * shift + unscaled(sys.eta, -e)) / a,
+        eta=normal.eta / a,
         omega=sys.omega.scaled(sys.alpha),
     )
-    return PlanarReduction(planar, sys, shift)
+    return PlanarReduction(planar, sys, psi.delta)
 
 
 # -- simulation --------------------------------------------------------------
@@ -337,12 +337,9 @@ def _rk4_arc(sys: SystemSpec, g: GroupElement, u: float, duration: float,
 
 
 def _arc_offsets(duration: float, n: int):
-    """Offsets duration*i/n, i = 1..n, as (first index, array) runs of at most
-    _RUN, formed on duration 2^-e in [1/2, 1), where duration*i cannot
-    overflow, and unscaled."""
-    d, e = unit_scaled(duration)
+    """Offsets duration*i/n, i = 1..n, as (first index, array) runs of at most _RUN."""
     for lo in range(0, n, _RUN):
-        yield lo, unscaled(d * np.arange(lo + 1, min(lo + _RUN, n) + 1) / n, e)
+        yield lo, duration * np.arange(lo + 1, min(lo + _RUN, n) + 1) / n
 
 
 def _group_arc(sys: SystemSpec, g: GroupElement, u: float, duration: float,

@@ -334,13 +334,6 @@ class TestScale:
         assert 0.5 <= np.max(np.abs(x)) < 1.0 or np.all(x == 0.0)
         assert np.array_equal(kernel2d.unscaled(x, e), a)
 
-    @pytest.mark.parametrize("x", [3.0, -0.1, 0.0, -0.0, 1.7e308, 5e-324, np.float64(-6.5)])
-    def test_a_float_stays_a_python_float(self, x):
-        got, e = kernel2d.unit_scaled(x)
-        want, e_array = kernel2d.unit_scaled(np.asarray(x))
-        assert type(got) is float and e == e_array
-        assert np.asarray(got).tobytes() == want.tobytes()
-
     def test_unscaled_rounds_past_the_float_range_without_a_warning(self):
         # the suite turns a RuntimeWarning into an error
         assert kernel2d.unscaled(0.75, 1024) == 0.75 * 2.0**1023 * 2.0

@@ -150,6 +150,24 @@ def test_trace_zero_scales_with_the_system(k):
     assert got["interior_trace_zero"] == 2.0**k * base["interior_trace_zero"]
 
 
+@pytest.mark.parametrize("gamma, verdict", [(0.0, "Open"), (0.5, "WholePlane")],
+                         ids=["spiral(0)", "spiral(0.5)"])
+@pytest.mark.parametrize("c, w", [(1.0, 2.0), (1e-308, 2.0), (1e-300, 1e9), (1e-308, 1e308)])
+def test_small_drift_against_a_wide_control_range(gamma, verdict, c, w):
+    # A = c I lies 2^1000 or more below the ends of omega = (-w, w), past
+    # 2^1023 on A's own scale; tr A(u) = 2c - 2 gamma u, and the verdict,
+    # traces and zero are the ones at c = 1, w = 2, formed in plain floats
+    spec = SystemSpec(ThetaFamily.spiral(gamma), LinearField(c * np.eye(2), [1.0, 0.0]),
+                      InvariantField(1.0, [0.0, 0.0]), ControlRange(-w, w))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = classify(spec).details
+    tr, tr_th = 2.0 * c, 2.0 * gamma
+    assert got["planar_verdict"] == verdict
+    assert got["trace_at_endpoints"] == (tr + w * tr_th, tr - w * tr_th)
+    assert got["interior_trace_zero"] == (tr / tr_th if gamma else None)
+
+
 @pytest.mark.parametrize("theta", [ThetaFamily.diagonal(0.5), ThetaFamily.jordan()],
                          ids=["diagonal", "jordan"])
 def test_rank_zero_plane_family_verifies_at_every_scale(theta):

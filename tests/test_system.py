@@ -371,16 +371,6 @@ class TestSimulate:
             simulate(GroupElement(0.0, [0, 0]), PiecewiseControl.from_pairs([(1e10, 0.1)]), sys,
                      step=1e-300)
 
-    @pytest.mark.parametrize("A", [np.zeros((2, 2)), -np.eye(2)], ids=["rk4", "exact"])
-    def test_sample_times_of_an_arc_near_the_float_range(self, A):
-        # duration * 2 overflows, the sample times duration / 2 and duration
-        # do not; at control 0 the state stays at rest at the origin
-        sys = make(ThetaFamily.diagonal(0.5), A, [0.0, 0.0], 1.0, [0.0, 0.0])
-        traj = simulate(GroupElement(0.0, [0, 0]), PiecewiseControl.from_pairs([(1e308, 0.0)]),
-                        sys, step=5e307)
-        assert traj.times.tolist() == [0.0, 5e307, 1e308]
-        assert not np.any(traj.states)
-
     def test_exact_path_matches_rk4(self):
         # the closed-form arc and the generic integrator agree
         sys = spiral_system()
