@@ -328,27 +328,33 @@ def _svg_polyline(points, box, color, width=1.2) -> str:
     )
 
 
-def _equilibrium_overlay(spec, box) -> str:
+def _equilibrium_overlay(spec, box, e=0) -> str:
+    """The rest-point curve on the data box ``box`` in units of 2^e."""
     # the controls are spaced on the interval scaled by a power of two into
     # [-1, 1], where hi - lo cannot overflow
-    (lo, hi), e = unit_scaled(omega_hat(spec).component_of_zero)
+    (lo, hi), f = unit_scaled(omega_hat(spec).component_of_zero)
     pts = []
-    for u in unscaled(np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 200), e):
+    for u in unscaled(np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 200), f):
         try:
             pts.append(equilibrium(spec, float(u)))
         except ValueError:
             continue  # no well-conditioned rest point this close to a double root
-    return _svg_polyline(pts, box, "#cc3333", width=2.0)
+    return _svg_polyline(unscaled(pts, -e), box, "#cc3333", width=2.0)
 
 
-def write_svg(path: str, elements: list[str], box) -> None:
-    (x0, x1), (y0, y1) = box
+def write_svg(path: str, elements: list[str], box, e=0) -> None:
+    """An SVG of the elements, drawn on the data box ``box`` in units of 2^e.
+    Its comment gives the box in data units where they stay in the float
+    range, else in units of 2^e."""
+    data = unscaled(box, e).tolist() if e else box
+    scale = "" if np.isfinite(data).all() else f" (units of 2^{e})"
+    (x0, x1), (y0, y1) = box if scale else data
     size = _SVG_SIZE
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
-        f"<!-- data box x:[{x0},{x1}] y:[{y0},{y1}] -->",
+        f"<!-- data box x:[{x0},{x1}] y:[{y0},{y1}]{scale} -->",
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(head + elements + ["</svg>"]) + "\n")
@@ -506,8 +512,12 @@ def cmd_simulate(spec_path, control_path, start, step, svg, out_dir):
     click.echo(f"wrote {csv_path} ({len(traj.times)} samples)")
 
     if svg:
-        pts = traj.states[:, 1:]
-        pad = 0.1 * max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), 1.0)
+        # the box and every element are drawn in units of 2^e, where the
+        # states lie in [-1, 1] and no span or pad overflows; a power of two
+        # scales exactly, so in-range states draw as in data units
+        e = max(unit_scaled(traj.states[:, 1:])[1], 0)
+        pts = unscaled(traj.states[:, 1:], -e)
+        pad = 0.1 * max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]), unscaled(1.0, -e))
         box = (
             (float(pts[:, 0].min() - pad), float(pts[:, 0].max() + pad)),
             (float(pts[:, 1].min() - pad), float(pts[:, 1].max() + pad)),
@@ -518,9 +528,9 @@ def cmd_simulate(spec_path, control_path, start, step, svg, out_dir):
         except ValueError:
             pass  # no planar reduction, so no rest-point curve
         else:
-            elements.append(_equilibrium_overlay(planar, box))
+            elements.append(_equilibrium_overlay(planar, box, e))
         svg_path = os.path.join(out_dir, "trajectory.svg")
-        write_svg(svg_path, elements, box)
+        write_svg(svg_path, elements, box, e)
         click.echo(f"wrote {svg_path}")
 
 

@@ -7,13 +7,13 @@ are repeated applications of one such map from ``kernel2d.arc``.  The
 controls take LEVELS + 3 values (the bang levels and evenly spaced
 midpoints), so one ``arc`` call per direction and arc length tabulates
 every map.  Each trajectory's level is one lookup of its random draw, and
-its row one ``np.take`` gather.  Every sample then marks its cell with one
-cast and one flat scatter over the batch, the lanes outside the box
-repeating the cell of a lane inside.  Where the sign of ``sym(A(u))``
-certifies that |v| grows under every control beyond some radius
-(``_escape_radius``), a trajectory past that radius never returns to the
-box; it is dropped from the batch at the next arc, and its remaining
-samples are counted as escaped instead of computed.
+its row one ``np.take`` gather.  Every sample then marks its cells in
+place, in scratch arrays the batch allocates once, with one cast and one
+flat scatter, lanes outside the box repeating a cell inside.  Where the
+sign of ``sym(A(u))`` certifies that |v| grows under every control beyond
+some radius (``_escape_radius``), a trajectory past that radius never
+returns to the box; it is dropped from the batch at the next arc, and its
+remaining samples are counted as escaped instead of computed.
 Forward and backward occupancies combine into a control-set estimate.
 ``classify`` picks one rule of the table ``RULES`` by the rank condition,
 the group variant, the drift rank and the trace sign; the rule's row gives
@@ -119,8 +119,8 @@ class ReachGrid:
 
     def cell_of(self, v: np.ndarray) -> tuple[int, int] | None:
         """The cell holding v, or None outside the box (or for NaN)."""
-        # Python floats: a cell index past the float range is inf, with no warning
-        fx, fy, inside = _cells(float(v[0]), float(v[1]), self.box, self.resolution)
+        with np.errstate(over="ignore"):  # a cell index past the float range is inf
+            fx, fy, inside = _cells(float(v[0]), float(v[1]), self.box, self.resolution)
         return (int(fx), int(fy)) if inside else None
 
 
@@ -132,36 +132,42 @@ class ControlSetEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _cells(x: np.ndarray, y: np.ndarray, box, res: int):
-    """Cell coordinates of the points (x, y), as floats, and the mask of
-    those inside the box (False for NaN)."""
-    (x0, x1), (y0, y1) = box
-    fx = np.floor((x - x0) / (x1 - x0) * res)
-    fy = np.floor((y - y0) / (y1 - y0) * res)
-    return fx, fy, (fx >= 0) & (fx < res) & (fy >= 0) & (fy < res)
+def _cells(x, y, box, res: int, out=(None,) * 5):
+    """Cell coordinates ``floor((x - x0) / (x1 - x0) * res)`` (and in y) of the
+    points (x, y), as floats, and the mask ``min >= 0`` and ``max < res`` of
+    those inside the box (False for NaN).  Every pass writes in place into
+    ``out``: float arrays fx, fy, m and bool arrays ok, t, or None to allocate."""
+    fx, fy = (np.floor(np.multiply(np.divide(np.subtract(v, lo, out=f), hi - lo, out=f), res,
+                                   out=f), out=f) for v, (lo, hi), f in zip((x, y), box, out))
+    ok = np.greater_equal(np.minimum(fx, fy, out=out[2]), 0.0, out=out[3])
+    ok &= np.less(np.maximum(fx, fy, out=out[2]), res, out=out[4])
+    return fx, fy, ok
 
 
-def _mark(bitmap: np.ndarray, x: np.ndarray, y: np.ndarray, box, res: int) -> int:
+def _mark(bitmap: np.ndarray, x, y, box, res: int, out=(None,) * 5) -> int:
     """Set the cells hit by the points (x, y); return how many fell inside the box.
 
     ``bitmap`` must be C-contiguous: the cells are set through its flat view,
     at ``ix * res + iy``, which float64 holds exactly for ``res <= 4096``.
-    Points outside the box, infinite or NaN mark nothing and are never cast:
-    their lanes take the cell of the first point inside, so one cast and one
-    scatter cover every lane.
+    Every pass writes into ``_cells``' scratch arrays ``out``, so a batch
+    allocates them once.  Points outside the box, infinite or NaN mark
+    nothing and are never cast: if there are any, their lanes take the cell
+    of the first point inside, so one cast and one scatter cover every lane.
     """
     if not bitmap.flags.c_contiguous:
         raise ValueError("the bitmap must be C-contiguous")
-    fx, fy, ok = _cells(x, y, box, res)
-    if not ok.any():
-        return 0
     # lanes outside the box may overflow or meet opposite infinities; they
     # are overwritten before the cast
     with np.errstate(invalid="ignore", over="ignore"):
-        flat = fx * res + fy
-    flat[~ok] = flat[np.argmax(ok)]
-    bitmap.reshape(-1)[flat.astype(np.intp)] = True
-    return int(np.count_nonzero(ok))
+        fx, fy, ok = _cells(x, y, box, res, out)
+        inside = int(np.count_nonzero(ok))
+        if not inside:
+            return 0
+        np.add(np.multiply(fx, res, out=fx), fy, out=fx)
+    if inside < ok.size:
+        np.copyto(fx, fx[np.argmax(ok)], where=np.logical_not(ok, out=out[4]))
+    bitmap.reshape(-1)[fx.astype(np.intp)] = True
+    return inside
 
 
 def _arc_table(spec: PlanarSpec, h: float) -> np.ndarray:
@@ -260,7 +266,8 @@ def _sample_direction(
     x = np.full(n, float(v0[0]))
     y = np.full(n, float(v0[1]))
     lanes = np.arange(n)
-    inside = _mark(bitmap, x, y, box, res)
+    scratch = out = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, bool), np.empty(n, bool))
+    inside = _mark(bitmap, x, y, box, res, out)
     escaped = 0
     for i, table in enumerate(tables):
         draws = _draw_levels(rng, n)
@@ -272,6 +279,7 @@ def _sample_direction(
                 if not keep.size:
                     break
                 lanes, x, y = lanes[keep], x[keep], y[keep]
+                out = tuple(a[:keep.size] for a in scratch)
         if lanes.size < n:
             draws = draws[lanes]
         e00, e01, e10, e11, cx, cy = np.take(table, draws, axis=1)
@@ -290,7 +298,7 @@ def _sample_direction(
                 y += t
                 y += cy
                 x, new_x = new_x, x
-                inside += _mark(bitmap, x, y, box, res)
+                inside += _mark(bitmap, x, y, box, res, out)
     return inside, escaped
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -279,6 +280,24 @@ class TestSimulate:
         assert "polyline" in svg
         for word in ("date", "time", "2026"):
             assert word not in svg
+
+    def test_svg_of_states_spanning_past_the_float_range(self, runner, tmp_path):
+        # the states run from 0 up to 1.6e308 and down to -1.6e308, a span no
+        # float holds: the data box and every element are drawn in units of a
+        # power of two
+        spec = write_spec(tmp_path, dict(OPEN_SPEC, theta={"family": "diagonal", "gamma": 0.0},
+                                         A=[[0.0, 0.0], [0.0, 0.0]], xi=[0.0, 0.0],
+                                         eta=[0.0, 2e307], omega=[-1.0, 1.0]))
+        ctrl = write_ctrl(tmp_path, [(8.0, 1.0), (16.0, -1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = runner.invoke(main, ["simulate", spec, "--control", ctrl, "--step", "0.5",
+                                       "--out-dir", str(tmp_path), "--svg"])
+        assert out.exit_code == 0, out.output
+        svg = (tmp_path / "trajectory.svg").read_text()
+        assert "inf" not in svg and "nan" not in svg
+        points = re.search(r'stroke="#225599"[^>]*points="([^"]*)"', svg).group(1).split()
+        assert len(points) == 49
 
     def test_svg_without_planar_reduction_has_no_rest_points(self, runner, tmp_path):
         # a nilrank-1 drift has no planar reduction, so the portrait holds the

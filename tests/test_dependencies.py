@@ -13,7 +13,9 @@ both uses live beside it.  No module asserts: the CLI turns only
 ``assert`` or an ``AssertionError`` would end in a traceback.  Only
 ``cli.dump_json`` writes JSON, so every report is strict RFC 8259 JSON.
 Only ``kernel2d`` scales by powers of two (``ldexp``, ``frexp``), so every
-float-range scale goes through ``unit_scaled`` and ``unscaled``.
+float-range scale goes through ``unit_scaled`` and ``unscaled``.  Only
+``reach._cells`` floors, so the grid-cell formula has one owner, which the
+marker, ``ReachGrid.cell_of`` and the far-start check all call.
 """
 
 import ast
@@ -226,3 +228,41 @@ def test_only_kernel2d_scales_by_powers_of_two():
     users = {path.name: power_of_two_scalings(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert sorted(k for k, v in users.items() if v) == ["kernel2d.py"]
+
+
+def floor_users(source: str) -> list[str]:
+    """Qualified names of the functions of ``source`` (``<module>`` for code
+    outside any) that read ``floor`` from ``np``, ``numpy`` or ``math`` or
+    import it from either, sorted."""
+    modules, found = ("np", "numpy", "math"), set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "floor"
+                    and isinstance(child.value, ast.Name) and child.value.id in modules
+                    or isinstance(child, ast.ImportFrom) and child.module in modules
+                    and any(alias.name == "floor" for alias in child.names)):
+                found.add(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_floor_checker():
+    source = ("import math\nimport numpy as np\nx = np.floor(1.5)\n"
+              "def f(y):\n    return math.floor(y)\n"
+              "class Grid:\n    def cell(self):\n        from numpy import floor, ceil\n"
+              "def outer():\n    def inner(v):\n        return [numpy.floor(w) for w in v]\n"
+              "    return inner\n"
+              "def g(a, b):\n    return np.floor_divide(a, b) + obj.floor(a) + math.ceil(b)\n"
+              "def floor(v):\n    return v // 1\n")
+    assert floor_users(source) == ["<module>", "Grid.cell", "f", "outer.inner"]
+
+
+def test_only_the_cell_formula_floors():
+    users = {path.name: floor_users(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in users.items() if v} == {"reach.py": ["_cells"]}

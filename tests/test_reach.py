@@ -1,5 +1,6 @@
 """Tests for reachable-set sampling, estimation and the taxonomy classifier."""
 
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from solv3d.group import SIMPLY_CONNECTED, GroupVariant
 from solv3d.kernel2d import ThetaFamily, arc, arc_matrices, lambda_op
@@ -970,6 +973,50 @@ def _mark_any_reference(bitmap, x, y, box, res):
     xs = np.clip(x[finite], 2 * x0 - x1, 2 * x1 - x0)
     ys = np.clip(y[finite], 2 * y0 - y1, 2 * y1 - y0)
     return _mark_reference(bitmap, xs, ys, box, res)
+
+
+_SPECIAL = [np.inf, -np.inf, np.nan, 1e300, -1e300]
+# one coordinate of a point: a fraction of the box width from the box's lower
+# end (inside on [0, 1), on an edge at 0 and 1, outside beyond), or a value
+# that is infinite, NaN or far beyond any box
+_COORD = st.one_of(st.floats(-0.5, 1.5).map(lambda u: ("frac", u)),
+                   st.sampled_from([0.0, 1.0]).map(lambda u: ("frac", u)),
+                   st.sampled_from(_SPECIAL).map(lambda v: ("value", v)))
+
+
+def _scratch(n):
+    """``_cells``' scratch arrays for n lanes, as ``_sample_direction`` allocates them."""
+    return np.empty(n), np.empty(n), np.empty(n), np.empty(n, bool), np.empty(n, bool)
+
+
+@settings(max_examples=80)
+@given(x0=st.floats(-100.0, 100.0), y0=st.floats(-100.0, 100.0),
+       wx=st.floats(1e-3, 1e3), wy=st.floats(1e-3, 1e3), res=st.sampled_from([8, 64, 4096]),
+       pairs=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=300),
+       seed=st.integers(0, 2**32 - 1))
+def test_marker_equals_reference_on_shrinking_scratch(x0, y0, wx, wy, res, pairs, seed):
+    # random boxes whose widths are no powers of two, and one scratch set
+    # reused while lanes drop as after escape pruning: every call marks the
+    # same cells and counts the same points as the reference
+    box = ((x0, x0 + wx), (y0, y0 + wy))
+    assume(all(math.frexp(hi - lo)[0] != 0.5 for lo, hi in box))
+
+    def place(coord, lo, hi):
+        kind, c = coord
+        return lo + c * (hi - lo) if kind == "frac" else c
+
+    x = np.array([place(cx, *box[0]) for cx, _ in pairs])
+    y = np.array([place(cy, *box[1]) for _, cy in pairs])
+    rng = np.random.default_rng(seed)
+    scratch = _scratch(x.size)
+    got = np.zeros((res, res), dtype=bool)
+    want = np.zeros((res, res), dtype=bool)
+    while x.size:
+        out = tuple(a[:x.size] for a in scratch)
+        assert _mark(got, x, y, box, res, out) == _mark_any_reference(want, x, y, box, res)
+        assert np.array_equal(got, want)
+        keep = np.flatnonzero(rng.random(x.size) < 0.6)
+        x, y = x[keep], y[keep]
 
 
 def _follow_every_lane(spec, v0, T, budget, seed=0, box=SQUARE_BOX, res=64,
