@@ -277,6 +277,14 @@ def _numerics(raw: dict, grid_res=None, grid_box=None, **flags) -> dict:
     return numerics
 
 
+def _experiment(numerics: dict) -> dict:
+    """The arguments of the sampled experiment (``reach.planar_experiment``,
+    ``reach.verify_classification``) from the merged numerics."""
+    grid = numerics["grid"]
+    return {"horizon": numerics["horizon"], "budget": numerics["budget"], "box": grid["box"],
+            "resolution": grid["resolution"], "seed": numerics["seed"]}
+
+
 def _finite_or_none(obj):
     """``obj`` with every non-finite float replaced by None."""
     if isinstance(obj, dict):
@@ -422,12 +430,7 @@ def cmd_classify(spec_path, out_dir, seed, budget, horizon, verify):
         report = reach_mod.classify(sys_spec)
         out["classification"] = report.to_dict()
         out["verification"] = reach_mod.verify_classification(
-            report, sys_spec,
-            budget=numerics["budget"],
-            horizon=numerics["horizon"],
-            resolution=numerics["grid"]["resolution"],
-            seed=numerics["seed"],
-            box=tuple(map(tuple, numerics["grid"]["box"])),
+            report, sys_spec, **_experiment(numerics)
         ) if verify else {"ok": True, "checks": []}
     if sys_spec.variant.tag != GroupVariant.SIMPLY_CONNECTED:
         from .covering import lift_control_set
@@ -545,23 +548,11 @@ def cmd_simulate(spec_path, control_path, start, step, svg, out_dir):
 def cmd_reach(spec_path, out_dir, seed, budget, horizon, grid_res, grid_box):
     """Estimate planar reachable sets and the control set; write CSV/PGM/SVG."""
     sys_spec, raw = load_spec(spec_path)
-    try:
-        spec = conjugate_to_planar(sys_spec).planar
-    except ValueError:
-        raise InputError(
-            "reach needs an invertible drift matrix and the rank condition "
-            "(the planar reduction is undefined otherwise)"
-        )
     numerics = _numerics(raw, seed=seed, budget=budget, horizon=horizon,
                          grid_res=grid_res, grid_box=grid_box)
-
-    box = tuple(map(tuple, numerics["grid"]["box"]))
-    with _library_errors():
-        grid = reach_mod.reach_sets(
-            spec, np.zeros(2), numerics["horizon"], numerics["budget"],
-            box=box, resolution=numerics["grid"]["resolution"], seed=numerics["seed"],
-        )
-    est = reach_mod.control_set_estimate(grid)
+    args = _experiment(numerics)
+    with _library_errors("reach: "):
+        spec, grid, est = reach_mod.planar_experiment(sys_spec, **args)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "occupancy.csv"), "w", encoding="utf-8") as fh:
         fh.write(reach_mod.grid_to_csv(grid, est))
@@ -571,19 +562,12 @@ def cmd_reach(spec_path, out_dir, seed, budget, horizon, grid_res, grid_box):
         with open(os.path.join(out_dir, f"{name}.pgm"), "w", encoding="utf-8") as fh:
             fh.write(reach_mod.grid_to_pgm(layer))
     out = _base_report(raw)
-    out["reach"] = {
-        "horizon": numerics["horizon"],
-        "budget": numerics["budget"],
-        "seed": numerics["seed"],
-        "resolution": numerics["grid"]["resolution"],
-        "box": numerics["grid"]["box"],
-        "diagnostics": est.diagnostics,
-    }
+    out["reach"] = {**args, "diagnostics": est.diagnostics}
     dump_json(out, os.path.join(out_dir, "reach_report.json"))
 
     elements = _cell_rects(est.cells)
-    elements.append(_equilibrium_overlay(spec, box))
-    write_svg(os.path.join(out_dir, "reach.svg"), elements, box)
+    elements.append(_equilibrium_overlay(spec, grid.box))
+    write_svg(os.path.join(out_dir, "reach.svg"), elements, grid.box)
     click.echo(
         f"forward {est.diagnostics['forward_cells']} cells, "
         f"backward {est.diagnostics['backward_cells']}, "

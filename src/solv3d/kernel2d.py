@@ -29,6 +29,7 @@ __all__ = [
     "trace_sign",
     "unit_scaled",
     "unscaled",
+    "FloatRangeError",
     "arc",
     "arc_matrices",
     "expm",
@@ -174,6 +175,11 @@ _ARC_DEGREE = 10
 _REAL = (int, float)
 
 
+class FloatRangeError(ValueError):
+    """``arc``'s operands leave the float range: a NaN, an infinity or a
+    norm of s M past 2^1020."""
+
+
 def arc(m00, m01, m10, m11, s):
     """Entries of E = e^{sM} and W = int_0^s e^{rM} dr for M = [[m00, m01], [m10, m11]].
 
@@ -188,17 +194,19 @@ def arc(m00, m01, m10, m11, s):
     so a scalar call pays no numpy overhead.  No inverse is formed, so the
     result stays accurate at and near det M = 0.  A NaN, an infinity or a
     norm of s M past 2^1020, which would take more than 1023 doublings,
-    raises ValueError.
+    raises FloatRangeError; a batch whose norm overflows raises it with no
+    numpy warning, as a Python float does.
     """
     r0, r1, a = abs(m00) + abs(m01), abs(m10) + abs(m11), abs(s)
     if isinstance(r0, _REAL) and isinstance(r1, _REAL) and isinstance(a, _REAL):
         # Python's max drops a NaN in its second argument; np.maximum keeps it
         norm = a * (r1 if r1 > r0 or r1 != r1 else r0)
     else:
-        norm = float(np.max(a * np.maximum(r0, r1)))
+        with np.errstate(over="ignore"):  # an overflowing norm fails the check below
+            norm = float(np.max(a * np.maximum(r0, r1)))
     scaled = norm / _ARC_NORM
     if not scaled <= 2.0**1023:  # NaN fails too
-        raise ValueError(f"arc needs a finite s*M well inside the float range, got {norm}")
+        raise FloatRangeError(f"arc needs a finite s*M well inside the float range, got {norm}")
     k = max(0, math.ceil(math.log2(scaled))) if norm > 0.0 else 0
     h = s / 2**k
     x0, x1, x2, x3 = h * m00, h * m01, h * m10, h * m11

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .group import GroupVariant
-from .kernel2d import SPIRAL, arc, check_finite, trace_sign, unit_scaled, unscaled
+from .kernel2d import SPIRAL, FloatRangeError, arc, check_finite, trace_sign, unit_scaled, unscaled
 from .planar import (
     DetSignError,
     PlanarSpec,
@@ -58,6 +58,7 @@ __all__ = [
     "reach_points",
     "check_box",
     "control_set_estimate",
+    "planar_experiment",
     "Rule",
     "RULES",
     "classify",
@@ -403,6 +404,19 @@ def control_set_estimate(grid: ReachGrid) -> ControlSetEstimate:
     return ControlSetEstimate(cells, diag)
 
 
+def planar_experiment(sys: SystemSpec, horizon: float, budget: int, box, resolution: int,
+                      seed: int) -> tuple[PlanarSpec, ReachGrid, ControlSetEstimate]:
+    """The sampled control set of the system's planar reduction: ``reach_sets``
+    from the rest point v(0) = 0, then ``control_set_estimate``.
+
+    Returns (planar spec, grid, estimate).  Raises ValueError where the
+    reduction is undefined (``conjugate_to_planar``) or the sampling
+    arguments are bad (``reach_sets``)."""
+    spec = conjugate_to_planar(sys).planar
+    grid = reach_sets(spec, np.zeros(2), horizon, budget, box, resolution, seed)
+    return spec, grid, control_set_estimate(grid)
+
+
 def window_fill(grid: ReachGrid, cells: np.ndarray, window: tuple) -> float:
     """Fraction of grid cells inside the window that are set."""
     xs, ys = grid.cell_centers()
@@ -462,11 +476,7 @@ def _verify_planar(report, sys, budget, horizon, resolution, seed, box) -> list[
     Closed or WholeGroup verdict (none against Unclassified)."""
     if report.taxonomy == TAX_UNCLASSIFIED:
         return []
-    spec = conjugate_to_planar(sys).planar
-    grid = reach_sets(
-        spec, np.zeros(2), horizon, budget, box=box, resolution=resolution, seed=seed
-    )
-    est = control_set_estimate(grid)
+    spec, grid, est = planar_experiment(sys, horizon, budget, box, resolution, seed)
     i0 = omega_hat(spec).component_of_zero
     if report.taxonomy == TAX_OPEN:
         us = np.linspace(0.6 * i0[0], 0.6 * i0[1], 9)
@@ -632,10 +642,15 @@ def verify_classification(
     its verdict, or one ``symbolic-only`` check where there is none.
 
     Returns a log {"ok": bool, "checks": [...]}; any discrepancy appears as
-    a failed check, never silently.
+    a failed check, never silently.  So does an experiment whose arcs leave
+    the float range: one failed ``arcs-in-float-range`` check with the
+    kernel's message.  Bad arguments raise ValueError.
     """
     verifier = RULES[report.rule].verifier
-    checks = verifier(report, sys, budget, horizon, resolution, seed, box) if verifier else []
+    try:
+        checks = verifier(report, sys, budget, horizon, resolution, seed, box) if verifier else []
+    except FloatRangeError as exc:
+        checks = [_check("arcs-in-float-range", False, error=str(exc))]
     checks = checks or [_check("symbolic-only", True,
                                note="no numerical experiment wired for this branch")]
     return {"ok": all(c["ok"] for c in checks), "checks": checks}

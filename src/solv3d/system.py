@@ -271,7 +271,7 @@ def conjugate_to_planar(sys: SystemSpec) -> PlanarReduction:
     eta_hat / alpha stays in the float range where eta_hat leaves it.
     """
     if nilrank(sys) < 2:
-        raise ValueError("planar reduction needs nilrank 2")
+        raise ValueError("planar reduction needs an invertible drift matrix (nilrank 2)")
     if not larc(sys).holds:
         raise ValueError("planar reduction needs the rank condition (alpha != 0)")
     a, e = unit_scaled(sys.alpha)

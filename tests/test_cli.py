@@ -1106,7 +1106,10 @@ class TestDeterminism:
 
 
 class TestHugeControlRange:
-    """omega = [-1e308, 1e308]: the reach tables' midpoint grid overflows."""
+    """omega = [-1e308, 1e308]: the sample maps' arcs pass ``kernel2d.arc``'s
+    float-range check.  ``reach`` has no bitmap to write, so it ends in one
+    error line; ``classify`` keeps its verdict, and its verification reports
+    the overflow as one failed check."""
 
     @pytest.mark.parametrize("command", ["reach", "classify"])
     def test_one_error_line(self, runner, tmp_path, command):
@@ -1114,10 +1117,19 @@ class TestHugeControlRange:
         out_dir = tmp_path / "out"
         out = runner.invoke(main, [command, spec, "--out-dir", str(out_dir)],
                             catch_exceptions=False)
-        assert out.exit_code == 1, out.output
-        lines = out.output.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("Error:"), out.output
-        assert not out_dir.exists()
+        if command == "reach":
+            assert out.exit_code == 1, out.output
+            lines = out.output.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("Error: reach: arc "), out.output
+            assert not out_dir.exists()
+            return
+        assert out.exit_code == 0, out.output
+        assert out.output.splitlines() == ["taxonomy: WholeGroup (nilrank2/planar-cylinder)",
+                                           "verification: failed (arcs-in-float-range)"]
+        report = json.loads((out_dir / "report.json").read_text())
+        jsonschema.validate(report, report_schema())
+        [check] = report["verification"]["checks"]
+        assert check["ok"] is False and check["error"].startswith("arc needs a finite s*M")
 
 
 def _cell_rects_loop(cells):
@@ -1150,6 +1162,33 @@ def test_reach_report_counts_escaped_points(runner, tmp_path):
     jsonschema.validate(report, report_schema())
     diag = report["reach"]["diagnostics"]
     assert 0 < diag["points_escaped"] <= diag["points_outside"] < diag["points"]
+
+
+# one spec per sampled verdict, the Closed one the Open system reversed in time
+PLANAR_VERDICT_SPECS = {
+    "UniqueControlSetOpen": OPEN_SPEC,
+    "UniqueControlSetClosed": dict(OPEN_SPEC, A=[[-1.0, 0.0], [0.0, -1.0]]),
+    "WholeGroup": WHOLE_SPEC,
+}
+
+
+@pytest.mark.parametrize("taxonomy", sorted(PLANAR_VERDICT_SPECS))
+def test_reach_samples_the_experiment_classify_verifies(runner, tmp_path, taxonomy):
+    # both commands run reach.planar_experiment on the same merged numerics,
+    # so reach's diagnostics are the data of classify's estimate-nonempty check
+    numerics = {"grid": {"box": [[-4.0, 4.0], [-3.0, 5.0]], "resolution": 48}}
+    spec = write_spec(tmp_path, dict(PLANAR_VERDICT_SPECS[taxonomy], numerics=numerics))
+    flags = ["--budget", "2000", "--horizon", "8", "--seed", "3"]
+    for command in ("reach", "classify"):
+        out = runner.invoke(main, [command, spec, *flags, "--out-dir", str(tmp_path / command)])
+        assert out.exit_code == 0, out.output
+    reach_report = json.loads((tmp_path / "reach" / "reach_report.json").read_text())
+    report = json.loads((tmp_path / "classify" / "report.json").read_text())
+    assert report["classification"]["taxonomy"] == taxonomy
+    [check] = [c for c in report["verification"]["checks"] if c["name"] == "estimate-nonempty"]
+    data = {k: v for k, v in check.items() if k not in ("name", "ok")}
+    assert reach_report["reach"]["diagnostics"] == data
+    assert data["estimate_cells"] > 0
 
 
 def test_fiber_sync_controls_outside_omega_are_one_line_error(runner, tmp_path):
@@ -1227,6 +1266,7 @@ FLOAT_RANGE_SPECS = {
     "alpha 1e308": dict(_CANONICAL, alpha=1e308, eta=[1e308, 0.0]),
     "A 1e308 I": dict(OPEN_SPEC, A=[[1e308, 0.0], [0.0, 1e308]]),
     "A 5e307 I": dict(OPEN_SPEC, A=[[5e307, 0.0], [0.0, 5e307]]),
+    "A -1e307 I": dict(_CANONICAL, A=[[-1e307, 0.0], [0.0, -1e307]]),
     "A 1e-308 I": dict(OPEN_SPEC, A=[[1e-308, 0.0], [0.0, 1e-308]]),
     "xi 1e308": dict(OPEN_SPEC, xi=[1e308, 1e308]),
     "omega 1e308": dict(_CANONICAL, omega=[-1e308, 1e308]),
@@ -1245,6 +1285,7 @@ FLOAT_RANGE_RUNS = [
     ("A 1e308 I", ["classify", "--no-verify"]),
     ("A 1e308 I", ["classify", *_SMALL]),
     ("A 5e307 I", ["reach", "--budget", "10"]),
+    ("A -1e307 I", ["classify", *_SMALL]),
     ("A 1e-308 I", ["classify", *_SMALL]),
     ("A 1e-308 I", ["reach", *_SMALL]),
     ("xi 1e308", ["classify", *_SMALL]),
@@ -1257,6 +1298,9 @@ FLOAT_RANGE_RUNS = [
 ]
 # the one arc each simulate run takes: (duration, control)
 FLOAT_RANGE_ARCS = {"jordan xi 1e308": (1e308, 0.1)}
+# the specs whose verification samples arcs past the float range: the reach
+# tables of the first three, the far-start check's flow of the last
+FLOAT_RANGE_VERIFICATIONS = ["time 2^1023", "A 1e308 I", "omega 1e308", "A -1e307 I"]
 
 
 @pytest.mark.parametrize("name, args", FLOAT_RANGE_RUNS,
@@ -1281,3 +1325,19 @@ def test_float_range_runs_end_in_a_verdict_or_one_error_line(runner, tmp_path, n
         for svg in out_dir.glob("*.svg"):
             text = svg.read_text()
             assert "inf" not in text and "nan" not in text, svg.name
+
+
+@pytest.mark.parametrize("name", FLOAT_RANGE_VERIFICATIONS)
+def test_float_range_verification_keeps_the_verdict(runner, tmp_path, name):
+    # the arcs' overflow is one failed check, not an error that drops the verdict
+    spec = write_spec(tmp_path, FLOAT_RANGE_SPECS[name])
+    out = runner.invoke(main, ["classify", spec, *_SMALL, "--out-dir", str(tmp_path)])
+    assert out.exception is None or isinstance(out.exception, SystemExit), out.exc_info
+    assert out.exit_code == 0 and out.stderr == "", out.output
+    assert out.stdout.splitlines()[1:] == ["verification: failed (arcs-in-float-range)"]
+    report = json.loads((tmp_path / "report.json").read_text())
+    jsonschema.validate(report, report_schema())
+    [check] = report["verification"]["checks"]
+    assert report["verification"]["ok"] is False and check["ok"] is False
+    assert check["name"] == "arcs-in-float-range", check
+    assert check["error"].startswith("arc needs a finite s*M"), check

@@ -15,7 +15,11 @@ both uses live beside it.  No module asserts: the CLI turns only
 Only ``kernel2d`` scales by powers of two (``ldexp``, ``frexp``), so every
 float-range scale goes through ``unit_scaled`` and ``unscaled``.  Only
 ``reach._cells`` floors, so the grid-cell formula has one owner, which the
-marker, ``ReachGrid.cell_of`` and the far-start check all call.
+marker, ``ReachGrid.cell_of`` and the far-start check all call.  Only
+``reach.planar_experiment`` calls ``reach_sets``, so the sampled control
+set has one owner, which ``solv3d reach`` and the planar verdict checks
+both run; ``cmd_reach`` reaches neither ``conjugate_to_planar`` nor
+``reach_sets`` itself.
 """
 
 import ast
@@ -230,26 +234,33 @@ def test_only_kernel2d_scales_by_powers_of_two():
     assert sorted(k for k, v in users.items() if v) == ["kernel2d.py"]
 
 
-def floor_users(source: str) -> list[str]:
+def functions_where(source: str, hit) -> list[str]:
     """Qualified names of the functions of ``source`` (``<module>`` for code
-    outside any) that read ``floor`` from ``np``, ``numpy`` or ``math`` or
-    import it from either, sorted."""
-    modules, found = ("np", "numpy", "math"), set()
+    outside any) holding a node for which ``hit`` is true, sorted."""
+    found = set()
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, child.name if where == "<module>" else f"{where}.{child.name}")
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "floor"
-                    and isinstance(child.value, ast.Name) and child.value.id in modules
-                    or isinstance(child, ast.ImportFrom) and child.module in modules
-                    and any(alias.name == "floor" for alias in child.names)):
+            if hit(child):
                 found.add(where)
             visit(child, where)
 
     visit(ast.parse(source), "<module>")
     return sorted(found)
+
+
+def floor_users(source: str) -> list[str]:
+    """The functions of ``source`` that read ``floor`` from ``np``, ``numpy``
+    or ``math`` or import it from either (``functions_where``)."""
+    modules = ("np", "numpy", "math")
+    return functions_where(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "floor"
+        and isinstance(node.value, ast.Name) and node.value.id in modules
+        or isinstance(node, ast.ImportFrom) and node.module in modules
+        and any(alias.name == "floor" for alias in node.names)))
 
 
 def test_floor_checker():
@@ -266,3 +277,31 @@ def test_floor_checker():
 def test_only_the_cell_formula_floors():
     users = {path.name: floor_users(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in users.items() if v} == {"reach.py": ["_cells"]}
+
+
+def callers(source: str, name: str) -> list[str]:
+    """The functions of ``source`` that call ``name``, bare or as an
+    attribute (``functions_where``)."""
+    return functions_where(source, lambda node: (
+        isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Name) and node.func.id == name
+             or isinstance(node.func, ast.Attribute) and node.func.attr == name)))
+
+
+def test_callers_checker():
+    source = ("from .reach import reach_sets\ngrid = reach_sets(spec, v0, 1.0, 10)\n"
+              "def f(sys):\n    return reach_mod.reach_sets(sys)\n"
+              "class Sampler:\n    def run(self):\n        return [reach_sets(s) for s in x]\n"
+              "def g():\n    sample = reach_sets\n    return reach_sets_of(sample)\n"
+              "__all__ = ['reach_sets']\n")
+    assert callers(source, "reach_sets") == ["<module>", "Sampler.run", "f"]
+
+
+def test_one_owner_samples_the_control_set():
+    # solv3d reach and the planar verdict checks run one experiment
+    users = {path.name: callers(path.read_text(), "reach_sets")
+             for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in users.items() if v} == {"reach.py": ["planar_experiment"]}
+    reached = names_reached((SRC / "cli.py").read_text(), "cmd_reach")
+    assert "planar_experiment" in reached
+    assert reached & {"conjugate_to_planar", "reach_sets"} == set()

@@ -13,6 +13,7 @@ from scipy.linalg import expm as scipy_expm
 from solv3d import kernel2d
 from solv3d.kernel2d import (
     ROT90,
+    FloatRangeError,
     ThetaFamily,
     arc,
     arc_matrices,
@@ -246,12 +247,14 @@ class TestArc:
         (1.5e307, 0.0, 0.0, 1.5e307, 1.0),
         (1.0, 0.0, 0.0, 0.0, 1.5e307),
         (-math.nextafter(2.0**1020, math.inf), 0.0, 0.0, 0.0, 1.0),
-    ], ids=["M", "s", "just past 2^1020"])
+        (-1e307, 0.0, 0.0, -1e307, 30.0),
+    ], ids=["M", "s", "just past 2^1020", "norm past the float range"])
     def test_more_than_1023_doublings_is_a_value_error(self, args):
         # |s| * max row sum past 2^1020 would take 1024 doublings, and 2**1024
-        # is past the float range
+        # is past the float range; a norm that overflows raises the same
+        # error, with no numpy warning
         for batch in (args, [np.full(3, a) for a in args]):
-            with pytest.raises(ValueError, match="well inside the float range"):
+            with pytest.raises(FloatRangeError, match="well inside the float range"):
                 arc(*batch)
 
     def test_1023_doublings_still_run(self):
