@@ -171,8 +171,8 @@ class ThetaFamily:
 # _ARC_DEGREE Taylor sum of phi1(X) is exact to well below rounding.
 _ARC_NORM = 0.125
 _ARC_DEGREE = 10
-# the scalar types whose step count ``arc`` takes in plain Python arithmetic
-_REAL = (int, float)
+# the exact types arc runs in plain Python; a numpy scalar warns, so takes the array path
+_REAL = frozenset((int, float))
 
 
 class FloatRangeError(ValueError):
@@ -189,21 +189,21 @@ def arc(m00, m01, m10, m11, s):
     by Horner, E = I + X P and W = (s/2^k) P, and then k doublings
     W <- W + E W, E <- E E.  Only + * / touch the entries, so the same code
     takes floats or equal-shape (broadcastable) numpy arrays; a batch uses
-    the largest k any of its members needs.  Scalar inputs stay Python
-    floats throughout, with the array path's operations in the same order,
-    so a scalar call pays no numpy overhead.  No inverse is formed, so the
-    result stays accurate at and near det M = 0.  A NaN, an infinity or a
-    norm of s M past 2^1020, which would take more than 1023 doublings,
-    raises FloatRangeError; a batch whose norm overflows raises it with no
-    numpy warning, as a Python float does.
+    the largest k any of its members needs.  Python int and float inputs
+    stay Python floats throughout, with the array path's operations in the
+    same order, so such a call pays no numpy overhead.  No inverse is
+    formed, so the result stays accurate at and near det M = 0.  A NaN, an
+    infinity or a norm of s M past 2^1020, which would take more than 1023
+    doublings, raises FloatRangeError; numpy inputs whose norm overflows
+    raise it with no numpy warning, as Python floats do.
     """
-    r0, r1, a = abs(m00) + abs(m01), abs(m10) + abs(m11), abs(s)
-    if isinstance(r0, _REAL) and isinstance(r1, _REAL) and isinstance(a, _REAL):
+    if {type(m00), type(m01), type(m10), type(m11), type(s)} <= _REAL:
+        r0, r1 = abs(m00) + abs(m01), abs(m10) + abs(m11)
         # Python's max drops a NaN in its second argument; np.maximum keeps it
-        norm = a * (r1 if r1 > r0 or r1 != r1 else r0)
+        norm = abs(s) * (r1 if r1 > r0 or r1 != r1 else r0)
     else:
         with np.errstate(over="ignore"):  # an overflowing norm fails the check below
-            norm = float(np.max(a * np.maximum(r0, r1)))
+            norm = float(np.max(abs(s) * np.maximum(abs(m00) + abs(m01), abs(m10) + abs(m11))))
     scaled = norm / _ARC_NORM
     if not scaled <= 2.0**1023:  # NaN fails too
         raise FloatRangeError(f"arc needs a finite s*M well inside the float range, got {norm}")

@@ -304,11 +304,11 @@ def _sample_direction(
 
 
 def check_box(box) -> None:
-    """Raise ValueError unless the grid box ((x0, x1), (y0, y1)) is finite
-    with x0 < x1 and y0 < y1."""
+    """Raise ValueError unless the grid box ((x0, x1), (y0, y1)) has finite
+    widths x1 - x0 > 0 and y1 - y0 > 0 (so finite ends, x0 < x1, y0 < y1)."""
     (x0, x1), (y0, y1) = box
-    if not (all(map(math.isfinite, (x0, x1, y0, y1))) and x0 < x1 and y0 < y1):
-        raise ValueError(f"the grid box must be finite with x0 < x1 and y0 < y1, got {box}")
+    if not (0.0 < float(x1) - float(x0) < math.inf and 0.0 < float(y1) - float(y0) < math.inf):
+        raise ValueError(f"the grid box must have finite x1 - x0 > 0 and y1 - y0 > 0, got {box}")
 
 
 def reach_points(T: float, budget: int, arc_duration: float = 2.0,

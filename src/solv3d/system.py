@@ -10,8 +10,8 @@ eta), a bounded control range and a group variant:
 The module provides the exact drift flow, rank conditions with auditable
 certificates, the conjugations that normalize eta or xi away, the planar
 reduction available at full nilrank, and a piecewise-constant simulator
-(exact at nilrank 2, by one block arc map in group coordinates; RK4 below,
-on the field of ``field_values`` evaluated in place).  Both arc maps write
+(exact at nilrank 2, by one 5x5 affine arc map in group coordinates; RK4
+below, on the field of ``field_values`` in place).  Both arc maps write
 their samples into the output and check them once per run of samples.
 """
 
@@ -347,22 +347,22 @@ def _group_arc(sys: SystemSpec, g: GroupElement, u: float, duration: float,
     """Write the len(out) samples of a constant-control arc into ``out``, in
     closed form in group coordinates, with no inverse (exact as det A -> 0).
 
-    With u constant, t = t0 + u alpha s, and z = (v, Lambda_t xi, rho_t xi,
-    rho_t eta), from one ``arc_matrices`` of theta at t0, solves z' = K z for
-    a constant block-triangular 8x8 K (Van Loan's construction, as in
-    ``kernel2d.arc``): v' = A v + Lambda_t xi + u rho_t eta, (Lambda_t xi)' =
-    u alpha rho_t xi, and both rho_t terms move by u alpha theta.  Each run of
-    at most _RUN samples is the stacked powers e^{hK}, ..., e^{mhK} (h the
-    spacing) times its anchor e^{sK} z0 at the run's first offset s.  A run
-    outside the float range fails its finiteness check as a ValueError.
+    With a = u alpha, t = t0 + a s, and the forcing term F = Lambda_t xi +
+    u rho_t eta of v' = A v + F moves by F' = a theta F + a xi.  So z = (v, F,
+    1), from one ``arc_matrices`` of theta at t0, solves z' = K z for the 5x5
+    K = [[A, I, 0], [0, a theta, a xi], [0, 0, 0]] (Van Loan, as in ``arc``),
+    run on (v, F) 2^-e with xi 2^-e in K, 2^e the ``unit_scaled`` scale of
+    (v0, F0, xi), so K does not grow with the scale of space and no product
+    overflows unless a state does.  Each run of at most _RUN samples is the
+    powers e^{hK}, ..., e^{mhK} (h the spacing) times its anchor e^{sK} z0 at
+    its first offset s, unscaled once and checked finite (else a ValueError).
     """
-    a = u * sys.alpha
-    eye, theta = np.eye(2), sys.theta_matrix
-    K = np.zeros((8, 8))
-    K[:2, :2], K[:2, 2:4], K[:2, 6:] = sys.A, eye, u * eye
-    K[2:4, 4:6], K[4:6, 4:6], K[6:, 6:] = a * eye, a * theta, a * theta
+    a, theta = u * sys.alpha, sys.theta_matrix
     rho, lam = arc_matrices(theta, g.t)
-    z0 = np.concatenate([g.v, lam @ sys.xi, rho @ sys.xi, rho @ sys.eta])
+    p, e = unit_scaled(np.concatenate([g.v, lam @ sys.xi + u * (rho @ sys.eta), sys.xi]))
+    K = np.zeros((5, 5))
+    K[:2, :2], K[:2, 2:4], K[2:4, 2:4], K[2:4, 4] = sys.A, np.eye(2), a * theta, a * p[4:]
+    z0 = np.append(p[:4], 1.0)
     n = len(out)
     powers = expm_series(duration / n * K)[None]
     while len(powers) < min(n, _RUN):
@@ -371,7 +371,7 @@ def _group_arc(sys: SystemSpec, g: GroupElement, u: float, duration: float,
         anchor = expm_series(duration * lo / n * K) @ z0 if lo else z0
         rows = out[lo:lo + s.size]
         rows[:, 0] = g.t + a * s
-        rows[:, 1:] = powers[:s.size, :2] @ anchor
+        rows[:, 1:] = unscaled(powers[:s.size, :2] @ anchor, e)
         check_finite(rows, "state")
 
 
@@ -384,8 +384,8 @@ def simulate(
     """Concatenated constant-control arcs from g.
 
     Nilrank-2 systems take each arc exactly in group coordinates, from one
-    8x8 block arc map (``_group_arc``); nilrank 0 and 1 use fixed-step
-    classical 4th-order integration (``_rk4_arc``).  Either map is called
+    5x5 affine arc map on the unit-scaled start (``_group_arc``); nilrank 0
+    and 1 use classical 4th-order steps (``_rk4_arc``).  Either map is called
     once per arc and writes the arc's samples in place.  Every control is
     checked here, once, so no arc map re-checks it.  Each arc of duration d
     records ``sample_counts`` = max(1, ceil(d / step)) evenly spaced

@@ -19,7 +19,9 @@ marker, ``ReachGrid.cell_of`` and the far-start check all call.  Only
 ``reach.planar_experiment`` calls ``reach_sets``, so the sampled control
 set has one owner, which ``solv3d reach`` and the planar verdict checks
 both run; ``cmd_reach`` reaches neither ``conjugate_to_planar`` nor
-``reach_sets`` itself.
+``reach_sets`` itself.  Only ``system._group_arc`` calls
+``kernel2d.expm_series``, so every other exponential is a 2x2 one through
+``kernel2d.arc``, and the one larger generator is ``simulate``'s arc map.
 """
 
 import ast
@@ -305,3 +307,10 @@ def test_one_owner_samples_the_control_set():
     reached = names_reached((SRC / "cli.py").read_text(), "cmd_reach")
     assert "planar_experiment" in reached
     assert reached & {"conjugate_to_planar", "reach_sets"} == set()
+
+
+def test_one_owner_exponentiates_a_larger_generator():
+    # the 5x5 arc generator of simulate is the only matrix past 2x2
+    users = {path.name: callers(path.read_text(), "expm_series")
+             for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in users.items() if v} == {"system.py": ["_group_arc"]}

@@ -401,6 +401,13 @@ class TestArcBitIdentity:
             arc(*args)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("s", [1.0, np.array([1.0, 2.0])], ids=["scalar s", "array s"])
+    def test_numpy_scalar_row_sum_overflow_raises_with_no_warning(self, s):
+        # np.float64 is a float, yet its sums warn on overflow: numpy
+        # scalars take the array path (the suite turns a warning into an error)
+        with pytest.raises(FloatRangeError):
+            arc(np.float64(1e308), np.float64(1e308), 0.0, 0.0, s)
+
     def test_scalar_path_touches_no_numpy(self, monkeypatch):
         class NoNumpy:
             def __getattr__(self, name):

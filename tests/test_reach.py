@@ -1266,6 +1266,7 @@ class TestSamplingArguments:
         "reversed-box": dict(box=((1.0, -1.0), (-1.0, 1.0))),
         "infinite-box": dict(box=((-np.inf, 1.0), (-1.0, 1.0))),
         "nan-box": dict(box=((-1.0, 1.0), (np.nan, 1.0))),
+        "overflowing-width-box": dict(box=((-1e308, 1e308), (-1.0, 1.0))),
         "nan-v0": dict(v0=np.array([np.nan, 0.0])),
         "infinite-v0": dict(v0=np.array([0.0, np.inf])),
         "fractional-budget": dict(budget=2.5),

@@ -365,6 +365,20 @@ class TestSimulate:
         assert str(exc.value) == (f"arc 2 of 2 ({long:g} time units at control 0.2) "
                                   "leaves the float range")
 
+    # states from 0 up to 1.6e308 and down to -1.6e308: arc 2's sums of the
+    # start and the forcing term stay in range, though the product
+    # 16 * (-1) * 2e307 leaves it
+    @pytest.mark.parametrize("a", [1e-300, -1e-300, 0.0], ids=["exact", "exact-", "rk4"])
+    def test_states_near_the_float_range_limit_stay_finite(self, a):
+        sys = make(ThetaFamily.diagonal(0.0), a * np.eye(2), [0.0, 0.0], 1.0, [0.0, 2e307])
+        assert nilrank(sys) == (2 if a else 0)
+        ctrl = PiecewiseControl.from_pairs([(8.0, 1.0), (16.0, -1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = simulate(GroupElement(0.0, [0.0, 0.0]), ctrl, sys, step=0.5)
+        assert np.all(np.isfinite(traj.states))
+        assert np.allclose(traj.final_state, [-8.0, 0.0, -1.6e308], rtol=1e-14, atol=0.0)
+
     def test_uncountable_samples_are_a_value_error(self):
         sys = spiral_system()
         with pytest.raises(ValueError, match="more samples than a float can count"):
@@ -606,6 +620,36 @@ class TestBatchedExactArcs:
             ends.append(out[-1])
         for end, ref in zip(ends, dop853_switches(sys, g0, pairs)):
             assert np.max(np.abs(end - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+    def test_block_map_writes_the_rk4_rows_where_the_field_is_linear_in_time(self):
+        # A = 0 and xi = 0 with rho_t eta constant: RK4 is exact there, as is
+        # the block map, on states up to 1.6e308
+        sys = make(ThetaFamily.diagonal(0.0), np.zeros((2, 2)), [0.0, 0.0], 1.0, [0.0, 2e307])
+        ctrl = PiecewiseControl.from_pairs([(8.0, 1.0), (16.0, -1.0)])
+        traj = simulate(GroupElement(0.0, [0.0, 0.0]), ctrl, sys, step=0.5)
+        rows, g = [traj.states[:1]], GroupElement(0.0, [0.0, 0.0])
+        for d, u in ctrl.pairs():
+            out = np.empty((int(d / 0.5), 3))
+            system._group_arc(sys, g, u, d, out)
+            rows.append(out)
+            g = GroupElement(out[-1, 0], out[-1, 1:])
+        rows = np.concatenate(rows)
+        assert np.max(np.abs(rows - traj.states)) <= 1e-15 * np.max(np.abs(traj.states))
+
+    @pytest.mark.parametrize("k", [-60, 60])
+    @pytest.mark.parametrize("family", NILRANK2)
+    def test_space_rescaling_scales_every_sample_exactly(self, family, k):
+        # v, xi and eta times 2^k give every state times 2^k, bit for bit:
+        # the generator does not grow with the scale of space
+        sys = NILRANK2[family]
+        big = make(sys.theta, sys.A, sys.xi * 2.0**k, sys.alpha, sys.eta * 2.0**k, WIDE)
+        t0, pairs, step = EXACT_CASES["near root"]
+        ctrl = PiecewiseControl.from_pairs(pairs)
+        v0 = np.array([1.0, -0.5])
+        base = simulate(GroupElement(t0, v0), ctrl, sys, step=step).states
+        scaled = simulate(GroupElement(t0, v0 * 2.0**k), ctrl, big, step=step).states
+        assert np.array_equal(scaled[:, 0], base[:, 0])
+        assert np.array_equal(scaled[:, 1:], base[:, 1:] * 2.0**k)
 
     def test_rk4_path_is_field_values_rk4_bit_for_bit(self):
         sys = make(ThetaFamily.diagonal(0.5), np.diag([1.0, 0.0]), [0.3, 1.0], 1.0,
