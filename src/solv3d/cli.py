@@ -265,7 +265,7 @@ def _numerics(raw: dict, grid_res=None, grid_box=None, **flags) -> dict:
     if not np.all(np.isfinite([numerics["horizon"], numerics["step"]])):
         raise InputError("numerics: the horizon and the step must be finite")
     with _library_errors("numerics: "):
-        reach_mod.check_box(numerics["grid"]["box"])
+        reach_mod.check_box(numerics["grid"]["box"], numerics["grid"]["resolution"])
     # the schema's integers may be written as floats (500.0); the sampler takes ints
     numerics["seed"], numerics["budget"] = int(numerics["seed"]), int(numerics["budget"])
     points = reach_mod.reach_points(numerics["horizon"], numerics["budget"])

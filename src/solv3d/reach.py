@@ -4,16 +4,21 @@ The planar reachable sets are estimated on a fixed grid by integrating
 batches of random piecewise-constant controls exactly: every arc is the
 affine map v -> E v + W u eta, and the evenly spaced samples along an arc
 are repeated applications of one such map from ``kernel2d.arc``.  The
-controls take LEVELS + 3 values (the bang levels and evenly spaced
-midpoints), so one ``arc`` call per direction and arc length tabulates
-every map.  Each trajectory's level is one lookup of its random draw, and
-its row one ``np.take`` gather.  Every sample then marks its cells in
-place, in scratch arrays the batch allocates once, with one cast and one
-flat scatter, lanes outside the box repeating a cell inside.  Where the
-sign of ``sym(A(u))`` certifies that |v| grows under every control beyond
-some radius (``_escape_radius``), a trajectory past that radius never
-returns to the box; it is dropped from the batch at the next arc, and its
-remaining samples are counted as escaped instead of computed.
+sampler carries every trajectory in grid coordinates
+``X = (x - x0) res / (x1 - x0)`` (likewise Y, ``_to_grid``), where a
+sample's cell is ``(floor X, floor Y)``: each map is conjugated into grid
+coordinates once per call (``_arc_table``), so no sample subtracts, divides
+or scales to find its cell.  The controls take LEVELS + 3 values (the bang
+levels and evenly spaced midpoints), so one ``arc`` call per direction and
+arc length tabulates every map.  Each trajectory's level is one lookup of
+its random draw, and its row one ``np.take`` gather.  Every sample then
+marks its cells in place, in scratch arrays the batch allocates once, with
+one cast and one flat scatter, lanes outside the box repeating a cell
+inside.  Where the sign of ``sym(A(u))`` certifies that |v| grows under
+every control beyond some radius (``_escape_radius``), a trajectory past
+that radius never returns to the box; it is dropped from the batch at the
+next arc, and its remaining samples are counted as escaped instead of
+computed.
 Forward and backward occupancies combine into a control-set estimate.
 ``classify`` picks one rule of the table ``RULES`` by the rank condition,
 the group variant, the drift rank and the trace sign; the rule's row gives
@@ -120,8 +125,9 @@ class ReachGrid:
 
     def cell_of(self, v: np.ndarray) -> tuple[int, int] | None:
         """The cell holding v, or None outside the box (or for NaN)."""
-        with np.errstate(over="ignore"):  # a cell index past the float range is inf
-            fx, fy, inside = _cells(float(v[0]), float(v[1]), self.box, self.resolution)
+        # Python floats: a grid coordinate past the float range is inf, with no warning
+        grid = _to_grid(float(v[0]), float(v[1]), check_box(self.box, self.resolution))
+        fx, fy, inside = _cells(*grid, self.resolution)
         return (int(fx), int(fy)) if inside else None
 
 
@@ -133,34 +139,46 @@ class ControlSetEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _cells(x, y, box, res: int, out=(None,) * 5):
-    """Cell coordinates ``floor((x - x0) / (x1 - x0) * res)`` (and in y) of the
-    points (x, y), as floats, and the mask ``min >= 0`` and ``max < res`` of
-    those inside the box (False for NaN).  Every pass writes in place into
-    ``out``: float arrays fx, fy, m and bool arrays ok, t, or None to allocate."""
-    fx, fy = (np.floor(np.multiply(np.divide(np.subtract(v, lo, out=f), hi - lo, out=f), res,
-                                   out=f), out=f) for v, (lo, hi), f in zip((x, y), box, out))
+def _to_grid(x, y, gmap):
+    """Grid coordinates ``((x - x0) sx, (y - y0) sy)`` of the raw points (x, y)
+    under the map ``gmap = ((x0, sx), (y0, sy))`` of ``check_box``, with
+    ``s = res / width`` the cell scale of each axis: the box is
+    ``[0, res)^2`` in them, and a point's cell is their floor (``_cells``)."""
+    (x0, sx), (y0, sy) = gmap
+    return (x - x0) * sx, (y - y0) * sy
+
+
+def _cells(gx, gy, res: int, out=(None,) * 5):
+    """Cell coordinates ``floor(X)``, ``floor(Y)`` of the points with grid
+    coordinates (X, Y) (``_to_grid``), as floats, and the mask ``min >= 0``
+    and ``max < res`` of those inside the box (False for NaN).  Every pass
+    writes in place into ``out``: float arrays fx, fy, m and bool arrays ok,
+    t, or None to allocate."""
+    fx, fy = np.floor(gx, out=out[0]), np.floor(gy, out=out[1])
     ok = np.greater_equal(np.minimum(fx, fy, out=out[2]), 0.0, out=out[3])
     ok &= np.less(np.maximum(fx, fy, out=out[2]), res, out=out[4])
     return fx, fy, ok
 
 
-def _mark(bitmap: np.ndarray, x, y, box, res: int, out=(None,) * 5) -> int:
-    """Set the cells hit by the points (x, y); return how many fell inside the box.
+def _mark(bitmap: np.ndarray, gx, gy, res: int, out=(None,) * 5) -> int:
+    """Set the cells hit by the points with grid coordinates (X, Y)
+    (``_to_grid``); return how many fell inside the box.
 
     ``bitmap`` must be C-contiguous: the cells are set through its flat view,
     at ``ix * res + iy``, which float64 holds exactly for ``res <= 4096``.
     Every pass writes into ``_cells``' scratch arrays ``out``, so a batch
-    allocates them once.  Points outside the box, infinite or NaN mark
-    nothing and are never cast: if there are any, their lanes take the cell
-    of the first point inside, so one cast and one scatter cover every lane.
+    allocates them once; a point costs two floors, the in-box test and the
+    flat index, with no box arithmetic.  Points outside the box, infinite or
+    NaN mark nothing and are never cast: if there are any, their lanes take
+    the cell of the first point inside, so one cast and one scatter cover
+    every lane.
     """
     if not bitmap.flags.c_contiguous:
         raise ValueError("the bitmap must be C-contiguous")
-    # lanes outside the box may overflow or meet opposite infinities; they
-    # are overwritten before the cast
+    # lanes outside the box may be infinite or NaN; they are overwritten
+    # before the cast
     with np.errstate(invalid="ignore", over="ignore"):
-        fx, fy, ok = _cells(x, y, box, res, out)
+        fx, fy, ok = _cells(gx, gy, res, out)
         inside = int(np.count_nonzero(ok))
         if not inside:
             return 0
@@ -171,28 +189,37 @@ def _mark(bitmap: np.ndarray, x, y, box, res: int, out=(None,) * 5) -> int:
     return inside
 
 
-def _arc_table(spec: PlanarSpec, h: float) -> np.ndarray:
-    """Rows ``e00, e01, e10, e11, cx, cy`` of the sample map v -> E v + c over
-    time h, one column per control level: ``u_min, 0, u_max`` and then the
-    LEVELS midpoints ``u_min + (u_max - u_min)(j + 1/2)/LEVELS``.
+def _arc_table(spec: PlanarSpec, h: float, gmap) -> np.ndarray:
+    """Rows ``e00, e01, e10, e11, cx, cy`` of the sample map X -> E' X + c' over
+    time h in the grid coordinates of ``gmap`` (``check_box``), one column per
+    control level: ``u_min, 0, u_max`` and then the LEVELS midpoints
+    ``u_min + (u_max - u_min)(j + 1/2)/LEVELS``.
 
-    One ``arc`` call covers every level, so each entry is the one a call on
-    the whole range gives.  The levels are spaced on the range scaled by a
-    power of two into [-1, 1], where ``hi - lo`` cannot overflow.  A
-    propagator that overflows holds inf or NaN and its samples count as
-    outside, like ``_mark``'s lanes.
+    The raw map is v -> E v + W u eta, with E and W the ``arc`` of
+    ``A(u) = A - u theta``.  With ``X = S (v - o)``, ``S = diag(sx, sy)``
+    and o the box's lower corner, it is conjugated once per call into
+    ``E' = S E S^-1`` (entries ``e00, e01 sx/sy, e10 sy/sx, e11``) and
+    ``c' = S (E o + W u eta - o) = S W (A(u) o + u eta)``, using
+    ``E - I = W A(u)``: this form never subtracts o from E o, which would
+    cancel where |o| is far larger than the box.  One ``arc`` call covers
+    every level, so each entry is the one a call on the whole range gives.
+    The levels are spaced on the range scaled by a power of two into
+    [-1, 1], where ``hi - lo`` cannot overflow.  A propagator that overflows
+    holds inf or NaN and its samples count as outside, like ``_mark``'s lanes.
     """
     (lo, hi), e = unit_scaled([spec.omega.u_min, spec.omega.u_max])
     mid = lo + (hi - lo) * (np.arange(LEVELS) + 0.5) / LEVELS
     u = unscaled(np.concatenate([[lo, 0.0, hi], mid]), e)
     A, th, eta = spec.A, spec.theta_matrix, spec.eta
+    (x0, sx), (y0, sy) = gmap
     with np.errstate(invalid="ignore", over="ignore"):
-        (e00, e01, e10, e11), (w00, w01, w10, w11) = arc(
-            A[0, 0] - u * th[0, 0], A[0, 1] - u * th[0, 1],
-            A[1, 0] - u * th[1, 0], A[1, 1] - u * th[1, 1], h,
-        )
-        return np.array([e00, e01, e10, e11,
-                         u * (w00 * eta[0] + w01 * eta[1]), u * (w10 * eta[0] + w11 * eta[1])])
+        a00, a01 = A[0, 0] - u * th[0, 0], A[0, 1] - u * th[0, 1]
+        a10, a11 = A[1, 0] - u * th[1, 0], A[1, 1] - u * th[1, 1]
+        (e00, e01, e10, e11), (w00, w01, w10, w11) = arc(a00, a01, a10, a11, h)
+        gx = a00 * x0 + a01 * y0 + u * eta[0]
+        gy = a10 * x0 + a11 * y0 + u * eta[1]
+        return np.array([e00, e01 * sx / sy, e10 * sy / sx, e11,
+                         sx * (w00 * gx + w01 * gy), sy * (w10 * gx + w11 * gy)])
 
 
 # the ``_arc_table`` column of each raw draw r in [0, 6 LEVELS): bang level
@@ -241,40 +268,46 @@ def _escape_radius(spec: PlanarSpec, sign: float, box) -> float:
 
 
 def _sample_direction(
-    v0: np.ndarray,
+    start: tuple[float, float],
     tables: list[np.ndarray],
-    rho: float,
+    escape,
     rng: np.random.Generator,
     n: int,
     bitmap: np.ndarray,
-    box,
     res: int,
     samples_per_arc: int,
 ) -> tuple[int, int]:
     """Accumulate one time direction's occupancy over a batch of n trajectories.
 
-    ``tables[i]`` is arc i's ``_arc_table``, and each arc draws one level
-    for each of the n trajectories from ``rng``, dropped ones included, so
-    every kept trajectory sees the draws it would see alone.  Switches
-    happen on a fixed period, so a longer horizon extends the same draws
-    instead of redrawing them.  At the start of each arc, a trajectory
-    beyond the escape radius ``rho`` (or NaN, which stays NaN) is dropped,
-    and the rest gather their rows with ``np.take``; the batch ends when no
-    trajectory is left.  Every sample is one ``_mark`` call over the kept
-    trajectories.  Returns how many of the sampled points fell inside the
-    box, and how many were not computed because their trajectory was dropped.
+    Every trajectory starts at the grid point ``start`` (``_to_grid``) and
+    stays in grid coordinates.  ``tables[i]`` is arc i's ``_arc_table``, and
+    each arc draws one level for each of the n trajectories from ``rng``,
+    dropped ones included, so every kept trajectory sees the draws it would
+    see alone.  Switches happen on a fixed period, so a longer horizon
+    extends the same draws instead of redrawing them.  ``escape`` is None
+    where no escape radius is certified, else ``(rho, origin, cell)``: the
+    radius, the grid point of the raw origin and the cell widths, so that
+    ``(X - origin) * cell`` is a grid point's raw position.  At the start of
+    each arc, a trajectory beyond ``rho`` (or NaN, which stays NaN) is
+    dropped, and the rest gather their rows with ``np.take``; the batch ends
+    when no trajectory is left.  Every sample is one ``_mark`` call over the
+    kept trajectories.  Returns how many of the sampled points fell inside
+    the box, and how many were not computed because their trajectory was
+    dropped.
     """
-    x = np.full(n, float(v0[0]))
-    y = np.full(n, float(v0[1]))
+    x = np.full(n, start[0])
+    y = np.full(n, start[1])
     lanes = np.arange(n)
     scratch = out = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, bool), np.empty(n, bool))
-    inside = _mark(bitmap, x, y, box, res, out)
+    inside = _mark(bitmap, x, y, res, out)
     escaped = 0
     for i, table in enumerate(tables):
         draws = _draw_levels(rng, n)
-        if rho < math.inf:
+        if escape is not None:
+            rho, (ox, oy), (cx, cy) = escape
             with np.errstate(invalid="ignore", over="ignore"):
-                keep = np.flatnonzero(x * x + y * y <= rho * rho)
+                rx, ry = (x - ox) * cx, (y - oy) * cy
+                keep = np.flatnonzero(rx * rx + ry * ry <= rho * rho)
             if keep.size < lanes.size:
                 escaped += (lanes.size - keep.size) * (len(tables) - i) * samples_per_arc
                 if not keep.size:
@@ -299,16 +332,26 @@ def _sample_direction(
                 y += t
                 y += cy
                 x, new_x = new_x, x
-                inside += _mark(bitmap, x, y, box, res, out)
+                inside += _mark(bitmap, x, y, res, out)
     return inside, escaped
 
 
-def check_box(box) -> None:
-    """Raise ValueError unless the grid box ((x0, x1), (y0, y1)) has finite
-    widths x1 - x0 > 0 and y1 - y0 > 0 (so finite ends, x0 < x1, y0 < y1)."""
-    (x0, x1), (y0, y1) = box
-    if not (0.0 < float(x1) - float(x0) < math.inf and 0.0 < float(y1) - float(y0) < math.inf):
+def check_box(box, res: int) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The raw-to-grid map ``((x0, sx), (y0, sy))`` of a res x res grid on the
+    box ((x0, x1), (y0, y1)): each axis's lower end and cell scale
+    ``res / width``, which ``_to_grid`` applies.  The one place that
+    computes the scale.
+
+    Raises ValueError unless the widths x1 - x0 and y1 - y0 are finite and
+    positive (so finite ends, x0 < x1, y0 < y1) and both scales finite."""
+    (x0, x1), (y0, y1) = ((float(lo), float(hi)) for lo, hi in box)
+    if not (0.0 < x1 - x0 < math.inf and 0.0 < y1 - y0 < math.inf):
         raise ValueError(f"the grid box must have finite x1 - x0 > 0 and y1 - y0 > 0, got {box}")
+    gmap = (x0, res / (x1 - x0)), (y0, res / (y1 - y0))
+    if not max(gmap[0][1], gmap[1][1]) < math.inf:
+        raise ValueError(f"the grid box is too narrow for {res} cells a side: "
+                         f"res / width must be finite, got {box}")
+    return gmap
 
 
 def reach_points(T: float, budget: int, arc_duration: float = 2.0,
@@ -346,9 +389,12 @@ def reach_sets(
     ``ceil(budget / _BATCH)`` equal batches, each direction of each batch
     drawing from its own child of ``SeedSequence(seed)``, so the result
     depends only on (spec, v0, T, budget, seed) and the grid.  Trajectories
-    beyond a direction's ``_escape_radius`` are dropped, which changes no
-    bitmap and no count but ``points_escaped``.  Bad sampling arguments
-    raise ValueError before any sampling.
+    run in grid coordinates (``_to_grid``), so a point whose grid coordinate
+    passes the float range counts as outside, like one whose raw coordinate
+    does.  Trajectories beyond a direction's ``_escape_radius`` are dropped,
+    which changes no bitmap and no count but ``points_escaped``.  Bad
+    sampling arguments, a box among them whose cell scale is not finite
+    (``check_box``), raise ValueError before any sampling.
     """
     points = reach_points(T, budget, arc_duration, samples_per_arc)
     if not isinstance(budget, numbers.Integral) or isinstance(budget, bool) or budget <= 0:
@@ -356,8 +402,11 @@ def reach_sets(
     res = int(resolution)
     if res < 8:
         raise ValueError("grid resolution must be at least 8")
-    check_box(box)
+    gmap = check_box(box, res)
     v0 = check_finite(v0, "v0").reshape(2)
+    start = _to_grid(float(v0[0]), float(v0[1]), gmap)
+    # the escape test reads a grid point's raw position (X - origin) * cell
+    origin, cell = _to_grid(0.0, 0.0, gmap), tuple(1.0 / s for _, s in gmap)
     lengths = [min(arc_duration, T - i * arc_duration) for i in range(math.ceil(T / arc_duration))]
     n_batches = math.ceil(budget / _BATCH)
     seeds = np.random.SeedSequence(seed).spawn(2 * n_batches)
@@ -366,14 +415,15 @@ def reach_sets(
     bwd = np.zeros((res, res), dtype=bool)
     inside = escaped = 0
     for d, (sign, bitmap) in enumerate(((+1.0, fwd), (-1.0, bwd))):
-        by_length = {s: _arc_table(spec, sign * s / samples_per_arc) for s in set(lengths)}
+        by_length = {s: _arc_table(spec, sign * s / samples_per_arc, gmap) for s in set(lengths)}
         tables = [by_length[s] for s in lengths]
         rho = _escape_radius(spec, sign, box)
+        escape = (rho, origin, cell) if rho < math.inf else None
         for i in range(n_batches):
             n = budget // n_batches + (i < budget % n_batches)
-            got, lost = _sample_direction(v0, tables, rho,
+            got, lost = _sample_direction(start, tables, escape,
                                           np.random.default_rng(seeds[2 * i + d]), n,
-                                          bitmap, box, res, samples_per_arc)
+                                          bitmap, res, samples_per_arc)
             inside += got
             escaped += lost
     return ReachGrid(box, res, fwd, bwd, points, points - inside, escaped)
@@ -666,10 +716,11 @@ def _entry_indices(spec: PlanarSpec, starts, est: ControlSetEstimate,
     A = spec.A
     (e00, e01, e10, e11), _ = arc(A[0, 0], A[0, 1], A[1, 0], A[1, 1],
                                   np.linspace(0.0, 30.0, 600))
+    gmap = check_box(grid.box, grid.resolution)
     out = []
     for v in starts:
-        fx, fy, ok = _cells(e00 * v[0] + e01 * v[1], e10 * v[0] + e11 * v[1],
-                            grid.box, grid.resolution)
+        fx, fy, ok = _cells(*_to_grid(e00 * v[0] + e01 * v[1], e10 * v[0] + e11 * v[1], gmap),
+                            grid.resolution)
         ok = np.flatnonzero(ok)
         hit = ok[est.cells[fx[ok].astype(np.intp), fy[ok].astype(np.intp)]]
         out.append(int(hit[0]) if hit.size else None)
@@ -680,14 +731,15 @@ def _entry_indices(spec: PlanarSpec, starts, est: ControlSetEstimate,
 
 
 def grid_to_csv(grid: ReachGrid, estimate: ControlSetEstimate | None = None) -> str:
-    """Cell centers with occupancy flags, one row per cell."""
+    """Cell centers with occupancy flags, one row per cell; each center is the
+    ``repr`` of its ``cell_centers`` float, so it parses back exactly."""
     xs, ys = (c.tolist() for c in grid.cell_centers())
     est = estimate.cells if estimate is not None else np.zeros_like(grid.forward)
     fwd, bwd, est = (b.astype(np.uint8).tolist() for b in (grid.forward, grid.backward, est))
     lines = ["x,y,forward,backward,estimate"]
     for x, f_row, b_row, e_row in zip(xs, fwd, bwd, est):
         for y, f, b, e in zip(ys, f_row, b_row, e_row):
-            lines.append(f"{x:.6f},{y:.6f},{f},{b},{e}")
+            lines.append(f"{x!r},{y!r},{f},{b},{e}")
     return "\n".join(lines) + "\n"
 
 

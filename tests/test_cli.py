@@ -500,6 +500,7 @@ class TestNumericsOverrides:
         ("reach", ["--grid-box", "1,1,0,1"]),
         ("reach", ["--grid-box", "0,1,1,0"]),
         ("reach", ["--grid-box", "-1e308,1e308,-1,1"]),
+        ("reach", ["--grid-box=0,1e-310,0,1"]),
         ("classify", ["--budget", "0"]),
         ("classify", ["--horizon", "-1"]),
         ("simulate", ["--step", "0"]),

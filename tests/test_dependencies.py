@@ -16,6 +16,10 @@ Only ``kernel2d`` scales by powers of two (``ldexp``, ``frexp``), so every
 float-range scale goes through ``unit_scaled`` and ``unscaled``.  Only
 ``reach._cells`` floors, so the grid-cell formula has one owner, which the
 marker, ``ReachGrid.cell_of`` and the far-start check all call.  Only
+``reach.check_box`` divides by a box width, so the raw-to-grid scale
+``res / width`` has one owner, and ``reach._sample_direction`` divides
+nothing: its samples stay in grid coordinates, where a cell is one floor.
+Only
 ``reach.planar_experiment`` calls ``reach_sets``, so the sampled control
 set has one owner, which ``solv3d reach`` and the planar verdict checks
 both run; ``cmd_reach`` reaches neither ``conjugate_to_planar`` nor
@@ -279,6 +283,64 @@ def test_floor_checker():
 def test_only_the_cell_formula_floors():
     users = {path.name: floor_users(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in users.items() if v} == {"reach.py": ["_cells"]}
+
+
+def _is_division(node) -> bool:
+    """Whether ``node`` is a ``/``, ``//`` or ``%`` (also augmented) or a call
+    of numpy's ``divide``, ``true_divide``, ``floor_divide`` or ``reciprocal``."""
+    ops = (ast.Div, ast.FloorDiv, ast.Mod)
+    return (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ops)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("divide", "true_divide", "floor_divide", "reciprocal"))
+
+
+def divisions(source: str, function: str) -> list[int]:
+    """Lines of the module-level function ``function`` of ``source`` that
+    divide (``_is_division``), nested functions included."""
+    (node,) = [n for n in ast.parse(source).body
+               if isinstance(n, ast.FunctionDef) and n.name == function]
+    return sorted({n.lineno for n in ast.walk(node) if _is_division(n)})
+
+
+def test_divisions_checker():
+    source = ("def f(x, y):\n    a = x / y\n    b = np.divide(x, y, out=x)\n    x //= 2\n"
+              "    return a % 3 + np.multiply(x, y) + x * y - y\n"
+              "def g(x):\n    return 1.0 / x\n")
+    assert divisions(source, "f") == [2, 3, 4, 5]
+    assert divisions("def f(x):\n    return np.floor(x) * 2 + x - 1\n", "f") == []
+
+
+def test_sample_loop_divides_nothing():
+    assert divisions((SRC / "reach.py").read_text(), "_sample_direction") == []
+
+
+def width_dividers(source: str) -> list[str]:
+    """The functions of ``source`` that divide by a difference, such as a box
+    width ``x1 - x0``: a ``/`` whose right operand, or a numpy ``divide``
+    whose second argument, is a subtraction (``functions_where``)."""
+    def sub(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+
+    return functions_where(source, lambda node: (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and sub(node.right)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("divide", "true_divide") and len(node.args) > 1
+        and sub(node.args[1])))
+
+
+def test_width_divider_checker():
+    source = ("w = 1.0 / (b - a)\n"
+              "def scale(box, res):\n    return res / (box[1] - box[0])\n"
+              "class Grid:\n    def cells(self, x):\n        return np.divide(x - 1, hi - lo)\n"
+              "def center(i, a, b, res):\n    return a + (i + 0.5) * (b - a) / res\n"
+              "def rate(x, y):\n    return (x - y) / y + np.divide(x, y - 1.0 * 0)\n")
+    assert width_dividers(source) == ["<module>", "Grid.cells", "rate", "scale"]
+
+
+def test_one_owner_scales_raw_to_grid():
+    # the start, cell_of, the far-start check and the escape test all map
+    # through check_box's scale
+    assert width_dividers((SRC / "reach.py").read_text()) == ["check_box"]
 
 
 def callers(source: str, name: str) -> list[str]:

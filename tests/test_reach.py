@@ -1,18 +1,20 @@
 """Tests for reachable-set sampling, estimation and the taxonomy classifier."""
 
+import itertools
 import math
 import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from solv3d.group import SIMPLY_CONNECTED, GroupVariant
-from solv3d.kernel2d import ThetaFamily, arc, arc_matrices, lambda_op
+from solv3d.kernel2d import ThetaFamily, arc, arc_matrices, lambda_op, unit_scaled, unscaled
 from solv3d.plan import _leg_ends
 from solv3d.planar import ControlRange, PiecewiseControl, PlanarSpec, a_of_u
 import solv3d.reach as reach
@@ -23,8 +25,10 @@ from solv3d.reach import (
     _draw_levels,
     _entry_indices,
     _mark,
+    _to_grid,
     ClassificationReport,
     ReachGrid,
+    check_box,
     classify,
     control_set_estimate,
     grid_to_csv,
@@ -616,11 +620,11 @@ class TestGridExitCounters:
         assert (g.points, g.points_outside) == (0, 0)
 
 
-def _mark_reference(bitmap, x, y, box, res):
-    """The marker as two int casts and a 2-D scatter (oracle for finite points)."""
-    (x0, x1), (y0, y1) = box
-    ix = np.floor((x - x0) / (x1 - x0) * res).astype(np.int64)
-    iy = np.floor((y - y0) / (y1 - y0) * res).astype(np.int64)
+def _mark_reference(bitmap, gx, gy, res):
+    """The marker on grid coordinates as two int casts and a 2-D scatter
+    (oracle for finite points)."""
+    ix = np.floor(gx).astype(np.int64)
+    iy = np.floor(gy).astype(np.int64)
     ok = (ix >= 0) & (ix < res) & (iy >= 0) & (iy < res)
     bitmap[ix[ok], iy[ok]] = True
     return int(np.count_nonzero(ok))
@@ -646,7 +650,7 @@ class TestMarker:
         bitmap = np.zeros((64, 64), dtype=bool)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            inside = _mark(bitmap, x, y, self.BOX, 64)
+            inside = _mark(bitmap, *_to_grid(x, y, check_box(self.BOX, 64)), 64)
         assert inside == 3
         assert sorted(map(tuple, np.argwhere(bitmap).tolist())) == [(0, 0), (32, 32), (63, 0)]
 
@@ -657,19 +661,18 @@ class TestMarker:
         for scale in (1.0, 4.0, 100.0):
             x = rng.normal(1.0, scale, 5000)
             y = rng.normal(-0.25, scale / 4.0, 5000)
+            gx, gy = _to_grid(x, y, check_box(box, res))
             # points on every cell edge, including the box's own edges
-            edges = np.linspace(box[0][0], box[0][1], res + 1)
-            x[:res + 1] = edges
-            y[:res + 1] = np.linspace(box[1][0], box[1][1], res + 1)
+            gx[:res + 1] = gy[:res + 1] = np.arange(res + 1)
             got = np.zeros((res, res), dtype=bool)
             want = np.zeros((res, res), dtype=bool)
-            assert _mark(got, x, y, box, res) == _mark_reference(want, x, y, box, res)
+            assert _mark(got, gx, gy, res) == _mark_reference(want, gx, gy, res)
             assert got.tobytes() == want.tobytes()
 
     def test_rejects_non_contiguous_bitmap(self):
         bitmap = np.zeros((8, 8), dtype=bool).T[::1, ::2]
         with pytest.raises(ValueError):
-            _mark(bitmap, np.zeros(1), np.zeros(1), self.BOX, 8)
+            _mark(bitmap, np.zeros(1), np.zeros(1), 8)
 
 
 class TestReachGridShape:
@@ -686,6 +689,21 @@ class TestReachGridShape:
         assert g.points == reach_points(30.0, 10_000) == 2 * 10_000 * (1 + 15 * 8)
         assert g.points_outside == g.points - inside
 
+    @pytest.mark.parametrize("system", [OPEN_SYS, CLOSED_SYS, WHOLE_SYS],
+                             ids=["open", "closed", "whole"])
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_bitmaps_equal_raw_coordinate_oracle(self, system, seed):
+        # the sampler in grid coordinates marks the cells and counts the
+        # points of the one that runs in raw coordinates and divides by the
+        # box width at every sample
+        spec = conjugate_to_planar(system).planar
+        fwd, bwd, inside, escaped = _follow_every_lane(spec, (0.0, 0.0), 30.0, 10_000,
+                                                       seed=seed, raw=True)
+        g = reach_sets(spec, np.zeros(2), 30.0, 10_000, seed=seed)
+        assert g.forward.tobytes() == fwd.tobytes()
+        assert g.backward.tobytes() == bwd.tobytes()
+        assert (g.points_outside, g.points_escaped) == (g.points - inside, escaped)
+
 
 class TestArcTable:
     SPECS = [
@@ -697,18 +715,56 @@ class TestArcTable:
                    np.array([0.7, -0.2]), ControlRange(-3.0, 0.25)),
     ]
 
+    GRIDS = [
+        (((-10.0, 10.0), (-10.0, 10.0)), 64),
+        (((-1.0, 3.0), (-2.0, 0.5)), 8),
+        # far off the origin: E o - o would cancel
+        (((1e6, 1e6 + 0.01), (-3.0, -2.5)), 64),
+    ]
+
     @pytest.mark.parametrize("spec", SPECS, ids=["spiral", "jordan", "diagonal"])
     def test_rows_equal_scalar_arcs(self, spec):
+        # each column is S E S^-1 and S c, c = W (A(u) o + u eta), to 1e-14
+        # of the largest entry of E and of c, scaled by S
         lo, hi = spec.omega.u_min, spec.omega.u_max
         levels = [lo, 0.0, hi] + [lo + (hi - lo) * (j + 0.5) / LEVELS for j in range(LEVELS)]
-        for h in (0.25, -0.25, 0.125):
-            table = _arc_table(spec, h)
+        for (box, res), h in itertools.product(self.GRIDS, (0.25, -0.25, 0.125)):
+            gmap = check_box(box, res)
+            o, s = np.array([gmap[0][0], gmap[1][0]]), np.array([gmap[0][1], gmap[1][1]])
+            conj = np.outer(s, 1.0 / s)
+            table = _arc_table(spec, h, gmap)
             assert table.shape == (6, LEVELS + 3)
             for u, row in zip(levels, table.T):
-                E, W = arc_matrices(a_of_u(spec, u), h)
-                c = W @ (u * spec.eta)
-                assert np.max(np.abs(row[:4] - E.ravel())) <= 1e-14 * np.max(np.abs(E)), u
-                assert np.max(np.abs(row[4:] - c)) <= 1e-14 * np.max(np.abs(c)), u
+                A = a_of_u(spec, u)
+                E, W = arc_matrices(A, h)
+                c = W @ (A @ o + u * spec.eta)
+                assert np.all(np.abs(row[:4] - (conj * E).ravel())
+                              <= 1e-14 * np.max(np.abs(E)) * conj.ravel()), u
+                assert np.all(np.abs(row[4:] - s * c) <= 1e-14 * np.max(np.abs(c)) * s), u
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["spiral", "jordan", "diagonal"])
+    def test_offsets_on_a_far_box_match_a_40_digit_reference(self, spec):
+        # on the box 0.01 wide at x0 = 1e6, c' is some 1e9 cells; the table's
+        # is within 1e-15 of that against 40-digit arcs, where
+        # S (E o + u W eta - o), from the same float arcs, is 1.7e-15 to
+        # 2.6e-15 off (the W form reads 3.4e-16 at most)
+        gmap = check_box(*self.GRIDS[2])
+        o, s = [gmap[0][0], gmap[1][0]], [gmap[0][1], gmap[1][1]]
+        lo, hi = spec.omega.u_min, spec.omega.u_max
+        columns = [0, 1, 2, *range(3, 3 + LEVELS, 512)]
+        levels = [lo, 0.0, hi] + [lo + (hi - lo) * (j - 2.5) / LEVELS for j in columns[3:]]
+        table = _arc_table(spec, 0.25, gmap)[4:, columns]
+        want = np.empty_like(table)
+        with mpmath.workdps(40):
+            for k, u in enumerate(levels):
+                A = mpmath.matrix(a_of_u(spec, u).tolist())
+                # the top right block of exp([[hA, hI], [0, 0]]) is W
+                aug = mpmath.zeros(4, 4)
+                aug[:2, :2], aug[:2, 2:] = 0.25 * A, 0.25 * mpmath.eye(2)
+                W = mpmath.expm(aug)[:2, 2:]
+                c = W * (A * mpmath.matrix(o) + u * mpmath.matrix(spec.eta.tolist()))
+                want[:, k] = [float(s[i] * c[i]) for i in range(2)]
+        assert np.max(np.abs(table - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestLevelDraws:
@@ -889,13 +945,14 @@ class TestMarkerBatches:
         x, y = self.batch(kind)
         got = np.zeros((64, 64), dtype=bool)
         want = np.zeros((64, 64), dtype=bool)
+        gmap = check_box(self.BOX, 64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            n = _mark(got, x, y, self.BOX, 64)
+            n = _mark(got, *_to_grid(x, y, gmap), 64)
         # the reference casts every lane: move the outside ones to finite
         # outside points first
         xr, yr = (np.clip(np.nan_to_num(c, nan=20.0), -20.0, 20.0) for c in (x, y))
-        assert n == _mark_reference(want, xr, yr, self.BOX, 64)
+        assert n == _mark_reference(want, *_to_grid(xr, yr, gmap), 64)
         assert got.tobytes() == want.tobytes()
         if kind == "all-outside":
             assert n == 0 and not got.any()
@@ -911,9 +968,8 @@ def _csv_cell_loop(grid, estimate=None):
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
             e = int(est[i, j]) if est is not None else 0
-            lines.append(
-                f"{x:.6f},{y:.6f},{int(grid.forward[i, j])},{int(grid.backward[i, j])},{e}"
-            )
+            lines.append(f"{float(x)!r},{float(y)!r},"
+                         f"{int(grid.forward[i, j])},{int(grid.backward[i, j])},{e}")
     return "\n".join(lines) + "\n"
 
 
@@ -940,6 +996,18 @@ class TestExportsEqualCellLoops:
         for layer in (fwd, bwd, est.cells):
             assert grid_to_pgm(layer) == _pgm_cell_loop(layer)
 
+    @pytest.mark.parametrize("res", [8, 64])
+    def test_centers_parse_back_on_a_narrow_box(self, res):
+        # six decimals named 2 distinct centers for 64 cells of an 8x8 grid
+        # on a box 1e-7 wide; the repr of each center parses back to it
+        box = ((1.0, 1.0 + 1e-9), (-2e-9, -1e-9))
+        grid = ReachGrid(box, res, np.zeros((res, res), bool), np.ones((res, res), bool))
+        rows = [row.split(",") for row in grid_to_csv(grid).splitlines()[1:]]
+        xs, ys = grid.cell_centers()
+        want = [(x, y) for x in xs.tolist() for y in ys.tolist()]
+        assert [(float(r[0]), float(r[1])) for r in rows] == want
+        assert len(set(want)) == res * res
+
 
 # -- trajectories that never return to the box --------------------------------
 
@@ -964,15 +1032,14 @@ def _scaled(spec, factor):
     return PlanarSpec(factor * spec.A, spec.theta, spec.eta, spec.omega)
 
 
-def _mark_any_reference(bitmap, x, y, box, res):
-    """``_mark_reference`` for any points (oracle): drops NaN and infinite
-    points and clips the rest to one box width beyond the box, where they
-    stay outside, so that every cast is of a finite, moderate float."""
-    (x0, x1), (y0, y1) = box
-    finite = np.isfinite(x) & np.isfinite(y)
-    xs = np.clip(x[finite], 2 * x0 - x1, 2 * x1 - x0)
-    ys = np.clip(y[finite], 2 * y0 - y1, 2 * y1 - y0)
-    return _mark_reference(bitmap, xs, ys, box, res)
+def _mark_any_reference(bitmap, gx, gy, res):
+    """``_mark_reference`` for any grid points (oracle): drops NaN and
+    infinite points and clips the rest to one box width beyond the box,
+    ``[-res, 2 res]``, where they stay outside, so that every cast is of a
+    finite, moderate float."""
+    finite = np.isfinite(gx) & np.isfinite(gy)
+    return _mark_reference(bitmap, np.clip(gx[finite], -res, 2 * res),
+                           np.clip(gy[finite], -res, 2 * res), res)
 
 
 _SPECIAL = [np.inf, -np.inf, np.nan, 1e300, -1e300]
@@ -1007,52 +1074,107 @@ def test_marker_equals_reference_on_shrinking_scratch(x0, y0, wx, wy, res, pairs
 
     x = np.array([place(cx, *box[0]) for cx, _ in pairs])
     y = np.array([place(cy, *box[1]) for _, cy in pairs])
+    x, y = _to_grid(x, y, check_box(box, res))
     rng = np.random.default_rng(seed)
     scratch = _scratch(x.size)
     got = np.zeros((res, res), dtype=bool)
     want = np.zeros((res, res), dtype=bool)
     while x.size:
         out = tuple(a[:x.size] for a in scratch)
-        assert _mark(got, x, y, box, res, out) == _mark_any_reference(want, x, y, box, res)
+        assert _mark(got, x, y, res, out) == _mark_any_reference(want, x, y, res)
         assert np.array_equal(got, want)
         keep = np.flatnonzero(rng.random(x.size) < 0.6)
         x, y = x[keep], y[keep]
 
 
-def _follow_every_lane(spec, v0, T, budget, seed=0, box=SQUARE_BOX, res=64,
-                       arc_duration=2.0, samples_per_arc=8):
-    """The sampler with no trajectory dropped (oracle): each batch's seeds and
-    draws, every trajectory followed to the horizon and every sample marked
-    with ``_mark_any_reference``.  A trajectory escapes at the first arc it
-    starts beyond its direction's ``_escape_radius``, and every sample from
-    there on counts as escaped.  Returns (forward, backward, inside, escaped)."""
+def _raw_arc_table(spec, h):
+    """Rows ``e00, e01, e10, e11, cx, cy`` of the raw sample map v -> E v + c,
+    ``c = u W eta``, at ``_arc_table``'s levels (reference for the sampler
+    that runs in raw coordinates)."""
+    (lo, hi), e = unit_scaled([spec.omega.u_min, spec.omega.u_max])
+    mid = lo + (hi - lo) * (np.arange(LEVELS) + 0.5) / LEVELS
+    u = unscaled(np.concatenate([[lo, 0.0, hi], mid]), e)
+    A, th, eta = spec.A, spec.theta_matrix, spec.eta
+    with np.errstate(invalid="ignore", over="ignore"):
+        (e00, e01, e10, e11), (w00, w01, w10, w11) = arc(
+            A[0, 0] - u * th[0, 0], A[0, 1] - u * th[0, 1],
+            A[1, 0] - u * th[1, 0], A[1, 1] - u * th[1, 1], h,
+        )
+        return np.array([e00, e01, e10, e11,
+                         u * (w00 * eta[0] + w01 * eta[1]), u * (w10 * eta[0] + w11 * eta[1])])
+
+
+def _divided_grid(x, y, box, res):
+    """Grid coordinates ``(x - x0) / (x1 - x0) * res`` of raw points, divided
+    before they are scaled: the cell formula of the raw-coordinate sampler."""
+    (x0, x1), (y0, y1) = box
+    return (x - x0) / (x1 - x0) * res, (y - y0) / (y1 - y0) * res
+
+
+def _lanes(spec, v0, T, budget, seed, box, res, arc_duration, samples_per_arc, raw):
+    """Every trajectory of every batch and direction with no trajectory
+    dropped: yields (direction, gone, gx, gy) at each trajectory's start and
+    after every sample step, with ``gx, gy`` the grid coordinates of the
+    points and ``gone`` the trajectories that started an arc beyond their
+    direction's ``_escape_radius``.
+
+    ``raw=False`` follows the sampler's contract: grid coordinates from
+    ``_to_grid``, ``_arc_table``'s conjugated maps and the escape test on
+    ``(X - origin) * cell``.  ``raw=True`` follows the raw-coordinate
+    sampler: raw points, ``_raw_arc_table``'s maps, ``_divided_grid``'s
+    cells and the escape test on ``x^2 + y^2``.  Both draw each batch's
+    levels from the sampler's seeds.  Points that overflow are inf or NaN:
+    callers run it under ``np.errstate``."""
     n_batches = -(-budget // _BATCH)
     sizes = [len(part) for part in np.array_split(np.arange(budget), n_batches)]
     seeds = np.random.SeedSequence(seed).spawn(2 * n_batches)
     arcs = [min(arc_duration, T - arc_duration * i)
             for i in range(int(np.ceil(T / arc_duration)))]
-    fwd = np.zeros((res, res), dtype=bool)
-    bwd = np.zeros((res, res), dtype=bool)
-    inside = escaped = 0
+    gmap = check_box(box, res)
+    (ox, oy), (cx, cy) = _to_grid(0.0, 0.0, gmap), (1.0 / gmap[0][1], 1.0 / gmap[1][1])
+    start = (float(v0[0]), float(v0[1])) if raw else _to_grid(float(v0[0]), float(v0[1]), gmap)
     for i, n in enumerate(sizes):
-        for d, (sign, bitmap) in enumerate(((+1.0, fwd), (-1.0, bwd))):
+        for d, sign in enumerate((+1.0, -1.0)):
             rho = reach._escape_radius(spec, sign, box)
             rng = np.random.default_rng(seeds[2 * i + d])
-            x = np.full(n, float(v0[0]))
-            y = np.full(n, float(v0[1]))
+            x, y = np.full(n, start[0]), np.full(n, start[1])
             gone = np.zeros(n, dtype=bool)
-            inside += _mark_any_reference(bitmap, x, y, box, res)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for s in arcs:
-                    if rho < np.inf:
-                        gone |= ~(x * x + y * y <= rho * rho)
-                    rows = _arc_table(spec, sign * s / samples_per_arc).T[_oracle_levels(rng, n)]
-                    for _ in range(samples_per_arc):
-                        x, y = (rows[:, 0] * x + rows[:, 1] * y + rows[:, 4],
-                                rows[:, 2] * x + rows[:, 3] * y + rows[:, 5])
-                        inside += _mark_any_reference(bitmap, x, y, box, res)
-                        escaped += int(np.count_nonzero(gone))
-    return fwd, bwd, inside, escaped
+            yield d, gone, *(_divided_grid(x, y, box, res) if raw else (x, y))
+            for s in arcs:
+                if rho < np.inf:
+                    rx, ry = (x, y) if raw else ((x - ox) * cx, (y - oy) * cy)
+                    gone |= ~(rx * rx + ry * ry <= rho * rho)
+                h = sign * s / samples_per_arc
+                table = _raw_arc_table(spec, h) if raw else _arc_table(spec, h, gmap)
+                rows = table.T[_oracle_levels(rng, n)]
+                for _ in range(samples_per_arc):
+                    x, y = (rows[:, 0] * x + rows[:, 1] * y + rows[:, 4],
+                            rows[:, 2] * x + rows[:, 3] * y + rows[:, 5])
+                    yield d, gone, *(_divided_grid(x, y, box, res) if raw else (x, y))
+
+
+def _follow_every_lane(spec, v0, T, budget, seed=0, box=SQUARE_BOX, res=64,
+                       arc_duration=2.0, samples_per_arc=8, raw=False):
+    """The sampler with no trajectory dropped (oracle): ``_lanes``' points,
+    every sample marked with ``_mark_any_reference``.  A trajectory escapes
+    at the first arc it starts beyond its direction's ``_escape_radius``,
+    and every sample from there on counts as escaped.  Returns (forward,
+    backward, inside, escaped)."""
+    bitmaps = np.zeros((2, res, res), dtype=bool)
+    inside = escaped = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d, gone, gx, gy in _lanes(spec, v0, T, budget, seed, box, res, arc_duration,
+                                      samples_per_arc, raw):
+            inside += _mark_any_reference(bitmaps[d], gx, gy, res)
+            escaped += int(np.count_nonzero(gone))
+    return bitmaps[0], bitmaps[1], inside, escaped
+
+
+def _floors(gx, gy, res):
+    """Cell coordinates of grid points and the mask of those in the box
+    (NaN fails it)."""
+    fx, fy = np.floor(gx), np.floor(gy)
+    return fx, fy, (fx >= 0) & (fx < res) & (fy >= 0) & (fy < res)
 
 
 def _certified_specs(family, count, seed, box):
@@ -1085,13 +1207,18 @@ class TestEscapeRadius:
     @pytest.mark.parametrize("box", [SQUARE_BOX, OFF_CENTRE_BOX], ids=["square", "off-centre"])
     def test_lanes_beyond_the_radius_never_reenter_the_box(self, family, box):
         # lanes start just beyond the radius at random angles; the first three
-        # hold u_min, 0 and u_max throughout, the others draw a level per arc
+        # hold u_min, 0 and u_max throughout, the others draw a level per arc.
+        # They run in grid coordinates, as the sampler's do, and their raw
+        # position is (X - origin) * cell
+        gmap = check_box(box, 64)
+        origin, cell = np.array(_to_grid(0.0, 0.0, gmap)), 1.0 / np.array([gmap[0][1], gmap[1][1]])
         for k, (spec, sign) in enumerate(_certified_specs(family, 6, FAMILY_SEEDS[family], box)):
             rho = reach._escape_radius(spec, sign, box)
             rng = np.random.default_rng(k)
             angle = rng.uniform(0.0, 2.0 * np.pi, 500)
-            x, y = rho * (1 + 1e-12) * np.cos(angle), rho * (1 + 1e-12) * np.sin(angle)
-            table = _arc_table(spec, sign * 0.25)
+            x, y = _to_grid(rho * (1 + 1e-12) * np.cos(angle), rho * (1 + 1e-12) * np.sin(angle),
+                            gmap)
+            table = _arc_table(spec, sign * 0.25, gmap)
             bitmap = np.zeros((64, 64), dtype=bool)
             for _ in range(15):
                 levels = _draw_levels(rng, x.size)
@@ -1099,8 +1226,9 @@ class TestEscapeRadius:
                 e00, e01, e10, e11, cx, cy = table[:, levels]
                 for _ in range(8):
                     x, y = e00 * x + e01 * y + cx, e10 * x + e11 * y + cy
-                    assert _mark_any_reference(bitmap, x, y, box, 64) == 0, (family, k)
-                    assert np.all(np.hypot(x, y) >= rho / 2), (family, k)
+                    assert _mark_any_reference(bitmap, x, y, 64) == 0, (family, k)
+                    raw = np.hypot((x - origin[0]) * cell[0], (y - origin[1]) * cell[1])
+                    assert np.all(raw >= rho / 2), (family, k)
             assert not bitmap.any()
 
     def test_radius_of_the_open_system(self):
@@ -1146,6 +1274,31 @@ class TestDroppedLanes:
             assert g.points_outside == g.points - inside, budget
         assert g.points_escaped > 0
 
+    @pytest.mark.parametrize("spec", CERTIFIED, ids=CERTIFIED_IDS)
+    @pytest.mark.parametrize("box", [SQUARE_BOX, OFF_CENTRE_BOX], ids=["square", "off-centre"])
+    def test_raw_coordinate_oracle_differs_only_at_cell_edges(self, spec, box):
+        # grid and raw coordinates round differently, so a sample on a cell
+        # edge may fall on either side of it; every sample the two place
+        # differently is one the raw-coordinate oracle puts within 1e-9
+        # cells of an edge.  Such samples exist: the jordan start (1.0, 0.5)
+        # sits on the off-centre box's top edge, and from v0 = 0 a lane
+        # holding u = 0 stays at the raw origin, a cell edge, exactly, where
+        # its grid coordinates carry the rounding of the box offset
+        moved_samples = 0
+        for budget, T, v0 in ((7, 12.0, (0.3, -0.2)), (2000, 12.0, (0.0, 0.0)),
+                              (16_385, 7.0, (1.0, 0.5))):
+            lanes = zip(*(_lanes(spec, v0, T, budget, 0, box, 64, 2.0, 8, raw)
+                          for raw in (False, True)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for (_, _, gx, gy), (_, _, rx, ry) in lanes:
+                    (fx, fy, ok), (qx, qy, rok) = _floors(gx, gy, 64), _floors(rx, ry, 64)
+                    moved = (ok != rok) | ok & rok & ((fx != qx) | (fy != qy))
+                    moved_samples += int(np.count_nonzero(moved))
+                    for r, f, q in ((rx, fx, qx), (ry, fy, qy)):
+                        near = r[moved & (f != q)]
+                        assert np.all(np.abs(near - np.round(near)) <= 1e-9), (budget, near)
+        assert moved_samples > 0
+
     @pytest.mark.parametrize("spec", [
         _scaled(CERTIFIED[0], 30.0),
         _scaled(CERTIFIED[1], 30.0),
@@ -1174,6 +1327,23 @@ class TestDroppedLanes:
         _, _, inside, escaped = _follow_every_lane(spec, (0.0, 0.0), 30.0, 3000, seed=5)
         g = reach_sets(spec, np.zeros(2), 30.0, 3000, seed=5)
         assert (g.points_outside, g.points_escaped) == (g.points - inside, escaped)
+
+    @pytest.mark.parametrize("spec", [conjugate_to_planar(OPEN_SYS).planar, *CERTIFIED],
+                             ids=["open", *CERTIFIED_IDS])
+    def test_power_of_two_scaling_changes_nothing(self, spec):
+        # v' = A(u) v + u eta is covariant under v, eta -> 2^k (v, eta), and so
+        # are the grid coordinates of a box scaled alike: every bitmap and
+        # count is the same
+        def run(f):
+            scaled = PlanarSpec(spec.A, spec.theta, f * spec.eta, spec.omega)
+            box = tuple((f * lo, f * hi) for lo, hi in OFF_CENTRE_BOX)
+            g = reach_sets(scaled, f * np.array([0.3, -0.2]), 12.0, 2000, box=box, seed=3)
+            return (g.forward.tobytes(), g.backward.tobytes(), g.points_outside,
+                    g.points_escaped)
+
+        want = run(1.0)
+        for k in (1, -1, 60, -60):
+            assert run(2.0 ** k) == want, k
 
     def test_every_arc_draws_the_whole_batch(self, monkeypatch):
         # each arc draws one level per trajectory of the batch, dropped ones
@@ -1267,6 +1437,7 @@ class TestSamplingArguments:
         "infinite-box": dict(box=((-np.inf, 1.0), (-1.0, 1.0))),
         "nan-box": dict(box=((-1.0, 1.0), (np.nan, 1.0))),
         "overflowing-width-box": dict(box=((-1e308, 1e308), (-1.0, 1.0))),
+        "unscalable-box": dict(box=((0.0, 1e-310), (0.0, 1.0))),
         "nan-v0": dict(v0=np.array([np.nan, 0.0])),
         "infinite-v0": dict(v0=np.array([0.0, np.inf])),
         "fractional-budget": dict(budget=2.5),
