@@ -108,7 +108,9 @@ DEFAULT_NUMERICS = {
     "seed": 0,
     "horizon": 15.0,
     "budget": 20_000,
-    "grid": {"box": [[-10.0, 10.0], [-10.0, 10.0]], "resolution": 64},
+    # JSON lists, which the schema's "array" type takes
+    "grid": {"box": [list(side) for side in reach_mod.DEFAULT_BOX],
+             "resolution": reach_mod.DEFAULT_RESOLUTION},
 }
 
 

@@ -86,8 +86,12 @@ LEVELS = 4096
 # the identity-return round trip may end off the identity fiber by this
 # fraction of how far it went
 RETURN_TOL = 1e-5
-# the WholeGroup check: the estimate must fill at least this share of the window
-FILL_WINDOW = ((-5.0, 5.0), (-5.0, 5.0))
+# the sampled experiment's default grid, the one absolute length of its
+# checks: the box ((x0, x1), (y0, y1)) and its cells a side
+DEFAULT_BOX = ((-10.0, 10.0), (-10.0, 10.0))
+DEFAULT_RESOLUTION = 64
+# the WholeGroup check: the estimate must fill at least this share of the
+# window, the middle half of the box
 FILL_THRESHOLD = 0.99
 # the budget is sampled in equal batches of at most this many trajectories:
 # enough to amortise numpy's per-call overhead, few enough that an arc's
@@ -373,8 +377,8 @@ def reach_sets(
     v0: np.ndarray,
     T: float,
     budget: int,
-    box: tuple = ((-10.0, 10.0), (-10.0, 10.0)),
-    resolution: int = 64,
+    box: tuple = DEFAULT_BOX,
+    resolution: int = DEFAULT_RESOLUTION,
     seed: int = 0,
     arc_duration: float = 2.0,
     samples_per_arc: int = 8,
@@ -389,12 +393,13 @@ def reach_sets(
     ``ceil(budget / _BATCH)`` equal batches, each direction of each batch
     drawing from its own child of ``SeedSequence(seed)``, so the result
     depends only on (spec, v0, T, budget, seed) and the grid.  Trajectories
-    run in grid coordinates (``_to_grid``), so a point whose grid coordinate
+    run in grid coordinates (``_to_grid``), so a sample whose grid coordinate
     passes the float range counts as outside, like one whose raw coordinate
     does.  Trajectories beyond a direction's ``_escape_radius`` are dropped,
     which changes no bitmap and no count but ``points_escaped``.  Bad
     sampling arguments, a box among them whose cell scale is not finite
-    (``check_box``), raise ValueError before any sampling.
+    (``check_box``) and a v0 whose grid coordinate is not, raise ValueError
+    before any sampling.
     """
     points = reach_points(T, budget, arc_duration, samples_per_arc)
     if not isinstance(budget, numbers.Integral) or isinstance(budget, bool) or budget <= 0:
@@ -405,6 +410,9 @@ def reach_sets(
     gmap = check_box(box, res)
     v0 = check_finite(v0, "v0").reshape(2)
     start = _to_grid(float(v0[0]), float(v0[1]), gmap)
+    if not all(map(math.isfinite, start)):
+        raise ValueError(f"v0 = {v0.tolist()} is too far from the grid box {box}: "
+                         "its grid coordinate passes the float range")
     # the escape test reads a grid point's raw position (X - origin) * cell
     origin, cell = _to_grid(0.0, 0.0, gmap), tuple(1.0 / s for _, s in gmap)
     lengths = [min(arc_duration, T - i * arc_duration) for i in range(math.ceil(T / arc_duration))]
@@ -523,10 +531,18 @@ def _check(name, ok, **data) -> dict:
 
 def _verify_planar(report, sys, budget, horizon, resolution, seed, box) -> list[dict]:
     """Sampled reach sets of the reduced planar system against an Open,
-    Closed or WholeGroup verdict (none against Unclassified)."""
+    Closed or WholeGroup verdict (none against Unclassified).
+
+    Every length of the checks comes from the grid box: the Closed check's
+    far starts lie on the circle about the origin whose radius is half the
+    box's smaller side, and the WholeGroup window is the middle half of the
+    box.  So scaling xi, eta and the box by a power of two gives the same
+    log, with the radius scaled.  The horizon and ``_entry_indices``' times
+    stay absolute."""
     if report.taxonomy == TAX_UNCLASSIFIED:
         return []
     spec, grid, est = planar_experiment(sys, horizon, budget, box, resolution, seed)
+    (x0, x1), (y0, y1) = grid.box
     i0 = omega_hat(spec).component_of_zero
     if report.taxonomy == TAX_OPEN:
         us = np.linspace(0.6 * i0[0], 0.6 * i0[1], 9)
@@ -534,12 +550,14 @@ def _verify_planar(report, sys, budget, horizon, resolution, seed, box) -> list[
         hit = sum(c is not None and bool(est.cells[c]) for c in cells)
         first = _check("rest-points-inside-estimate", hit == len(us), hits=hit, total=len(us))
     elif report.taxonomy == TAX_CLOSED:
+        radius = min(x1 - x0, y1 - y0) / 2
         angles = [2.0 * np.pi * i / 10.0 for i in range(10)]
-        starts = [10.0 * np.array([np.cos(a), np.sin(a)]) for a in angles]
+        starts = [radius * np.array([np.cos(a), np.sin(a)]) for a in angles]
         entries = _entry_indices(spec, starts, est, grid)
-        first = _check("far-starts-reach-estimate", None not in entries, starts=10, radius=10.0)
+        first = _check("far-starts-reach-estimate", None not in entries, starts=10, radius=radius)
     else:
-        fill = window_fill(grid, est.cells, FILL_WINDOW)
+        qx, qy = (x1 - x0) / 4, (y1 - y0) / 4
+        fill = window_fill(grid, est.cells, ((x0 + qx, x1 - qx), (y0 + qy, y1 - qy)))
         first = _check("window-fill", fill >= FILL_THRESHOLD, fill=fill,
                        threshold=FILL_THRESHOLD)
     return [first, _check("estimate-nonempty", est.diagnostics["estimate_cells"] > 0,
@@ -671,12 +689,7 @@ def _planar_branch(sys: SystemSpec) -> tuple[str, dict]:
         return TAX_UNCLASSIFIED, {"reason": "det A <= 0: the rest point at u = 0 is a saddle",
                                   "u": exc.u, "det": exc.det}
     tax = {PlanarVerdict.OPEN: TAX_OPEN, PlanarVerdict.CLOSED: TAX_CLOSED}.get(verdict, TAX_WHOLE)
-    return tax, {
-        "planar_verdict": verdict.value,
-        "interval": cert["interval"],
-        "trace_at_endpoints": cert["trace_at_endpoints"],
-        "interior_trace_zero": cert["interior_trace_zero"],
-    }
+    return tax, {"planar_verdict": verdict.value, **cert}
 
 
 def verify_classification(
@@ -684,17 +697,20 @@ def verify_classification(
     sys: SystemSpec,
     budget: int = 100_000,
     horizon: float = 30.0,
-    resolution: int = 64,
+    resolution: int = DEFAULT_RESOLUTION,
     seed: int = 0,
-    box: tuple = ((-10.0, 10.0), (-10.0, 10.0)),
+    box: tuple = DEFAULT_BOX,
 ) -> dict:
     """The numerical experiment of the report's rule in ``RULES`` against
     its verdict, or one ``symbolic-only`` check where there is none.
 
-    Returns a log {"ok": bool, "checks": [...]}; any discrepancy appears as
-    a failed check, never silently.  So does an experiment whose arcs leave
-    the float range: one failed ``arcs-in-float-range`` check with the
-    kernel's message.  Bad arguments raise ValueError.
+    The grid defaults to ``DEFAULT_BOX`` at ``DEFAULT_RESOLUTION``, and the
+    planar checks take their window and far-start ring from the box
+    (``_verify_planar``).  Returns a log {"ok": bool, "checks": [...]}; any
+    discrepancy appears as a failed check, never silently.  So does an
+    experiment whose arcs leave the float range: one failed
+    ``arcs-in-float-range`` check with the kernel's message.  Bad arguments
+    raise ValueError.
     """
     verifier = RULES[report.rule].verifier
     try:

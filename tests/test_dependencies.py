@@ -26,9 +26,14 @@ both run; ``cmd_reach`` reaches neither ``conjugate_to_planar`` nor
 ``reach_sets`` itself.  Only ``system._group_arc`` calls
 ``kernel2d.expm_series``, so every other exponential is a 2x2 one through
 ``kernel2d.arc``, and the one larger generator is ``simulate``'s arc map.
+``reach.DEFAULT_BOX`` and ``reach.DEFAULT_RESOLUTION`` are the one default
+grid of the sampled experiment, which ``reach_sets``,
+``verify_classification`` and the CLI's default numerics all read, and
+the checks take every other length from the box.
 """
 
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -376,3 +381,52 @@ def test_one_owner_exponentiates_a_larger_generator():
     users = {path.name: callers(path.read_text(), "expm_series")
              for path in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in users.items() if v} == {"system.py": ["_group_arc"]}
+
+
+def box_literals(source: str) -> list[str]:
+    """The top-level definitions of ``source`` (a function or class by name,
+    a constant by its assigned name, else ``<module>``) that write the box
+    side ``(-10, 10)`` as a tuple or list literal or read a name
+    ``FILL_WINDOW``, sorted."""
+    def hit(node):
+        if isinstance(node, ast.Name) and node.id == "FILL_WINDOW":
+            return True
+        try:
+            return isinstance(node, (ast.Tuple, ast.List)) \
+                and list(ast.literal_eval(node)) == [-10.0, 10.0]
+        except ValueError:  # not a literal
+            return False
+
+    def where(top):
+        if isinstance(top, ast.Assign) and isinstance(top.targets[0], ast.Name):
+            return top.targets[0].id
+        return getattr(top, "name", "<module>")
+
+    return sorted({where(top) for top in ast.parse(source).body
+                   if any(map(hit, ast.walk(top)))})
+
+
+def test_box_literal_checker():
+    source = ("BOX = ((-10.0, 10.0), (-10.0, 10.0))\nSIDE = [-10, 10]\nOTHER = (-5.0, 5.0)\n"
+              "def f(box=((-10.0, 10.0), (0.0, 1.0))):\n    return box\n"
+              "def g(grid):\n    return window_fill(grid, FILL_WINDOW)\n"
+              "def h(x):\n    return (x, 10.0) + (-10.0,) + 10.0 * x\n"
+              "class Grid:\n    box = [[-10.0, 10.0], [0.0, 1.0]]\nprint((-10, 10))\n")
+    assert box_literals(source) == ["<module>", "BOX", "Grid", "SIDE", "f", "g"]
+
+
+def test_one_owner_holds_the_default_grid():
+    # the checks' window and far starts follow the box, so rescaling the
+    # experiment is one change of box
+    from solv3d import cli, reach
+
+    grid = {"box": reach.DEFAULT_BOX, "resolution": reach.DEFAULT_RESOLUTION}
+    for fn in (reach.reach_sets, reach.verify_classification):
+        params = inspect.signature(fn).parameters
+        assert {k: params[k].default for k in grid} == grid, fn.__name__
+    assert cli.DEFAULT_NUMERICS["grid"] == {
+        "box": [list(side) for side in reach.DEFAULT_BOX], "resolution": reach.DEFAULT_RESOLUTION}
+    users = {path.name: box_literals(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    # plan's literal is the t range of the rank-zero certificate, no length
+    assert {k: v for k, v in users.items() if v} == {"plan.py": ["CERT_T_RANGE"],
+                                                     "reach.py": ["DEFAULT_BOX"]}

@@ -1440,6 +1440,8 @@ class TestSamplingArguments:
         "unscalable-box": dict(box=((0.0, 1e-310), (0.0, 1.0))),
         "nan-v0": dict(v0=np.array([np.nan, 0.0])),
         "infinite-v0": dict(v0=np.array([0.0, np.inf])),
+        # finite, but (x - x0) res / (x1 - x0) overflows on the default box
+        "overflowing-grid-v0": dict(v0=np.array([1e308, 0.0])),
         "fractional-budget": dict(budget=2.5),
         "zero-budget": dict(budget=0),
     }

@@ -4,9 +4,10 @@ Scaling A, xi and the control range by c > 0 (alpha and eta fixed) is the
 time rescaling s -> c s of the system, so every verdict must be the one at
 c = 1.  A power of two scales every floating-point step exactly, which makes
 the property tests below exact checks of scale freedom.  Time reversal, the
-scale c = -1 with the control range mirrored, swaps only open and closed.
-The planners are also checked under a rescaling of space (see the section
-on planners).
+scale c = -1 with the control range mirrored, swaps only open and closed,
+and the sampled check that verifies them.  The planners and the sampled
+checks are also checked under a rescaling of space (see the section on
+planners).
 """
 
 import json
@@ -25,7 +26,7 @@ from solv3d.covering import lift_control_set
 from solv3d.group import GroupVariant, SIMPLY_CONNECTED
 from solv3d.kernel2d import ThetaFamily, commutes, matrix_rank, trace_sign
 from solv3d.planar import ControlRange, PlanarSpec, equilibrium, planar_solution
-from solv3d.reach import classify, verify_classification
+from solv3d.reach import DEFAULT_BOX, classify, verify_classification
 from solv3d.system import InvariantField, LinearField, SystemSpec, nilrank
 
 SE2 = GroupVariant(GroupVariant.SE2N, 1)
@@ -280,6 +281,52 @@ def test_time_reversal_swaps_open_and_closed(drift, xi, alpha, eta, lo, hi):
     rep, rev = classify(forward), classify(backward)
     assert rev.rule == rep.rule
     assert rev.taxonomy == _OPEN_CLOSED.get(rep.taxonomy, rep.taxonomy)
+
+
+def criterion_5(A, xi=(1.0, 0.0), eta=(0.0, 0.0)):
+    return SystemSpec(ThetaFamily.spiral(0.0), LinearField(A, xi), InvariantField(1.0, eta),
+                      ControlRange(-0.5, 0.5))
+
+
+@pytest.mark.parametrize("A, checks", [
+    (np.eye(2), ["rest-points-inside-estimate", "far-starts-reach-estimate"]),
+    (-np.eye(2), ["far-starts-reach-estimate", "rest-points-inside-estimate"]),
+], ids=["open", "closed"])
+def test_time_reversal_swaps_the_verified_check(A, checks):
+    # the reversed criterion-5 system (-A, -xi, alpha, eta, -omega), with
+    # omega = +-0.5 its own mirror, verifies with the other side's check
+    firsts = []
+    for sys in (criterion_5(A), criterion_5(-A, xi=(-1.0, 0.0))):
+        log = verify_classification(classify(sys), sys, budget=20_000, horizon=15.0)
+        assert log["ok"], log
+        firsts.append(log["checks"][0]["name"])
+    assert firsts == checks
+
+
+@pytest.mark.parametrize("A, eta", [
+    (np.eye(2), (0.0, 0.0)),
+    (-np.eye(2), (0.0, 0.0)),
+    (0.6 * ThetaFamily.spiral(0.0).matrix(), (1.0, 0.0)),
+], ids=["open", "closed", "whole"])
+@pytest.mark.parametrize("k", [-3, 3])
+def test_sampled_checks_scale_with_the_box(A, eta, k):
+    # scaling xi, eta and the box by c scales the planar reduction's v by c
+    # and keeps t: a power of two samples the same bitmaps, so every check
+    # reads the same, the far starts' radius (half the box's side) times c
+    def log(c):
+        sys = criterion_5(A, xi=(c, 0.0), eta=tuple(c * e for e in eta))
+        box = tuple((c * lo, c * hi) for lo, hi in DEFAULT_BOX)
+        return verify_classification(classify(sys), sys, budget=5000, horizon=15.0, seed=0,
+                                     box=box)
+
+    c = 2.0**-k
+    want, got = log(1.0), log(c)
+    assert want["ok"], want
+    for check in want["checks"]:
+        if "radius" in check:
+            assert check["radius"] == 10.0
+            check["radius"] = 10.0 * c
+    assert got == want
 
 
 class TestSmallDrift:
