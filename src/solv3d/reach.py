@@ -7,18 +7,20 @@ are repeated applications of one such map from ``kernel2d.arc``.  The
 sampler carries every trajectory in grid coordinates
 ``X = (x - x0) res / (x1 - x0)`` (likewise Y, ``_to_grid``), where a
 sample's cell is ``(floor X, floor Y)``: each map is conjugated into grid
-coordinates once per call (``_arc_table``), so no sample subtracts, divides
-or scales to find its cell.  The controls take LEVELS + 3 values (the bang
-levels and evenly spaced midpoints), so one ``arc`` call per direction and
-arc length tabulates every map.  Each trajectory's level is one lookup of
-its random draw, and its row one ``np.take`` gather.  Every sample then
-marks its cells in place, in scratch arrays the batch allocates once, with
-one cast and one flat scatter, lanes outside the box repeating a cell
-inside.  Where the sign of ``sym(A(u))`` certifies that |v| grows under
-every control beyond some radius (``_escape_radius``), a trajectory past
-that radius never returns to the box; it is dropped from the batch at the
-next arc, and its remaining samples are counted as escaped instead of
-computed.
+coordinates once per table (``_arc_table``), so no sample subtracts,
+divides or scales to find its cell.  The controls take LEVELS + 3 values
+(the bang levels and evenly spaced midpoints), so one ``arc`` call
+tabulates every map of a direction and arc length, and ``_sample_maps``
+keeps each table for the process: the maps are tabulated once per (system,
+step, grid) per process, up to ``_MEMO_SIZE`` tables.  Each trajectory's
+level is one lookup of its random draw, and its row one ``np.take`` gather.
+Every sample then marks its cells in place, in scratch arrays the batch
+allocates once, with one cast and one flat scatter, lanes outside the box
+repeating a cell inside.  Where the sign of ``sym(A(u))`` certifies that
+|v| grows under every control beyond some radius (``_escape_radius``), a
+trajectory past that radius never returns to the box; it is dropped from
+the batch at the next arc, and its remaining samples are counted as
+escaped instead of computed.
 Forward and backward occupancies combine into a control-set estimate.
 ``classify`` picks one rule of the table ``RULES`` by the rank condition,
 the group variant, the drift rank and the trace sign; the rule's row gives
@@ -226,6 +228,37 @@ def _arc_table(spec: PlanarSpec, h: float, gmap) -> np.ndarray:
                          sx * (w00 * gx + w01 * gy), sy * (w10 * gx + w11 * gy)])
 
 
+# ``_sample_maps`` keeps at most this many tables, dropping the least
+# recently used: a table is 6 (LEVELS + 3) floats, 196 KB, so the memo holds
+# at most 3.1 MB, while a reach_sets call on one system needs a table per
+# direction and arc length (2 at the default horizon, at most 4 for one CLI
+# experiment) and the three criterion-5 systems together need 6
+_MEMO_SIZE = 16
+# the kept tables by key, least recently used first
+_memo: dict[bytes, np.ndarray] = {}
+
+
+def _sample_maps(spec: PlanarSpec, h: float, gmap) -> np.ndarray:
+    """``_arc_table(spec, h, gmap)``, read-only, tabulated once per process
+    for each (system, step, grid) up to ``_MEMO_SIZE`` tables.
+
+    The key is the bytes of everything the table reads: A, theta's matrix,
+    eta, the control range, h and the grid map, so an in-place edit of
+    ``spec.A`` or ``spec.eta`` tabulates afresh.  A table that raises
+    (``FloatRangeError``) is never stored."""
+    (x0, sx), (y0, sy) = gmap
+    nums = np.array([spec.omega.u_min, spec.omega.u_max, h, x0, sx, y0, sy], dtype=float)
+    key = b"".join(a.tobytes() for a in (spec.A, spec.theta_matrix, spec.eta, nums))
+    table = _memo.pop(key, None)
+    if table is None:
+        table = _arc_table(spec, h, gmap)
+        table.flags.writeable = False
+        if len(_memo) >= _MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+    _memo[key] = table
+    return table
+
+
 # the ``_arc_table`` column of each raw draw r in [0, 6 LEVELS): bang level
 # r mod 3 below 3 LEVELS, else midpoint (r - 3 LEVELS) // 3
 _LEVEL_OF = np.concatenate([np.tile(np.arange(3), LEVELS), 3 + np.repeat(np.arange(LEVELS), 3)])
@@ -386,20 +419,22 @@ def reach_sets(
     """Forward and backward occupancy of the planar system from v0.
 
     Every arc's control is one of ``_arc_table``'s levels, so one table per
-    direction and arc length serves every trajectory.  The bang levels are
-    among them: a finite control set whose convex hull is the whole range
-    leaves the closure of a control-affine system's reachable sets unchanged
-    (Filippov-Wazewski relaxation).  The budget is split into
-    ``ceil(budget / _BATCH)`` equal batches, each direction of each batch
-    drawing from its own child of ``SeedSequence(seed)``, so the result
-    depends only on (spec, v0, T, budget, seed) and the grid.  Trajectories
-    run in grid coordinates (``_to_grid``), so a sample whose grid coordinate
-    passes the float range counts as outside, like one whose raw coordinate
-    does.  Trajectories beyond a direction's ``_escape_radius`` are dropped,
-    which changes no bitmap and no count but ``points_escaped``.  Bad
-    sampling arguments, a box among them whose cell scale is not finite
-    (``check_box``) and a v0 whose grid coordinate is not, raise ValueError
-    before any sampling.
+    direction and arc length serves every trajectory, and ``_sample_maps``
+    tabulates it once per (system, step, grid) per process, up to
+    ``_MEMO_SIZE`` tables.  The bang levels are among them: a finite control
+    set whose convex hull is the whole range leaves the closure of a
+    control-affine system's reachable sets unchanged (Filippov-Wazewski
+    relaxation).  The budget is split into ``ceil(budget / _BATCH)`` equal
+    batches, each direction of each batch drawing from its own child of
+    ``SeedSequence(seed)``, so the result depends only on (spec, v0, T,
+    budget, seed, arc_duration, samples_per_arc) and the grid, whether its
+    tables are new or kept.  Trajectories run in grid coordinates
+    (``_to_grid``), so a sample whose grid coordinate passes the float range
+    counts as outside, like one whose raw coordinate does.  Trajectories
+    beyond a direction's ``_escape_radius`` are dropped, which changes no
+    bitmap and no count but ``points_escaped``.  Bad sampling arguments, a
+    box among them whose cell scale is not finite (``check_box``) and a v0
+    whose grid coordinate is not, raise ValueError before any sampling.
     """
     points = reach_points(T, budget, arc_duration, samples_per_arc)
     if not isinstance(budget, numbers.Integral) or isinstance(budget, bool) or budget <= 0:
@@ -423,7 +458,7 @@ def reach_sets(
     bwd = np.zeros((res, res), dtype=bool)
     inside = escaped = 0
     for d, (sign, bitmap) in enumerate(((+1.0, fwd), (-1.0, bwd))):
-        by_length = {s: _arc_table(spec, sign * s / samples_per_arc, gmap) for s in set(lengths)}
+        by_length = {s: _sample_maps(spec, sign * s / samples_per_arc, gmap) for s in set(lengths)}
         tables = [by_length[s] for s in lengths]
         rho = _escape_radius(spec, sign, box)
         escape = (rho, origin, cell) if rho < math.inf else None

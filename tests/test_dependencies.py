@@ -23,7 +23,9 @@ Only
 ``reach.planar_experiment`` calls ``reach_sets``, so the sampled control
 set has one owner, which ``solv3d reach`` and the planar verdict checks
 both run; ``cmd_reach`` reaches neither ``conjugate_to_planar`` nor
-``reach_sets`` itself.  Only ``system._group_arc`` calls
+``reach_sets`` itself.  Only ``reach._sample_maps`` calls
+``reach._arc_table``, so one memo tabulates every sample map, once per
+(system, step, grid) per process.  Only ``system._group_arc`` calls
 ``kernel2d.expm_series``, so every other exponential is a 2x2 one through
 ``kernel2d.arc``, and the one larger generator is ``simulate``'s arc map.
 ``reach.DEFAULT_BOX`` and ``reach.DEFAULT_RESOLUTION`` are the one default
@@ -374,6 +376,13 @@ def test_one_owner_samples_the_control_set():
     reached = names_reached((SRC / "cli.py").read_text(), "cmd_reach")
     assert "planar_experiment" in reached
     assert reached & {"conjugate_to_planar", "reach_sets"} == set()
+
+
+def test_one_owner_tabulates_the_sample_maps():
+    # reach_sets reads every table through the memo, so a rerun tabulates none
+    users = {path.name: callers(path.read_text(), "_arc_table")
+             for path in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in users.items() if v} == {"reach.py": ["_sample_maps"]}
 
 
 def test_one_owner_exponentiates_a_larger_generator():

@@ -14,7 +14,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from solv3d.group import SIMPLY_CONNECTED, GroupVariant
-from solv3d.kernel2d import ThetaFamily, arc, arc_matrices, lambda_op, unit_scaled, unscaled
+from solv3d.kernel2d import (
+    FloatRangeError,
+    ThetaFamily,
+    arc,
+    arc_matrices,
+    lambda_op,
+    unit_scaled,
+    unscaled,
+)
 from solv3d.plan import _leg_ends
 from solv3d.planar import ControlRange, PiecewiseControl, PlanarSpec, a_of_u
 import solv3d.reach as reach
@@ -585,9 +593,123 @@ class TestBatchedSampling:
             calls.append(args[-1])
             return arc(*args)
 
+        # a cold memo: an earlier test may have tabulated closed_planar()
+        monkeypatch.setattr(reach, "_memo", {})
         monkeypatch.setattr(reach, "arc", counting_arc)
         reach_sets(closed_planar(), np.zeros(2), 7.0, 40_000)
         assert sorted(calls) == [-0.25, -0.125, 0.125, 0.25]
+        # a rerun takes every table from the memo
+        calls.clear()
+        reach_sets(closed_planar(), np.zeros(2), 7.0, 40_000)
+        assert calls == []
+
+
+class TestSampleMapMemo:
+    """``reach._sample_maps`` keeps each (system, step, grid)'s table for
+    the process: a rerun tabulates nothing and samples the same grids, and
+    any change to what a table reads tabulates afresh."""
+
+    @pytest.fixture
+    def arc_steps(self, monkeypatch):
+        """A cold memo, and the step of every ``arc`` call from here on."""
+        monkeypatch.setattr(reach, "_memo", {})
+        calls = []
+
+        def counting_arc(*args):
+            calls.append(args[-1])
+            return arc(*args)
+
+        monkeypatch.setattr(reach, "arc", counting_arc)
+        return calls
+
+    @staticmethod
+    def outputs(grid):
+        return (grid.forward.tobytes(), grid.backward.tobytes(), grid.points,
+                grid.points_outside, grid.points_escaped)
+
+    @pytest.mark.parametrize("system", [OPEN_SYS, CLOSED_SYS, WHOLE_SYS],
+                             ids=["open", "closed", "whole"])
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_warm_memo_samples_the_cold_grids(self, arc_steps, system, seed):
+        spec = conjugate_to_planar(system).planar
+        cold = self.outputs(reach_sets(spec, np.zeros(2), 30.0, 2000, seed=seed))
+        assert sorted(arc_steps) == [-0.25, 0.25]
+        warm = self.outputs(reach_sets(spec, np.zeros(2), 30.0, 2000, seed=seed))
+        assert warm == cold
+        assert len(arc_steps) == 2
+
+    CHANGES = {
+        "box": dict(box=((-10.0, 10.0), (-5.0, 10.0))),
+        "resolution": dict(resolution=32),
+        "arc-length": dict(arc_duration=1.0),
+        "samples-per-arc": dict(samples_per_arc=4),
+        "omega": dict(spec=replace(closed_planar(), omega=ControlRange(-0.5, 0.25))),
+    }
+
+    @pytest.mark.parametrize("change", CHANGES)
+    def test_a_changed_input_tabulates_afresh(self, arc_steps, change):
+        args = dict(spec=closed_planar(), v0=np.zeros(2), T=2.0, budget=10)
+        reach_sets(**args)
+        assert len(arc_steps) == 2
+        reach_sets(**{**args, **self.CHANGES[change]})
+        assert len(arc_steps) == 4
+        reach_sets(**{**args, **self.CHANGES[change]})
+        assert len(arc_steps) == 4
+
+    def test_each_step_sign_has_its_own_table(self, arc_steps):
+        gmap = check_box(reach.DEFAULT_BOX, 64)
+        forward = reach._sample_maps(closed_planar(), 0.25, gmap)
+        backward = reach._sample_maps(closed_planar(), -0.25, gmap)
+        assert arc_steps == [0.25, -0.25]
+        assert not np.array_equal(forward, backward)
+        assert reach._sample_maps(closed_planar(), 0.25, gmap) is forward
+
+    @pytest.mark.parametrize("field", ["A", "eta"])
+    def test_an_in_place_edit_tabulates_afresh(self, arc_steps, field):
+        # closed_planar()'s A is CLOSED_SYS's own array: edit copies
+        spec = replace(closed_planar(), A=closed_planar().A.copy(),
+                       eta=closed_planar().eta.copy())
+        args = dict(v0=np.zeros(2), T=6.0, budget=500)
+        reach_sets(spec, **args)
+        edited = {"A": 2.0 * spec.A, "eta": np.array([1.0, -0.5])}[field]
+        getattr(spec, field)[...] = edited
+        warm = self.outputs(reach_sets(spec, **args))
+        assert len(arc_steps) == 4
+        fresh = replace(closed_planar(), **{field: edited})
+        reach._memo.clear()
+        assert self.outputs(reach_sets(fresh, **args)) == warm
+
+    def test_the_memo_keeps_its_bound(self, arc_steps):
+        spec, gmap = closed_planar(), check_box(reach.DEFAULT_BOX, 64)
+        steps = [0.01 * (k + 1) for k in range(reach._MEMO_SIZE + 5)]
+        for h in steps:
+            reach._sample_maps(spec, h, gmap)
+            assert len(reach._memo) <= reach._MEMO_SIZE
+        assert len(reach._memo) == reach._MEMO_SIZE
+        assert arc_steps == steps
+        # the least recently used goes first: the oldest kept table, used
+        # again, outlives the one after it
+        oldest, next_oldest = steps[-reach._MEMO_SIZE], steps[1 - reach._MEMO_SIZE]
+        for h in (oldest, 1.0, oldest, next_oldest, steps[0]):
+            reach._sample_maps(spec, h, gmap)
+        assert arc_steps[len(steps):] == [1.0, next_oldest, steps[0]]
+
+    def test_a_kept_table_is_read_only(self, arc_steps):
+        gmap = check_box(reach.DEFAULT_BOX, 64)
+        table = reach._sample_maps(closed_planar(), 0.25, gmap)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+        assert np.array_equal(table, _arc_table(closed_planar(), 0.25, gmap))
+
+    def test_an_overflowing_table_is_never_kept(self, arc_steps):
+        # 0.25 * 1e308 is past arc's float range
+        spec = PlanarSpec(-1e308 * np.eye(2), ROTATION, np.zeros(2), OMEGA)
+        gmap = check_box(reach.DEFAULT_BOX, 64)
+        for tries in (1, 2):
+            with pytest.raises(FloatRangeError):
+                reach._sample_maps(spec, 0.25, gmap)
+            assert reach._memo == {}
+            assert len(arc_steps) == tries
 
 
 class TestGridExitCounters:
