@@ -123,7 +123,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class PlanarSpec:
-    """Data of the planar system: drift matrix, structure family, input."""
+    """Data of the planar system: drift matrix, structure family, input (arrays copied in)."""
 
     A: np.ndarray
     theta: ThetaFamily
@@ -131,8 +131,8 @@ class PlanarSpec:
     omega: "ControlRange"
 
     def __post_init__(self):
-        A = check_finite(self.A, "A").reshape(2, 2)
-        eta = check_finite(self.eta, "eta").reshape(2)
+        A = check_finite(self.A, "A").reshape(2, 2).copy()
+        eta = check_finite(self.eta, "eta").reshape(2).copy()
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "eta", eta)
         if not commutes(A, self.theta.matrix()):

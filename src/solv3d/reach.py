@@ -14,13 +14,15 @@ tabulates every map of a direction and arc length, and ``_sample_maps``
 keeps each table for the process: the maps are tabulated once per (system,
 step, grid) per process, up to ``_MEMO_SIZE`` tables.  Each trajectory's
 level is one lookup of its random draw, and its row one ``np.take`` gather.
-Every sample then marks its cells in place, in scratch arrays the batch
-allocates once, with one cast and one flat scatter, lanes outside the box
-repeating a cell inside.  Where the sign of ``sym(A(u))`` certifies that
-|v| grows under every control beyond some radius (``_escape_radius``), a
-trajectory past that radius never returns to the box; it is dropped from
-the batch at the next arc, and its remaining samples are counted as
-escaped instead of computed.
+A batch is one ``(2, n)`` state of grid points, and each sample is one
+affine step of it by the gathered matrices and offsets.  Every sample then
+marks its cells in place, in scratch arrays the batch allocates once, with
+one cast and one flat scatter, lanes outside the box repeating a cell
+inside.  Where the sign of ``sym(A(u))`` certifies that |v| grows under
+every control beyond some radius (``_escape_radius``), a trajectory past
+that radius never returns to the box; it is dropped from the batch at the
+next arc, and its remaining samples are counted as escaped instead of
+computed.
 Forward and backward occupancies combine into a control-set estimate.
 ``classify`` picks one rule of the table ``RULES`` by the rank condition,
 the group variant, the drift rank and the trace sign; the rule's row gives
@@ -316,60 +318,57 @@ def _sample_direction(
 ) -> tuple[int, int]:
     """Accumulate one time direction's occupancy over a batch of n trajectories.
 
-    Every trajectory starts at the grid point ``start`` (``_to_grid``) and
-    stays in grid coordinates.  ``tables[i]`` is arc i's ``_arc_table``, and
-    each arc draws one level for each of the n trajectories from ``rng``,
-    dropped ones included, so every kept trajectory sees the draws it would
-    see alone.  Switches happen on a fixed period, so a longer horizon
-    extends the same draws instead of redrawing them.  ``escape`` is None
-    where no escape radius is certified, else ``(rho, origin, cell)``: the
-    radius, the grid point of the raw origin and the cell widths, so that
-    ``(X - origin) * cell`` is a grid point's raw position.  At the start of
-    each arc, a trajectory beyond ``rho`` (or NaN, which stays NaN) is
-    dropped, and the rest gather their rows with ``np.take``; the batch ends
-    when no trajectory is left.  Every sample is one ``_mark`` call over the
+    The batch is one ``(2, n)`` array z of grid points (``_to_grid``), every
+    column starting at ``start``.  ``tables[i]`` is arc i's ``_arc_table``,
+    and each arc draws one level for each of the n trajectories from
+    ``rng``, dropped ones included, so every kept trajectory sees the draws
+    it would see alone.  Switches happen on a fixed period, so a longer
+    horizon extends the same draws instead of redrawing them.  ``escape``
+    is None where no escape radius is certified, else ``(rho, origin,
+    cell)``: the radius and the ``(2, 1)`` columns of the raw origin's grid
+    point and the cell widths, so that ``(z - origin) * cell`` is the raw
+    position.  At the start of each arc, a trajectory beyond ``rho`` (or
+    NaN, which stays NaN) is dropped, and the rest gather their columns
+    with one ``np.take``, viewed as the matrices E ``(2, 2, n)`` and the
+    offsets c ``(2, n)``.  Every sample is one affine step
+    ``z <- E z + c`` of the whole state, and one ``_mark`` call over the
     kept trajectories.  Returns how many of the sampled points fell inside
     the box, and how many were not computed because their trajectory was
     dropped.
     """
-    x = np.full(n, start[0])
-    y = np.full(n, start[1])
+    z = np.full((2, n), np.reshape(start, (2, 1)))
     lanes = np.arange(n)
     scratch = out = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, bool), np.empty(n, bool))
-    inside = _mark(bitmap, x, y, res, out)
+    inside = _mark(bitmap, z[0], z[1], res, out)
     escaped = 0
     for i, table in enumerate(tables):
         draws = _draw_levels(rng, n)
         if escape is not None:
-            rho, (ox, oy), (cx, cy) = escape
+            rho, origin, cell = escape
             with np.errstate(invalid="ignore", over="ignore"):
-                rx, ry = (x - ox) * cx, (y - oy) * cy
+                rx, ry = (z - origin) * cell
                 keep = np.flatnonzero(rx * rx + ry * ry <= rho * rho)
             if keep.size < lanes.size:
                 escaped += (lanes.size - keep.size) * (len(tables) - i) * samples_per_arc
                 if not keep.size:
                     break
-                lanes, x, y = lanes[keep], x[keep], y[keep]
+                lanes, z = lanes[keep], z[:, keep]
                 out = tuple(a[:keep.size] for a in scratch)
         if lanes.size < n:
             draws = draws[lanes]
-        e00, e01, e10, e11, cx, cy = np.take(table, draws, axis=1)
-        # the samples are powers of the arc's map applied to v, computed as
-        # x <- (e00 x + e01 y) + cx and y <- (e11 y + e10 x) + cy; one that
-        # overflows marks nothing
-        new_x, t = np.empty_like(x), np.empty_like(x)
+        maps = np.take(table, draws, axis=1)
+        E, c = maps[:4].reshape(2, 2, -1), maps[4:]
+        # each sample is (e00 x + e01 y) + cx and (e10 x + e11 y) + cy, every
+        # product and sum its own ufunc, so it rounds alike on every build
+        # (an einsum or matmul kernel may fuse a multiply and an add); one
+        # that overflows marks nothing
         with np.errstate(invalid="ignore", over="ignore"):
             for _ in range(samples_per_arc):
-                np.multiply(e00, x, out=new_x)
-                np.multiply(e01, y, out=t)
-                new_x += t
-                new_x += cx
-                np.multiply(e11, y, out=y)
-                np.multiply(e10, x, out=t)
-                y += t
-                y += cy
-                x, new_x = new_x, x
-                inside += _mark(bitmap, x, y, res, out)
+                t = E[:, 0] * z[0]
+                t += E[:, 1] * z[1]
+                t += c
+                z = t
+                inside += _mark(bitmap, z[0], z[1], res, out)
     return inside, escaped
 
 
@@ -448,8 +447,9 @@ def reach_sets(
     if not all(map(math.isfinite, start)):
         raise ValueError(f"v0 = {v0.tolist()} is too far from the grid box {box}: "
                          "its grid coordinate passes the float range")
-    # the escape test reads a grid point's raw position (X - origin) * cell
-    origin, cell = _to_grid(0.0, 0.0, gmap), tuple(1.0 / s for _, s in gmap)
+    # the escape test reads a grid point's raw position (z - origin) * cell
+    origin = np.reshape(_to_grid(0.0, 0.0, gmap), (2, 1))
+    cell = np.reshape([1.0 / s for _, s in gmap], (2, 1))
     lengths = [min(arc_duration, T - i * arc_duration) for i in range(math.ceil(T / arc_duration))]
     n_batches = math.ceil(budget / _BATCH)
     seeds = np.random.SeedSequence(seed).spawn(2 * n_batches)
@@ -762,20 +762,17 @@ def _entry_indices(spec: PlanarSpec, starts, est: ControlSetEstimate,
     """For each start v, the first of 600 even times in [0, 30] at which the
     zero-control flow e^{sA} v lies in an estimate cell, or None.
 
-    One batched ``arc`` gives every e^{sA}, shared by all starts.
+    One batched ``arc`` gives every e^{sA}, applied by broadcasting to every
+    start at once: row k of the (start, time) arrays is start k's flow.
     """
     A = spec.A
     (e00, e01, e10, e11), _ = arc(A[0, 0], A[0, 1], A[1, 0], A[1, 1],
                                   np.linspace(0.0, 30.0, 600))
-    gmap = check_box(grid.box, grid.resolution)
-    out = []
-    for v in starts:
-        fx, fy, ok = _cells(*_to_grid(e00 * v[0] + e01 * v[1], e10 * v[0] + e11 * v[1], gmap),
-                            grid.resolution)
-        ok = np.flatnonzero(ok)
-        hit = ok[est.cells[fx[ok].astype(np.intp), fy[ok].astype(np.intp)]]
-        out.append(int(hit[0]) if hit.size else None)
-    return out
+    v0, v1 = np.reshape(starts, (-1, 2, 1)).transpose(1, 0, 2)
+    x, y = e00 * v0 + e01 * v1, e10 * v0 + e11 * v1
+    fx, fy, ok = _cells(*_to_grid(x, y, check_box(grid.box, grid.resolution)), grid.resolution)
+    ok[ok] = est.cells[fx[ok].astype(np.intp), fy[ok].astype(np.intp)]
+    return [int(np.argmax(hit)) if hit.any() else None for hit in ok]
 
 
 # -- exports -----------------------------------------------------------------

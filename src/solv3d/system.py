@@ -49,26 +49,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearField:
-    """Drift data (A, xi); A must commute with the structure matrix."""
+    """Drift data (A, xi), copied in; A must commute with the structure matrix."""
 
     A: np.ndarray
     xi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", check_finite(self.A, "A").reshape(2, 2))
-        object.__setattr__(self, "xi", check_finite(self.xi, "xi").reshape(2))
+        object.__setattr__(self, "A", check_finite(self.A, "A").reshape(2, 2).copy())
+        object.__setattr__(self, "xi", check_finite(self.xi, "xi").reshape(2).copy())
 
 
 @dataclass(frozen=True)
 class InvariantField:
-    """Input data (alpha, eta) of the left-invariant control direction."""
+    """Input data (alpha, eta, copied in) of the left-invariant control direction."""
 
     alpha: float
     eta: np.ndarray
 
     def __post_init__(self):
         check_finite(self.alpha, "alpha")
-        object.__setattr__(self, "eta", check_finite(self.eta, "eta").reshape(2))
+        object.__setattr__(self, "eta", check_finite(self.eta, "eta").reshape(2).copy())
 
 
 @dataclass(frozen=True)

@@ -666,7 +666,7 @@ class TestSampleMapMemo:
 
     @pytest.mark.parametrize("field", ["A", "eta"])
     def test_an_in_place_edit_tabulates_afresh(self, arc_steps, field):
-        # closed_planar()'s A is CLOSED_SYS's own array: edit copies
+        # copies of closed_planar()'s arrays, which the spec keeps as its own
         spec = replace(closed_planar(), A=closed_planar().A.copy(),
                        eta=closed_planar().eta.copy())
         args = dict(v0=np.zeros(2), T=6.0, budget=500)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from solv3d import kernel2d, system
 from solv3d.group import GroupElement, multiply
 from solv3d.kernel2d import ThetaFamily, matrix_rank
-from solv3d.planar import ControlRange, PiecewiseControl, omega_hat
+from solv3d.planar import ControlRange, PiecewiseControl, PlanarSpec, omega_hat
 from solv3d.reach import classify
 from solv3d.system import (
     InvariantField,
@@ -62,6 +62,26 @@ class TestSpec:
         assert nilrank(make(th, np.diag([1.0, 2.0]), [0, 0], 1, [0, 0])) == 2
         assert nilrank(make(th, np.diag([1.0, 0.0]), [0, 0], 1, [0, 0])) == 1
         assert nilrank(make(th, np.zeros((2, 2)), [0, 0], 1, [0, 0])) == 0
+
+
+class TestSpecArrays:
+    """Every spec keeps its own copies of its arrays."""
+
+    def test_an_edit_of_the_planar_reduction_leaves_the_system_unchanged(self):
+        sys = make(ThetaFamily.spiral(0.0), -np.eye(2), [1.0, 0.0], 1.0, [0.0, 0.0])
+        conjugate_to_planar(sys).planar.A[0, 0] = -3.0
+        assert np.array_equal(sys.A, -np.eye(2))
+        assert np.array_equal(conjugate_to_planar(sys).planar.A, -np.eye(2))
+
+    def test_an_edit_of_the_input_arrays_leaves_the_specs_unchanged(self):
+        A, xi, eta = -np.eye(2), np.array([1.0, 0.0]), np.array([0.5, -0.5])
+        sys = make(ThetaFamily.spiral(0.0), A, xi, 1.0, eta)
+        planar = PlanarSpec(A, ThetaFamily.spiral(0.0), eta, OMEGA)
+        A[0, 0], xi[0], eta[0] = -3.0, 7.0, 9.0
+        for spec in (sys, planar):
+            assert np.array_equal(spec.A, -np.eye(2))
+            assert np.array_equal(spec.eta, [0.5, -0.5])
+        assert np.array_equal(sys.xi, [1.0, 0.0])
 
 
 class TestDriftFlow:
