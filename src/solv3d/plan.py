@@ -422,7 +422,9 @@ def fiber_sync(spec: PlanarSpec, p1: tuple[float, np.ndarray], p2: tuple[float, 
     for u, r, name in ((u1, r1, "u1"), (u2, r2, "u2")):
         if same(v1, r) and same(v2, r) and (t2 - t1) * u >= 0.0:
             _contraction_rate(spec, u, name)
-            ctrl = PiecewiseControl.from_pairs([((t2 - t1) / u, u)] if t2 != t1 else [])
+            dwell = (t2 - t1) / u
+            _check_dwells(t2 - t1, dwell)
+            ctrl = PiecewiseControl.from_pairs([(dwell, u)] if t2 != t1 else [])
             return _finish_fiber(spec, t1, v1, t2, v2, ctrl, {"route": "dwell-only"})
 
     # forty time constants: the start is forgotten to e^-40 of its distance
@@ -436,6 +438,7 @@ def fiber_sync(spec: PlanarSpec, p1: tuple[float, np.ndarray], p2: tuple[float, 
     need = (t2 - t1) - sum(s * u for s, u in [(contract_T, u1), *transfer, *final])
     # dwell d1 at v(u1) (rate u1 < 0) and d2 at v(u2) (rate u2 > 0)
     d1, d2 = (0.0, need / u2) if need >= 0.0 else (need / u1, 0.0)
+    _check_dwells(t2 - t1, d1, d2)
     if d2 > 0.0:
         _contraction_rate(spec, u2, "u2")
     legs = [(contract_T, u1), (d1, u1), *transfer, (d2, u2), *final]
@@ -443,6 +446,12 @@ def fiber_sync(spec: PlanarSpec, p1: tuple[float, np.ndarray], p2: tuple[float, 
     return _finish_fiber(
         spec, t1, v1, t2, v2, ctrl, {"route": "equilibrium-dwell", "dwells": (d1, d2)}
     )
+
+
+def _check_dwells(dt: float, *dwells: float) -> None:
+    """A ValueError naming dt = t2 - t1 when a dwell leaves the float range."""
+    if not np.all(np.isfinite(dwells)):
+        raise ValueError(f"fiber_sync needs a dwell past the float range for t2 - t1 = {dt:g}")
 
 
 def _contraction_rate(spec: PlanarSpec, u: float, name: str) -> float:

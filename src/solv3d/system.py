@@ -11,8 +11,9 @@ The module provides the exact drift flow, rank conditions with auditable
 certificates, the conjugations that normalize eta or xi away, the planar
 reduction available at full nilrank, and a piecewise-constant simulator
 (exact at nilrank 2, by one 5x5 affine arc map in group coordinates; RK4
-below, on the field of ``field_values`` in place).  Both arc maps write
-their samples into the output and check them once per run of samples.
+below, on the field of ``field_values`` in place, with one ``arc`` of theta
+per distinct stage time).  Both arc maps write their samples into the output
+and check them once per run of samples.
 """
 
 from __future__ import annotations
@@ -306,19 +307,28 @@ def _rk4_arc(sys: SystemSpec, g: GroupElement, u: float, duration: float,
     into ``out``, one per row.
 
     Each stage evaluates the field of ``field_values`` in its order of
-    operations, so the path is bit for bit RK4 on ``field_values``: one
-    ``arc`` of theta at the stage time, then A v + Lambda_t xi + u rho_t eta.
-    The caller has checked the control, so no stage re-checks it or builds
-    a group element.  A run of at most _RUN steps outside the float range
-    fails its one finiteness check (or a later stage's ``arc``) as a
-    ValueError.
+    operations, so the path is bit for bit RK4 on ``field_values``: the
+    pair (rho_t, Lambda_t) of theta at the stage time, then A v + Lambda_t
+    xi + u rho_t eta.  The pair is one ``arc`` of theta per distinct stage
+    time: t' = u alpha is constant on the arc, so stages 2 and 3 share a
+    time, and stage 4's time is mostly the next step's stage-1 time, so a
+    stage whose time equals the last one's (zero's sign included) reuses
+    its pair.  The caller has checked the control, so no stage re-checks it
+    or builds a group element.  A run of at most _RUN steps outside the
+    float range fails its one finiteness check (or a later stage's ``arc``)
+    as a ValueError.
     """
     theta = sys.theta_matrix.ravel().tolist()
     A, xi, eta, td = sys.A, sys.xi, sys.eta, u * sys.alpha
+    last, rho, lam = math.nan, None, None  # NaN equals no stage time
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        e, w = arc(*theta, float(y[0]))
-        rho, lam = np.array(e).reshape(2, 2), np.array(w).reshape(2, 2)
+        nonlocal last, rho, lam
+        t = float(y[0])
+        # arc(-0.0) and arc(0.0) differ in the signs of their zeros
+        if t != last or (t == 0.0 and math.copysign(1.0, t) != math.copysign(1.0, last)):
+            e, w = arc(*theta, t)
+            rho, lam, last = np.array(e).reshape(2, 2), np.array(w).reshape(2, 2), t
         vd = A @ y[1:] + lam @ xi + u * (rho @ eta)
         return np.array([td, vd[0], vd[1]])
 

@@ -617,6 +617,9 @@ def _fuzz_cases():
                 # click's own option and type errors exit 1, as the program's input errors do
                 cases.append(pytest.param(command, flag, value, 1,
                                           id=f"{command} {flag} {label}"))
+    # a finite t target whose dwell leaves the float range
+    cases.append(pytest.param("plan fiber-sync", "--p2", "1e308,0,0", 1,
+                              id="plan fiber-sync --p2 dwell overflow"))
     return cases
 
 

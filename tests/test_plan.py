@@ -268,6 +268,16 @@ class TestFiberSync:
         with pytest.raises(ValueError, match="finite"):
             fiber_sync(self.SPEC, (t1, np.zeros(2)), (t2, np.ones(2)), u1, u2)
 
+    @pytest.mark.parametrize("route", ["equilibrium-dwell", "dwell-only"])
+    def test_rejects_a_dwell_past_the_float_range(self, route):
+        # a dwell of about 1e308 / 0.5 overflows to inf
+        r2 = equilibrium(self.SPEC, 0.5)
+        v1 = np.zeros(2) if route == "equilibrium-dwell" else r2
+        with pytest.raises(ValueError) as exc:
+            fiber_sync(self.SPEC, (0.0, v1), (1e308, r2), -0.5, 0.5)
+        assert str(exc.value) == ("fiber_sync needs a dwell past the float range for "
+                                  "t2 - t1 = 1e+308")
+
     def test_rejects_expanding_rest_point(self):
         sp = PlanarSpec(np.eye(2), ROTATION, [1.0, 0.0], ControlRange(-1, 1))
         with pytest.raises(ValueError, match="at u1"):

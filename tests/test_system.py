@@ -1,5 +1,6 @@
 """Tests for system specs, rank conditions, conjugations and the simulator."""
 
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -474,6 +475,9 @@ NILRANK2 = {
                    [0.5, 1.0], WIDE),
 }
 RUN = system._RUN
+# the RK4 path: nilrank 1 on diagonal(0.5), nilrank 0 on jordan
+RK4_NILRANK1 = make(ThetaFamily.diagonal(0.5), np.diag([1.0, 0.0]), [0.3, 1.0], 1.0, [0.5, 0.2])
+RK4_JORDAN = make(ThetaFamily.jordan(), np.zeros((2, 2)), [0.7, -0.4], 1.2, [0.5, 1.0])
 EXACT_CASES = {
     # a control 1e-9 from the root u = -1 of det A(u) on jordan and diagonal
     "near root": (0.3, [(0.5, 0.7), (0.3, -0.4), (0.2, -1.0 + 1e-9)], 1e-3),
@@ -671,15 +675,49 @@ class TestBatchedExactArcs:
         assert np.array_equal(scaled[:, 0], base[:, 0])
         assert np.array_equal(scaled[:, 1:], base[:, 1:] * 2.0**k)
 
-    def test_rk4_path_is_field_values_rk4_bit_for_bit(self):
-        sys = make(ThetaFamily.diagonal(0.5), np.diag([1.0, 0.0]), [0.3, 1.0], 1.0,
-                   [0.5, 0.2])
-        assert nilrank(sys) == 1
-        ctrl = PiecewiseControl.from_pairs([(0.05, 0.5), (0.0305, -0.3), (0.0004, 1.0)])
+    # (system, arcs, samples): every RK4 family, an arc of more than RUN
+    # steps, and a u = 0 arc, whose stages all share one time
+    RK4_CASES = {
+        "diagonal nilrank 1": (RK4_NILRANK1, [(0.05, 0.5), (0.0305, -0.3), (0.0004, 1.0)],
+                               50 + 31 + 1),
+        "spiral(1) A = 0": (LOW_RANK["nilrank 0"], [(0.05, 0.5), (0.0305, -0.3)], 50 + 31),
+        "jordan A = 0": (RK4_JORDAN, [(0.05, 0.5), (0.0305, -0.3)], 50 + 31),
+        "arc past RUN": (RK4_NILRANK1, [(0.3, 0.7), (0.002, -0.9)], 300 + 2),
+        "u = 0": (RK4_NILRANK1, [(0.02, 0.0), (0.01, 0.6)], 20 + 10),
+    }
+
+    @pytest.mark.parametrize("case", RK4_CASES)
+    def test_rk4_path_is_field_values_rk4_bit_for_bit(self, case):
+        sys, pairs, samples = self.RK4_CASES[case]
+        assert nilrank(sys) < 2
+        ctrl = PiecewiseControl.from_pairs(pairs)
         g = GroupElement(0.4, [1.0, -0.5])
         traj = simulate(g, ctrl, sys)
         assert np.array_equal(traj.states, field_values_rk4(g, ctrl, sys, 1e-3))
-        assert len(traj.times) == 1 + 50 + 31 + 1
+        assert len(traj.times) == 1 + samples
+
+    @pytest.mark.parametrize("sys", [RK4_NILRANK1, RK4_JORDAN], ids=["nilrank 1", "nilrank 0"])
+    def test_rk4_evaluates_theta_once_per_distinct_stage_time(self, sys):
+        # stages 2 and 3 share a time and stage 4 mostly meets the next
+        # step's stage 1, so theta's arc pair is reused: at most 3 calls per
+        # step where every stage took one
+        ctrl = PiecewiseControl.from_pairs([(0.3, 0.7), (0.004, -0.9), (0.003, 0.2),
+                                            (0.005, 1.0)])
+        with mock.patch.object(system, "arc", wraps=system.arc) as arcs:
+            traj = simulate(GroupElement(0.4, [1.0, -0.5]), ctrl, sys)
+        steps = len(traj.times) - 1
+        assert steps == 300 + 4 + 3 + 5 > RUN
+        assert arcs.call_count <= 3 * steps
+
+    def test_rk4_keeps_the_sign_of_a_zero_stage_time(self):
+        # from t = -0.0 with u = 0, stage 1 runs at -0.0 and the others at
+        # 0.0; arc gives the two times zeros of different signs, so the
+        # second time takes its own call
+        with mock.patch.object(system, "arc", wraps=system.arc) as arcs:
+            system._rk4_arc(RK4_NILRANK1, GroupElement(-0.0, [1.0, -0.5]), 0.0, 0.002,
+                            np.empty((2, 3)))
+        times = [c.args[-1] for c in arcs.call_args_list]
+        assert times == [0.0, 0.0] and [math.copysign(1.0, t) for t in times] == [-1.0, 1.0]
 
     def test_a_few_kernel_calls_per_arc(self):
         # the per-sample path made two scalar arc calls per sample, about 2000
