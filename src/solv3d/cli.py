@@ -611,6 +611,9 @@ def cmd_plan(planner, spec_path, out_dir, v0, u0, p1, p2, u_pair, x_val, y_val):
 
     with _library_errors(f"{planner}: ", (ValueError, RuntimeError)):
         if planner == "staircase":
+            for flag, value in (("--x", x_val), ("--y", y_val)):
+                if not math.isfinite(value):
+                    raise InputError(f"{flag} must be a finite number, got {value!r}")
             c = plan_mod.staircase_fiber(sys_spec)[1]
             result = plan_mod.staircase(sys_spec.theta.gamma, sys_spec.alpha, c, x_val, y_val,
                                         sys_spec.omega)

@@ -11,9 +11,9 @@ The module provides the exact drift flow, rank conditions with auditable
 certificates, the conjugations that normalize eta or xi away, the planar
 reduction available at full nilrank, and a piecewise-constant simulator
 (exact at nilrank 2, by one 5x5 affine arc map in group coordinates; RK4
-below, on the field of ``field_values`` in place, with one ``arc`` of theta
-per distinct stage time).  Both arc maps write their samples into the output
-and check them once per run of samples.
+below, on the field of ``field_values`` in place, with one ``arc`` pair of
+theta and its two forcing products per distinct stage time).  Both arc maps
+write their samples into the output and check them once per run of samples.
 """
 
 from __future__ import annotations
@@ -308,40 +308,44 @@ def _rk4_arc(sys: SystemSpec, g: GroupElement, u: float, duration: float,
 
     Each stage evaluates the field of ``field_values`` in its order of
     operations, so the path is bit for bit RK4 on ``field_values``: the
-    pair (rho_t, Lambda_t) of theta at the stage time, then A v + Lambda_t
-    xi + u rho_t eta.  The pair is one ``arc`` of theta per distinct stage
-    time: t' = u alpha is constant on the arc, so stages 2 and 3 share a
-    time, and stage 4's time is mostly the next step's stage-1 time, so a
-    stage whose time equals the last one's (zero's sign included) reuses
-    its pair.  The caller has checked the control, so no stage re-checks it
-    or builds a group element.  A run of at most _RUN steps outside the
-    float range fails its one finiteness check (or a later stage's ``arc``)
-    as a ValueError.
+    pair (rho_t, Lambda_t) of theta at the stage time, then (A v + Lambda_t
+    xi) + u rho_t eta.  The pair and its two forcing products Lambda_t xi
+    and u rho_t eta are one ``arc`` of theta per distinct stage time: t' =
+    u alpha is constant on the arc, so stages 2 and 3 share a time, and
+    stage 4's time is mostly the next step's stage-1 time, so a stage whose
+    time equals the last one's (zero's sign included) reuses both products
+    and costs A v and two additions.  The caller has checked the control,
+    so no stage re-checks it or builds a group element.  A run of at most
+    _RUN steps outside the float range fails its one finiteness check (or a
+    later stage's ``arc``) as a ValueError.
     """
     theta = sys.theta_matrix.ravel().tolist()
     A, xi, eta, td = sys.A, sys.xi, sys.eta, u * sys.alpha
-    last, rho, lam = math.nan, None, None  # NaN equals no stage time
+    last, lam_xi, u_rho_eta = math.nan, None, None  # NaN equals no stage time
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        nonlocal last, rho, lam
+        nonlocal last, lam_xi, u_rho_eta
         t = float(y[0])
         # arc(-0.0) and arc(0.0) differ in the signs of their zeros
         if t != last or (t == 0.0 and math.copysign(1.0, t) != math.copysign(1.0, last)):
             e, w = arc(*theta, t)
-            rho, lam, last = np.array(e).reshape(2, 2), np.array(w).reshape(2, 2), t
-        vd = A @ y[1:] + lam @ xi + u * (rho @ eta)
+            lam_xi = np.array(w).reshape(2, 2) @ xi
+            u_rho_eta = u * (np.array(e).reshape(2, 2) @ eta)
+            last = t
+        vd = A @ y[1:] + lam_xi + u_rho_eta
         return np.array([td, vd[0], vd[1]])
 
     y = g.as_array()
     h = duration / len(out)
+    half, sixth = 0.5 * h, h / 6.0
     for lo in range(0, len(out), _RUN):
         rows = out[lo:lo + _RUN]
         for row in rows:
             k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
+            k2 = rhs(y + half * k1)
+            k3 = rhs(y + half * k2)
             k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
             row[:] = y
         check_finite(rows, "state")
 

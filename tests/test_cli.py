@@ -635,6 +635,7 @@ class TestFlagFuzz:
         assert isinstance(out.exception, SystemExit), out.exc_info
         assert out.exit_code == code, out.output
         assert out.stderr.strip().splitlines()[-1].startswith("Error:"), out.stderr
+        assert "array(" not in out.stderr
         assert "Traceback" not in out.output
         assert not (tmp_path / "out").exists()
 

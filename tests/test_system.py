@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from solv3d import kernel2d, system
 from solv3d.group import GroupElement, multiply
 from solv3d.kernel2d import ThetaFamily, matrix_rank
-from solv3d.planar import ControlRange, PiecewiseControl, PlanarSpec, omega_hat
+from solv3d.planar import ControlRange, PiecewiseControl, PlanarSpec, concat_solution, omega_hat
 from solv3d.reach import classify
 from solv3d.system import (
     InvariantField,
@@ -330,6 +330,31 @@ class TestPlanarReduction:
             g = GroupElement(rng.uniform(-3, 3), rng.normal(size=2))
             _, v = red.to_planar(g)
             assert np.max(np.abs(v - project_S(g, sys.theta))) < 1e-12
+
+    @pytest.mark.parametrize("seed, family", enumerate(["jordan", "diagonal", "spiral"]))
+    def test_reduction_conjugates_simulate_to_the_planar_run(self, seed, family):
+        # the abstract's "up to conjugations": to_planar sends simulate's
+        # endpoint to concat_solution's from to_planar of the start, with the
+        # controls times alpha, and t moves by alpha * sum(u_i d_i)
+        rng = np.random.default_rng([38, seed])
+        for _ in range(100):
+            gamma = rng.uniform(-1.0, 1.0)
+            th = (ThetaFamily.jordan() if family == "jordan"
+                  else getattr(ThetaFamily, family)(gamma))
+            A = rng.uniform(-1.0, 1.0) * np.eye(2) + rng.uniform(-1.0, 1.0) * th.matrix()
+            alpha = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
+            sys = make(th, A, rng.normal(size=2), alpha, rng.normal(size=2))
+            assert nilrank(sys) == 2 and larc(sys).holds
+            pairs = [(rng.uniform(0.1, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(6)]
+            g0 = GroupElement(rng.uniform(-1.0, 1.0), rng.normal(size=2))
+            end = simulate(g0, PiecewiseControl.from_pairs(pairs), sys, step=0.1).final_state
+            red = conjugate_to_planar(sys)
+            want, _ = concat_solution(red.planar, red.to_planar(g0)[1],
+                                      PiecewiseControl.from_pairs([(d, u * alpha)
+                                                                   for d, u in pairs]))
+            t, v = red.to_planar(GroupElement(end[0], end[1:]))
+            assert np.max(np.abs(v - want)) <= 1e-12 * np.max(np.abs(want))
+            assert t == pytest.approx(g0.t + alpha * sum(u * d for d, u in pairs), abs=1e-12)
 
     def test_control_rescaling(self):
         sys = make(ThetaFamily.spiral(0.0), -np.eye(2), [0.3, 0.1], 2.0, [1.0, 0.0],
@@ -708,6 +733,36 @@ class TestBatchedExactArcs:
         steps = len(traj.times) - 1
         assert steps == 300 + 4 + 3 + 5 > RUN
         assert arcs.call_count <= 3 * steps
+
+    def test_rk4_matches_the_closed_form_of_a_diagonal_nilrank_one_system(self):
+        # an oracle that does not share field_values: on theta = diag(1, gamma),
+        # A = diag(a, 0), r = (v1 - (eta1 / alpha) e^t - xi1 / a) e^{-t} obeys
+        # r' = (a - alpha u) r + kappa with kappa = xi1 + a eta1 / alpha, so
+        # each arc moves r to e^{lam d} (r - r(u)) + r(u), lam = a - alpha u,
+        # r(u) = -kappa / lam
+        rng = np.random.default_rng(37)
+        for _ in range(60):
+            gamma, a = rng.uniform(-1.0, 1.0), rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)
+            alpha, xi, eta = rng.uniform(0.5, 1.5), rng.normal(size=2), rng.normal(size=2)
+            sys = make(ThetaFamily.diagonal(gamma), np.diag([a, 0.0]), xi, alpha, eta)
+            assert nilrank(sys) == 1
+            pairs = []
+            while len(pairs) < 6:
+                u = rng.uniform(-1.0, 1.0)
+                if abs(a - alpha * u) >= 0.05:
+                    pairs.append((rng.uniform(0.1, 1.0), u))
+            g = GroupElement(rng.uniform(-1.0, 1.0), rng.normal(size=2))
+            t, v1, _ = simulate(g, PiecewiseControl.from_pairs(pairs), sys, step=1e-3).final_state
+
+            def r_of(t, v1):
+                return (v1 - eta[0] / alpha * math.exp(t) - xi[0] / a) * math.exp(-t)
+
+            kappa, r = xi[0] + a * eta[0] / alpha, r_of(g.t, g.v[0])
+            for d, u in pairs:
+                lam = a - alpha * u
+                r = math.exp(lam * d) * (r + kappa / lam) - kappa / lam
+            assert abs(r_of(t, v1) - r) <= 1e-10 * abs(r)
+            assert t == pytest.approx(g.t + alpha * sum(u * d for d, u in pairs), abs=1e-12)
 
     def test_rk4_keeps_the_sign_of_a_zero_stage_time(self):
         # from t = -0.0 with u = 0, stage 1 runs at -0.0 and the others at
